@@ -4,11 +4,13 @@
 #   make lint        — go vet, plus staticcheck when it is on PATH
 #   make race        — full suite under the race detector, plus a focused
 #                      double-count pass over the sharded-moderator stress
-#                      and differential-oracle tests, and the obs
-#                      ring/histogram/churn concurrency tests
+#                      and differential-oracle tests, the obs
+#                      ring/histogram/churn concurrency tests, and ten
+#                      rounds of the amrpc line-buffer aliasing test
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
-#                      wire decoders, the interference checker, and the
-#                      seqlock guard-eval differential target
+#                      wire encoders and decoders (each differential
+#                      against encoding/json), the interference checker,
+#                      and the seqlock guard-eval differential target
 #   make bench       — regenerate the committed BENCH_2.json + BENCH_3.json
 #                      baselines in one interleaved pass
 #   make bench-matrix — regenerate the committed BENCH_4.json GOMAXPROCS x
@@ -65,6 +67,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
+	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls' ./internal/amrpc/
 
 bench:
 	$(GO) run ./cmd/ambench -json BENCH_2.json -obs-json BENCH_3.json
@@ -96,6 +99,8 @@ loop-smoke:
 	@echo "loop-smoke: OK"
 
 fuzz-smoke:
+	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzSealRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzSealResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)

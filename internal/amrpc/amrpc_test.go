@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,21 +180,29 @@ func TestPriorityTravels(t *testing.T) {
 	}
 }
 
+// TestConcurrentPipelinedCalls keeps 64 calls in flight on one connection,
+// each with an argument (and so a result) of its own length. Decoded args
+// and results are slices of the two readers' line buffers, which the next
+// frame overwrites: a request handed to a worker without its own line, or
+// a result handed to a caller without its own copy, shows up here as a
+// reply that echoes somebody else's bytes (and under -race as a data race).
 func TestConcurrentPipelinedCalls(t *testing.T) {
 	addr := startServer(t, newEchoProxy(t, "svc"))
 	c := dialClient(t, addr)
 	stub := c.Component("svc")
 	var wg sync.WaitGroup
-	const callers, per = 8, 25
+	// Enough bytes each way (about 1 MiB) that both 64 KiB line buffers
+	// wrap many times while calls are in flight.
+	const callers, per = 64, 16
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
-				want := fmt.Sprintf("msg-%d-%d", w, k)
+				want := fmt.Sprintf("msg-%d-%d-%s", w, k, strings.Repeat("x", (w*67+k*131)%2000))
 				got, err := stub.Invoke(context.Background(), "echo", want)
 				if err != nil || got != want {
-					t.Errorf("echo = %v, %v (want %s)", got, err, want)
+					t.Errorf("call %d-%d (%d bytes) was not echoed back: err=%v", w, k, len(want), err)
 					return
 				}
 			}

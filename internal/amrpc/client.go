@@ -121,6 +121,12 @@ func WithReconnectBackoff(base, max time.Duration) ClientOption {
 	}
 }
 
+// encodeBuf is the scratch space of one call: its encoded arguments and the
+// frame of the attempt in progress.
+type encodeBuf struct{ args, frame []byte }
+
+var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
 // liveConn is one established connection generation. The write side is
 // serialized by writeMu; the read side is owned by exactly one readLoop
 // goroutine.
@@ -342,8 +348,8 @@ func (c *Client) readLoop(lc *liveConn) {
 	// when growing, so a larger starting buffer would defeat small limits.
 	scanner.Buffer(make([]byte, 0, min(64*1024, c.opts.maxLineBytes)), c.opts.maxLineBytes)
 	for scanner.Scan() {
-		resp, err := decodeResponseLine(scanner.Bytes())
-		if err != nil {
+		var resp response
+		if decodeResponse(scanner.Bytes(), &resp) != nil {
 			continue // tolerate malformed or corrupted lines; deadlines recover the call
 		}
 		c.mu.Lock()
@@ -355,7 +361,10 @@ func (c *Client) readLoop(lc *liveConn) {
 		}
 		c.mu.Unlock()
 		if ok {
-			pc.ch <- *resp
+			// Result aliases the scanner's buffer, which the next Scan
+			// overwrites while the caller is still decoding.
+			resp.Result = append(json.RawMessage(nil), resp.Result...)
+			pc.ch <- resp
 		}
 	}
 	err := scanner.Err()
@@ -415,8 +424,13 @@ func (c *Client) Close() error {
 // call performs one logical request/response exchange, retrying transport
 // failures per the client's policy when the call is idempotent.
 func (c *Client) call(ctx context.Context, component, method, token string, priority int, fence uint64, idempotent bool, args []any) (any, error) {
-	rawArgs, err := encodeArgs(args)
-	if err != nil {
+	// One buffer pair serves the whole call: the arguments are encoded once,
+	// each attempt builds its frame next to them.
+	eb := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(eb)
+	var rawArgs []json.RawMessage
+	var err error
+	if eb.args, rawArgs, err = encodeArgs(eb.args[:0], args); err != nil {
 		return nil, err
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.opts.callTimeout > 0 {
@@ -432,7 +446,7 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 	var lastErr error
 	for a := 1; ; a++ {
 		c.stats.attempts.Add(1)
-		result, err := c.callOnce(ctx, component, method, token, priority, fence, rawArgs)
+		result, err := c.callOnce(ctx, eb, component, method, token, priority, fence, rawArgs)
 		if err == nil {
 			return result, nil
 		}
@@ -459,7 +473,7 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 
 // callOnce performs a single attempt: ensure a connection, register the
 // pending call, write the frame, await the response or a deadline.
-func (c *Client) callOnce(parent context.Context, component, method, token string, priority int, fence uint64, rawArgs []json.RawMessage) (any, error) {
+func (c *Client) callOnce(parent context.Context, eb *encodeBuf, component, method, token string, priority int, fence uint64, rawArgs []json.RawMessage) (any, error) {
 	ctx := parent
 	if d := c.opts.retry.AttemptTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -492,6 +506,9 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		}
 	}
 
+	// A fresh channel per attempt, never a recycled one: a reader that has
+	// already taken this attempt's pending entry may deliver after the
+	// attempt gave up.
 	ch := make(chan response, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -513,13 +530,9 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		TimeoutMS: timeoutMS,
 		Fence:     fence,
 	}
-	line, err := sealRequest(&req)
-	if err != nil {
-		c.unregister(id)
-		return nil, fmt.Errorf("amrpc: encode %s.%s: %w", component, method, err)
-	}
+	eb.frame = append(appendRequest(eb.frame[:0], &req), '\n')
 	lc.writeMu.Lock()
-	_, err = lc.conn.Write(append(line, '\n'))
+	_, err = lc.conn.Write(eb.frame)
 	lc.writeMu.Unlock()
 	if err != nil {
 		c.unregister(id)
@@ -538,8 +551,8 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		if len(resp.Result) == 0 {
 			return nil, nil
 		}
-		var v any
-		if err := json.Unmarshal(resp.Result, &v); err != nil {
+		v, err := decodeValue(resp.Result)
+		if err != nil {
 			return nil, fmt.Errorf("amrpc: decode result of %s.%s: %w", component, method, err)
 		}
 		return v, nil

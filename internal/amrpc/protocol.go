@@ -11,6 +11,15 @@
 // wait-queue priority); each response carries the result or a coded error
 // that the client rehydrates so errors.Is against the framework's sentinel
 // errors keeps working across the network.
+//
+// This file declares the frames, the error codes and their mapping to the
+// framework's sentinels; codec.go reads and writes the frames. A frame is
+// one JSON object on one line whose members appear in the order the structs
+// below declare them, zero-valued optional members left out. Its last
+// member, sum, is the CRC-32 (IEEE) of the line up to the comma before it
+// plus the closing brace — the frame as it would read unsigned — and a
+// receiver checks it over the bytes it received, before acting on any
+// other member.
 package amrpc
 
 import (
@@ -18,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
@@ -45,8 +53,8 @@ type request struct {
 	// unfenced; a nonzero fence obliges the receiver to hold the target
 	// domain's lease at exactly this term or refuse with CodeStaleTerm.
 	Fence uint64 `json:"fence,omitempty"`
-	// Sum is an optional CRC-32 (IEEE) of the frame marshalled with
-	// Sum=0. A zero Sum means "unsigned" (foreign or legacy peers); a
+	// Sum is an optional CRC-32 (IEEE) of the frame as it reads without
+	// this member. A zero Sum means "unsigned" (foreign or legacy peers); a
 	// nonzero Sum that fails verification means the frame was corrupted
 	// in flight and the receiver must discard it without acting on any
 	// field — including ID, which can itself be corrupt.
@@ -65,74 +73,6 @@ type response struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 	// Sum mirrors request.Sum: frame integrity for the return path.
 	Sum uint32 `json:"sum,omitempty"`
-}
-
-// errChecksum marks a frame whose checksum did not verify. Receivers drop
-// such frames silently: no field of a corrupt frame can be trusted, so the
-// sender recovers by deadline + retry rather than by a correlated error.
-var errChecksum = errors.New("amrpc: frame checksum mismatch")
-
-// sealRequest marshals req with its integrity checksum filled in. The
-// checksum covers the frame as marshalled with Sum=0; Go's struct
-// marshalling is deterministic (fixed field order, RawMessage verbatim), so
-// the receiver can re-derive the covered bytes exactly.
-func sealRequest(req *request) ([]byte, error) {
-	req.Sum = 0
-	base, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	req.Sum = crc32.ChecksumIEEE(base)
-	return json.Marshal(req)
-}
-
-// sealResponse is sealRequest for the return path.
-func sealResponse(resp *response) ([]byte, error) {
-	resp.Sum = 0
-	base, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	resp.Sum = crc32.ChecksumIEEE(base)
-	return json.Marshal(resp)
-}
-
-// decodeRequestLine parses one wire line into a request, verifying the
-// integrity checksum when present. Unsigned frames (Sum==0) are accepted
-// for compatibility with hand-rolled peers.
-func decodeRequestLine(line []byte) (*request, error) {
-	var req request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, err
-	}
-	if req.Sum != 0 {
-		want := req.Sum
-		req.Sum = 0
-		base, err := json.Marshal(&req)
-		req.Sum = want
-		if err != nil || crc32.ChecksumIEEE(base) != want {
-			return nil, errChecksum
-		}
-	}
-	return &req, nil
-}
-
-// decodeResponseLine is decodeRequestLine for the return path.
-func decodeResponseLine(line []byte) (*response, error) {
-	var resp response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Sum != 0 {
-		want := resp.Sum
-		resp.Sum = 0
-		base, err := json.Marshal(&resp)
-		resp.Sum = want
-		if err != nil || crc32.ChecksumIEEE(base) != want {
-			return nil, errChecksum
-		}
-	}
-	return &resp, nil
 }
 
 // Error codes carried on the wire so sentinel errors survive the boundary.
@@ -228,32 +168,4 @@ func codeFor(err error) string {
 	default:
 		return CodeInternal
 	}
-}
-
-// encodeArgs marshals positional arguments for the wire.
-func encodeArgs(args []any) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(args))
-	for i, a := range args {
-		b, err := json.Marshal(a)
-		if err != nil {
-			return nil, fmt.Errorf("amrpc: encode arg %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// decodeArgs unmarshals wire arguments into generic values (numbers become
-// float64, objects become map[string]any — the invocation's coercion
-// helpers absorb this).
-func decodeArgs(raw []json.RawMessage) ([]any, error) {
-	out := make([]any, len(raw))
-	for i, r := range raw {
-		var v any
-		if err := json.Unmarshal(r, &v); err != nil {
-			return nil, fmt.Errorf("amrpc: decode arg %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

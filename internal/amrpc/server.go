@@ -3,7 +3,6 @@ package amrpc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -252,30 +251,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer close(writerDone)
 		buf := make([]byte, 0, 16*1024)
-		appendFrame := func(resp *response) int {
-			b, err := sealResponse(resp)
-			if err != nil {
-				return 0
-			}
-			buf = append(buf, b...)
-			buf = append(buf, '\n')
-			return 1
-		}
 		open := true
 		for open {
 			resp, ok := <-respCh
 			if !ok {
 				return
 			}
-			buf = buf[:0]
-			frames := appendFrame(&resp)
+			buf = append(appendResponse(buf[:0], &resp), '\n')
+			frames := 1
 			for len(buf) < flushBytes {
 				select {
 				case r, more := <-respCh:
 					if !more {
 						open = false
 					} else {
-						frames += appendFrame(&r)
+						buf = append(appendResponse(buf, &r), '\n')
+						frames++
 					}
 				default:
 				}
@@ -283,19 +274,19 @@ func (s *Server) serveConn(conn net.Conn) {
 					break
 				}
 			}
-			if frames > 0 {
-				touch()
-				_, _ = conn.Write(buf)
-				s.stats.flushes.Add(1)
-				s.stats.flushFrames.Add(uint64(frames))
-			}
+			// Counted before the write, so a peer that has read a response
+			// finds it in the ledger.
+			s.stats.flushes.Add(1)
+			s.stats.flushFrames.Add(uint64(frames))
+			touch()
+			_, _ = conn.Write(buf)
 		}
 	}()
 
 	// The bounded worker pool. Workers are spawned on demand while the
 	// queue has work nobody picked up, never beyond the cap; each exits
 	// when the queue closes.
-	workCh := make(chan *request, s.maxConcurrent)
+	workCh := make(chan request, s.maxConcurrent)
 	var workers sync.WaitGroup
 	spawned := 0
 	spawnWorker := func() {
@@ -303,7 +294,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		go func() {
 			defer workers.Done()
 			for req := range workCh {
-				resp := s.handle(ctx, req)
+				resp := s.handle(ctx, &req)
 				if resp.Err != "" {
 					s.stats.errorReplies.Add(1)
 				}
@@ -320,8 +311,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	scanner.Buffer(make([]byte, 0, min(64*1024, s.maxLineBytes)), s.maxLineBytes)
 	for scanner.Scan() {
 		touch()
-		req, err := decodeRequestLine(scanner.Bytes())
-		if err != nil {
+		// The decoded request aliases its line and is handed to a worker
+		// that outlives the next Scan, so it gets a line of its own.
+		var req request
+		if err := decodeRequest(append([]byte(nil), scanner.Bytes()...), &req); err != nil {
 			if errors.Is(err, errChecksum) {
 				// A corrupted frame: nothing in it — including its ID — can
 				// be trusted, so drop it silently and let the client's
@@ -410,7 +403,7 @@ func (s *Server) handle(ctx context.Context, req *request) response {
 	if err != nil {
 		return response{ID: req.ID, Err: err.Error(), Code: codeFor(err)}
 	}
-	raw, err := json.Marshal(result)
+	raw, err := appendValue(nil, result)
 	if err != nil {
 		return response{
 			ID:   req.ID,

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,5 +347,21 @@ func TestClusterStaleSyncOfferRefused(t *testing.T) {
 	}
 	if owner.Status().StaleRefusals <= before {
 		t.Fatal("stale offer refusal not counted")
+	}
+}
+
+// TestAckFromReply pins how the replication stream reads its ack: straight
+// from the reply's generic wire form, and a reply without a numeric acked
+// is an error that names the reply — not a silent ack of zero, which would
+// leave the leader's log unreclaimed with nothing said.
+func TestAckFromReply(t *testing.T) {
+	ack, err := ackFromReply(map[string]any{"acked": float64(1 << 40)})
+	if err != nil || ack.Acked != 1<<40 {
+		t.Fatalf("ack = %+v, err = %v", ack, err)
+	}
+	for _, bad := range []any{nil, true, "acked", map[string]any{}, map[string]any{"acked": "7"}} {
+		if _, err := ackFromReply(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+			t.Errorf("reply %v: err = %v, want an error naming the reply", bad, err)
+		}
 	}
 }

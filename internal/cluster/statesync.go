@@ -77,15 +77,22 @@ func (t *syncTransport) Offer(ctx context.Context, succ string, o statesync.Offe
 		}
 		return statesync.Ack{}, err
 	}
-	raw, err := json.Marshal(res)
+	ack, err := ackFromReply(res)
 	if err != nil {
-		return statesync.Ack{}, fmt.Errorf("cluster %s: re-encode sync ack: %w", n.cfg.ID, err)
-	}
-	var ack statesync.Ack
-	if err := json.Unmarshal(raw, &ack); err != nil {
-		return statesync.Ack{}, fmt.Errorf("cluster %s: decode sync ack: %w", n.cfg.ID, err)
+		return statesync.Ack{}, fmt.Errorf("cluster %s: sync ack from %s: %w", n.cfg.ID, succ, err)
 	}
 	return ack, nil
+}
+
+// ackFromReply reads an Ack out of a sync-offer reply in its generic wire
+// form, {"acked": <number>}.
+func ackFromReply(res any) (statesync.Ack, error) {
+	reply, _ := res.(map[string]any)
+	acked, ok := reply["acked"].(float64)
+	if !ok {
+		return statesync.Ack{}, fmt.Errorf("reply %v has no numeric \"acked\"", res)
+	}
+	return statesync.Ack{Acked: uint64(acked)}, nil
 }
 
 // inflightFor returns domain's in-flight admission counter, used by the

@@ -173,11 +173,11 @@ func putRingOp(op *ringOp) {
 type submitRing struct {
 	slots [ringSize]atomic.Pointer[ringOp]
 
-	_    [64]byte // pad: slots vs producer word
-	tail atomic.Uint64
-	_    [64]byte // pad: producer word vs drainer word
-	head atomic.Uint64
-	_    [64]byte // pad: drainer word vs election word
+	_        [64]byte // pad: slots vs producer word
+	tail     atomic.Uint64
+	_        [64]byte // pad: producer word vs drainer word
+	head     atomic.Uint64
+	_        [64]byte // pad: drainer word vs election word
 	draining atomic.Uint32
 	_        [64]byte // pad: election word vs counters
 

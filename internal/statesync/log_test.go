@@ -77,7 +77,7 @@ func TestLogSkipGapResumesAfterOverflow(t *testing.T) {
 	if _, ok := l.Append(1, "put", nil); ok { // seq 17: the hole
 		t.Fatal("append accepted past a full window")
 	}
-	l.Ack(uint64(l.Capacity())) // successor caught up on the published prefix
+	l.Ack(uint64(l.Capacity()))                // successor caught up on the published prefix
 	if _, ok := l.Append(1, "put", nil); !ok { // seq 18: window reopened
 		t.Fatal("append refused after the window drained")
 	}

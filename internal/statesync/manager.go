@@ -121,7 +121,7 @@ type replica struct {
 	term     uint64
 	snap     []byte
 	snapSeq  uint64
-	entries  []Entry
+	entries  suffix
 	lastSeq  uint64
 	snapsIn  uint64
 	dups     uint64
@@ -505,41 +505,33 @@ func (m *Manager) HandleOffer(o Offer) (Ack, error) {
 	if o.Term > r.term {
 		// A new leadership generation: its sequence starts over, so the
 		// old replica contents are superseded wholesale.
-		r.term, r.snap, r.snapSeq, r.entries, r.lastSeq = o.Term, nil, 0, nil, 0
+		r.term, r.snap, r.snapSeq, r.entries, r.lastSeq = o.Term, nil, 0, suffix{}, 0
 	}
 	r.from = o.From
 	if o.Snapshot != nil {
 		r.snap, r.snapSeq = o.Snapshot, o.SnapSeq
 		r.snapsIn++
-		kept := r.entries[:0]
-		for _, e := range r.entries {
-			if e.Seq > o.SnapSeq {
-				kept = append(kept, e)
-			}
-		}
-		r.entries = kept
+		r.entries.dropThrough(o.SnapSeq)
 		if r.lastSeq < o.SnapSeq {
 			r.lastSeq = o.SnapSeq
 		}
 	}
 	for _, e := range o.Entries {
-		switch {
-		case e.Seq <= r.lastSeq:
+		if e.Seq <= r.lastSeq {
 			r.dups++
-		case e.Seq == r.lastSeq+1 || r.lastSeq == 0:
-			if e.Seq != r.lastSeq+1 {
-				r.gaps++ // adopting a mid-stream baseline (no snapshot path)
-			}
-			r.entries = append(r.entries, e)
-			r.lastSeq = e.Seq
-		default:
-			// A hole (sender overflowed without a snapshot): keep what we
-			// have, record the gap, and continue from the new position so
-			// the suffix stays fresh.
-			r.gaps++
-			r.entries = append(r.entries, e)
-			r.lastSeq = e.Seq
+			continue
 		}
+		if e.Seq != r.lastSeq+1 {
+			// Adopting a mid-stream baseline (no snapshot path), or a hole
+			// (sender overflowed without a snapshot): keep what we have,
+			// record the gap, and continue from the new position so the
+			// suffix stays fresh.
+			r.gaps++
+		}
+		if err := r.entries.add(e); err != nil {
+			return Ack{}, err
+		}
+		r.lastSeq = e.Seq
 	}
 	ack := r.lastSeq
 	if r.snapSeq > ack {
@@ -583,9 +575,10 @@ func (m *Manager) Takeover(domain string) (TakeoverState, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	entries, lost := r.entries.entries(domain)
 	st := TakeoverState{
 		From: r.from, Term: r.term, Snapshot: r.snap, SnapSeq: r.snapSeq,
-		Entries: append([]Entry(nil), r.entries...), Gaps: r.gaps,
+		Entries: entries, Gaps: r.gaps + lost,
 	}
 	return st, r.snap != nil || len(st.Entries) > 0
 }
@@ -638,7 +631,7 @@ func (m *Manager) Status() []view.SyncStatus {
 		st.ReplicaFrom = r.from
 		st.ReplicaTerm = r.term
 		st.ReplicaSeq = r.lastSeq
-		st.ReplicaEntries = len(r.entries)
+		st.ReplicaEntries = r.entries.len()
 		st.SnapshotsRecv = r.snapsIn
 		st.StaleRefused = r.refusals
 		st.Duplicates = r.dups

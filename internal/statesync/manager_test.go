@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -387,5 +389,92 @@ func TestManagerSnapshotResyncAfterOverflow(t *testing.T) {
 	st, held := b.Takeover("alpha")
 	if !held || string(st.Snapshot) != "full-state" {
 		t.Fatalf("post-overflow takeover: held=%v snap=%q", held, st.Snapshot)
+	}
+}
+
+// TestReplicaRetainsPackedSuffix pins the cost of standing successor: the
+// replica keeps every effect of the term (there is no Snapshot hook here to
+// trim it), so what one effect retains bounds a long-lived node's memory.
+// 100k one-argument effects must stay under 96 live bytes each, and come
+// back from Takeover exactly as offered.
+func TestReplicaRetainsPackedSuffix(t *testing.T) {
+	m, err := NewManager(Config{Node: "B", Transport: &pipeTransport{}, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+
+	const n, batch = 100_000, 256
+	methods := []string{"open", "assign"}
+	entry := func(seq int) Entry {
+		return Entry{Domain: "alpha", Seq: uint64(seq), Term: 3, Method: methods[seq%2],
+			Args: []any{fmt.Sprintf("ticket-%06d <a&b>", seq)}}
+	}
+	liveBytes := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveBytes()
+	for seq := 1; seq <= n; seq += batch {
+		o := Offer{From: "A", Domain: "alpha", Term: 3}
+		for s := seq; s < seq+batch && s <= n; s++ {
+			o.Entries = append(o.Entries, entry(s))
+		}
+		if ack, err := m.HandleOffer(o); err != nil || ack.Acked != o.Entries[len(o.Entries)-1].Seq {
+			t.Fatalf("offer at seq %d: ack=%d err=%v", seq, ack.Acked, err)
+		}
+	}
+	after := liveBytes()
+	per := float64(after-before) / n
+	t.Logf("replica retains %.1f live bytes per entry", per)
+	if per > 96 {
+		t.Errorf("replica retains %.1f live bytes per entry, want <= 96", per)
+	}
+	for _, st := range m.Status() {
+		if st.Domain == "alpha" && st.ReplicaEntries != n {
+			t.Errorf("ReplicaEntries = %d, want %d", st.ReplicaEntries, n)
+		}
+	}
+
+	st, held := m.Takeover("alpha")
+	if !held || len(st.Entries) != n || st.Gaps != 0 {
+		t.Fatalf("takeover: held=%v entries=%d gaps=%d", held, len(st.Entries), st.Gaps)
+	}
+	for i, got := range st.Entries {
+		if want := entry(i + 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("entry %d came back as %+v, offered %+v", i, got, want)
+		}
+	}
+}
+
+// TestReplicaSnapshotTrimsPackedSuffix pins the trim a snapshot applies to
+// the packed suffix: entries at or below its sequence go, the rest stay in
+// order with their arguments, and argument-less entries survive repacking.
+func TestReplicaSnapshotTrimsPackedSuffix(t *testing.T) {
+	m, err := NewManager(Config{Node: "B", Transport: &pipeTransport{}, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	o := Offer{From: "A", Domain: "alpha", Term: 1}
+	for seq := uint64(1); seq <= 6; seq++ {
+		e := Entry{Domain: "alpha", Seq: seq, Term: 1, Method: "put"}
+		if seq%2 == 0 {
+			e.Args = []any{"id", float64(seq), map[string]any{"k": true}}
+		}
+		o.Entries = append(o.Entries, e)
+	}
+	if _, err := m.HandleOffer(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.HandleOffer(Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s"), SnapSeq: 4}); err != nil {
+		t.Fatal(err)
+	}
+	st, held := m.Takeover("alpha")
+	if !held || !reflect.DeepEqual(st.Entries, o.Entries[4:]) {
+		t.Fatalf("after a snapshot through 4: held=%v entries=%+v, want %+v", held, st.Entries, o.Entries[4:])
 	}
 }
