@@ -1,6 +1,8 @@
 # Verification stages for the aspect-moderator reproduction.
 #
-#   make tier1       — build + full test suite (the gating check)
+#   make tier1       — build + full test suite (the gating check), then
+#                      every BenchmarkE1-E11 body once so the paper
+#                      experiments cannot rot
 #   make lint        — go vet, plus staticcheck when it is on PATH
 #   make race        — full suite under the race detector, plus a focused
 #                      double-count pass over the sharded-moderator stress
@@ -11,20 +13,13 @@
 #                      wire encoders and decoders (each differential
 #                      against encoding/json), the interference checker,
 #                      and the seqlock guard-eval differential target
-#   make bench       — regenerate the committed BENCH_2.json + BENCH_3.json
-#                      baselines in one interleaved pass
-#   make bench-matrix — regenerate the committed BENCH_4.json GOMAXPROCS x
-#                      workload matrix (best-of-5, variants interleaved)
-#   make bench-shadow — regenerate the committed BENCH_5.json shadow
-#                      admission overhead baseline
-#   make bench-statesync — regenerate the committed BENCH_6.json state
-#                      handoff baseline (capture overhead + handoff latency)
-#   make bench-loop  — regenerate the committed BENCH_7.json closed-loop
-#                      batched admission baseline (TCP loop, shed, contended
-#                      + uncontended admission cells)
-#   make loop-smoke  — a -quick E19 pass into a scratch dir, asserting the
-#                      closed loop loses nothing (lost=0, residue=0), the
-#                      contention gate fires, and sheds carry retry hints
+#   make bench       — the one benchmark harness: `bash benchmark/run.sh`,
+#                      all five workloads into benchmark/out/ (see
+#                      benchmark/README.md). ARGS is passed through:
+#                        make bench ARGS='--workload rpc_sequential --seed 2'
+#                        make bench ARGS='-compare parent.json change.json'
+#                      -compare prints better/same/worse/unresolved per
+#                      metric for two result files and measures nothing
 #   make obs-smoke   — boot ticketd with -obs, drive load, assert /metrics
 #                      and /trace serve live non-empty data
 #   make shadow-smoke — boot ticketd with -shadow 1 (every admission
@@ -40,20 +35,19 @@
 #                      kill via effect-log catch-up, and stale-term
 #                      replication fencing
 #   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
-#                      shadow-smoke + cluster-smoke + handoff-smoke +
-#                      loop-smoke
+#                      shadow-smoke + cluster-smoke + handoff-smoke
 
 GO ?= go
 FUZZTIME ?= 10s
 OBS_SMOKE_DIR := $(or $(TMPDIR),/tmp)/obs-smoke
 SHADOW_SMOKE_DIR := $(or $(TMPDIR),/tmp)/shadow-smoke
-LOOP_SMOKE_DIR := $(or $(TMPDIR),/tmp)/loop-smoke
 
-.PHONY: tier1 lint race fuzz-smoke bench bench-matrix bench-shadow bench-statesync bench-loop loop-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke check
+.PHONY: tier1 lint race fuzz-smoke bench obs-smoke shadow-smoke cluster-smoke handoff-smoke check
 
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 lint:
 	$(GO) vet ./...
@@ -70,33 +64,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls' ./internal/amrpc/
 
 bench:
-	$(GO) run ./cmd/ambench -json BENCH_2.json -obs-json BENCH_3.json
-
-bench-matrix:
-	$(GO) run ./cmd/ambench -matrix-json BENCH_4.json
-
-bench-shadow:
-	$(GO) run ./cmd/ambench -shadow-json BENCH_5.json
-
-bench-statesync:
-	$(GO) run ./cmd/ambench -statesync-json BENCH_6.json
-
-bench-loop:
-	$(GO) run ./cmd/ambench -loop-json BENCH_7.json
-
-# A fast E19 pass into a scratch dir. Not a performance claim — the quick
-# geometry is too small for stable ratios — but the correctness clauses
-# must hold at any scale: the closed loop completes every admission
-# (lost=0), the ticket buffer drains (residue=0), the contention gate's
-# mutex-free probe fires, and every shed response carries a retry hint.
-loop-smoke:
-	rm -rf $(LOOP_SMOKE_DIR) && mkdir -p $(LOOP_SMOKE_DIR)
-	$(GO) run ./cmd/ambench -quick -loop-json $(LOOP_SMOKE_DIR)/loop.json
-	grep -q '"lost": 0' $(LOOP_SMOKE_DIR)/loop.json || { echo "loop-smoke: closed loop lost admissions"; exit 1; }
-	grep -q '"residue": 0' $(LOOP_SMOKE_DIR)/loop.json || { echo "loop-smoke: ticket buffer residue at quiescence"; exit 1; }
-	grep -q '"mutex_bypasses": [1-9]' $(LOOP_SMOKE_DIR)/loop.json || { echo "loop-smoke: contention gate never bypassed"; exit 1; }
-	grep -q '"retry_after_ms_max": [1-9]' $(LOOP_SMOKE_DIR)/loop.json || { echo "loop-smoke: sheds carried no retry-after hint"; exit 1; }
-	@echo "loop-smoke: OK"
+	bash benchmark/run.sh $(ARGS)
 
 fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzSealRequest$$' -fuzztime $(FUZZTIME)
@@ -176,4 +144,4 @@ handoff-smoke:
 		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap'
 	@echo "handoff-smoke: OK"
 
-check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke loop-smoke
+check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke

@@ -1,6 +1,7 @@
-// Benchmarks, one family per experiment of EXPERIMENTS.md (E1-E11).
-// `go test -bench=. -benchmem` regenerates every table's raw measurements;
-// `go run ./cmd/ambench` prints them in the report's shape.
+// Benchmarks, one family per experiment of EXPERIMENTS.md (E1-E11), and
+// the only driver of those experiments: `go test -bench . -benchmem`
+// regenerates every table's raw measurements. `make tier1` runs each body
+// once (-benchtime 1x) so none of them can rot.
 package repro_test
 
 import (
@@ -334,15 +335,15 @@ func BenchmarkE7RemoteLoopback(b *testing.B) {
 		defer wg.Done()
 		_ = srv.Serve(ln)
 	}()
+	b.Cleanup(func() {
+		srv.Close()
+		wg.Wait()
+	})
 	client, err := amrpc.Dial(ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer func() {
-		_ = client.Close()
-		srv.Close()
-		wg.Wait()
-	}()
+	b.Cleanup(func() { _ = client.Close() })
 	stub := client.Component(ticket.ComponentName)
 	ctx := context.Background()
 	b.ResetTimer()

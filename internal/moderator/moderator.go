@@ -282,7 +282,7 @@ func (a *Admission) Len() int {
 
 // Admitter is the surface shared by the sharded Moderator and the
 // single-mutex Reference. The differential oracle (moderator_diff_test.go)
-// and the benchmark trajectory (internal/bench, BENCH_2.json) drive both
+// and the in-process tier A/B (tiers_ab_test.go) drive both
 // implementations through this interface.
 type Admitter interface {
 	Name() string

@@ -16,8 +16,7 @@ import (
 // ONE admission mutex, exactly as the seed implementation (and the paper's
 // AspectModerator) did. It is retained as the executable specification the
 // sharded Moderator is differentially tested against
-// (moderator_diff_test.go) and benchmarked against (internal/bench,
-// BENCH_2.json).
+// (moderator_diff_test.go) and timed against (tiers_ab_test.go).
 //
 // The admission logic below is deliberately a verbatim port of the
 // pre-sharding moderator, NOT a call into the sharded code with one
