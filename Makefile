@@ -1,12 +1,14 @@
 # Verification stages for the aspect-moderator reproduction.
 #
-#   make tier1       — build + full test suite (the gating check), then
-#                      every BenchmarkE1-E11 body once so the paper
-#                      experiments cannot rot
+#   make tier1       — build + full test suite (the gating check), the
+#                      schedtest explorer again at GOMAXPROCS 1 and 8 so
+#                      its verdict cannot depend on the host's core
+#                      count, then every BenchmarkE1-E11 body once so the
+#                      paper experiments cannot rot
 #   make lint        — go vet, plus staticcheck when it is on PATH
 #   make race        — full suite under the race detector, plus a focused
 #                      double-count pass over the sharded-moderator stress
-#                      and differential-oracle tests, the obs
+#                      and differential-oracle tests, the obs event
 #                      ring/histogram/churn concurrency tests, and ten
 #                      rounds of the amrpc line-buffer aliasing test
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
@@ -47,6 +49,8 @@ SHADOW_SMOKE_DIR := $(or $(TMPDIR),/tmp)/shadow-smoke
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/schedtest
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/schedtest
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 lint:

@@ -24,7 +24,7 @@ import (
 func runObs(args []string) error {
 	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:7070", "ticketd introspection base URL")
-	view := fs.String("view", "summary", "summary | metrics | trace | describe | shadow | cluster | ring")
+	view := fs.String("view", "summary", "summary | metrics | trace | describe | shadow | cluster")
 	n := fs.Int("n", 15, "events to show (summary and trace views)")
 	raw := fs.Bool("raw", false, "print the endpoint body verbatim instead of the rendered view")
 	if err := fs.Parse(args); err != nil {
@@ -37,11 +37,6 @@ func runObs(args []string) error {
 			return clusterView(base)
 		}
 		return printRaw(base + "/cluster")
-	case "ring":
-		if !*raw {
-			return ringView(base)
-		}
-		return printRaw(base + "/ring")
 	case "metrics", "trace", "describe", "shadow":
 		path := "/" + *view
 		if *view == "trace" {
@@ -51,7 +46,7 @@ func runObs(args []string) error {
 	case "summary":
 		return summarize(base, *n)
 	default:
-		return fmt.Errorf("unknown view %q (want summary, metrics, trace, describe, shadow, cluster, or ring)", *view)
+		return fmt.Errorf("unknown view %q (want summary, metrics, trace, describe, shadow, or cluster)", *view)
 	}
 }
 
@@ -108,53 +103,6 @@ func clusterView(base string) error {
 				fmt.Printf("  sync %-20s caught up: applied=%d gaps=%d restored=%v\n",
 					r.Domain, r.CatchupApplied, r.CatchupGaps, r.Restored)
 			}
-		}
-	}
-	return nil
-}
-
-// ringView renders the /ring submission-ring table: per-component batch
-// counters plus the batch-size histogram.
-func ringView(base string) error {
-	body, err := fetch(base + "/ring")
-	if err != nil {
-		return err
-	}
-	var dump obs.RingDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return fmt.Errorf("decode /ring: %w", err)
-	}
-	if len(dump.Components) == 0 {
-		fmt.Println("no submission rings watched (is ticketd running a batched moderator?)")
-		return nil
-	}
-	for _, rc := range dump.Components {
-		s := rc.Stats
-		fmt.Printf("component %s\n", rc.Component)
-		fmt.Printf("  submitted=%d depth=%d fullFallbacks=%d mutexBypasses=%d\n", s.Submitted, s.Depth, s.FullFallbacks, s.MutexBypasses)
-		fmt.Printf("  batches=%d ops=%d (pre=%d post=%d) maxBatch=%d", s.Batches, s.BatchedOps, s.PreOps, s.PostOps, s.MaxBatch)
-		if s.Batches > 0 {
-			fmt.Printf(" meanBatch=%.2f", float64(s.BatchedOps)/float64(s.Batches))
-		}
-		fmt.Println()
-		fmt.Printf("  parks=%d wakePasses=%d\n", s.Parks, s.WakePasses)
-		var parts []string
-		for i, n := range s.BatchSizes {
-			if n == 0 {
-				continue
-			}
-			lo := 1 << uint(i)
-			label := fmt.Sprintf("%d", lo)
-			switch {
-			case i == len(s.BatchSizes)-1:
-				label = fmt.Sprintf("%d+", lo)
-			case 1<<uint(i+1)-1 != lo:
-				label = fmt.Sprintf("%d-%d", lo, 1<<uint(i+1)-1)
-			}
-			parts = append(parts, fmt.Sprintf("%s:%d", label, n))
-		}
-		if len(parts) > 0 {
-			fmt.Printf("  batch sizes: %s\n", strings.Join(parts, "  "))
 		}
 	}
 	return nil

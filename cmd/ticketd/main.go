@@ -76,8 +76,8 @@ func main() {
 	flag.DurationVar(&o.readTO, "read-timeout", 5*time.Minute, "per-connection inactivity deadline (0 disables)")
 	flag.IntVar(&o.maxLine, "max-line", 4*1024*1024, "max request frame size in bytes")
 	flag.IntVar(&o.maxConc, "max-conn-concurrency", 256, "bound on in-flight requests per connection (the worker pool)")
-	flag.IntVar(&o.shedMark, "shed-watermark", 0, "shed requests with CodeOverloaded when a method's ring + waiter depth reaches this (0 disables)")
-	flag.StringVar(&o.obsAddr, "obs", "", "introspection HTTP address serving /metrics, /trace, /describe, /shadow, /cluster, /ring (empty disables)")
+	flag.IntVar(&o.shedMark, "shed-watermark", 0, "shed requests with CodeOverloaded when the moderator's parked-waiter count reaches this (0 disables)")
+	flag.StringVar(&o.obsAddr, "obs", "", "introspection HTTP address serving /metrics, /trace, /describe, /shadow, /cluster (empty disables)")
 	flag.IntVar(&o.obsSample, "obs-sample", obs.DefaultSampleEvery, "trace 1 in N admissions in detail (<=1 traces all)")
 	flag.IntVar(&o.obsTrace, "obs-trace", obs.DefaultRingCapacity, "per-domain trace ring capacity")
 	flag.IntVar(&o.shadowEvery, "shadow", 0, "shadow admission: replay 1 in N live admissions against the reference semantics (0 disables)")
@@ -155,7 +155,7 @@ func run(o options) error {
 		mod := g.Moderator()
 		wm := o.shedMark
 		serverOpts = append(serverOpts, amrpc.WithShedPolicy(func(component, method string) (int64, bool) {
-			p := mod.Pressure(method)
+			p := mod.Pressure()
 			if p < wm {
 				return 0, false
 			}
@@ -167,7 +167,7 @@ func run(o options) error {
 			}
 			return ra, true
 		}))
-		log.Printf("admission-aware shedding on: refuse before parking at ring + waiter depth >= %d", wm)
+		log.Printf("admission-aware shedding on: refuse before parking at parked-waiter count >= %d", wm)
 	}
 	var (
 		srv       *amrpc.Server

@@ -30,8 +30,8 @@ type Component interface {
 // ShedPolicy decides, before a request is dispatched to a worker, whether
 // the server should refuse it outright with CodeOverloaded. It is the hook
 // through which admission-aware load shedding reaches the transport: a
-// deployment wires in the moderator's ring + waiter depth (Pressure) and
-// sheds when a domain is already too deep to park another caller — the
+// deployment wires in the moderator's parked-waiter count (Pressure) and
+// sheds when too many callers are already parked to park another — the
 // request never reaches an aspect, so no guard state changes. The returned
 // retryAfterMS travels to the client as a backoff hint (0 = no hint).
 type ShedPolicy func(component, method string) (retryAfterMS int64, shed bool)

@@ -152,8 +152,6 @@ type options struct {
 	policy     waitq.Policy
 	wakeMode   WakeMode
 	optimistic bool
-	batched    bool
-	ringGate   bool
 }
 
 // Option configures a Moderator (or a Reference).
@@ -181,31 +179,8 @@ func WithOptimisticAdmission(on bool) Option {
 	return func(o *options) { o.optimistic = on }
 }
 
-// WithBatchedAdmission enables or disables the batched admission path for
-// contended guarded plans (default enabled; see ring.go). Disabling it
-// forces every contended admission through the domain mutex individually —
-// useful as a benchmark baseline and as a conservative escape hatch. The
-// Reference ignores it (it has no fast paths at all).
-func WithBatchedAdmission(on bool) Option {
-	return func(o *options) { o.batched = on }
-}
-
-// WithRingContentionGate enables or disables the submission rings'
-// contention probe (default enabled; see ring.go). With the gate on, a
-// ring-eligible invocation first probes the domain mutex with TryLock and
-// — when the lock is free — takes the plain mutex path directly: an
-// uncontended acquisition is cheaper than a ring round trip, so the ring
-// engages only while the mutex is observably held. Disabling the gate
-// routes every ring-eligible invocation through the ring unconditionally;
-// the deterministic schedulers and the differential oracle use that to
-// pin batch semantics regardless of probe timing. The Reference ignores
-// it (it has no fast paths at all).
-func WithRingContentionGate(on bool) Option {
-	return func(o *options) { o.ringGate = on }
-}
-
 func buildOptions(opts []Option) options {
-	o := options{policy: waitq.FIFO, wakeMode: WakeBroadcast, optimistic: true, batched: true, ringGate: true}
+	o := options{policy: waitq.FIFO, wakeMode: WakeBroadcast, optimistic: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -459,15 +434,11 @@ type domain struct {
 	// only once its era's slot is quiescent in every domain (reclaim.go).
 	pins [reclaimSlots]atomic.Int64
 
-	_ [64]byte // pad: pins vs the ring pointer (read-only after init)
-
-	// ring is the domain's batched-admission submission ring (ring.go);
-	// immutable after newDomain.
-	ring *submitRing
+	_ [64]byte // pad: pins vs the next heap object (likely another domain's mutex word)
 }
 
 func newDomain() *domain {
-	return &domain{id: domainSeq.Add(1), queues: make(map[qkey]*waitq.Queue), ring: newSubmitRing()}
+	return &domain{id: domainSeq.Add(1), queues: make(map[qkey]*waitq.Queue)}
 }
 
 // active reports whether the domain has ever admitted, parked, aborted, or
@@ -604,6 +575,25 @@ func (m *Moderator) Stats() Stats {
 	}
 	return s
 }
+
+// Pressure reports the admission pressure a new invocation would face: the
+// moderator-wide count of callers parked (or committed to parking) on a
+// wait queue. It is one atomic load and advisory — the load-shedding
+// watermark input for admission-aware servers (see internal/amrpc).
+func (m *Moderator) Pressure() int { return int(m.waiters.Load()) }
+
+// RingStats is retired: the batched-admission ring tier it counted was
+// ablated at parity and deleted (EXPERIMENTS.md E21). The type and the
+// zero-returning method survive only because the frozen benchmark harness
+// (benchmark/workloads.go) still sums these six fields; the next benchmark
+// PR removes both together with the moderator.ring_* layer metrics
+// (ROADMAP item 1).
+type RingStats struct {
+	Submitted, Batches, BatchedOps, Parks, FullFallbacks, MutexBypasses uint64
+}
+
+// RingStats always returns the zero value; see the type.
+func (m *Moderator) RingStats() RingStats { return RingStats{} }
 
 // republishLocked rebuilds and publishes the composition snapshot from the
 // layers' current bank contents, compiling one admission plan per guarded
@@ -1065,71 +1055,42 @@ func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	return adm, err
 }
 
-// preactivatePlan dispatches one resolved plan to the cheapest admission
-// path it qualifies for. Both lock-free paths require that no tracer is
-// installed (events of one domain are serialized by its mutex) and that
-// nobody is parked moderator-wide (a parked caller's wake-up must stay
-// ordered with completions, which the mutex path's fan-out provides):
+// preactivatePlan dispatches one resolved plan to the cheapest of the three
+// admission routes it qualifies for. Both lock-free routes require that no
+// tracer is installed (events of one domain are serialized by its mutex)
+// and that nobody is parked moderator-wide (a parked caller's wake-up must
+// stay ordered with completions, which the mutex path's fan-out provides):
 //
 //   - a pure stack can neither park this caller nor (through guard state)
 //     unblock another, so it runs with no lock at all (preactivateFast);
 //   - a guarded single-domain stack runs under the domain's guard cell
-//     alone (preactivateOptimistic), falling back on cell conflict,
-//     late-appearing waiters, or a Block verdict;
-//   - a contended guarded stack — waiters parked, or the optimistic
-//     attempt lost its cell — batches through the domain's submission
-//     ring (preactivateRing): one drainer takes the mutex for the whole
-//     batch. The ring first probes the mutex (ring.go, "Contention
-//     gate"); a free mutex means the plain path is cheaper, so the probe
-//     bypasses the ring. A Block verdict from either lock-free attempt
-//     parks via the mutex path, carrying the verdict; a full ring spills
-//     to the mutex path directly.
+//     alone (preactivateOptimistic);
+//   - everything else — a tracer, parked waiters, a lost cell, waiters that
+//     appeared late, or a Block verdict from the optimistic attempt (which
+//     carries its verdict along as resume) — blocks on the domain mutex
+//     (preactivateMutex).
 func (m *Moderator) preactivatePlan(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, tb *tracerBox, sh *Shadow) (*Admission, error) {
-	if tb == nil {
-		if m.waiters.Load() == 0 {
-			if plan.pure {
-				adm, err := m.preactivateFast(inv, plan, d)
-				if sh != nil {
-					// Fast-path errors are always aborts (a pure stack never
-					// parks), so err==nil fully determines the admission
-					// outcome.
-					sh.observe(cs, plan, inv, err == nil)
-				}
-				return adm, err
+	var resume *optResume
+	if tb == nil && m.waiters.Load() == 0 {
+		if plan.pure {
+			adm, err := m.preactivateFast(inv, plan, d)
+			if sh != nil {
+				// Fast-path errors are always aborts (a pure stack never
+				// parks), so err==nil fully determines the admission
+				// outcome.
+				sh.observe(cs, plan, inv, err == nil)
 			}
-			if m.opts.optimistic && plan.optimistic {
-				adm, err, resume, done := m.preactivateOptimistic(cs, inv, plan, d, sh)
-				if done {
-					return adm, err
-				}
-				if resume != nil {
-					return m.preactivateMutex(cs, inv, plan, d, tb, sh, resume, false)
-				}
-				// Cell conflict or late-appearing waiters: genuinely
-				// contended — fall through to the ring.
-			}
+			return adm, err
 		}
-		if m.opts.batched && !plan.pure {
-			if m.opts.ringGate && d.mu.TryLock() {
-				// The probe won the mutex outright: the plain path with
-				// the lock in hand is strictly cheaper than a ring round
-				// trip, and handing the acquisition over (rather than
-				// unlocking to re-lock) leaves the mutex's wait queue
-				// undisturbed.
-				d.ring.bypasses.Add(1)
-				return m.preactivateMutex(cs, inv, plan, d, tb, sh, nil, true)
-			}
-			adm, err, resume, done := m.preactivateRing(cs, inv, plan, d, sh)
+		if m.opts.optimistic && plan.optimistic {
+			adm, err, r, done := m.preactivateOptimistic(cs, inv, plan, d, sh)
 			if done {
 				return adm, err
 			}
-			if resume != nil {
-				return m.preactivateMutex(cs, inv, plan, d, tb, sh, resume, false)
-			}
-			// Ring full: the mutex path absorbs the overflow.
+			resume = r
 		}
 	}
-	return m.preactivateMutex(cs, inv, plan, d, tb, sh, nil, false)
+	return m.preactivateMutex(cs, inv, plan, d, tb, sh, resume)
 }
 
 // preactivateMutex is the general admission path: it serializes on the
@@ -1142,21 +1103,14 @@ func (m *Moderator) preactivatePlan(cs *compState, inv *aspect.Invocation, plan 
 // pre-registered in m.waiters, and — if the cell sequence proves no guard
 // state was touched in between — the carried verdict parks directly
 // instead of re-running the blocked layer's preconditions.
-//
-// locked means the caller already holds d.mu — the ring's contention probe
-// acquired it with TryLock and hands it over rather than releasing and
-// re-locking (an unlock would wake a mutex waiter only to race it, and
-// losing that race repeatedly drives the mutex into starvation mode).
-func (m *Moderator) preactivateMutex(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, tb *tracerBox, sh *Shadow, resume *optResume, locked bool) (*Admission, error) {
+func (m *Moderator) preactivateMutex(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, tb *tracerBox, sh *Shadow, resume *optResume) (*Admission, error) {
 	g := tb.gate(&d.traceTick)
 	var preStart time.Time
 	if g.detail() {
 		preStart = time.Now()
 	}
 
-	if !locked {
-		d.mu.Lock()
-	}
+	d.mu.Lock()
 	defer d.mu.Unlock()
 
 	// Guarded plans take the guard cell (strictly inside the mutex) around
@@ -1454,22 +1408,6 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		}
 	}
 
-	// Contended guarded completion: batch it through the submission ring —
-	// the drainer amortizes the mutex and coalesces the wake fan-out
-	// across the batch (ring.go). The contention probe runs first: a free
-	// mutex means the plain completion path below is cheaper, and the
-	// probe's acquisition is handed over to it. A full ring also falls
-	// through to the mutex path.
-	locked := false
-	if tb == nil && m.opts.batched && adm.plan != nil && !adm.plan.pure {
-		if m.opts.ringGate && d.mu.TryLock() {
-			d.ring.bypasses.Add(1)
-			locked = true
-		} else if m.postactivateRing(inv, adm, d) {
-			return
-		}
-	}
-
 	g := invTrace{}
 	if tb != nil {
 		g = invTrace{t: tb.t, sampled: adm.traced}
@@ -1479,9 +1417,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		postStart = time.Now()
 	}
 
-	if !locked {
-		d.mu.Lock()
-	}
+	d.mu.Lock()
 
 	// Guard hooks of impure receipts run under the guard cell so they
 	// exclude the optimistic path (the fan-out below touches only queues,

@@ -631,10 +631,9 @@ func runDiffSchedule(t *testing.T, seed int64, mode WakeMode) {
 	runDiffScheduleCfg(t, seed, mode, nil)
 }
 
-// runDiffScheduleCfg replays one schedule and returns the sharded side's
-// ring counters so batched-family callers can assert the rings engaged.
+// runDiffScheduleCfg is runDiffSchedule with a tweaked scenario config;
 // extra options apply to the sharded implementation only.
-func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*diffConfig), extra ...Option) RingStats {
+func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*diffConfig), extra ...Option) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := newDiffConfig(mode, rng)
@@ -811,7 +810,6 @@ func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*dif
 		t.Fatalf("seed %d: hook traces diverge:\nsharded:   %v\nreference: %v",
 			seed, a.traces, b.traces)
 	}
-	return a.impl.(*Moderator).RingStats()
 }
 
 func diffScheduleCount() int {
@@ -856,33 +854,22 @@ func TestDifferentialOracleGuardedFast(t *testing.T) {
 	}
 }
 
-// TestDifferentialOracleBatched is the batched-admission oracle family:
-// the sharded side runs with optimistic admission OFF, so every guarded
-// begin that PR 7 would have committed through the seqlock submits through
-// its domain's ring instead. Schedules therefore mix ring arrivals, mutex
-// re-entries (waiters resumed off a drainer's carried verdict) and the
-// pure lock-free fast path — against the Reference, which has no ring at
-// all. Beyond zero divergences, the run asserts the rings actually carried
-// traffic, so a silent routing regression cannot pass. The contention gate
-// is off: the oracle pins the semantics of ops that DO ride the ring, and
-// a lockstep schedule rarely has the mutex observably held at probe time.
-func TestDifferentialOracleBatched(t *testing.T) {
+// TestDifferentialOracleMutexTier is the optimistic-off oracle family: the
+// sharded side runs with the seqlock disabled, so every guarded begin —
+// contended or not — takes the blocking domain mutex, the route every
+// optimistic fallback ends on. Schedules mix those with the pure lock-free
+// fast path against the Reference.
+func TestDifferentialOracleMutexTier(t *testing.T) {
 	t.Parallel()
 	guardHeavy := func(cfg *diffConfig) {
 		cfg.beginMethods = append(cfg.beginMethods, "kappa", "alpha", "kappa")
 	}
-	var submitted, batches uint64
 	for i := 0; i < diffScheduleCount(); i++ {
 		mode := WakeSingle
 		if i%2 == 1 {
 			mode = WakeBroadcast
 		}
-		rs := runDiffScheduleCfg(t, int64(0xBA7C4)+int64(i), mode, guardHeavy, WithOptimisticAdmission(false), WithRingContentionGate(false))
-		submitted += rs.Submitted
-		batches += rs.Batches
-	}
-	if submitted == 0 || batches == 0 {
-		t.Fatalf("batched oracle family never engaged the rings: submitted=%d batches=%d", submitted, batches)
+		runDiffScheduleCfg(t, int64(0xBA7C4)+int64(i), mode, guardHeavy, WithOptimisticAdmission(false))
 	}
 }
 
@@ -927,31 +914,21 @@ func TestDifferentialConcurrentLedgers(t *testing.T) {
 	}
 }
 
-// TestDifferentialConcurrentLedgersBatched reruns the metamorphic tier
+// TestDifferentialConcurrentLedgersMutexTier reruns the metamorphic tier
 // with optimistic admission off on the sharded side: the full-speed
-// 64-goroutine workload drives real multi-op batches through the rings
-// (concurrent submitters pile up behind one drainer), and the outcome
-// ledgers must still match the Reference exactly. The contention gate is
-// off so every guarded op rides the ring no matter how probe timing falls
-// out on the host — the engagement assertion below stays deterministic.
-func TestDifferentialConcurrentLedgersBatched(t *testing.T) {
+// 64-goroutine workload piles every guarded op up on the domain mutexes,
+// and the outcome ledgers must still match the Reference exactly.
+func TestDifferentialConcurrentLedgersMutexTier(t *testing.T) {
 	t.Parallel()
 	seeds := []int64{11, 12, 13}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		var m *Moderator
-		shard := runConcurrentWorkload(t, seed, func() Admitter {
-			m = New("conc", WithOptimisticAdmission(false), WithRingContentionGate(false))
-			return m
-		})
+		shard := runConcurrentWorkload(t, seed, func() Admitter { return New("conc", WithOptimisticAdmission(false)) })
 		ref := runConcurrentWorkload(t, seed, func() Admitter { return NewReference("conc") })
 		if shard != ref {
-			t.Fatalf("seed %d: batched concurrent ledgers diverge: sharded=%+v reference=%+v", seed, shard, ref)
-		}
-		if rs := m.RingStats(); rs.Submitted == 0 || rs.Batches == 0 {
-			t.Fatalf("seed %d: batched ledger run never engaged the rings: %+v", seed, rs)
+			t.Fatalf("seed %d: mutex-tier concurrent ledgers diverge: sharded=%+v reference=%+v", seed, shard, ref)
 		}
 	}
 }
@@ -1104,11 +1081,16 @@ func runConcurrentWorkload(t *testing.T, seed int64, mk func() Admitter) concurr
 					}
 					continue
 				}
+				// Hold the admission across a yield so callers overlap and
+				// the capacity guards really park, even on one processor.
+				runtime.Gosched()
 				impl.Postactivation(inv, adm)
 			}
 		}(plans[g])
 	}
-	wg.Wait()
+	if !waitGroupWithin(&wg, 60*time.Second) {
+		t.Fatalf("seed %d: workload stalled with callers parked: %+v", seed, impl.Stats())
+	}
 	close(stop)
 	churn.Wait()
 	if t.Failed() {

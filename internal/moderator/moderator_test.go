@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -812,5 +813,185 @@ func TestConcurrentMixedInvocationsRace(t *testing.T) {
 	}
 	if s := m.Stats(); s.Admissions != workers*iters {
 		t.Errorf("admissions = %d, want %d", s.Admissions, workers*iters)
+	}
+}
+
+// gateStack registers an all-or-nothing gate guard on method "m": parked
+// callers block while the gate is closed and ALL admit once it opens. The
+// guard declares its wake span, so the plan is targeted and optimistic.
+func gateStack(t *testing.T, m Admitter) (setOpen func(bool)) {
+	t.Helper()
+	var mu sync.Mutex
+	open := true
+	gate := &aspect.Func{
+		AspectName: "gate", AspectKind: aspect.KindSynchronization,
+		Pre: func(*aspect.Invocation) aspect.Verdict {
+			mu.Lock()
+			defer mu.Unlock()
+			if !open {
+				return aspect.Block
+			}
+			return aspect.Resume
+		},
+		WakeList: []string{"m"},
+	}
+	if err := m.Register("m", aspect.KindSynchronization, gate); err != nil {
+		t.Fatal(err)
+	}
+	return func(v bool) {
+		mu.Lock()
+		open = v
+		mu.Unlock()
+	}
+}
+
+// waitGroupWithin waits for wg and reports whether it finished within d,
+// so a test whose callers are stranded fails with a message instead of
+// hanging until the suite's timeout.
+func waitGroupWithin(wg *sync.WaitGroup, d time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// mutexTierConfigs are the two ways a guarded call reaches preactivateMutex:
+// as the fallback of the optimistic tier (the first parker hands its Block
+// verdict off from the seqlock, later ones see waiters > 0), and as the only
+// guarded route when the seqlock is off.
+var mutexTierConfigs = []struct {
+	name string
+	opts []Option
+}{
+	{"optimistic-fallback", nil},
+	{"optimistic-off", []Option{WithOptimisticAdmission(false)}},
+}
+
+// TestMutexTierStrandedCallers is the PR 2 stranded-caller regression on the
+// blocking tier: j callers park on a closed gate, the gate opens, and k
+// invocations admitted earlier complete. The completions' wake fan-out must
+// reach every parked caller — a completer that skipped it would leave them
+// parked forever behind an open gate.
+func TestMutexTierStrandedCallers(t *testing.T) {
+	const k, j = 8, 4
+	for _, cfg := range mutexTierConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			m := New("gate", cfg.opts...)
+			setOpen := gateStack(t, m)
+
+			invs := make([]*aspect.Invocation, k)
+			adms := make([]*Admission, k)
+			for i := range invs {
+				invs[i] = aspect.NewInvocation(context.Background(), "gate", "m", nil)
+				adm, err := m.Preactivation(invs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				adms[i] = adm
+			}
+
+			setOpen(false)
+			type outcome struct {
+				inv *aspect.Invocation
+				adm *Admission
+				err error
+			}
+			admitted := make(chan outcome, j)
+			for i := 0; i < j; i++ {
+				go func() {
+					inv := aspect.NewInvocation(context.Background(), "gate", "m", nil)
+					adm, err := m.Preactivation(inv)
+					admitted <- outcome{inv, adm, err}
+				}()
+				waitWaiting(t, m, "m", i+1)
+			}
+			if got := m.Stats().Blocks; got != j {
+				t.Fatalf("blocks = %d, want %d", got, j)
+			}
+
+			setOpen(true)
+			for i := 0; i < k; i++ {
+				m.Postactivation(invs[i], adms[i])
+			}
+
+			for i := 0; i < j; i++ {
+				select {
+				case o := <-admitted:
+					if o.err != nil {
+						t.Fatalf("parked caller: %v", o.err)
+					}
+					m.Postactivation(o.inv, o.adm)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d parked callers stranded behind an open gate", j-i, j)
+				}
+			}
+			if got := m.Waiting("m"); got != 0 {
+				t.Fatalf("waiting = %d after everyone admitted", got)
+			}
+			if got := m.Pressure(); got != 0 {
+				t.Fatalf("pressure = %d at quiescence", got)
+			}
+			st := m.Stats()
+			if st.Admissions != k+j || st.Completions != k+j || st.Aborts != 0 {
+				t.Fatalf("stats = %+v, want %d admissions and completions", st, k+j)
+			}
+		})
+	}
+}
+
+// TestMutexTierContendedSoak drives a capacity-1 semaphore from 16 callers
+// so nearly every admission parks and is released by another caller's
+// completion, then audits the balance: every admission completed and the
+// guard is empty. Each admission is held across a yield so callers overlap
+// even on a single processor.
+func TestMutexTierContendedSoak(t *testing.T) {
+	const callers, rounds = 16, 60
+	for _, cfg := range mutexTierConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			m := New("sem", cfg.opts...)
+			occupancy := optSemStack(t, m)
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; n < rounds; n++ {
+						inv := aspect.NewInvocation(context.Background(), "sem", "m", nil)
+						adm, err := m.Preactivation(inv)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						runtime.Gosched()
+						m.Postactivation(inv, adm)
+					}
+				}()
+			}
+			if !waitGroupWithin(&wg, 30*time.Second) {
+				t.Fatalf("soak stalled: %d callers parked, stats %+v", m.Waiting("m"), m.Stats())
+			}
+			if got := occupancy(); got != 0 {
+				t.Fatalf("semaphore leaked %d admissions", got)
+			}
+			st := m.Stats()
+			if st.Admissions != callers*rounds || st.Completions != callers*rounds {
+				t.Fatalf("stats = %+v, want %d admissions and completions", st, callers*rounds)
+			}
+			if st.Blocks == 0 {
+				t.Fatalf("nobody parked: %+v", st)
+			}
+			if cfg.opts != nil {
+				if os := m.OptimisticStats(); os != (OptimisticStats{}) {
+					t.Fatalf("seqlock engaged while disabled: %+v", os)
+				}
+			}
+		})
 	}
 }

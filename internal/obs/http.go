@@ -12,8 +12,6 @@ package obs
 //	/shadow    JSON shadow-admission stats and recent divergences.
 //	/cluster   JSON ownership view of the distributed admission plane:
 //	           members, domain owners, lease terms, plane counters.
-//	/ring      JSON submission-ring snapshot per component: depth, batch
-//	           counters, the batch-size histogram, park/wake coalescing.
 //
 // All handlers read atomically-published or mutex-copied state; scraping
 // never blocks the admission path (at worst a /trace snapshot makes a
@@ -142,9 +140,6 @@ func NewHTTPHandler(c *Collector) http.Handler {
 	})
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.ClusterSnapshot())
-	})
-	mux.HandleFunc("/ring", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, c.RingSnapshot())
 	})
 	return mux
 }

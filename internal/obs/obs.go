@@ -165,9 +165,6 @@ func collectSource(s Source, emit EmitFunc) {
 		emit("am_parked", "Callers currently parked, per method (exact).",
 			[]Label{comp, L("method", m)}, float64(s.Waiting(m)))
 	}
-	if rs, ok := s.(ringSource); ok {
-		collectRing(s.Name(), rs, emit)
-	}
 }
 
 // sources returns a copy of the watched sources.

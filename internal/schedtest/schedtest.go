@@ -268,9 +268,15 @@ func (w *world) step(t int, schedule []string) error {
 			delete(s.calls, t)
 		}
 	case OpCancel:
+		// The explorer owns this scheduling point: a cancelled caller is
+		// still counted by Waiting until it un-parks, so quiesce's
+		// inflight == parked poll cannot tell "cancelled" from "parked".
 		for _, s := range w.sides {
 			if c := s.calls[t]; c != nil {
 				c.cancel()
+				if err := awaitReturn(c); err != nil {
+					return w.diverge(schedule, fmt.Sprintf("%s thread %d: %v", s.m.Name(), t, err))
+				}
 			}
 		}
 	case OpKick:
@@ -360,6 +366,19 @@ func (w *world) quiesce() error {
 	return nil
 }
 
+// awaitReturn blocks until c's pre-activation has returned. The explorer
+// calls it right after cancelling c, when the return is certain.
+func awaitReturn(c *call) error {
+	grace := time.NewTimer(quiesceGrace)
+	defer grace.Stop()
+	select {
+	case <-c.done:
+		return nil
+	case <-grace.C:
+		return errors.New("cancelled call never returned")
+	}
+}
+
 // compare checks every observable of the two quiesced implementations.
 func (w *world) compare(schedule []string) error {
 	a, b := w.sides[0], w.sides[1]
@@ -422,8 +441,15 @@ func (w *world) drain(schedule []string) error {
 			c.cancel()
 		}
 	}
-	if err := w.quiesce(); err != nil {
-		return w.diverge(schedule, err.Error())
+	// Every call must have returned before any admitted one is finished:
+	// a finish's wake would otherwise race a parked call's cancel, and the
+	// two sides may resolve that race differently.
+	for _, s := range w.sides {
+		for t, c := range s.calls {
+			if err := awaitReturn(c); err != nil {
+				return w.diverge(schedule, fmt.Sprintf("drain %s thread %d: %v", s.m.Name(), t, err))
+			}
+		}
 	}
 	for t := range w.sc.Threads {
 		var outs [2]string
@@ -435,7 +461,6 @@ func (w *world) drain(schedule []string) error {
 				continue
 			}
 			live = true
-			<-c.done
 			outs[i] = classifyCall(c)
 			if c.err == nil {
 				s.m.Postactivation(c.inv, c.adm)

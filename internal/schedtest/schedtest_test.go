@@ -8,8 +8,9 @@ package schedtest
 // optimistic admission ON (the default), so every interleaving of the
 // optimistic guard-cell protocol with parking, waking, cancellation,
 // recomposition and canary staging is certified against the executable
-// spec. A zero-divergence run of these tests IS the certification
-// artifact for the lock-free guarded admission path.
+// spec; the two MutexTier scenarios rerun with it OFF, enumerating the
+// blocking path alone. A zero-divergence run of these tests IS the
+// certification artifact for guarded admission.
 
 import (
 	"sync"
@@ -250,22 +251,17 @@ func TestExplorationExercisesOptimisticPath(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBatchedCapSem is the batched-admission certification:
-// the capacity-1 semaphore race rerun with optimistic admission OFF, so
-// every guarded begin on the sharded side routes through its domain's
-// submission ring (the drainer election, the batch evaluation under one
-// guard-state read, the coalesced wake pass, and the Block handoff back
-// to the mutex path are all on the exhaustively enumerated schedule).
-// The Reference has no ring at all, so a zero-divergence run certifies
-// the batched path observable-equivalent.
-func TestExhaustiveBatchedCapSem(t *testing.T) {
+// TestExhaustiveMutexTierCapSem reruns the capacity-1 semaphore race with
+// optimistic admission OFF, so every guarded begin on the sharded side
+// takes the blocking domain mutex — the route every optimistic fallback
+// ends on, here enumerated without the seqlock in front of it.
+func TestExhaustiveMutexTierCapSem(t *testing.T) {
 	runScenario(t, Scenario{
-		Name: "capsem-batched",
+		Name: "capsem-mutex",
 		Options: []moderator.Option{
 			moderator.WithWakeMode(moderator.WakeSingle),
 			moderator.WithWakePolicy(waitq.FIFO),
 			moderator.WithOptimisticAdmission(false),
-			moderator.WithRingContentionGate(false),
 		},
 		Build:   capSemBuild,
 		Methods: []string{"kappa"},
@@ -277,19 +273,16 @@ func TestExhaustiveBatchedCapSem(t *testing.T) {
 	})
 }
 
-// TestExhaustiveBatchedRepublishChurn races ring drains against
+// TestExhaustiveMutexTierRepublishChurn races mutex-tier admissions against
 // recomposition: the republish/kick operator thread from the optimistic
-// churn scenario, with every guarded begin riding the submission ring.
-// Each drain loads the composition snapshot once for the whole batch, so
-// this enumerates every interleaving of a republish with that load.
-func TestExhaustiveBatchedRepublishChurn(t *testing.T) {
+// churn scenario, with optimistic admission off.
+func TestExhaustiveMutexTierRepublishChurn(t *testing.T) {
 	runScenario(t, Scenario{
-		Name: "republish-churn-batched",
+		Name: "republish-churn-mutex",
 		Options: []moderator.Option{
 			moderator.WithWakeMode(moderator.WakeSingle),
 			moderator.WithWakePolicy(waitq.FIFO),
 			moderator.WithOptimisticAdmission(false),
-			moderator.WithRingContentionGate(false),
 		},
 		Build:   capSemBuild,
 		Methods: []string{"kappa"},
@@ -301,59 +294,17 @@ func TestExhaustiveBatchedRepublishChurn(t *testing.T) {
 	})
 }
 
-// TestExplorationExercisesBatchedPath is the coverage sanity check for the
-// ring: with optimistic admission and the contention gate off, a replayed
-// guarded begin must submit through the ring and drain in a batch on the
-// sharded side — if
-// routing ever silently regressed to the mutex, the batched exhaustive
-// suites above would still pass; this test is what fails.
-func TestExplorationExercisesBatchedPath(t *testing.T) {
-	sc := Scenario{
-		Name: "batched-probe",
-		Options: []moderator.Option{
-			moderator.WithWakeMode(moderator.WakeSingle),
-			moderator.WithWakePolicy(waitq.FIFO),
-			moderator.WithOptimisticAdmission(false),
-			moderator.WithRingContentionGate(false),
-		},
-		Build:   capSemBuild,
-		Methods: []string{"kappa"},
-		Threads: []Thread{
-			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpFinish}},
-		},
-	}
-	w, err := newWorld(&sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := w.step(0, []string{"T0:begin", "T0:finish"}[:i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := w.sides[0].m.(*moderator.Moderator)
-	if rs := m.RingStats(); rs.Submitted == 0 || rs.Batches == 0 {
-		t.Fatalf("guarded begin did not use the batched path: %+v", rs)
-	}
-}
-
-// TestExplorationMixedArrivalFamilies replays one contended schedule with
-// optimistic admission AND batching on (the contention gate alone is off:
-// a lockstep world never has the mutex observably held at probe time, so
-// the gated default would serve the ring hop from the mutex path — the
-// gate's own routing is pinned by the moderator's TestRingGate* tests) and
-// asserts all three arrival families fired on the sharded side: the holder
-// admits optimistically, the first blocked caller hands off from the
-// seqlock to the mutex path, and later contended callers submit through
-// the ring. This pins the routing priority the batched tentpole promises:
-// seqlock first, ring only for what would have serialized on the mutex.
+// TestExplorationMixedArrivalFamilies replays one contended schedule under
+// the default options and asserts both guarded arrival families fired on
+// the sharded side: the holder admits optimistically, and the first blocked
+// caller hands its verdict off from the seqlock to the mutex path (later
+// ones see a parked waiter and go to the mutex directly).
 func TestExplorationMixedArrivalFamilies(t *testing.T) {
 	sc := Scenario{
 		Name: "mixed-arrivals",
 		Options: []moderator.Option{
 			moderator.WithWakeMode(moderator.WakeSingle),
 			moderator.WithWakePolicy(waitq.FIFO),
-			moderator.WithRingContentionGate(false),
 		},
 		Build:   capSemBuild,
 		Methods: []string{"kappa"},
@@ -375,11 +326,12 @@ func TestExplorationMixedArrivalFamilies(t *testing.T) {
 		}
 	}
 	m := w.sides[0].m.(*moderator.Moderator)
-	if os := m.OptimisticStats(); os.Admits == 0 {
+	os := m.OptimisticStats()
+	if os.Admits == 0 {
 		t.Fatalf("holder did not admit optimistically: %+v", os)
 	}
-	if rs := m.RingStats(); rs.Submitted == 0 {
-		t.Fatalf("contended caller did not submit through the ring: %+v", rs)
+	if os.Parks == 0 && os.Fallbacks == 0 {
+		t.Fatalf("no blocked caller handed off from the seqlock to the mutex path: %+v", os)
 	}
 }
 

@@ -172,23 +172,6 @@ func (q *Queue) Notify() {
 	}
 }
 
-// NotifyN wakes up to n parked callers, each chosen by the queue's
-// policy, and returns how many were woken. It is the batch-wake primitive
-// of the moderator's coalesced fan-out: n completions that would each
-// have issued one Notify under their own mutex acquisition issue a single
-// NotifyN under one — same wake count, one pass. The bound mutex must be
-// held.
-func (q *Queue) NotifyN(n int) int {
-	woken := 0
-	for ; woken < n; woken++ {
-		if !q.notifyLocked() {
-			break
-		}
-	}
-	q.notifies.Add(uint64(woken))
-	return woken
-}
-
 // Broadcast wakes every parked caller. The bound mutex must be held.
 func (q *Queue) Broadcast() {
 	if len(q.waiters) == 0 {
