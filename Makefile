@@ -5,10 +5,13 @@
 #                      its verdict cannot depend on the host's core
 #                      count, then every BenchmarkE1-E11 body once so the
 #                      paper experiments cannot rot
-#   make lint        — go vet, plus staticcheck when it is on PATH
+#   make lint        — go vet, gofmt -l over every tracked .go file (any
+#                      name printed fails), plus staticcheck when it is
+#                      on PATH
 #   make race        — full suite under the race detector, plus a focused
-#                      double-count pass over the sharded-moderator stress
-#                      and differential-oracle tests, the obs event
+#                      double-count pass over the sharded-moderator stress,
+#                      differential-oracle, mutex-tier, optimistic and
+#                      route-equivalence tests, the obs event
 #                      ring/histogram/churn concurrency tests, and ten
 #                      rounds of the amrpc line-buffer aliasing test
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
@@ -55,6 +58,8 @@ tier1:
 
 lint:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -63,7 +68,7 @@ lint:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode' ./internal/moderator/ ./internal/waitq/
+	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls' ./internal/amrpc/
 

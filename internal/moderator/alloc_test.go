@@ -10,13 +10,11 @@ package moderator
 //   - guarded stack, uncontended (optimistic guard-cell path): 0
 //     allocs/op — the optimistic commit returns the plan's shared
 //     receipt, so nothing per-invocation is ever materialized.
-//   - guarded stack forced onto the mutex path (optimistic admission
-//     disabled — the same code every fallback runs): at most 2 allocs/op
-//     of slack for the receipt-pool round trip and mutex-path
-//     bookkeeping (in practice this is also 0 — the bound leaves room
-//     for runtime pool internals, not for per-invocation plan
-//     resolution). A Block handoff additionally materializes one
-//     optResume, which parking dwarfs.
+//   - guarded stack forced onto the mutex route (by an installed tracer
+//     — the same driver every fallback runs): at most 2 allocs/op of
+//     slack for the receipt-pool round trip and mutex-route bookkeeping
+//     (in practice this is also 0 — the bound leaves room for runtime
+//     pool internals, not for per-invocation plan resolution).
 
 import (
 	"context"
@@ -86,9 +84,9 @@ func TestAdmissionAllocationsGuardedStackMutexPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	// Disabling optimistic admission forces the exact code path every
-	// optimistic fallback takes, pinning the documented fallback bound.
-	m := New("alloc", WithOptimisticAdmission(false))
+	// A tracer forces the exact route every optimistic fallback takes,
+	// pinning the documented fallback bound.
+	m := forceMutexRoute(New("alloc"))
 	used := 0
 	guard := &aspect.Func{
 		AspectName: "sem",

@@ -51,7 +51,7 @@ func TestEffectSinkFiresOnEveryCompletionRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Guarded stack forced onto the mutex path.
-	mux := New("fx", WithOptimisticAdmission(false))
+	mux := forceMutexRoute(New("fx"))
 	if err := mux.Register("m", aspect.KindSynchronization, &aspect.Func{
 		AspectName: "sem", AspectKind: aspect.KindSynchronization,
 		Pre:  func(*aspect.Invocation) aspect.Verdict { return aspect.Resume },

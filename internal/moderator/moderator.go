@@ -149,9 +149,8 @@ var ErrDomainActive = errors.New("moderator: admission domain already active")
 
 // options carries the configuration shared by Moderator and Reference.
 type options struct {
-	policy     waitq.Policy
-	wakeMode   WakeMode
-	optimistic bool
+	policy   waitq.Policy
+	wakeMode WakeMode
 }
 
 // Option configures a Moderator (or a Reference).
@@ -170,17 +169,8 @@ func WithWakeMode(w WakeMode) Option {
 	return func(o *options) { o.wakeMode = w }
 }
 
-// WithOptimisticAdmission enables or disables the optimistic guard-cell
-// admission path for guarded-but-uncontended plans (default enabled; see
-// optimistic.go). Disabling it forces every guarded admission through the
-// domain mutex — useful as a benchmark baseline and as a conservative
-// escape hatch. The Reference ignores it (it has no fast paths at all).
-func WithOptimisticAdmission(on bool) Option {
-	return func(o *options) { o.optimistic = on }
-}
-
 func buildOptions(opts []Option) options {
-	o := options{policy: waitq.FIFO, wakeMode: WakeBroadcast, optimistic: true}
+	o := options{policy: waitq.FIFO, wakeMode: WakeBroadcast}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -534,12 +524,11 @@ type Moderator struct {
 	// waiters counts callers currently parked (or about to park) on any
 	// wait queue of this moderator. A parking caller increments it while
 	// holding BOTH its domain's mutex and the domain's guard cell, before
-	// Wait releases the mutex (and, on the optimistic Block handoff, while
-	// holding the cell alone) — so a fast-path reader that observes zero
+	// Wait releases the mutex (and, on the cell-to-mutex upgrade, while
+	// holding the cell alone) — so a lock-free reader that observes zero
 	// while holding the cell is guaranteed no caller was already parked
 	// and none can park before the cell is released: the condition under
-	// which skipping the wake fan-out is sound (see Preactivation's fast
-	// paths and optimistic.go).
+	// which skipping the wake fan-out is sound (see acquire, optimistic.go).
 	waiters atomic.Int64
 
 	_ [64]byte // pad: trailing, so waiters shares no line with a neighbor
@@ -1015,11 +1004,26 @@ func wakeModeName(w WakeMode) string {
 // verdict) every admission already made is cancelled and an error is
 // returned; Postactivation must not be called.
 //
+// This is the pre-activation state machine — the paper's Figure 10 —
+// written once:
+//
+//	evaluate layer ── all Resume ───────────→ next layer; past the last: ADMIT
+//	   ↑    │    └─── Abort, invalid verdict → ABORT
+//	   │  Block: roll back the layer, then by route
+//	   │    ├─ routePure ───────────────────→ ABORT (contract violation)
+//	   │    ├─ routeCell: upgrade to routeMutex in place; cell version
+//	   ├────┤     moved → re-evaluate, unchanged → park on the verdict
+//	   │    └─ routeMutex: park
+//	   └─ woken ── park ── context done ────→ Abandon on the blocker, ABORT
+//
 // All hooks run under the admission domain of the invoked method; callers
-// of methods in other domains proceed concurrently. A method whose whole
-// guard stack declares aspect.NonBlocking is admitted on a lock-free fast
-// path when no tracer is installed and no caller is parked anywhere on
-// the moderator (see preactivateFast).
+// of methods in other domains proceed concurrently. The route — what is
+// locked while they run: nothing, the domain's guard cell, or the domain
+// mutex (see acquire) — decides what a Block means and nothing else: hook
+// order, rollback order, counters, trace events and error text are the same
+// statements on every route. ABORT first cancels everything admitted so
+// far, in reverse; the admitted state is always the plan prefix
+// plan.aspects[:k].
 func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	// Resolve the composition once, from a single atomic snapshot:
 	// in-flight invocations are immune to concurrent re-composition, and
@@ -1050,207 +1054,126 @@ func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	// domain (reclaim.go).
 	slot := &d.pins[m.reclaimEra.Load()%reclaimSlots]
 	slot.Add(1)
-	adm, err := m.preactivatePlan(cs, inv, plan, d, tb, sh)
-	slot.Add(-1)
-	return adm, err
-}
 
-// preactivatePlan dispatches one resolved plan to the cheapest of the three
-// admission routes it qualifies for. Both lock-free routes require that no
-// tracer is installed (events of one domain are serialized by its mutex)
-// and that nobody is parked moderator-wide (a parked caller's wake-up must
-// stay ordered with completions, which the mutex path's fan-out provides):
-//
-//   - a pure stack can neither park this caller nor (through guard state)
-//     unblock another, so it runs with no lock at all (preactivateFast);
-//   - a guarded single-domain stack runs under the domain's guard cell
-//     alone (preactivateOptimistic);
-//   - everything else — a tracer, parked waiters, a lost cell, waiters that
-//     appeared late, or a Block verdict from the optimistic attempt (which
-//     carries its verdict along as resume) — blocks on the domain mutex
-//     (preactivateMutex).
-func (m *Moderator) preactivatePlan(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, tb *tracerBox, sh *Shadow) (*Admission, error) {
-	var resume *optResume
-	if tb == nil && m.waiters.Load() == 0 {
-		if plan.pure {
-			adm, err := m.preactivateFast(inv, plan, d)
-			if sh != nil {
-				// Fast-path errors are always aborts (a pure stack never
-				// parks), so err==nil fully determines the admission
-				// outcome.
-				sh.observe(cs, plan, inv, err == nil)
-			}
-			return adm, err
-		}
-		if m.opts.optimistic && plan.optimistic {
-			adm, err, r, done := m.preactivateOptimistic(cs, inv, plan, d, sh)
-			if done {
-				return adm, err
-			}
-			resume = r
-		}
-	}
-	return m.preactivateMutex(cs, inv, plan, d, tb, sh, resume)
-}
-
-// preactivateMutex is the general admission path: it serializes on the
-// domain mutex and supports parking. Guard hooks of impure plans
-// additionally run under the domain's guard cell (acquired strictly after
-// the mutex, released across parks) so they exclude the optimistic path.
-//
-// resume, when non-nil, continues an optimistic evaluation that hit a
-// Block verdict: the admitted prefix stands, the caller is already
-// pre-registered in m.waiters, and — if the cell sequence proves no guard
-// state was touched in between — the carried verdict parks directly
-// instead of re-running the blocked layer's preconditions.
-func (m *Moderator) preactivateMutex(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, tb *tracerBox, sh *Shadow, resume *optResume) (*Admission, error) {
 	g := tb.gate(&d.traceTick)
 	var preStart time.Time
 	if g.detail() {
 		preStart = time.Now()
 	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	// Guarded plans take the guard cell (strictly inside the mutex) around
-	// every guard hook, so mutex-path hooks exclude the optimistic path's.
-	// Pure plans skip it: their hooks touch no guard state.
+	r := m.acquire(plan, d, tb == nil, hookOptimisticPre)
 	guarded := !plan.pure
-	if guarded {
-		d.cell.lock()
-	}
 
-	// The sticky arrival ticket keeps a re-parking caller's FIFO/LIFO
-	// position across guard re-evaluations; it is assigned lazily on the
-	// first Block. k counts admitted aspects: the admitted state is always
-	// the plan prefix plan.aspects[:k].
-	var ticket uint64
-	k := 0
-	li0 := 0
-	// preReg records that this caller is already counted in m.waiters (the
-	// optimistic Block handoff pre-registers under the cell). The first
-	// park consumes it; a terminal outcome before any park releases it.
-	preReg := false
-	resumePark := false
-	var resumeKind aspect.Kind
-	var resumeBy aspect.Aspect
-	if resume != nil {
-		k = resume.k
-		li0 = resume.layer
-		preReg = true
-		// Our own cell.lock above advanced the sequence by exactly one; if
-		// it now reads resume.ver+1, no guard hook ran since the optimistic
-		// evaluation observed its Block verdict, so the verdict still holds
-		// and re-running the layer would double its hook effects. Otherwise
-		// guard state may have changed and the layer legitimately
-		// re-evaluates — the spurious-wake case re-parking callers already
-		// tolerate.
-		if d.cell.version() == resume.ver+1 {
-			resumePark = true
-			resumeKind, resumeBy = resume.kind, resume.by
-		}
-	}
-	for li := li0; li < len(plan.layers); li++ {
-		l := &plan.layers[li]
-		for {
+	var (
+		l *planLayer
+		k int
+		// ticket is the sticky arrival ticket that keeps a re-parking
+		// caller's FIFO/LIFO position across guard re-evaluations; it is
+		// assigned lazily on the first park.
+		ticket uint64
+		// preReg records that the upgrade already counted this caller in
+		// m.waiters. The first park consumes it; a terminal outcome before
+		// any park releases it.
+		preReg    bool
+		cause     error // why the admission aborts; nil while it can still admit
+		cancelled bool  // cause is the parked caller's context, not a verdict
+	)
+layers:
+	for li := range plan.layers {
+		l = &plan.layers[li]
+		for { // until the layer admits as a unit
 			mark := k
-			var blockedKind aspect.Kind
-			var blockedBy aspect.Aspect
-			blocked := false
-			var abortErr error
-			if resumePark {
-				resumePark = false
-				blocked = true
-				blockedKind = resumeKind
-				blockedBy = resumeBy
-			} else {
-				for i := l.lo; i < l.hi; i++ {
-					e := &plan.entries[i]
-					var hook0 time.Time
-					if g.detail() {
-						hook0 = time.Now()
-					}
-					v := e.a.Precondition(inv)
-					if g.detail() {
-						g.t.Trace(TraceEvent{Op: TraceVerdict, Component: m.name, Method: inv.Method(),
-							Domain: d.id, Layer: l.name, Aspect: e.a.Name(), Kind: e.kind,
-							Verdict: v, Invocation: inv.ID(), Nanos: time.Since(hook0).Nanoseconds()})
-					}
-					if v == aspect.Resume {
-						k++
-						continue
-					}
-					switch v {
-					case aspect.Block:
-						blocked = true
-						blockedKind = e.kind
-						blockedBy = e.a
-					case aspect.Abort:
-						abortErr = inv.Err()
-						if abortErr == nil {
-							abortErr = aspect.ErrAborted
-						}
-					default:
-						abortErr = fmt.Errorf("moderator %s: aspect %q returned invalid verdict %v: %w",
-							m.name, e.a.Name(), v, aspect.ErrAborted)
-					}
-					break
-				}
-			}
-			if abortErr != nil {
-				cancelReverse(plan.aspects[:k], inv)
-				d.aborts.Add(1)
-				if guarded {
-					d.cell.unlock()
-				}
-				if preReg {
-					m.waiters.Add(-1)
-				}
+			var by *planEntry // the entry that returned Block
+			for i := l.lo; i < l.hi; i++ {
+				e := &plan.entries[i]
+				var hook0 time.Time
 				if g.detail() {
-					g.t.Trace(TraceEvent{Op: TraceAbort, Component: m.name, Method: inv.Method(),
-						Domain: d.id, Layer: l.name, Invocation: inv.ID(),
-						Nanos: time.Since(preStart).Nanoseconds(), Err: abortErr.Error()})
+					hook0 = time.Now()
 				}
-				if sh != nil {
-					sh.observe(cs, plan, inv, false)
+				v := e.a.Precondition(inv)
+				if g.detail() {
+					g.t.Trace(TraceEvent{Op: TraceVerdict, Component: m.name, Method: inv.Method(),
+						Domain: d.id, Layer: l.name, Aspect: e.a.Name(), Kind: e.kind,
+						Verdict: v, Invocation: inv.ID(), Nanos: time.Since(hook0).Nanoseconds()})
 				}
-				return nil, fmt.Errorf("moderator %s: %s pre-activation (layer %s): %w",
-					m.name, inv.Method(), l.name, abortErr)
+				if v == aspect.Resume {
+					k++
+					continue
+				}
+				switch {
+				case v == aspect.Block && r != routePure:
+					by = e
+				case v == aspect.Block:
+					// Nothing is held that a park could release, and the
+					// NonBlocking declaration is why: reject, never park.
+					cause = fmt.Errorf("moderator %s: NonBlocking aspect %q returned Block: %w",
+						m.name, e.a.Name(), aspect.ErrAborted)
+				case v == aspect.Abort:
+					if cause = inv.Err(); cause == nil {
+						cause = aspect.ErrAborted
+					}
+				default:
+					cause = fmt.Errorf("moderator %s: aspect %q returned invalid verdict %v: %w",
+						m.name, e.a.Name(), v, aspect.ErrAborted)
+				}
+				break
 			}
-			if !blocked {
+			if cause != nil {
+				break layers
+			}
+			if by == nil {
 				break // layer fully admitted; next layer
 			}
-			// Roll back this layer's partial admissions, park, retry.
+			// Block: roll back this layer's partial admissions, park, retry.
 			cancelReverse(plan.aspects[mark:k], inv)
 			k = mark
-			d.blocks.Add(1)
-			if ticket == 0 {
-				d.ticketSeq++
-				ticket = d.ticketSeq
-				if g.exact() {
-					g.t.Trace(TraceEvent{Op: TraceTicket, Component: m.name, Method: inv.Method(),
-						Domain: d.id, Kind: blockedKind, Invocation: inv.ID(), Ticket: ticket})
+			if r == routeCell {
+				// Parking needs the mutex: upgrade in place. Pre-registering
+				// in m.waiters under the cell is the anti-stranding
+				// invariant — any completer that could skip the wake
+				// fan-out must first win this cell and will then observe
+				// waiters != 0.
+				m.waiters.Add(1)
+				preReg = true
+				ver := d.cell.unlock()
+				d.optParks.Add(1)
+				m.callAdmitHook(hookUpgrade, d)
+				d.mu.Lock()
+				d.cell.lock()
+				r = routeMutex
+				// Our own cell.lock advanced the sequence by exactly one.
+				// Anything else means a guard hook ran in the window and
+				// the verdict may be stale (see optimistic.go).
+				if d.cell.version() != ver+1 {
+					continue
 				}
 			}
-			q := m.queueLocked(d, inv.Method(), blockedKind)
+			d.blocks.Add(1)
 			// Ticket, park, and wake are always-exact ops (see invTrace):
 			// traced for EVERY invocation when a tracer is installed, not
 			// only sampled ones — parking costs a scheduler round-trip
 			// anyway, and complete wait-duration data is the headline
 			// observability payload.
+			if ticket == 0 {
+				d.ticketSeq++
+				ticket = d.ticketSeq
+				if g.exact() {
+					g.t.Trace(TraceEvent{Op: TraceTicket, Component: m.name, Method: inv.Method(),
+						Domain: d.id, Kind: by.kind, Invocation: inv.ID(), Ticket: ticket})
+				}
+			}
+			q := m.queueLocked(d, inv.Method(), by.kind)
 			var parkStart time.Time
 			if g.exact() {
 				g.t.Trace(TraceEvent{Op: TracePark, Component: m.name, Method: inv.Method(),
-					Domain: d.id, Layer: l.name, Aspect: blockedBy.Name(), Kind: blockedKind,
+					Domain: d.id, Layer: l.name, Aspect: by.a.Name(), Kind: by.kind,
 					Invocation: inv.ID(), Ticket: ticket, Depth: q.Len() + 1})
 				parkStart = time.Now()
 			}
 			// Register in m.waiters BEFORE releasing the guard cell (or
-			// consume the optimistic pre-registration): once the cell is
+			// consume the upgrade's pre-registration): once the cell is
 			// free, a lock-free completer may check the count, and it must
 			// see this caller. Wait then enqueues before releasing the
-			// mutex, so a mutex-path completer's fan-out sees it too.
+			// mutex, so a mutex-route completer's fan-out sees it too.
 			if preReg {
 				preReg = false
 			} else {
@@ -1266,7 +1189,7 @@ func (m *Moderator) preactivateMutex(cs *compState, inv *aspect.Invocation, plan
 			}
 			if g.exact() {
 				wake := TraceEvent{Op: TraceWake, Component: m.name, Method: inv.Method(),
-					Domain: d.id, Kind: blockedKind, Invocation: inv.ID(), Ticket: ticket,
+					Domain: d.id, Kind: by.kind, Invocation: inv.ID(), Ticket: ticket,
 					Nanos: time.Since(parkStart).Nanoseconds()}
 				if err != nil {
 					wake.Err = err.Error()
@@ -1277,83 +1200,71 @@ func (m *Moderator) preactivateMutex(cs *compState, inv *aspect.Invocation, plan
 				// The blocked caller abandons: let the blocking aspect
 				// retract anything its Block-returning precondition
 				// recorded (a barrier arrival, a declared intent).
-				if ab, ok := blockedBy.(aspect.Abandoner); ok {
+				if ab, ok := by.a.(aspect.Abandoner); ok {
 					ab.Abandon(inv)
 				}
-				cancelReverse(plan.aspects[:k], inv)
-				d.aborts.Add(1)
-				if guarded {
-					d.cell.unlock()
-				}
-				if g.detail() {
-					g.t.Trace(TraceEvent{Op: TraceAbort, Component: m.name, Method: inv.Method(),
-						Domain: d.id, Layer: l.name, Invocation: inv.ID(),
-						Nanos: time.Since(preStart).Nanoseconds(), Err: err.Error()})
-				}
-				return nil, fmt.Errorf("moderator %s: %s blocked in layer %s: %w",
-					m.name, inv.Method(), l.name, err)
+				cause, cancelled = err, true
+				break layers
 			}
 		}
 	}
-	d.admissions.Add(1)
+
+	if cause != nil {
+		cancelReverse(plan.aspects[:k], inv)
+		d.aborts.Add(1)
+	} else {
+		d.admissions.Add(1)
+	}
 	if guarded {
 		d.cell.unlock()
 	}
 	if preReg {
-		// The optimistic Block handoff pre-registered this caller but
-		// re-evaluation admitted without ever parking (guard state changed
-		// in our favor between the handoff and the mutex acquisition).
+		// Upgraded, then re-evaluation ended without ever parking.
 		m.waiters.Add(-1)
 	}
-	if g.detail() {
-		g.t.Trace(TraceEvent{Op: TraceAdmit, Component: m.name, Method: inv.Method(),
-			Domain: d.id, Invocation: inv.ID(), Aspects: k,
-			Nanos: time.Since(preStart).Nanoseconds()})
-	}
-	if sh != nil {
-		sh.observe(cs, plan, inv, true)
-	}
-	return newAdmission(plan, d, g.detail(), false), nil
-}
-
-// preactivateFast admits a pure (all-NonBlocking) plan without taking the
-// domain mutex. Safety rests on the NonBlocking contract: no entry touches
-// cross-invocation guard state, so there is no state the mutex would
-// protect, and no entry may return Block, so the caller never parks. The
-// caller has already checked that no tracer is installed and that no
-// caller is parked moderator-wide; admission counters are the existing
-// atomics. A Block verdict here is a contract violation and is converted
-// into an abort (rolling back like any rejection) rather than a park.
-func (m *Moderator) preactivateFast(inv *aspect.Invocation, plan *compiledPlan, d *domain) (*Admission, error) {
-	k := 0
-	for i := range plan.entries {
-		e := &plan.entries[i]
-		v := e.a.Precondition(inv)
-		if v == aspect.Resume {
-			k++
-			continue
+	var adm *Admission
+	var err error
+	if cause == nil {
+		if r == routeCell {
+			d.optAdmits.Add(1)
 		}
-		var abortErr error
-		switch v {
-		case aspect.Abort:
-			abortErr = inv.Err()
-			if abortErr == nil {
-				abortErr = aspect.ErrAborted
+		if g.detail() {
+			g.t.Trace(TraceEvent{Op: TraceAdmit, Component: m.name, Method: inv.Method(),
+				Domain: d.id, Invocation: inv.ID(), Aspects: k,
+				Nanos: time.Since(preStart).Nanoseconds()})
+		}
+		if sh != nil {
+			sh.observe(cs, plan, inv, true)
+		}
+		if r == routeMutex {
+			adm = newAdmission(plan, d, g.detail(), false)
+		} else {
+			// A lock-free admission carries no per-invocation state:
+			// every one of them shares the plan's immutable receipt.
+			adm = plan.sharedAdm
+		}
+	} else {
+		if g.detail() {
+			g.t.Trace(TraceEvent{Op: TraceAbort, Component: m.name, Method: inv.Method(),
+				Domain: d.id, Layer: l.name, Invocation: inv.ID(),
+				Nanos: time.Since(preStart).Nanoseconds(), Err: cause.Error()})
+		}
+		if cancelled {
+			err = fmt.Errorf("moderator %s: %s blocked in layer %s: %w",
+				m.name, inv.Method(), l.name, cause)
+		} else {
+			if sh != nil {
+				sh.observe(cs, plan, inv, false)
 			}
-		case aspect.Block:
-			abortErr = fmt.Errorf("moderator %s: NonBlocking aspect %q returned Block: %w",
-				m.name, e.a.Name(), aspect.ErrAborted)
-		default:
-			abortErr = fmt.Errorf("moderator %s: aspect %q returned invalid verdict %v: %w",
-				m.name, e.a.Name(), v, aspect.ErrAborted)
+			err = fmt.Errorf("moderator %s: %s pre-activation (layer %s): %w",
+				m.name, inv.Method(), l.name, cause)
 		}
-		cancelReverse(plan.aspects[:k], inv)
-		d.aborts.Add(1)
-		return nil, fmt.Errorf("moderator %s: %s pre-activation (layer %s): %w",
-			m.name, inv.Method(), e.layer, abortErr)
 	}
-	d.admissions.Add(1)
-	return plan.sharedAdm, nil
+	if r == routeMutex {
+		d.mu.Unlock()
+	}
+	slot.Add(-1)
+	return adm, err
 }
 
 // Postactivation runs the postactions of every aspect the invocation was
@@ -1364,14 +1275,14 @@ func (m *Moderator) preactivateFast(inv *aspect.Invocation, plan *compiledPlan, 
 // be used afterwards. A nil admission (an unguarded method) is a cheap
 // no-op.
 //
-// Postactions run under the invoked method's admission domain. Wake
-// targets inside that domain are notified while the domain mutex is still
+// Postactions run under the invoked method's admission domain, on the same
+// three routes as pre-activation (a receipt admitted lock-free may complete
+// lock-free, subject to acquire's own re-check). On the mutex route, wake
+// targets inside the domain are notified while the domain mutex is still
 // held; targets in other domains are notified afterwards, one domain at a
-// time, so no two domain mutexes are ever held together. A fast-path
-// receipt (pure stack) completes without the mutex or the wake fan-out
-// when no tracer is installed and no caller is parked: pure postactions
-// touch no guard state, so they cannot unblock anyone, and with nobody
-// parked there is nobody to wake.
+// time, so no two domain mutexes are ever held together. A lock-free
+// completion skips the fan-out: it read waiters == 0 with its hooks' whole
+// lock set held, so nobody is parked and there is nobody to wake.
 func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	var d *domain
 	if adm != nil && adm.d != nil {
@@ -1381,7 +1292,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	}
 	d.completions.Add(1)
 	// The effect sink fires before any completion route branches off, so
-	// pure fast, optimistic, and mutex receipts all replicate alike.
+	// pure, cell, and mutex receipts all replicate alike.
 	if eb := m.effects.Load(); eb != nil && inv.Err() == nil {
 		eb.s.Effect(inv)
 	}
@@ -1390,23 +1301,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		releaseAdmission(adm)
 		return
 	}
-	admitted := adm.admitted
-
-	if adm.fast && tb == nil {
-		if adm.plan.pure {
-			if m.waiters.Load() == 0 {
-				for i := len(admitted) - 1; i >= 0; i-- {
-					admitted[i].Postaction(inv)
-				}
-				releaseAdmission(adm)
-				return
-			}
-		} else if m.postOptimistic(inv, adm, d) {
-			// Guarded fast receipt: postactions ran under the guard cell
-			// with waiters provably zero — nobody to wake (optimistic.go).
-			return
-		}
-	}
+	plan := adm.plan
 
 	g := invTrace{}
 	if tb != nil {
@@ -1417,18 +1312,11 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		postStart = time.Now()
 	}
 
-	d.mu.Lock()
-
-	// Guard hooks of impure receipts run under the guard cell so they
-	// exclude the optimistic path (the fan-out below touches only queues,
-	// which the mutex alone guards).
-	guarded := adm.plan != nil && !adm.plan.pure
-	if guarded {
-		d.cell.lock()
-	}
+	r := m.acquire(plan, d, adm.fast && tb == nil, hookOptimisticPost)
 	// Reverse admission order realizes the onion: the innermost layer's
 	// last-admitted aspect acts first, the outermost layer's first aspect
 	// acts last (paper Figure 14).
+	admitted := adm.admitted
 	for i := len(admitted) - 1; i >= 0; i-- {
 		a := admitted[i]
 		var hook0 time.Time
@@ -1442,8 +1330,15 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 				Nanos: time.Since(hook0).Nanoseconds()})
 		}
 	}
-	if guarded {
+	if !plan.pure {
 		d.cell.unlock()
+	}
+	if r != routeMutex {
+		if r == routeCell {
+			d.optCompletes.Add(1)
+		}
+		releaseAdmission(adm)
+		return
 	}
 	if g.detail() {
 		// The completion receipt is emitted under the domain mutex, before
@@ -1451,7 +1346,6 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		completeEvent(g.t, m.name, inv, d.id, time.Since(postStart).Nanoseconds())
 	}
 	dt := m.domains.Load()
-	plan := adm.plan
 	releaseAdmission(adm)
 	// Only a NON-empty wake list counts as targeting: a passive aspect
 	// (metrics, audit) that merely happens to implement Waker with no

@@ -628,12 +628,12 @@ func genSchedule(rng *rand.Rand, cfg diffConfig, n int) []diffOp {
 // in lockstep and compares every observable after every op.
 func runDiffSchedule(t *testing.T, seed int64, mode WakeMode) {
 	t.Helper()
-	runDiffScheduleCfg(t, seed, mode, nil)
+	runDiffScheduleCfg(t, seed, mode, nil, false)
 }
 
 // runDiffScheduleCfg is runDiffSchedule with a tweaked scenario config;
 // extra options apply to the sharded implementation only.
-func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*diffConfig), extra ...Option) {
+func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*diffConfig), mutexRoute bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := newDiffConfig(mode, rng)
@@ -641,7 +641,11 @@ func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*dif
 		tweak(&cfg)
 	}
 
-	a := newDiffScenario(t, "sharded", New("diff", append([]Option{WithWakeMode(mode)}, extra...)...), cfg)
+	sharded := New("diff", WithWakeMode(mode))
+	if mutexRoute {
+		forceMutexRoute(sharded)
+	}
+	a := newDiffScenario(t, "sharded", sharded, cfg)
 	b := newDiffScenario(t, "reference", NewReference("diff", WithWakeMode(mode)), cfg)
 
 	ops := genSchedule(rng, cfg, 20+rng.Intn(21))
@@ -850,15 +854,14 @@ func TestDifferentialOracleGuardedFast(t *testing.T) {
 		if i%2 == 1 {
 			mode = WakeBroadcast
 		}
-		runDiffScheduleCfg(t, int64(0xFACADE)+int64(i), mode, kappaHeavy)
+		runDiffScheduleCfg(t, int64(0xFACADE)+int64(i), mode, kappaHeavy, false)
 	}
 }
 
-// TestDifferentialOracleMutexTier is the optimistic-off oracle family: the
-// sharded side runs with the seqlock disabled, so every guarded begin —
-// contended or not — takes the blocking domain mutex, the route every
-// optimistic fallback ends on. Schedules mix those with the pure lock-free
-// fast path against the Reference.
+// TestDifferentialOracleMutexTier is the mutex-route oracle family: the
+// sharded side runs under a discard tracer, so every begin — contended or
+// not, guarded or pure — takes the blocking domain mutex, the route every
+// optimistic fallback ends on, against the Reference.
 func TestDifferentialOracleMutexTier(t *testing.T) {
 	t.Parallel()
 	guardHeavy := func(cfg *diffConfig) {
@@ -869,7 +872,7 @@ func TestDifferentialOracleMutexTier(t *testing.T) {
 		if i%2 == 1 {
 			mode = WakeBroadcast
 		}
-		runDiffScheduleCfg(t, int64(0xBA7C4)+int64(i), mode, guardHeavy, WithOptimisticAdmission(false))
+		runDiffScheduleCfg(t, int64(0xBA7C4)+int64(i), mode, guardHeavy, true)
 	}
 }
 
@@ -915,9 +918,9 @@ func TestDifferentialConcurrentLedgers(t *testing.T) {
 }
 
 // TestDifferentialConcurrentLedgersMutexTier reruns the metamorphic tier
-// with optimistic admission off on the sharded side: the full-speed
-// 64-goroutine workload piles every guarded op up on the domain mutexes,
-// and the outcome ledgers must still match the Reference exactly.
+// with the mutex route forced on the sharded side: the full-speed
+// 64-goroutine workload piles every op up on the domain mutexes, and the
+// outcome ledgers must still match the Reference exactly.
 func TestDifferentialConcurrentLedgersMutexTier(t *testing.T) {
 	t.Parallel()
 	seeds := []int64{11, 12, 13}
@@ -925,7 +928,7 @@ func TestDifferentialConcurrentLedgersMutexTier(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		shard := runConcurrentWorkload(t, seed, func() Admitter { return New("conc", WithOptimisticAdmission(false)) })
+		shard := runConcurrentWorkload(t, seed, func() Admitter { return forceMutexRoute(New("conc")) })
 		ref := runConcurrentWorkload(t, seed, func() Admitter { return NewReference("conc") })
 		if shard != ref {
 			t.Fatalf("seed %d: mutex-tier concurrent ledgers diverge: sharded=%+v reference=%+v", seed, shard, ref)

@@ -862,16 +862,24 @@ func waitGroupWithin(wg *sync.WaitGroup, d time.Duration) bool {
 	}
 }
 
-// mutexTierConfigs are the two ways a guarded call reaches preactivateMutex:
-// as the fallback of the optimistic tier (the first parker hands its Block
-// verdict off from the seqlock, later ones see waiters > 0), and as the only
-// guarded route when the seqlock is off.
+// mutexTierConfigs are the two ways a guarded call reaches the mutex route:
+// as the fallback of the cell route (the first parker upgrades in place from
+// the seqlock, later ones see waiters > 0), and from its first instruction
+// when a tracer is installed.
 var mutexTierConfigs = []struct {
-	name string
-	opts []Option
+	name   string
+	tracer bool
 }{
-	{"optimistic-fallback", nil},
-	{"optimistic-off", []Option{WithOptimisticAdmission(false)}},
+	{"optimistic-fallback", false},
+	{"optimistic-off", true},
+}
+
+func newMutexTier(name string, tracer bool) *Moderator {
+	m := New(name)
+	if tracer {
+		forceMutexRoute(m)
+	}
+	return m
 }
 
 // TestMutexTierStrandedCallers is the PR 2 stranded-caller regression on the
@@ -883,7 +891,7 @@ func TestMutexTierStrandedCallers(t *testing.T) {
 	const k, j = 8, 4
 	for _, cfg := range mutexTierConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			m := New("gate", cfg.opts...)
+			m := newMutexTier("gate", cfg.tracer)
 			setOpen := gateStack(t, m)
 
 			invs := make([]*aspect.Invocation, k)
@@ -955,7 +963,7 @@ func TestMutexTierContendedSoak(t *testing.T) {
 	const callers, rounds = 16, 60
 	for _, cfg := range mutexTierConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			m := New("sem", cfg.opts...)
+			m := newMutexTier("sem", cfg.tracer)
 			occupancy := optSemStack(t, m)
 			var wg sync.WaitGroup
 			for i := 0; i < callers; i++ {
@@ -987,9 +995,9 @@ func TestMutexTierContendedSoak(t *testing.T) {
 			if st.Blocks == 0 {
 				t.Fatalf("nobody parked: %+v", st)
 			}
-			if cfg.opts != nil {
+			if cfg.tracer {
 				if os := m.OptimisticStats(); os != (OptimisticStats{}) {
-					t.Fatalf("seqlock engaged while disabled: %+v", os)
+					t.Fatalf("seqlock engaged under a tracer: %+v", os)
 				}
 			}
 		})

@@ -1,62 +1,63 @@
-// Optimistic lock-free admission for guarded-but-uncontended plans.
+// Admission strategies: what a guarded call holds while its hooks run.
 //
-// The pure fast path (preactivateFast) is sound because NonBlocking stacks
-// touch no cross-invocation guard state at all. A guarded plan does touch
-// guard state, so its hooks need mutual exclusion — but mutual exclusion is
-// much cheaper than the full domain mutex when nobody is parked: parking,
-// wake fan-out, sticky tickets, and queue bookkeeping are what the mutex
-// really buys, and an uncontended caller needs none of them.
+// Pre-activation and post-activation are each ONE driver (Preactivation and
+// Postactivation in moderator.go): one layer loop, one verdict mapping, one
+// set of epilogues. What varies per call is only the lock the hooks run
+// under — the route, chosen by acquire from what the code observes:
 //
-// Each admission domain therefore carries a guardCell: a versioned
-// spin-lock word (sequence counter; odd = held) that serializes every
-// guard-state access — preconditions, postactions, cancels, abandons — of
-// guarded plans. The cell is strictly innermost: the mutex path acquires it
-// after the domain mutex, and a cell holder never acquires any other lock,
-// so lock ordering is trivially acyclic. The optimistic path takes ONLY the
-// cell:
+//	routePure   nothing. A plan whose every aspect declared NonBlocking
+//	            touches no cross-invocation guard state and never parks.
+//	routeCell   the domain's guard cell alone. A guarded plan does touch
+//	            guard state, so its hooks need mutual exclusion — but
+//	            parking, wake fan-out, sticky tickets and queue bookkeeping
+//	            are what the domain mutex really buys, and an uncontended
+//	            caller needs none of them.
+//	routeMutex  the domain mutex, plus the cell (strictly inside it) around
+//	            the hooks of guarded plans so they exclude routeCell's.
 //
-//	pre-activation  (preactivateOptimistic)
-//	  waiters==0 → tryLock cell → re-check waiters==0 → evaluate layers
-//	    all Resume → commit, unlock, return the plan's shared receipt
-//	    Abort      → roll back, unlock, error (terminal here)
-//	    Block      → roll back the layer, pre-register the waiter
-//	                 (m.waiters.Add(1) while still holding the cell),
-//	                 unlock, and fall back to the mutex path carrying the
-//	                 verdict and the cell version (optResume)
-//	  any gate fails → transparent fallback to the mutex path
+// Both lock-free routes require that no tracer is installed (events of one
+// domain are serialized by its mutex) and that nobody is parked
+// moderator-wide (a parked caller's wake-up must stay ordered with
+// completions, which the mutex route's fan-out provides). Every condition
+// that sends a guarded call to the mutex: tracer installed, m.waiters != 0
+// at the gate, plan not cell-eligible (wake span crosses domains), cell
+// tryLock lost (Conflicts), waiters appeared before the cell was won
+// (Fallbacks), or a Block verdict under the cell (Parks, the upgrade below).
 //
-//	post-activation (postOptimistic)
-//	  waiters==0 → tryLock cell → re-check waiters==0 → postactions,
-//	  unlock. Any gate fails → mutex path (which performs the wake
-//	  fan-out).
+// The guardCell is a versioned spin-lock word (sequence counter; odd =
+// held) that serializes every guard-state access — preconditions,
+// postactions, cancels, abandons — of guarded plans. It is strictly
+// innermost: the mutex route acquires it after the domain mutex, and a cell
+// holder never acquires any other lock, so lock ordering is trivially
+// acyclic.
 //
 // Why the waiter re-check under the cell is sound: a caller only parks
-// after incrementing m.waiters WHILE HOLDING the cell (both the mutex path
-// and the optimistic Block handoff do so). So if an optimistic caller holds
-// the cell and reads waiters==0, no caller is parked and none can reach
-// the parked state before the cell is released — there is provably nobody
-// to wake, and skipping the fan-out is exactly as sound as it is on the
-// pure fast path. This closes the PR 2 stranded-caller bug class on the
-// new path; TestOptimisticPostFallbackWakesWaiter pins it.
+// after incrementing m.waiters WHILE HOLDING the cell (the mutex route and
+// the upgrade both do so). So if a routeCell caller holds the cell and reads
+// waiters==0, no caller is parked and none can reach the parked state
+// before the cell is released — there is provably nobody to wake, and
+// skipping the fan-out is exactly as sound as it is on routePure. This
+// closes the PR 2 stranded-caller bug class; the two
+// TestOptimistic*Fallback* tests pin it.
 //
-// Why the version handoff on Block is needed: the optimistic evaluation
-// already ran the layer's preconditions and observed a Block verdict. If
-// the mutex path re-ran them, every guard hook would fire twice for one
-// logical admission attempt — observably different from the Reference
-// (and from the mutex path), which evaluates once and parks. The fallback
-// therefore re-acquires the cell under the mutex and, if the cell sequence
-// shows no guard-state access happened in between, parks directly on the
-// carried verdict. If the sequence moved, somebody touched guard state and
-// the layer legitimately re-evaluates — semantically identical to a
-// spurious wake-up, which re-parking callers already tolerate.
+// The in-place upgrade. A Block under routeCell cannot park there (queues
+// belong to the mutex), so the pre-activation driver upgrades where it
+// stands: roll the layer back, m.waiters.Add(1) under the cell, ver :=
+// cell.unlock(), d.mu.Lock(), cell.lock(), and carry on as routeMutex with
+// its locals — layer index, admitted prefix, the blocking entry — intact.
+// Its own cell.lock advanced the sequence by exactly one, so if it now
+// reads ver+1 no guard hook ran in the window: the verdict still holds and
+// the caller parks on it directly (re-running the layer would fire every
+// hook twice for one logical attempt, observably unlike the Reference). If
+// the sequence moved, guard state may have changed — a completer may even
+// have looked for this caller in the queues and not found it — so the layer
+// re-evaluates, semantically a spurious wake-up, which re-parking callers
+// already tolerate.
 package moderator
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
-
-	"repro/internal/aspect"
 )
 
 // guardCell is a per-domain versioned spin lock over the domain's guard
@@ -101,23 +102,52 @@ func (c *guardCell) version() uint64 {
 	return c.seq.Load()
 }
 
-// optResume carries a Block verdict from an optimistic evaluation into the
-// mutex fallback: which layer blocked, the admitted prefix length (the
-// blocked layer's partial admissions are already rolled back), the
-// blocking aspect, and the cell sequence observed when the optimistic
-// caller released the cell. The caller has ALREADY pre-registered itself
-// in m.waiters; the mutex path consumes that registration on its first
-// park (or releases it if re-evaluation admits or aborts instead).
-type optResume struct {
-	layer int
-	k     int
-	kind  aspect.Kind
-	by    aspect.Aspect
-	ver   uint64
+// route is what an admission holds while its hooks run — the one thing the
+// three admission strategies differ in (see the package notes above). The
+// guard cell is held on every route of a guarded plan and on no route of a
+// pure one, so "cell held" never needs tracking separately from the plan.
+type route uint8
+
+const (
+	routePure  route = iota // nothing held; a Block here is a contract violation
+	routeCell               // the guard cell alone; a Block upgrades to routeMutex
+	routeMutex              // d.mu, plus the cell for guarded plans; a Block parks
+)
+
+// acquire takes the cheapest lock set the plan and the moment allow and
+// reports which. lockFree is the caller's half of the gate (no tracer; for a
+// completion, a receipt admitted lock-free); p is the test instrumentation
+// point fired before the cell attempt.
+func (m *Moderator) acquire(plan *compiledPlan, d *domain, lockFree bool, p admitPoint) route {
+	if lockFree && m.waiters.Load() == 0 {
+		if plan.pure {
+			return routePure
+		}
+		if plan.optimistic {
+			m.callAdmitHook(p, d)
+			if !d.cell.tryLock() {
+				d.optConflicts.Add(1)
+			} else if m.waiters.Load() != 0 {
+				// Re-check under the cell: a caller that decided to park
+				// after the outer gate must increment m.waiters while
+				// holding the cell before it can reach the parked state,
+				// so this read is authoritative.
+				d.cell.unlock()
+				d.optFallbacks.Add(1)
+			} else {
+				return routeCell
+			}
+		}
+	}
+	d.mu.Lock()
+	if !plan.pure {
+		d.cell.lock()
+	}
+	return routeMutex
 }
 
-// admitPoint names an instrumentation point of the optimistic paths, used
-// by tests to interleave a competing caller at the exact racy window.
+// admitPoint names an instrumentation point of the cell route, used by
+// tests to interleave a competing caller at the exact racy window.
 type admitPoint int
 
 const (
@@ -127,11 +157,15 @@ const (
 	// hookOptimisticPost fires after the outer waiters gate passed but
 	// before the post-activation cell acquisition.
 	hookOptimisticPost
+	// hookUpgrade fires inside the upgrade window: the blocked caller is
+	// pre-registered and has released the cell, and has not yet taken the
+	// domain mutex.
+	hookUpgrade
 )
 
 // setAdmitHook installs (or, with nil, removes) a test hook called at the
-// optimistic paths' instrumentation points. The hook runs BEFORE the cell
-// is acquired, so it may drive other callers of the same domain — even
+// instrumentation points above. The hook always runs with no lock of its
+// invocation held, so it may drive other callers of the same domain — even
 // ones that park — without deadlocking against its own invocation.
 func (m *Moderator) setAdmitHook(fn func(admitPoint, *domain)) {
 	if fn == nil {
@@ -147,16 +181,15 @@ func (m *Moderator) callAdmitHook(p admitPoint, d *domain) {
 	}
 }
 
-// OptimisticStats are cumulative counters for the optimistic admission
-// paths, summed over the moderator's admission domains. They are
-// intentionally NOT part of Stats: Stats is the observable surface the
-// differential oracle compares against the Reference, and which path
-// served an admission is an implementation detail the Reference does not
-// share.
+// OptimisticStats are cumulative counters for the cell route, summed over
+// the moderator's admission domains. They are intentionally NOT part of
+// Stats: Stats is the observable surface the differential oracle compares
+// against the Reference, and which path served an admission is an
+// implementation detail the Reference does not share.
 type OptimisticStats struct {
 	Admits    uint64 // pre-activations committed entirely under the cell
 	Completes uint64 // post-activations committed entirely under the cell
-	Parks     uint64 // optimistic evaluations that hit Block and handed off
+	Parks     uint64 // evaluations that hit Block under the cell and upgraded
 	Fallbacks uint64 // cell acquired but waiters appeared: mutex fallback
 	Conflicts uint64 // cell tryLock lost: mutex fallback
 }
@@ -172,105 +205,4 @@ func (m *Moderator) OptimisticStats() OptimisticStats {
 		s.Conflicts += d.optConflicts.Load()
 	}
 	return s
-}
-
-// preactivateOptimistic admits a guarded plan under the domain's guard
-// cell alone. The caller has already checked tb == nil, plan.optimistic,
-// and m.waiters == 0. The final return reports whether the attempt was
-// terminal: if false, the caller must fall back to the mutex path, passing
-// along the (possibly nil) optResume.
-func (m *Moderator) preactivateOptimistic(cs *compState, inv *aspect.Invocation, plan *compiledPlan, d *domain, sh *Shadow) (*Admission, error, *optResume, bool) {
-	m.callAdmitHook(hookOptimisticPre, d)
-	if !d.cell.tryLock() {
-		d.optConflicts.Add(1)
-		return nil, nil, nil, false
-	}
-	// Re-check under the cell: a caller that decided to park after the
-	// outer gate must increment m.waiters while holding the cell before it
-	// can reach the parked state, so this read is authoritative.
-	if m.waiters.Load() != 0 {
-		d.cell.unlock()
-		d.optFallbacks.Add(1)
-		return nil, nil, nil, false
-	}
-	k := 0
-	for li := range plan.layers {
-		l := &plan.layers[li]
-		mark := k
-		for i := l.lo; i < l.hi; i++ {
-			e := &plan.entries[i]
-			v := e.a.Precondition(inv)
-			if v == aspect.Resume {
-				k++
-				continue
-			}
-			if v == aspect.Block {
-				// Layer-atomic rollback, then hand the verdict to the
-				// mutex path. Pre-registering the waiter under the cell is
-				// the anti-stranding invariant: any completer that could
-				// skip the wake fan-out must first win this cell and will
-				// then observe waiters != 0.
-				cancelReverse(plan.aspects[mark:k], inv)
-				m.waiters.Add(1)
-				ver := d.cell.unlock()
-				d.optParks.Add(1)
-				return nil, nil, &optResume{layer: li, k: mark, kind: e.kind, by: e.a, ver: ver}, false
-			}
-			var abortErr error
-			if v == aspect.Abort {
-				abortErr = inv.Err()
-				if abortErr == nil {
-					abortErr = aspect.ErrAborted
-				}
-			} else {
-				abortErr = fmt.Errorf("moderator %s: aspect %q returned invalid verdict %v: %w",
-					m.name, e.a.Name(), v, aspect.ErrAborted)
-			}
-			cancelReverse(plan.aspects[:k], inv)
-			d.aborts.Add(1)
-			d.cell.unlock()
-			if sh != nil {
-				sh.observe(cs, plan, inv, false)
-			}
-			return nil, fmt.Errorf("moderator %s: %s pre-activation (layer %s): %w",
-				m.name, inv.Method(), l.name, abortErr), nil, true
-		}
-	}
-	d.admissions.Add(1)
-	d.cell.unlock()
-	d.optAdmits.Add(1)
-	if sh != nil {
-		sh.observe(cs, plan, inv, true)
-	}
-	return plan.sharedAdm, nil, nil, true
-}
-
-// postOptimistic runs a guarded fast receipt's postactions under the guard
-// cell alone, reporting whether it committed. The caller has already
-// checked adm.fast and tb == nil. Skipping the wake fan-out is sound for
-// the same reason as on the pure fast path: with the cell held and
-// waiters == 0, nobody is parked and nobody can park before the cell is
-// released, so there is nobody to wake.
-func (m *Moderator) postOptimistic(inv *aspect.Invocation, adm *Admission, d *domain) bool {
-	if m.waiters.Load() != 0 {
-		return false
-	}
-	m.callAdmitHook(hookOptimisticPost, d)
-	if !d.cell.tryLock() {
-		d.optConflicts.Add(1)
-		return false
-	}
-	if m.waiters.Load() != 0 {
-		d.cell.unlock()
-		d.optFallbacks.Add(1)
-		return false
-	}
-	admitted := adm.admitted
-	for i := len(admitted) - 1; i >= 0; i-- {
-		admitted[i].Postaction(inv)
-	}
-	d.cell.unlock()
-	d.optCompletes.Add(1)
-	releaseAdmission(adm)
-	return true
 }

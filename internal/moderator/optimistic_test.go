@@ -1,7 +1,7 @@
 package moderator
 
 // Tests for the optimistic guard-cell admission path (optimistic.go):
-// the happy path and its counters, the option gate, the two racy-window
+// the happy path and its counters, the tracer gate, the two racy-window
 // regression tests for the PR 2 stranded-caller bug class on the new
 // path, and epoch-based snapshot reclamation (reclaim.go).
 
@@ -97,8 +97,8 @@ func TestOptimisticGuardedAdmission(t *testing.T) {
 	}
 }
 
-func TestOptimisticAdmissionDisabled(t *testing.T) {
-	m := New("opt", WithOptimisticAdmission(false))
+func TestTracerForcesMutexRoute(t *testing.T) {
+	m := forceMutexRoute(New("opt"))
 	occupancy := optSemStack(t, m)
 	inv := aspect.NewInvocation(context.Background(), "opt", "m", nil)
 	for i := 0; i < 10; i++ {
@@ -109,7 +109,7 @@ func TestOptimisticAdmissionDisabled(t *testing.T) {
 		m.Postactivation(inv, adm)
 	}
 	if os := m.OptimisticStats(); os != (OptimisticStats{}) {
-		t.Fatalf("optimistic path ran while disabled: %+v", os)
+		t.Fatalf("cell route ran under a tracer: %+v", os)
 	}
 	if st := m.Stats(); st.Admissions != 10 || st.Completions != 10 {
 		t.Fatalf("stats = %+v", st)

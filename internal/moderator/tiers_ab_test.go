@@ -83,12 +83,12 @@ func TestTiersAB(t *testing.T) {
 	}
 
 	// (a) Pure lock-free path vs the same stack forced onto the domain
-	// mutex. Optimistic admission is off on the slow side: a guarded stack
-	// with no wake list is otherwise seqlock-eligible and the "mutex" side
-	// would quietly measure the optimistic tier instead.
+	// mutex. The slow side gets the mutex route from a tracer: a guarded
+	// stack with no wake list is otherwise seqlock-eligible and the
+	// "mutex" side would quietly measure the optimistic tier instead.
 	pureFast := New("ab-pure")
 	abAuditStack(t, pureFast, true)
-	pureMutex := New("ab-pure", WithOptimisticAdmission(false))
+	pureMutex := forceMutexRoute(New("ab-pure"))
 	abAuditStack(t, pureMutex, false)
 
 	// (b) Guarded-but-uncontended stack (NonBlocking audit, self-waking
@@ -96,7 +96,7 @@ func TestTiersAB(t *testing.T) {
 	// the mutex tier every fallback takes.
 	optOn := New("ab-guarded")
 	optSemStack(t, optOn)
-	optOff := New("ab-guarded", WithOptimisticAdmission(false))
+	optOff := forceMutexRoute(New("ab-guarded"))
 	optSemStack(t, optOff)
 
 	// (c) The same guarded stack, sharded Moderator (optOn again) vs

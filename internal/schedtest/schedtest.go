@@ -119,6 +119,10 @@ type Scenario struct {
 	Name string
 	// Options configure both implementations (wake mode, policy).
 	Options []moderator.Option
+	// ShardedTracer, when set, is installed on the sharded side only. An
+	// installed tracer keeps every admission off the lock-free routes, so a
+	// discarding one explores the mutex route from the first instruction.
+	ShardedTracer moderator.Tracer
 	// Build registers the aspect stacks on one implementation and returns
 	// a probe reading its guard state and hook counts. It is called once
 	// per implementation per replay; probes of the two implementations
@@ -196,10 +200,11 @@ type world struct {
 
 func newWorld(sc *Scenario) (*world, error) {
 	w := &world{sc: sc, pc: make([]int, len(sc.Threads)), outcomes: make(map[string]string)}
-	impls := [2]moderator.Admitter{
-		moderator.New("sched", sc.Options...),
-		moderator.NewReference("sched", sc.Options...),
+	sharded := moderator.New("sched", sc.Options...)
+	if sc.ShardedTracer != nil {
+		sharded.SetTracer(sc.ShardedTracer)
 	}
+	impls := [2]moderator.Admitter{sharded, moderator.NewReference("sched", sc.Options...)}
 	for i, m := range impls {
 		probe, err := sc.Build(m)
 		if err != nil {

@@ -13,6 +13,7 @@ package schedtest
 // certification artifact for guarded admission.
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -251,20 +252,27 @@ func TestExplorationExercisesOptimisticPath(t *testing.T) {
 	}
 }
 
+// discardTracer drops every event and samples so rarely that no detail op
+// ever fires; installing it is how a scenario forces the mutex route.
+type discardTracer struct{}
+
+func (discardTracer) Trace(moderator.TraceEvent) {}
+func (discardTracer) SampleEvery() int           { return math.MaxInt }
+
 // TestExhaustiveMutexTierCapSem reruns the capacity-1 semaphore race with
-// optimistic admission OFF, so every guarded begin on the sharded side
-// takes the blocking domain mutex — the route every optimistic fallback
-// ends on, here enumerated without the seqlock in front of it.
+// a tracer installed, so every guarded begin on the sharded side takes the
+// blocking domain mutex — the route every optimistic fallback ends on,
+// here enumerated without the seqlock in front of it.
 func TestExhaustiveMutexTierCapSem(t *testing.T) {
 	runScenario(t, Scenario{
 		Name: "capsem-mutex",
 		Options: []moderator.Option{
 			moderator.WithWakeMode(moderator.WakeSingle),
 			moderator.WithWakePolicy(waitq.FIFO),
-			moderator.WithOptimisticAdmission(false),
 		},
-		Build:   capSemBuild,
-		Methods: []string{"kappa"},
+		ShardedTracer: discardTracer{},
+		Build:         capSemBuild,
+		Methods:       []string{"kappa"},
 		Threads: []Thread{
 			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpFinish}, {Kind: OpBegin, Method: "kappa"}},
 			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpCancel}, {Kind: OpFinish}},
@@ -275,17 +283,17 @@ func TestExhaustiveMutexTierCapSem(t *testing.T) {
 
 // TestExhaustiveMutexTierRepublishChurn races mutex-tier admissions against
 // recomposition: the republish/kick operator thread from the optimistic
-// churn scenario, with optimistic admission off.
+// churn scenario, with the mutex route forced by a tracer.
 func TestExhaustiveMutexTierRepublishChurn(t *testing.T) {
 	runScenario(t, Scenario{
 		Name: "republish-churn-mutex",
 		Options: []moderator.Option{
 			moderator.WithWakeMode(moderator.WakeSingle),
 			moderator.WithWakePolicy(waitq.FIFO),
-			moderator.WithOptimisticAdmission(false),
 		},
-		Build:   capSemBuild,
-		Methods: []string{"kappa"},
+		ShardedTracer: discardTracer{},
+		Build:         capSemBuild,
+		Methods:       []string{"kappa"},
 		Threads: []Thread{
 			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpFinish}, {Kind: OpBegin, Method: "kappa"}},
 			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpCancel}, {Kind: OpFinish}},
