@@ -11,9 +11,11 @@
 #   make race        — full suite under the race detector, plus a focused
 #                      double-count pass over the sharded-moderator stress,
 #                      differential-oracle, mutex-tier, optimistic and
-#                      route-equivalence tests, the obs event
-#                      ring/histogram/churn concurrency tests, and ten
-#                      rounds of the amrpc line-buffer aliasing test
+#                      route-equivalence tests and the waitq recycled-
+#                      waiter race, the obs event ring/histogram/churn
+#                      concurrency tests, and ten rounds of the amrpc
+#                      line-buffer aliasing, frame-writer and flush-ledger
+#                      tests
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders (each differential
 #                      against encoding/json), the interference checker,
@@ -68,9 +70,9 @@ lint:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute' ./internal/moderator/ ./internal/waitq/
+	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
-	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls' ./internal/amrpc/
+	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 
 bench:
 	bash benchmark/run.sh $(ARGS)

@@ -121,19 +121,19 @@ func WithReconnectBackoff(base, max time.Duration) ClientOption {
 	}
 }
 
-// encodeBuf is the scratch space of one call: its encoded arguments and the
-// frame of the attempt in progress.
-type encodeBuf struct{ args, frame []byte }
+// encodeBuf is the scratch space of one call: its encoded arguments. Each
+// attempt's frame is encoded straight into its connection's frameWriter.
+type encodeBuf struct{ args []byte }
 
 var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
 
 // liveConn is one established connection generation. The write side is
-// serialized by writeMu; the read side is owned by exactly one readLoop
-// goroutine.
+// its frameWriter, shared by every caller; the read side is owned by
+// exactly one readLoop goroutine.
 type liveConn struct {
-	conn    net.Conn
-	gen     uint64
-	writeMu sync.Mutex
+	conn net.Conn
+	gen  uint64
+	out  *frameWriter
 }
 
 // pendingCall tracks one in-flight request: the response channel and the
@@ -237,7 +237,7 @@ func (c *Client) installLocked(conn net.Conn) *liveConn {
 	if c.gen > 1 {
 		c.stats.reconnects.Add(1)
 	}
-	lc := &liveConn{conn: conn, gen: c.gen}
+	lc := &liveConn{conn: conn, gen: c.gen, out: newFrameWriter(conn, nil)}
 	c.cur = lc
 	c.lastErr = nil
 	c.dialFails = 0
@@ -424,8 +424,8 @@ func (c *Client) Close() error {
 // call performs one logical request/response exchange, retrying transport
 // failures per the client's policy when the call is idempotent.
 func (c *Client) call(ctx context.Context, component, method, token string, priority int, fence uint64, idempotent bool, args []any) (any, error) {
-	// One buffer pair serves the whole call: the arguments are encoded once,
-	// each attempt builds its frame next to them.
+	// One buffer serves the whole call: the arguments are encoded once and
+	// every attempt's frame references them.
 	eb := encodeBufs.Get().(*encodeBuf)
 	defer encodeBufs.Put(eb)
 	var rawArgs []json.RawMessage
@@ -446,7 +446,7 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 	var lastErr error
 	for a := 1; ; a++ {
 		c.stats.attempts.Add(1)
-		result, err := c.callOnce(ctx, eb, component, method, token, priority, fence, rawArgs)
+		result, err := c.callOnce(ctx, component, method, token, priority, fence, rawArgs)
 		if err == nil {
 			return result, nil
 		}
@@ -473,7 +473,7 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 
 // callOnce performs a single attempt: ensure a connection, register the
 // pending call, write the frame, await the response or a deadline.
-func (c *Client) callOnce(parent context.Context, eb *encodeBuf, component, method, token string, priority int, fence uint64, rawArgs []json.RawMessage) (any, error) {
+func (c *Client) callOnce(parent context.Context, component, method, token string, priority int, fence uint64, rawArgs []json.RawMessage) (any, error) {
 	ctx := parent
 	if d := c.opts.retry.AttemptTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -518,6 +518,9 @@ func (c *Client) callOnce(parent context.Context, eb *encodeBuf, component, meth
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = pendingCall{ch: ch, gen: lc.gen}
+	// Another call awaiting its response on this client: the writer may
+	// yield once so that this frame shares its write with theirs.
+	shared := len(c.pending) > 1
 	c.mu.Unlock()
 
 	req := request{
@@ -530,11 +533,10 @@ func (c *Client) callOnce(parent context.Context, eb *encodeBuf, component, meth
 		TimeoutMS: timeoutMS,
 		Fence:     fence,
 	}
-	eb.frame = append(appendRequest(eb.frame[:0], &req), '\n')
-	lc.writeMu.Lock()
-	_, err = lc.conn.Write(eb.frame)
-	lc.writeMu.Unlock()
-	if err != nil {
+	// A nil return means the frame was written or rides the flush in
+	// progress; if that flush fails, its flusher's teardown fails this call
+	// through ch like any other call the connection carried.
+	if err := lc.out.sendRequest(&req, shared); err != nil {
 		c.unregister(id)
 		c.teardown(lc, err)
 		return nil, fmt.Errorf("amrpc: send %s.%s: %v: %w", component, method, err, ErrTransport)

@@ -3,8 +3,8 @@ package amrpc
 // Tests for the pipelined server: the bounded per-connection worker pool
 // (one pipelining client cannot exceed MaxConcurrentPerConn in-flight
 // handlers), the CodeOverloaded queue-full rejection, the admission-aware
-// shed policy with its retry-after hint, and the coalescing response
-// writer's accounting.
+// shed policy with its retry-after hint, and the frame writer's flush
+// accounting on live connections.
 
 import (
 	"context"
@@ -177,14 +177,36 @@ func TestShedPolicy(t *testing.T) {
 	}
 }
 
-// TestWriterCoalescingAccounting pins the flush ledger: every response
-// leaves through the coalescing writer, so the flushed-frame count must
-// equal the responses produced and the flush count can never exceed it.
+// countingConn counts the Write calls a client connection receives.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestWriterCoalescingAccounting pins the flush ledger and, from outside,
+// the rule for sharing a write. Every response leaves through the frame
+// writer, so the flushed-frame count must equal the responses produced.
+// With one call in flight nothing is batched or delayed: one conn.Write per
+// frame on both ends. With 16 callers writes may be shared, never
+// duplicated: the flush count cannot exceed the frames.
 func TestWriterCoalescingAccounting(t *testing.T) {
-	const calls = 50
+	const calls, callers = 50, 16
 	srv := NewServer()
 	addr := startServerOpts(t, srv, newEchoProxy(t, "svc"))
-	c := dialClient(t, addr)
+	var clientWrites atomic.Int64
+	c := newClient(WithDialFunc(func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{conn, &clientWrites}, nil
+	}))
+	t.Cleanup(func() { _ = c.Close() })
 	stub := c.Component("svc")
 	for i := 0; i < calls; i++ {
 		if _, err := stub.Invoke(context.Background(), "echo", i); err != nil {
@@ -195,7 +217,36 @@ func TestWriterCoalescingAccounting(t *testing.T) {
 	if st.FlushFrames != calls {
 		t.Fatalf("flushed frames = %d, want %d", st.FlushFrames, calls)
 	}
+	if st.Flushes != calls {
+		t.Fatalf("server: %d writes for %d sequential responses, want one each", st.Flushes, calls)
+	}
+	if n := clientWrites.Load(); n != calls {
+		t.Fatalf("client: %d writes for %d sequential requests, want one each", n, calls)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := stub.Invoke(context.Background(), "echo", i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const total = calls + callers*calls
+	st = srv.Stats()
+	if st.FlushFrames != total {
+		t.Fatalf("flushed frames = %d, want %d", st.FlushFrames, total)
+	}
 	if st.Flushes == 0 || st.Flushes > st.FlushFrames {
 		t.Fatalf("flushes = %d with %d frames", st.Flushes, st.FlushFrames)
+	}
+	if n := clientWrites.Load(); n > total {
+		t.Fatalf("client: %d writes for %d requests", n, total)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aspect"
@@ -45,12 +47,15 @@ type Server struct {
 	shed          ShedPolicy
 	stats         serverStats
 
-	mu         sync.Mutex
-	components map[string]Component
-	listeners  map[net.Listener]struct{}
-	conns      map[net.Conn]struct{}
-	closed     bool
-	wg         sync.WaitGroup
+	// components is the registration table, published copy-on-write so
+	// that handle reads it without a lock; writers hold mu.
+	components atomic.Pointer[map[string]Component]
+
+	mu        sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[net.Conn]struct{}
+	closed    bool
+	wg        sync.WaitGroup
 }
 
 // ServerOption configures NewServer.
@@ -101,10 +106,10 @@ func NewServer(opts ...ServerOption) *Server {
 		readTimeout:   5 * time.Minute,
 		maxLineBytes:  4 * 1024 * 1024,
 		maxConcurrent: 256,
-		components:    make(map[string]Component, 4),
 		listeners:     make(map[net.Listener]struct{}, 1),
 		conns:         make(map[net.Conn]struct{}, 16),
 	}
+	s.components.Store(&map[string]Component{})
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -126,16 +131,20 @@ func (s *Server) RegisterComponent(c Component) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.components[c.Name()]; dup {
+	old := *s.components.Load()
+	if _, dup := old[c.Name()]; dup {
 		return fmt.Errorf("amrpc: component %q already registered", c.Name())
 	}
-	s.components[c.Name()] = c
+	table := maps.Clone(old)
+	table[c.Name()] = c
+	s.components.Store(&table)
 	return nil
 }
 
 // Serve accepts connections on ln until Close is called or the listener
 // fails. It blocks; run it on a goroutine you own. Each connection runs a
-// reader, a bounded worker pool (MaxConcurrentPerConn) and a coalescing
+// reader and a bounded worker pool (MaxConcurrentPerConn) whose workers
+// write their own responses through the connection's combining frame
 // writer: requests on a connection are processed concurrently so a blocked
 // invocation does not stall the pipe, but one pipelining client can never
 // spawn more than its cap of handler goroutines.
@@ -210,18 +219,19 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// flushBytes is the coalescing writer's flush threshold: responses queued
-// while a write was in progress are gathered into one buffer and written
-// with a single conn.Write once the buffer reaches this size or the queue
-// runs dry, whichever comes first.
-const flushBytes = 64 * 1024
-
 // serveConn runs one connection's pipeline: the reader goroutine (this
-// one) decodes frames and dispatches them to a bounded worker pool; a
-// dedicated writer goroutine coalesces completed responses into writev-
-// shaped flushes. Workers are spawned lazily up to MaxConcurrentPerConn,
-// so an idle or strictly sequential client costs one worker, while a
-// pipelining client is capped instead of spawning a goroutine per request.
+// one) decodes frames and dispatches them to a bounded worker pool; every
+// reply — a worker's response, a shed, a malformed-frame or queue-full
+// refusal — leaves through the connection's frameWriter, the same
+// combining writer the client sends requests with. There is no writer
+// goroutine: the worker that finishes while no flush is in progress writes,
+// and carries whatever the other workers append meanwhile. Workers are
+// spawned lazily up to MaxConcurrentPerConn, so an idle or strictly
+// sequential client costs one worker, while a pipelining client is capped
+// instead of spawning a goroutine per request. serveConn returns only after
+// every accepted request's response has been handed to the socket: a
+// worker's send returns early only while another sender — a worker, or this
+// goroutine — is still flushing.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -242,46 +252,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 
-	// The writer: the only goroutine that touches conn for output. Each
-	// wake drains everything already queued into one buffer and issues one
-	// Write — k responses completing while a flush is in progress cost one
-	// syscall, not k.
-	respCh := make(chan response, s.maxConcurrent)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		buf := make([]byte, 0, 16*1024)
-		open := true
-		for open {
-			resp, ok := <-respCh
-			if !ok {
-				return
-			}
-			buf = append(appendResponse(buf[:0], &resp), '\n')
-			frames := 1
-			for len(buf) < flushBytes {
-				select {
-				case r, more := <-respCh:
-					if !more {
-						open = false
-					} else {
-						buf = append(appendResponse(buf, &r), '\n')
-						frames++
-					}
-				default:
-				}
-				if !open || len(respCh) == 0 {
-					break
-				}
-			}
-			// Counted before the write, so a peer that has read a response
-			// finds it in the ledger.
-			s.stats.flushes.Add(1)
-			s.stats.flushFrames.Add(uint64(frames))
-			touch()
-			_, _ = conn.Write(buf)
-		}
-	}()
+	out := newFrameWriter(conn, func(frames int) {
+		s.stats.flushes.Add(1)
+		s.stats.flushFrames.Add(uint64(frames))
+		touch()
+	})
+	// inFlight counts the requests dispatched to the pool and not yet
+	// answered. A reply sent while others are in flight tells the writer
+	// so (its yield rule); own is 1 for a worker answering its request, 0
+	// for the reader's refusals. A write error is dropped here: the socket
+	// is dead, which the reader is about to find out.
+	var inFlight atomic.Int64
+	reply := func(resp *response, own int64) {
+		_ = out.sendResponse(resp, inFlight.Load() > own)
+	}
 
 	// The bounded worker pool. Workers are spawned on demand while the
 	// queue has work nobody picked up, never beyond the cap; each exits
@@ -298,7 +282,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				if resp.Err != "" {
 					s.stats.errorReplies.Add(1)
 				}
-				respCh <- resp
+				reply(&resp, 1)
+				inFlight.Add(-1)
 			}
 		}()
 	}
@@ -323,19 +308,19 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			s.stats.malformed.Add(1)
-			respCh <- response{Err: "malformed request: " + err.Error(), Code: CodeBadRequest}
+			reply(&response{Err: "malformed request: " + err.Error(), Code: CodeBadRequest}, 0)
 			continue
 		}
 		s.stats.requests.Add(1)
 		if s.shed != nil {
 			if retryAfter, shed := s.shed(req.Component, req.Method); shed {
 				s.stats.sheds.Add(1)
-				respCh <- response{
+				reply(&response{
 					ID:           req.ID,
 					Err:          "overloaded: admission pressure",
 					Code:         CodeOverloaded,
 					RetryAfterMS: retryAfter,
-				}
+				}, 0)
 				continue
 			}
 		}
@@ -343,6 +328,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Approximate: the request is about to wait behind others.
 			s.stats.queued.Add(1)
 		}
+		inFlight.Add(1)
 		select {
 		case workCh <- req:
 			if spawned == 0 || (spawned < s.maxConcurrent && len(workCh) > 0) {
@@ -352,29 +338,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			// Cap workers in flight + cap requests queued: the pipe is as
 			// full as this connection is allowed to make it.
+			inFlight.Add(-1)
 			s.stats.rejected.Add(1)
-			respCh <- response{
+			reply(&response{
 				ID:   req.ID,
 				Err:  "overloaded: connection work queue full",
 				Code: CodeOverloaded,
-			}
+			}, 0)
 		}
 	}
 
-	// Reader done: release any parked invocation, let the workers drain
-	// what was already queued, then retire the writer.
+	// Reader done: release any parked invocation and let the workers drain
+	// what was already queued; the last of them to send flushes the rest.
 	cancel()
 	close(workCh)
 	workers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
 // handle executes one request against the named component's proxy.
 func (s *Server) handle(ctx context.Context, req *request) response {
-	s.mu.Lock()
-	p, ok := s.components[req.Component]
-	s.mu.Unlock()
+	p, ok := (*s.components.Load())[req.Component]
 	if !ok {
 		return response{
 			ID:   req.ID,

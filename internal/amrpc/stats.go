@@ -87,9 +87,9 @@ type ServerStats struct {
 	// Sheds counts requests refused with CodeOverloaded by the
 	// admission-aware shed policy before reaching the moderator.
 	Sheds uint64 `json:"sheds"`
-	// Flushes counts coalesced response writes; FlushFrames counts the
-	// response frames they carried. FlushFrames/Flushes is the mean write
-	// batch — above 1 means the writer is saving syscalls.
+	// Flushes counts conn.Write calls carrying responses; FlushFrames
+	// counts the response frames they carried. FlushFrames/Flushes is the
+	// mean write batch — above 1 means responses are sharing syscalls.
 	Flushes     uint64 `json:"flushes"`
 	FlushFrames uint64 `json:"flush_frames"`
 }

@@ -69,12 +69,19 @@ type Stats struct {
 	Cancels    uint64 // waits abandoned due to context cancellation
 }
 
+// waiter is one parked caller. Waiters are recycled through a pool, so
+// parking allocates nothing in steady state: the channel holds at most the
+// one wake token of the current park, sent under the queue's mutex when the
+// waiter is taken off the queue, and a waiter returns to the pool only once
+// that token has been received.
 type waiter struct {
-	ch       chan struct{}
+	ch       chan struct{} // capacity 1
 	priority int
 	ticket   uint64
 	signaled bool
 }
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 // Queue is a named wait queue with a wake policy. The zero value is not
 // usable; construct with New.
@@ -136,11 +143,8 @@ func (q *Queue) Wait(ctx context.Context, priority int, ticket uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := &waiter{
-		ch:       make(chan struct{}),
-		priority: priority,
-		ticket:   ticket,
-	}
+	w := waiterPool.Get().(*waiter)
+	w.priority, w.ticket, w.signaled = priority, ticket, false
 	q.waiters = append(q.waiters, w)
 	q.waits.Add(1)
 
@@ -148,17 +152,22 @@ func (q *Queue) Wait(ctx context.Context, priority int, ticket uint64) error {
 	select {
 	case <-w.ch:
 		q.mu.Lock()
+		waiterPool.Put(w)
 		return nil
 	case <-ctx.Done():
 		q.mu.Lock()
 		if w.signaled {
 			// A notification raced with our cancellation: the wake-up
-			// was consumed by us but we are abandoning, so pass it on
-			// to another waiter rather than losing it.
+			// was consumed by us but we are abandoning, so take its token
+			// (a recycled waiter must not carry one into its next park)
+			// and pass the wake-up on to another waiter rather than
+			// losing it.
+			<-w.ch
 			q.notifyLocked()
 		} else {
 			q.removeLocked(w)
 		}
+		waiterPool.Put(w)
 		q.cancels.Add(1)
 		return ctx.Err()
 	}
@@ -179,7 +188,7 @@ func (q *Queue) Broadcast() {
 	}
 	for _, w := range q.waiters {
 		w.signaled = true
-		close(w.ch)
+		w.ch <- struct{}{}
 	}
 	q.waiters = q.waiters[:0]
 	q.broadcasts.Add(1)
@@ -195,7 +204,7 @@ func (q *Queue) notifyLocked() bool {
 	w := q.waiters[idx]
 	q.waiters = append(q.waiters[:idx], q.waiters[idx+1:]...)
 	w.signaled = true
-	close(w.ch)
+	w.ch <- struct{}{}
 	return true
 }
 
