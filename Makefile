@@ -14,12 +14,13 @@
 #                      route-equivalence tests and the waitq recycled-
 #                      waiter race, the obs event ring/histogram/churn
 #                      concurrency tests, and ten rounds of the amrpc
-#                      line-buffer aliasing, frame-writer and flush-ledger
-#                      tests
+#                      line-buffer aliasing, late-reply, frame-writer and
+#                      flush-ledger tests
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
-#                      wire encoders and decoders (each differential
-#                      against encoding/json), the interference checker,
-#                      and the seqlock guard-eval differential target
+#                      wire encoders and decoders and the value decoder
+#                      (each differential against encoding/json), the
+#                      interference checker, and the seqlock guard-eval
+#                      differential target
 #   make bench       — the one benchmark harness: `bash benchmark/run.sh`,
 #                      all five workloads into benchmark/out/ (see
 #                      benchmark/README.md). ARGS is passed through:
@@ -72,7 +73,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
-	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
+	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -82,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzSealResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzSeqlockGuardEval$$' -fuzztime $(FUZZTIME)
 

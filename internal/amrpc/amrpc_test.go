@@ -234,6 +234,82 @@ func TestBlockedRemoteCallRespectsClientContext(t *testing.T) {
 	}
 }
 
+// writeHookConn runs hook, once, in place of the next Write.
+type writeHookConn struct {
+	net.Conn
+	mu   sync.Mutex
+	hook func(p []byte) (int, error)
+}
+
+func (c *writeHookConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	hook := c.hook
+	c.hook = nil
+	c.mu.Unlock()
+	if hook == nil {
+		return c.Conn.Write(p)
+	}
+	return hook(p)
+}
+
+func (c *writeHookConn) setHook(hook func(p []byte) (int, error)) {
+	c.mu.Lock()
+	c.hook = hook
+	c.mu.Unlock()
+}
+
+// TestLateReplyToAbandonedCall: a call that gives up on its context while
+// its reply is already being delivered must leave that reply behind — it
+// may never reach a later call on the same client. Each round writes a
+// call's request, waits until the reader has delivered the reply into the
+// call's slot, and only then cancels, so the caller finds both the reply
+// and its done context ready and abandons the call about half the time.
+// Recycling the reply slot of an abandoned call hands the next call a
+// stale reply, which this test reports as a wrong echo.
+func TestLateReplyToAbandonedCall(t *testing.T) {
+	raw, err := net.Dial("tcp", startServer(t, newEchoProxy(t, "svc")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &writeHookConn{Conn: raw}
+	c := NewClient(conn)
+	t.Cleanup(func() { _ = c.Close() })
+	stub := c.Component("svc")
+	abandoned := 0
+	for round := 0; round < 400 && abandoned < 25; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		conn.setHook(func(p []byte) (int, error) {
+			c.mu.Lock()
+			var slot *replySlot
+			for _, pc := range c.pending {
+				slot = pc.slot
+			}
+			c.mu.Unlock()
+			n, err := raw.Write(p)
+			for deadline := time.Now().Add(5 * time.Second); len(slot.ch) == 0 && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+			cancel()
+			return n, err
+		})
+		late := fmt.Sprintf("late-%d", round)
+		got, err := stub.Invoke(ctx, "echo", late)
+		switch {
+		case errors.Is(err, context.Canceled):
+			abandoned++
+		case err != nil || got != late:
+			t.Fatalf("round %d: call = %v, %v", round, got, err)
+		}
+		next := fmt.Sprintf("next-%d", round)
+		if got, err := stub.Invoke(context.Background(), "echo", next); err != nil || got != next {
+			t.Fatalf("round %d: the call after an abandoned one got %v, %v; want %q", round, got, err, next)
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("no call was abandoned with its reply delivered: the test exercised nothing")
+	}
+}
+
 func TestRemoteGuardedTicketFlow(t *testing.T) {
 	// The paper's full distributed scenario: a guarded ticket server hosted
 	// remotely, concurrent remote producers and consumers, nothing lost.

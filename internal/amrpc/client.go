@@ -121,11 +121,47 @@ func WithReconnectBackoff(base, max time.Duration) ClientOption {
 	}
 }
 
-// encodeBuf is the scratch space of one call: its encoded arguments. Each
-// attempt's frame is encoded straight into its connection's frameWriter.
-type encodeBuf struct{ args []byte }
+// encodeBuf is the scratch space of one call: its encoded arguments and the
+// raw value of each, slices of the same buffer. Each attempt's frame is
+// encoded straight into its connection's frameWriter.
+type encodeBuf struct {
+	args valueEncoder
+	raws []json.RawMessage
+}
 
 var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
+func (eb *encodeBuf) recycle() {
+	if cap(eb.args.buf) > maxRecycled {
+		eb.args.buf = nil
+	}
+	clear(eb.raws)
+	encodeBufs.Put(eb)
+}
+
+// replySlot is where one attempt's response arrives: a one-buffered channel
+// and the buffer the reader copies the result into, since the line it was
+// read from is overwritten by the next. Exactly one response is sent per
+// pending entry, by whoever removes the entry from Client.pending (the
+// reader, a teardown, Close). So a caller that has received from the
+// channel holds the slot alone and may recycle it; a caller that stops
+// waiting — its context done, its send failed — never does: whoever took
+// its entry may still be about to deliver into the slot, and the response
+// must not reach a later call.
+type replySlot struct {
+	ch     chan response
+	result []byte
+}
+
+var replySlots = sync.Pool{New: func() any { return &replySlot{ch: make(chan response, 1)} }}
+
+// recycle returns a slot whose response its caller has received.
+func (s *replySlot) recycle() {
+	if cap(s.result) > maxRecycled {
+		s.result = nil
+	}
+	replySlots.Put(s)
+}
 
 // liveConn is one established connection generation. The write side is
 // its frameWriter, shared by every caller; the read side is owned by
@@ -136,12 +172,12 @@ type liveConn struct {
 	out  *frameWriter
 }
 
-// pendingCall tracks one in-flight request: the response channel and the
-// connection generation that carries it, so tearing down one connection
-// fails exactly the calls it was carrying.
+// pendingCall tracks one in-flight request: the slot its response goes to
+// and the connection generation that carries it, so tearing down one
+// connection fails exactly the calls it was carrying.
 type pendingCall struct {
-	ch  chan response
-	gen uint64
+	slot *replySlot
+	gen  uint64
 }
 
 // Client is a connection to an amrpc server. Requests are pipelined: many
@@ -363,8 +399,9 @@ func (c *Client) readLoop(lc *liveConn) {
 		if ok {
 			// Result aliases the scanner's buffer, which the next Scan
 			// overwrites while the caller is still decoding.
-			resp.Result = append(json.RawMessage(nil), resp.Result...)
-			pc.ch <- resp
+			pc.slot.result = append(pc.slot.result[:0], resp.Result...)
+			resp.Result = pc.slot.result
+			pc.slot.ch <- resp
 		}
 	}
 	err := scanner.Err()
@@ -389,7 +426,7 @@ func (c *Client) teardown(lc *liveConn, err error) {
 			continue
 		}
 		delete(c.pending, id)
-		pc.ch <- response{Err: err.Error(), Code: codeTransportLocal}
+		pc.slot.ch <- response{Err: err.Error(), Code: codeTransportLocal}
 	}
 }
 
@@ -410,7 +447,7 @@ func (c *Client) Close() error {
 	// a reader that lost the race finds the map already drained.
 	for id, pc := range c.pending {
 		delete(c.pending, id)
-		pc.ch <- response{Err: ErrClientClosed.Error(), Code: codeTransportLocal}
+		pc.slot.ch <- response{Err: ErrClientClosed.Error(), Code: codeTransportLocal}
 	}
 	c.mu.Unlock()
 	var err error
@@ -427,10 +464,10 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 	// One buffer serves the whole call: the arguments are encoded once and
 	// every attempt's frame references them.
 	eb := encodeBufs.Get().(*encodeBuf)
-	defer encodeBufs.Put(eb)
-	var rawArgs []json.RawMessage
+	defer eb.recycle()
+	eb.args.buf = eb.args.buf[:0]
 	var err error
-	if eb.args, rawArgs, err = encodeArgs(eb.args[:0], args); err != nil {
+	if eb.raws, err = eb.args.addArgs(eb.raws[:0], args); err != nil {
 		return nil, err
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.opts.callTimeout > 0 {
@@ -446,7 +483,7 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 	var lastErr error
 	for a := 1; ; a++ {
 		c.stats.attempts.Add(1)
-		result, err := c.callOnce(ctx, component, method, token, priority, fence, rawArgs)
+		result, err := c.callOnce(ctx, component, method, token, priority, fence, eb.raws)
 		if err == nil {
 			return result, nil
 		}
@@ -506,18 +543,16 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		}
 	}
 
-	// A fresh channel per attempt, never a recycled one: a reader that has
-	// already taken this attempt's pending entry may deliver after the
-	// attempt gave up.
-	ch := make(chan response, 1)
+	slot := replySlots.Get().(*replySlot)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		slot.recycle()
 		return nil, ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = pendingCall{ch: ch, gen: lc.gen}
+	c.pending[id] = pendingCall{slot: slot, gen: lc.gen}
 	// Another call awaiting its response on this client: the writer may
 	// yield once so that this frame shares its write with theirs.
 	shared := len(c.pending) > 1
@@ -543,22 +578,15 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 	}
 
 	select {
-	case resp := <-ch:
-		if resp.Code == codeTransportLocal {
-			return nil, fmt.Errorf("amrpc: %s.%s: %s: %w", component, method, resp.Err, ErrTransport)
-		}
-		if resp.Err != "" {
-			return nil, &RemoteError{Code: resp.Code, Msg: resp.Err, RetryAfterMS: resp.RetryAfterMS}
-		}
-		if len(resp.Result) == 0 {
-			return nil, nil
-		}
-		v, err := decodeValue(resp.Result)
-		if err != nil {
-			return nil, fmt.Errorf("amrpc: decode result of %s.%s: %w", component, method, err)
-		}
-		return v, nil
+	case resp := <-slot.ch:
+		// Decoded before the slot is recycled: nothing decoded aliases the
+		// result buffer.
+		v, err := resultOf(&resp, component, method)
+		slot.recycle()
+		return v, err
 	case <-ctx.Done():
+		// The slot stays out of the pool: a sender that took the pending
+		// entry first may still deliver into it.
 		c.unregister(id)
 		if parent.Err() != nil {
 			// The caller's own deadline/cancellation: never retried.
@@ -569,6 +597,24 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		// calls retry.
 		return nil, fmt.Errorf("amrpc: %s.%s: attempt timed out: %w", component, method, ErrTransport)
 	}
+}
+
+// resultOf turns one attempt's response into the call's result.
+func resultOf(resp *response, component, method string) (any, error) {
+	if resp.Code == codeTransportLocal {
+		return nil, fmt.Errorf("amrpc: %s.%s: %s: %w", component, method, resp.Err, ErrTransport)
+	}
+	if resp.Err != "" {
+		return nil, &RemoteError{Code: resp.Code, Msg: resp.Err, RetryAfterMS: resp.RetryAfterMS}
+	}
+	if len(resp.Result) == 0 {
+		return nil, nil
+	}
+	v, err := decodeValue(resp.Result)
+	if err != nil {
+		return nil, fmt.Errorf("amrpc: decode result of %s.%s: %w", component, method, err)
+	}
+	return v, nil
 }
 
 // unregister drops a pending call registration if still present.

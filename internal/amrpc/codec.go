@@ -10,9 +10,13 @@ package amrpc
 // once, over the bytes just written. Decoding validates the whole line as
 // JSON, fills the struct directly, slices args and result out of the line
 // as raw values, and verifies the checksum over the bytes received.
-// Scalars are coded inline; anything else (objects, arrays, floats, strings
-// with escapes or non-ASCII bytes) hands that one token to encoding/json,
-// so generic decoding semantics are those of encoding/json.
+//
+// Argument and result values are encoded by a valueEncoder: scalars inline,
+// anything else through a json.Encoder writing into the same buffer. They
+// are decoded without encoding/json: decodeValue builds the generic values
+// json.Unmarshal into an any would (float64, string, bool, nil, []any,
+// map[string]any) in one pass, and the frame parser unquotes escaped
+// strings itself.
 
 import (
 	"bytes"
@@ -20,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strconv"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -100,71 +106,92 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendValue appends the JSON encoding of one argument or result. Strings,
-// booleans, nil and the integer types are written inline; every other type
-// is json.Marshal's to encode, and to refuse.
-func appendValue(dst []byte, v any) ([]byte, error) {
+// appendScalar appends the JSON encoding of v if it is a string, a boolean,
+// nil or an integer, and reports whether it was one of those.
+func appendScalar(dst []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case nil:
-		return append(dst, "null"...), nil
+		return append(dst, "null"...), true
 	case string:
-		return appendString(dst, x), nil
+		return appendString(dst, x), true
 	case bool:
-		return strconv.AppendBool(dst, x), nil
+		return strconv.AppendBool(dst, x), true
 	case int:
-		return strconv.AppendInt(dst, int64(x), 10), nil
+		return strconv.AppendInt(dst, int64(x), 10), true
 	case int8:
-		return strconv.AppendInt(dst, int64(x), 10), nil
+		return strconv.AppendInt(dst, int64(x), 10), true
 	case int16:
-		return strconv.AppendInt(dst, int64(x), 10), nil
+		return strconv.AppendInt(dst, int64(x), 10), true
 	case int32:
-		return strconv.AppendInt(dst, int64(x), 10), nil
+		return strconv.AppendInt(dst, int64(x), 10), true
 	case int64:
-		return strconv.AppendInt(dst, x, 10), nil
+		return strconv.AppendInt(dst, x, 10), true
 	case uint:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
+		return strconv.AppendUint(dst, uint64(x), 10), true
 	case uint8:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
+		return strconv.AppendUint(dst, uint64(x), 10), true
 	case uint16:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
+		return strconv.AppendUint(dst, uint64(x), 10), true
 	case uint32:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
+		return strconv.AppendUint(dst, uint64(x), 10), true
 	case uint64:
-		return strconv.AppendUint(dst, x, 10), nil
+		return strconv.AppendUint(dst, x, 10), true
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
+	return dst, false
 }
 
-// encodeArgs appends the wire form of each positional argument to buf and
-// returns the grown buffer with one raw value per argument, each a slice
-// of it.
-func encodeArgs(buf []byte, args []any) ([]byte, []json.RawMessage, error) {
-	if len(args) == 0 {
-		return buf, nil, nil
+// valueEncoder appends the JSON encoding of arguments and results to buf,
+// which its owner reuses from one frame to the next. Scalars are written
+// inline; every other type goes through one json.Encoder bound to buf,
+// which encodes or refuses it exactly as json.Marshal would and then
+// writes a newline, dropped here.
+type valueEncoder struct {
+	buf  []byte
+	json *json.Encoder // made at the first value that needs it
+}
+
+// Write appends p to buf: the json.Encoder's destination.
+func (e *valueEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+// add appends the encoding of v to buf.
+func (e *valueEncoder) add(v any) error {
+	if b, ok := appendScalar(e.buf, v); ok {
+		e.buf = b
+		return nil
 	}
-	raws := make([]json.RawMessage, len(args))
-	base := len(buf)
+	if e.json == nil {
+		e.json = json.NewEncoder(e)
+	}
+	if err := e.json.Encode(v); err != nil {
+		return err
+	}
+	e.buf = e.buf[:len(e.buf)-1]
+	return nil
+}
+
+// addArgs appends the wire form of each positional argument to buf and one
+// raw value per argument, each a slice of buf, to raws.
+func (e *valueEncoder) addArgs(raws []json.RawMessage, args []any) ([]json.RawMessage, error) {
+	base, first := len(e.buf), len(raws)
 	for i, a := range args {
-		start := len(buf)
-		var err error
-		if buf, err = appendValue(buf, a); err != nil {
-			return buf, nil, fmt.Errorf("amrpc: encode arg %d: %w", i, err)
+		start := len(e.buf)
+		if err := e.add(a); err != nil {
+			return raws, fmt.Errorf("amrpc: encode arg %d: %w", i, err)
 		}
-		raws[i] = buf[start:]
+		raws = append(raws, e.buf[start:])
 	}
 	// Re-slice against the final buffer: an append may have moved it.
-	for i, r := range raws {
-		raws[i] = buf[base : base+len(r) : base+len(r)]
+	for i, r := range raws[first:] {
+		raws[first+i] = e.buf[base : base+len(r) : base+len(r)]
 		base += len(r)
 	}
-	return buf, raws, nil
+	return raws, nil
 }
 
-// decodeArgs unmarshals wire arguments into generic values (numbers become
+// decodeArgs decodes wire arguments into generic values (numbers become
 // float64, objects become map[string]any — the invocation's coercion
 // helpers absorb this).
 func decodeArgs(raw []json.RawMessage) ([]any, error) {
@@ -179,41 +206,255 @@ func decodeArgs(raw []json.RawMessage) ([]any, error) {
 	return out, nil
 }
 
-// decodeValue decodes one raw value the frame decoder sliced out of a line
-// (so: valid JSON, no surrounding whitespace) into its generic form.
+// decodeValue decodes one JSON value into the generic form json.Unmarshal
+// into an any produces, and refuses what it refuses, except that arrays and
+// objects may not nest more than maxNesting deep. Nothing in the result
+// aliases raw. The strings of one value share one copy of its bytes (see
+// valueDecoder.str), so one retained string keeps the whole value's bytes
+// alive.
 func decodeValue(raw []byte) (any, error) {
-	switch string(raw) {
-	case "null":
-		return nil, nil
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	if n := len(raw); n >= 2 && raw[0] == '"' && raw[n-1] == '"' && isPlain(raw[1:n-1]) {
-		return string(raw[1 : n-1]), nil
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
+	d := valueDecoder{frameParser: frameParser{b: raw}}
+	d.space()
+	v := d.value(0)
+	d.space()
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case d.bad || d.i != len(raw):
+		return nil, errMalformed
 	}
 	return v, nil
 }
 
-// isPlain reports whether the body of a string literal is its own decoded
-// value: printable ASCII with no escape.
-func isPlain(body []byte) bool {
-	for _, b := range body {
-		if b < 0x20 || b >= utf8.RuneSelf || b == '\\' || b == '"' {
-			return false
+// valueDecoder is decodeValue's single pass: the frame parser's validation,
+// building each value as it is validated.
+type valueDecoder struct {
+	frameParser
+	src   string // the value's bytes, copied at the first string that can share them
+	items []any  // elements of the arrays still open, innermost last
+	err   error  // why a well-formed value was refused
+}
+
+func (d *valueDecoder) value(depth int) any {
+	switch c := d.peek(); {
+	case c == '"':
+		return d.str()
+	case c == '{':
+		return d.object(depth)
+	case c == '[':
+		return d.array(depth)
+	case c == 't':
+		d.skipLiteral("true")
+		return true
+	case c == 'f':
+		d.skipLiteral("false")
+		return false
+	case c == 'n':
+		d.skipLiteral("null")
+		return nil
+	case c == '-' || ('0' <= c && c <= '9'):
+		return d.number()
+	}
+	d.fail()
+	return nil
+}
+
+// str decodes a string literal. A literal whose body is its own value — no
+// escape, valid UTF-8 — is a substring of src, so every such string of the
+// value shares the one copy made for the first.
+func (d *valueDecoder) str() string {
+	start := d.i
+	if !d.skipString() || d.i-start == 2 {
+		return ""
+	}
+	if !d.plain {
+		if v, changed := unquote(d.b[start+1 : d.i-1]); changed {
+			return string(v)
 		}
 	}
-	return true
+	if d.src == "" {
+		d.src = string(d.b)
+	}
+	return d.src[start+1 : d.i-1]
+}
+
+func (d *valueDecoder) number() any {
+	start := d.i
+	if !d.skipNumber() {
+		return nil
+	}
+	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
+	if err != nil {
+		// The syntax is JSON's, so only the magnitude can be wrong;
+		// encoding/json refuses it too.
+		d.err = fmt.Errorf("amrpc: number %s overflows float64", d.b[start:d.i])
+		d.fail()
+		return nil
+	}
+	return f
+}
+
+func (d *valueDecoder) object(depth int) any {
+	if depth >= maxNesting {
+		d.fail()
+		return nil
+	}
+	d.i++
+	m := make(map[string]any)
+	d.space()
+	if d.peek() == '}' {
+		d.i++
+		return m
+	}
+	for {
+		k := d.str()
+		d.space()
+		if d.bad || !d.eat(':') {
+			return nil
+		}
+		d.space()
+		v := d.value(depth + 1)
+		if d.bad {
+			return nil
+		}
+		m[k] = v // a duplicate name: the last one wins, as in encoding/json
+		d.space()
+		if d.peek() == '}' {
+			d.i++
+			return m
+		}
+		if !d.eat(',') {
+			return nil
+		}
+		d.space()
+	}
+}
+
+func (d *valueDecoder) array(depth int) any {
+	if depth >= maxNesting {
+		d.fail()
+		return nil
+	}
+	d.i++
+	d.space()
+	if d.peek() == ']' {
+		d.i++
+		return []any{}
+	}
+	base := len(d.items)
+	for {
+		v := d.value(depth + 1)
+		if d.bad {
+			return nil
+		}
+		d.items = append(d.items, v)
+		d.space()
+		if d.peek() == ']' {
+			d.i++
+			out := slices.Clone(d.items[base:])
+			clear(d.items[base:])
+			d.items = d.items[:base]
+			return out
+		}
+		if !d.eat(',') {
+			return nil
+		}
+		d.space()
+	}
+}
+
+// unquote returns the value of a string literal's body, as skipString
+// validated it, the way encoding/json decodes it: escapes resolved, a
+// surrogate pair joined into one rune, a lone surrogate and each byte of
+// invalid UTF-8 replaced by U+FFFD. When that changes nothing it returns
+// body itself and false; otherwise a new slice and true.
+func unquote(body []byte) ([]byte, bool) {
+	r := 0
+	for r < len(body) {
+		c := body[r]
+		if c == '\\' {
+			break
+		}
+		if c < utf8.RuneSelf {
+			r++
+			continue
+		}
+		rr, size := utf8.DecodeRune(body[r:])
+		if rr == utf8.RuneError && size == 1 {
+			break
+		}
+		r += size
+	}
+	if r == len(body) {
+		return body, false
+	}
+	out := make([]byte, r, len(body)+utf8.UTFMax)
+	copy(out, body)
+	for r < len(body) {
+		c := body[r]
+		switch {
+		case c == '\\':
+			switch e := body[r+1]; e {
+			case 'b':
+				out = append(out, '\b')
+			case 'f':
+				out = append(out, '\f')
+			case 'n':
+				out = append(out, '\n')
+			case 'r':
+				out = append(out, '\r')
+			case 't':
+				out = append(out, '\t')
+			case 'u':
+				rr := hex4(body[r+2:])
+				r += 6
+				if utf16.IsSurrogate(rr) {
+					low := rune(-1)
+					if r+1 < len(body) && body[r] == '\\' && body[r+1] == 'u' {
+						low = hex4(body[r+2:])
+					}
+					if rr = utf16.DecodeRune(rr, low); rr != utf8.RuneError {
+						r += 6 // a pair: the low half is consumed too
+					}
+				}
+				out = utf8.AppendRune(out, rr)
+				continue
+			default: // '"', '\\', '/'
+				out = append(out, e)
+			}
+			r += 2
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			r++
+		default:
+			rr, size := utf8.DecodeRune(body[r:])
+			out = utf8.AppendRune(out, rr)
+			r += size
+		}
+	}
+	return out, true
+}
+
+// hex4 reads the four hex digits that begin b, as skipString validated them.
+func hex4(b []byte) rune {
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c >= 'a':
+			c -= 'a' - 10
+		default:
+			c -= 'A' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // appendRequest appends req as one sealed frame, without a line terminator.
 // req.Sum is ignored: the checksum is computed here. Args must hold
-// compact, valid JSON values, as encodeArgs produces.
+// compact, valid JSON values, as valueEncoder.addArgs produces.
 func appendRequest(dst []byte, req *request) []byte {
 	start := len(dst)
 	dst = append(dst, `{"id":`...)
@@ -252,7 +493,7 @@ func appendRequest(dst []byte, req *request) []byte {
 }
 
 // appendResponse is appendRequest for the return path. Result must hold one
-// compact, valid JSON value, as appendValue produces.
+// compact, valid JSON value, as valueEncoder.add produces.
 func appendResponse(dst []byte, resp *response) []byte {
 	start := len(dst)
 	dst = append(dst, `{"id":`...)
@@ -291,17 +532,23 @@ func appendSum(dst []byte, start int) []byte {
 	return append(dst, '}')
 }
 
-// decodeRequest parses one wire line into req, verifying the integrity
-// checksum when present. Unsigned frames (no sum, or sum 0) are accepted
-// for compatibility with hand-rolled peers: any member order, whitespace
-// between tokens, unknown members skipped. Args alias line.
+// decodeRequestInterned parses one wire line into req, verifying the
+// integrity checksum when present. Unsigned frames (no sum, or sum 0) are
+// accepted for compatibility with hand-rolled peers: any member order,
+// whitespace between tokens, unknown members skipped. Args alias line.
 //
 // Whatever it accepts is what json.Unmarshal would have decoded. It refuses
 // a few things json.Unmarshal tolerated: a member name that matches a known
 // one only case-insensitively, null for a scalar member, a line that is
 // just null, nesting deeper than maxNesting, and a signed frame whose sum
 // is not the last member (errChecksum).
-func decodeRequest(line []byte, req *request) error {
+//
+// The component and method names come from names where it holds them,
+// instead of being copied out of line. The raw args reuse the backing
+// array of req.Args, so a reader decoding frame after frame into one
+// request does not allocate it again.
+func decodeRequestInterned(line []byte, req *request, names *nameCache) error {
+	args := req.Args[:0]
 	*req = request{}
 	p := frameParser{b: line}
 	for p.next() {
@@ -309,11 +556,11 @@ func decodeRequest(line []byte, req *request) error {
 		case "id":
 			req.ID = p.uint(64)
 		case "component":
-			req.Component = p.str()
+			req.Component = p.name(names.component)
 		case "method":
-			req.Method = p.str()
+			req.Method = p.name(names.method)
 		case "args":
-			req.Args = p.rawArray()
+			req.Args = p.rawArray(args)
 		case "token":
 			req.Token = p.str()
 		case "priority":
@@ -331,7 +578,8 @@ func decodeRequest(line []byte, req *request) error {
 	return p.finish(req.Sum)
 }
 
-// decodeResponse is decodeRequest for the return path. Result aliases line.
+// decodeResponse is decodeRequestInterned for the return path. Result
+// aliases line.
 func decodeResponse(line []byte, resp *response) error {
 	*resp = response{}
 	p := frameParser{b: line}
@@ -375,7 +623,7 @@ type frameParser struct {
 	b     []byte
 	i     int
 	bad   bool
-	plain bool // the string skipString last scanned was plain (see isPlain)
+	plain bool // the string skipString last scanned is printable ASCII with no escape
 
 	started bool   // the opening brace has been consumed
 	key     []byte // the current member's name, unquoted
@@ -423,11 +671,7 @@ func (p *frameParser) next() bool {
 	}
 	p.key = p.b[start+1 : p.i-1]
 	if !p.plain {
-		var k string
-		if json.Unmarshal(p.b[start:p.i], &k) != nil {
-			return p.fail()
-		}
-		p.key = []byte(k)
+		p.key, _ = unquote(p.key)
 	}
 	p.space()
 	if !p.eat(':') {
@@ -562,14 +806,32 @@ func (p *frameParser) str() string {
 	if !p.skipString() {
 		return ""
 	}
+	return p.text(start)
+}
+
+// name parses a string member that names something: when the literal is
+// plain and intern holds its one copy of that name, the result is that copy.
+func (p *frameParser) name(intern func([]byte) (string, bool)) string {
+	start := p.i
+	if !p.skipString() {
+		return ""
+	}
 	if p.plain {
-		return string(p.b[start+1 : p.i-1])
+		if s, ok := intern(p.b[start+1 : p.i-1]); ok {
+			return s
+		}
 	}
-	var s string
-	if json.Unmarshal(p.b[start:p.i], &s) != nil {
-		p.fail()
+	return p.text(start)
+}
+
+// text returns a copy of the value of the string literal skipString just
+// scanned from start.
+func (p *frameParser) text(start int) string {
+	body := p.b[start+1 : p.i-1]
+	if !p.plain {
+		body, _ = unquote(body)
 	}
-	return s
+	return string(body)
 }
 
 // raw validates one value of any type and returns its bytes.
@@ -581,9 +843,9 @@ func (p *frameParser) raw() json.RawMessage {
 	return p.b[start:p.i:p.i]
 }
 
-// rawArray parses an array member into its raw elements; null decodes to
-// nil, as it does for any slice.
-func (p *frameParser) rawArray() []json.RawMessage {
+// rawArray parses an array member into its raw elements, appended to
+// out[:0]; null decodes to nil, as it does for any slice.
+func (p *frameParser) rawArray(out []json.RawMessage) []json.RawMessage {
 	if p.peek() == 'n' {
 		p.skipLiteral("null")
 		return nil
@@ -592,11 +854,17 @@ func (p *frameParser) rawArray() []json.RawMessage {
 		return nil
 	}
 	p.space()
+	out = out[:0]
 	if p.peek() == ']' {
 		p.i++
-		return []json.RawMessage{}
+		if out == nil {
+			return []json.RawMessage{} // empty, not null
+		}
+		return out
 	}
-	out := make([]json.RawMessage, 0, 4)
+	if out == nil {
+		out = make([]json.RawMessage, 0, 4)
+	}
 	for {
 		start := p.i
 		if !p.skipValue(1) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,6 +41,32 @@ func refSealResponse(resp *response) ([]byte, error) {
 	}
 	resp.Sum = crc32.ChecksumIEEE(base)
 	return json.Marshal(resp)
+}
+
+// decodeRequest decodes a line as a new connection's reader does: no
+// component registered, no method name seen yet.
+func decodeRequest(line []byte, req *request) error {
+	var none atomic.Pointer[map[string]hosted]
+	none.Store(&map[string]hosted{})
+	return decodeRequestInterned(line, req, &nameCache{table: &none, methods: make(map[string]string)})
+}
+
+// appendValue and encodeArgs are valueEncoder as a caller with no buffer to
+// reuse would use it, the form the seal targets below hold to the
+// reference.
+func appendValue(dst []byte, v any) ([]byte, error) {
+	e := valueEncoder{buf: dst}
+	err := e.add(v)
+	return e.buf, err
+}
+
+func encodeArgs(buf []byte, args []any) ([]byte, []json.RawMessage, error) {
+	if len(args) == 0 {
+		return buf, nil, nil
+	}
+	e := valueEncoder{buf: buf}
+	raws, err := e.addArgs(make([]json.RawMessage, 0, len(args)), args)
+	return e.buf, raws, err
 }
 
 // awkward strings every seal fuzz target starts from: each escape class of
@@ -255,26 +282,31 @@ func tolerated(line []byte, known [][]byte, scalars string) bool {
 		if exact && string(value) == "null" && strings.Contains(scalars, " "+name+" ") {
 			return true
 		}
-		depth, deepest, inString := 0, 0, false
-		for i := 0; i < len(value); i++ {
-			switch c := value[i]; {
-			case inString && c == '\\':
-				i++
-			case c == '"':
-				inString = !inString
-			case !inString && (c == '[' || c == '{'):
-				if depth++; depth > deepest {
-					deepest = depth
-				}
-			case !inString && (c == ']' || c == '}'):
-				depth--
-			}
-		}
-		if deepest > maxNesting {
+		if nesting(value) > maxNesting {
 			return true
 		}
 	}
 	return false
+}
+
+// nesting returns how deep arrays and objects nest in the JSON text b.
+func nesting(b []byte) int {
+	depth, deepest, inString := 0, 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && (c == '[' || c == '{'):
+			if depth++; depth > deepest {
+				deepest = depth
+			}
+		case !inString && (c == ']' || c == '}'):
+			depth--
+		}
+	}
+	return deepest
 }
 
 // FuzzDecodeRequest holds the request decoder to encoding/json on arbitrary
@@ -393,6 +425,50 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
+// FuzzDecodeValue holds the native value decoder to json.Unmarshal into an
+// any on arbitrary bytes: it must never panic, it accepts exactly what
+// json.Unmarshal accepts — except values nesting deeper than maxNesting,
+// which it refuses — and what it accepts decodes to a deeply equal value.
+func FuzzDecodeValue(f *testing.F) {
+	for _, s := range awkward {
+		quoted, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(quoted)
+		f.Add([]byte(`{` + string(quoted) + `:[` + string(quoted) + `,"tail"]}`))
+		f.Add([]byte(`"` + s + `"`)) // raw: control bytes and invalid UTF-8 as they are
+	}
+	for _, s := range []string{
+		`"\ud83d\ude00"`, `"\ud83d"`, `"\ude00"`, `"\ud83d x"`, `"\ud83d\u0041"`,
+		`"\ud83d\ud83d\ude00"`, `"\ude00\ud83d"`, `"\uD83D\uDE00"`, `"x\ud800"`,
+		"\"\xff\xfe\xc3\"", "\"\xed\xa0\x80\"", "{\"\xff\":\"\xf0\x9f\"}", `{"\u00e9":"\u00e9"}`,
+		`1e999`, `-1e999`, `1e-999`, `-0`, `-0.0`, `0.1e+2`, `-12345678901234567890.5E-3`,
+		`01`, `1.`, `.5`, `+1`, `1e`, `--1`, `0x10`, `Infinity`, `NaN`,
+		`{"a":1,"a":2}`, `{"a":{"b":1},"a":[true]}`, `{}`, `[]`, `[[],{}]`, `""`, `null`, ` true `, `false`,
+		`[1,2,3,4,5,6,7,8,9,10]`, `{"a":[1,{"b":null}],"c":"d"}`,
+		strings.Repeat("[", maxNesting) + strings.Repeat("]", maxNesting),
+		strings.Repeat("[", maxNesting+1) + strings.Repeat("]", maxNesting+1),
+		strings.Repeat(`{"a":`, maxNesting) + `1` + strings.Repeat(`}`, maxNesting),
+		``, ` `, `[`, `]`, `{"a"}`, `{"a":}`, `[1,]`, `{"a":1,}`, `"\x"`, `"\u12g4"`, `"a` + "\x01" + `"`, `1 2`, `tru`, `nul`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeValue(data)
+		var want any
+		jsonErr := json.Unmarshal(data, &want)
+		switch {
+		case err == nil && jsonErr != nil:
+			t.Fatalf("accepted what json.Unmarshal refuses (%v): %q", jsonErr, data)
+		case err != nil && jsonErr == nil && nesting(data) <= maxNesting:
+			t.Fatalf("refused (%v) what json.Unmarshal accepts: %q", err, data)
+		case err == nil && !reflect.DeepEqual(got, want):
+			t.Fatalf("decoded %#v, json.Unmarshal %#v, input %q", got, want, data)
+		}
+	})
+}
+
 // TestSealedFramesRoundTrip pins the integrity format itself, in both
 // directions: a sealed frame decodes cleanly, and any single-bit flip
 // anywhere in it is either a parse failure or a checksum rejection — never
@@ -451,16 +527,35 @@ func TestSealedFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecAllocations pins what the codec costs the heap: encoding into a
-// warm buffer nothing, decoding a request only what outlives the line — the
-// component and method strings and the slice of raw args.
+// TestCodecAllocations pins what the codec costs the heap: encoding into
+// warm buffers nothing; decoding a request as a server connection's reader
+// does — names interned, args array reused — nothing; decoding a response
+// nothing; and decoding a result into a map only what outlives it.
 func TestCodecAllocations(t *testing.T) {
-	_, raws, err := encodeArgs(nil, []any{"TT-1042", "printer on fire"})
-	if err != nil {
-		t.Fatal(err)
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	req := &request{ID: 981, Component: "ticket", Method: "open", Args: raws, TimeoutMS: 1500}
-	resp := &response{ID: 981, Result: raws[0]}
+	args := []any{"TT-1042", "printer on fire"}
+	var eb encodeBuf
+	if n := testing.AllocsPerRun(200, func() {
+		eb.args.buf = eb.args.buf[:0]
+		eb.raws, _ = eb.args.addArgs(eb.raws[:0], args)
+	}); n != 0 {
+		t.Errorf("encoding two arguments into a warm encodeBuf: %.0f allocs/op, want 0", n)
+	}
+	var results valueEncoder
+	var ticket any = struct { // boxed once, as a component body returns it
+		ID      string `json:"id"`
+		Summary string `json:"summary"`
+	}{"TT-1042", "printer on fire"}
+	if n := testing.AllocsPerRun(200, func() {
+		results.buf = results.buf[:0]
+		_ = results.add(ticket)
+	}); n != 0 {
+		t.Errorf("encoding a struct result into a warm buffer: %.0f allocs/op, want 0", n)
+	}
+	req := &request{ID: 981, Component: "ticket", Method: "open", Args: eb.raws, TimeoutMS: 1500}
+	resp := &response{ID: 981, Result: results.buf}
 	frame := make([]byte, 0, 512)
 	if n := testing.AllocsPerRun(200, func() {
 		frame = appendRequest(frame[:0], req)
@@ -468,21 +563,23 @@ func TestCodecAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("encoding into a warm buffer: %.0f allocs/op, want 0", n)
 	}
-	scalars, scratch := []any{nil, true, 7}, make([]byte, 0, 64)
-	if n := testing.AllocsPerRun(200, func() {
-		scratch, _, _ = encodeArgs(scratch[:0], scalars)
-	}); n > 1 {
-		t.Errorf("encodeArgs: %.0f allocs/op, want at most the raw slice", n)
-	}
 
+	srv := NewServer()
+	if err := srv.Register(newEchoProxy(t, "ticket")); err != nil {
+		t.Fatal(err)
+	}
+	names := nameCache{table: &srv.components, methods: make(map[string]string)}
 	line := appendRequest(nil, req)
 	var dec request
 	if n := testing.AllocsPerRun(200, func() {
-		if err := decodeRequest(line, &dec); err != nil {
+		if err := decodeRequestInterned(line, &dec, &names); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("decoding a two-string-arg request: %.0f allocs/op, want <= 3", n)
+	}); n != 0 {
+		t.Errorf("decoding a request with interned names: %.0f allocs/op, want 0", n)
+	}
+	if dec.Component != "ticket" || dec.Method != "open" || len(dec.Args) != 2 {
+		t.Fatalf("decoded %+v", dec)
 	}
 	respLine := appendResponse(nil, resp)
 	var decResp response
@@ -492,5 +589,14 @@ func TestCodecAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("decoding a result response: %.0f allocs/op, want 0", n)
+	}
+	var v any
+	if n := testing.AllocsPerRun(200, func() {
+		v, _ = decodeValue(decResp.Result)
+	}); n > 5 {
+		t.Errorf("decoding a two-string object: %.0f allocs/op, want <= 5 (one copy of its bytes, the map and its group, two string headers)", n)
+	}
+	if want := map[string]any{"id": "TT-1042", "summary": "printer on fire"}; !reflect.DeepEqual(v, want) {
+		t.Fatalf("decoded %#v, want %#v", v, want)
 	}
 }

@@ -3,6 +3,7 @@ package amrpc
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -49,13 +50,20 @@ type Server struct {
 
 	// components is the registration table, published copy-on-write so
 	// that handle reads it without a lock; writers hold mu.
-	components atomic.Pointer[map[string]Component]
+	components atomic.Pointer[map[string]hosted]
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	closed    bool
 	wg        sync.WaitGroup
+}
+
+// hosted is one registered component under the name it was registered
+// by: the one copy of that name every request addressing it uses.
+type hosted struct {
+	name string
+	c    Component
 }
 
 // ServerOption configures NewServer.
@@ -109,7 +117,7 @@ func NewServer(opts ...ServerOption) *Server {
 		listeners:     make(map[net.Listener]struct{}, 1),
 		conns:         make(map[net.Conn]struct{}, 16),
 	}
-	s.components.Store(&map[string]Component{})
+	s.components.Store(&map[string]hosted{})
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -131,14 +139,75 @@ func (s *Server) RegisterComponent(c Component) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	name := c.Name()
 	old := *s.components.Load()
-	if _, dup := old[c.Name()]; dup {
-		return fmt.Errorf("amrpc: component %q already registered", c.Name())
+	if _, dup := old[name]; dup {
+		return fmt.Errorf("amrpc: component %q already registered", name)
 	}
 	table := maps.Clone(old)
-	table[c.Name()] = c
+	table[name] = hosted{name: name, c: c}
 	s.components.Store(&table)
 	return nil
+}
+
+// methodCacheSize bounds a connection's method-name cache: a peer sending
+// ever new names gets them copied per frame, never a growing map.
+const methodCacheSize = 64
+
+// nameCache interns the names the requests of one connection carry, so
+// decoding a request copies no name the server already holds: component
+// names from the component table, method names from a map of at most
+// methodCacheSize entries filled as they arrive. It belongs to the
+// connection's reader.
+type nameCache struct {
+	table   *atomic.Pointer[map[string]hosted]
+	methods map[string]string
+}
+
+func (c *nameCache) component(name []byte) (string, bool) {
+	h, ok := (*c.table.Load())[string(name)]
+	return h.name, ok
+}
+
+func (c *nameCache) method(name []byte) (string, bool) {
+	if s, ok := c.methods[string(name)]; ok {
+		return s, true
+	}
+	if len(c.methods) == methodCacheSize {
+		return "", false
+	}
+	s := string(name)
+	c.methods[s] = s
+	return s, true
+}
+
+// maxRecycled is the largest buffer a recycled request line, result buffer,
+// reply slot or encode buffer keeps: one huge frame is not held for the
+// life of the pool.
+const maxRecycled = 64 * 1024
+
+// inbound is one request line and the request decoded from it, whose raw
+// args alias the line. The reader fills one per frame and the worker that
+// handles it recycles it once the reply is sent: nothing decoded from the
+// args, nor the reply, refers to the line by then.
+type inbound struct {
+	line []byte
+	req  request
+	args []json.RawMessage // the backing array req.Args is decoded into
+}
+
+var inbounds = sync.Pool{New: func() any { return new(inbound) }}
+
+func (in *inbound) recycle() {
+	if cap(in.line) > maxRecycled {
+		in.line = nil
+	}
+	if cap(in.req.Args) > cap(in.args) {
+		in.args = in.req.Args // a longer list than any before grew a new array
+	}
+	clear(in.args[:cap(in.args)])
+	in.req = request{Args: in.args[:0]}
+	inbounds.Put(in)
 }
 
 // Serve accepts connections on ln until Close is called or the listener
@@ -269,21 +338,24 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// The bounded worker pool. Workers are spawned on demand while the
 	// queue has work nobody picked up, never beyond the cap; each exits
-	// when the queue closes.
-	workCh := make(chan request, s.maxConcurrent)
+	// when the queue closes. A worker encodes every result into its own
+	// buffer, which the reply has copied out by the time it returns.
+	workCh := make(chan *inbound, s.maxConcurrent)
 	var workers sync.WaitGroup
 	spawned := 0
 	spawnWorker := func() {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for req := range workCh {
-				resp := s.handle(ctx, &req)
+			var results valueEncoder
+			for in := range workCh {
+				resp := s.handle(ctx, &in.req, &results)
 				if resp.Err != "" {
 					s.stats.errorReplies.Add(1)
 				}
 				reply(&resp, 1)
 				inFlight.Add(-1)
+				in.recycle()
 			}
 		}()
 	}
@@ -294,12 +366,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	// its max when growing, so any token fitting the starting buffer would
 	// sneak past a smaller configured limit.
 	scanner.Buffer(make([]byte, 0, min(64*1024, s.maxLineBytes)), s.maxLineBytes)
+	names := nameCache{table: &s.components, methods: make(map[string]string)}
 	for scanner.Scan() {
 		touch()
 		// The decoded request aliases its line and is handed to a worker
 		// that outlives the next Scan, so it gets a line of its own.
-		var req request
-		if err := decodeRequest(append([]byte(nil), scanner.Bytes()...), &req); err != nil {
+		in := inbounds.Get().(*inbound)
+		in.line = append(in.line[:0], scanner.Bytes()...)
+		req := &in.req
+		if err := decodeRequestInterned(in.line, req, &names); err != nil {
+			in.recycle()
 			if errors.Is(err, errChecksum) {
 				// A corrupted frame: nothing in it — including its ID — can
 				// be trusted, so drop it silently and let the client's
@@ -321,6 +397,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					Code:         CodeOverloaded,
 					RetryAfterMS: retryAfter,
 				}, 0)
+				in.recycle()
 				continue
 			}
 		}
@@ -330,7 +407,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		inFlight.Add(1)
 		select {
-		case workCh <- req:
+		case workCh <- in:
 			if spawned == 0 || (spawned < s.maxConcurrent && len(workCh) > 0) {
 				spawned++
 				spawnWorker()
@@ -345,6 +422,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				Err:  "overloaded: connection work queue full",
 				Code: CodeOverloaded,
 			}, 0)
+			in.recycle()
 		}
 	}
 
@@ -355,9 +433,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	workers.Wait()
 }
 
-// handle executes one request against the named component's proxy.
-func (s *Server) handle(ctx context.Context, req *request) response {
-	p, ok := (*s.components.Load())[req.Component]
+// handle executes one request against the named component's proxy. A
+// result is encoded into results.buf, which the response aliases.
+func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder) response {
+	h, ok := (*s.components.Load())[req.Component]
 	if !ok {
 		return response{
 			ID:   req.ID,
@@ -374,7 +453,7 @@ func (s *Server) handle(ctx context.Context, req *request) response {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	inv := aspect.NewInvocation(ctx, p.Name(), req.Method, args)
+	inv := aspect.NewInvocation(ctx, h.name, req.Method, args)
 	inv.Priority = req.Priority
 	if req.Token != "" {
 		auth.WithToken(inv, req.Token)
@@ -382,17 +461,20 @@ func (s *Server) handle(ctx context.Context, req *request) response {
 	if req.Fence != 0 {
 		SetFence(inv, req.Fence)
 	}
-	result, err := p.Call(inv)
+	result, err := h.c.Call(inv)
 	if err != nil {
 		return response{ID: req.ID, Err: err.Error(), Code: codeFor(err)}
 	}
-	raw, err := appendValue(nil, result)
-	if err != nil {
+	results.buf = results.buf[:0]
+	if cap(results.buf) > maxRecycled {
+		results.buf = nil
+	}
+	if err := results.add(result); err != nil {
 		return response{
 			ID:   req.ID,
 			Err:  fmt.Sprintf("unencodable result: %v", err),
 			Code: CodeInternal,
 		}
 	}
-	return response{ID: req.ID, Result: raw}
+	return response{ID: req.ID, Result: results.buf}
 }

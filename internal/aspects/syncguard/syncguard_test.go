@@ -3,6 +3,7 @@ package syncguard
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/aspect"
@@ -316,26 +317,30 @@ func TestBufferUnderModeratorConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The functional component: a plain, unsynchronized ring buffer.
+	// The functional component: a ring buffer with no lock. The guard
+	// admits one producer and one consumer at a time, and the two may run
+	// together, so the ends share only size, atomically — ticket.Server's
+	// single-producer/single-consumer construction.
 	ring := make([]int, capacity)
-	head, tail, size := 0, 0, 0
+	head, tail := 0, 0 // consumer-owned, producer-owned
+	var size atomic.Int64
 	push := func(v int) {
-		if size == capacity {
+		if size.Load() == capacity {
 			t.Error("ring overflow: synchronization aspect failed")
 			return
 		}
 		ring[tail] = v
 		tail = (tail + 1) % capacity
-		size++
+		size.Add(1)
 	}
 	pop := func() int {
-		if size == 0 {
+		if size.Load() == 0 {
 			t.Error("ring underflow: synchronization aspect failed")
 			return -1
 		}
 		v := ring[head]
 		head = (head + 1) % capacity
-		size--
+		size.Add(-1)
 		return v
 	}
 

@@ -192,8 +192,8 @@ type Node struct {
 	owned   map[string]*ownedDomain
 	routes  map[string]route
 	members map[string]string // member id -> addr, from the last beat
-	clients map[string]*amrpc.Client
-	closing bool // Close in progress: the heartbeat must not re-acquire
+	peers   map[string]*peer  // data-plane connections by address
+	closing bool              // Close in progress: the heartbeat must not re-acquire
 	closed  bool
 
 	inflight sync.Map // domain -> *atomic.Int64: local admissions in flight
@@ -234,7 +234,7 @@ func Start(cfg Config, addr string) (*Node, error) {
 		owned:     make(map[string]*ownedDomain, 4),
 		routes:    make(map[string]route, 4),
 		members:   make(map[string]string, 4),
-		clients:   make(map[string]*amrpc.Client, 4),
+		peers:     make(map[string]*peer, 4),
 		closeDone: make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -342,8 +342,8 @@ func (n *Node) doClose() {
 
 	n.mu.Lock()
 	n.closed = true
-	clients := n.clients
-	n.clients = map[string]*amrpc.Client{}
+	peers := n.peers
+	n.peers = map[string]*peer{}
 	if n.nc != nil {
 		_ = n.nc.Close()
 		n.nc = nil
@@ -355,8 +355,8 @@ func (n *Node) doClose() {
 		n.sync.Close()
 	}
 	n.server.Close()
-	for _, c := range clients {
-		_ = c.Close()
+	for _, p := range peers {
+		_ = p.client.Close()
 	}
 	n.wg.Wait()
 }

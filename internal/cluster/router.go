@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/amrpc"
@@ -150,7 +151,7 @@ func (n *Node) route(inv *aspect.Invocation) (any, error) {
 			// connection and the route. If the method is not idempotent and
 			// the request may have executed, surface the failure instead of
 			// risking a duplicate effect.
-			n.dropClient(r.addr)
+			n.dropPeer(r.addr)
 			n.invalidateRoute(domain, r)
 			if !n.cfg.Idempotent {
 				return nil, err
@@ -224,31 +225,71 @@ func (n *Node) invalidateRoute(domain string, r route) {
 // caller's metadata (token, priority, remaining deadline travel with the
 // stub and the context).
 func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation) (any, error) {
-	client, err := n.clientFor(r.addr)
+	p, err := n.peerFor(r.addr)
 	if err != nil {
 		return nil, err
 	}
-	opts := []amrpc.StubOption{amrpc.WithFenceTerm(r.term), amrpc.WithPriority(inv.Priority)}
-	if token, ok := auth.TokenOf(inv); ok {
-		opts = append(opts, amrpc.WithToken(token))
-	}
-	if n.cfg.Idempotent {
-		opts = append(opts, amrpc.WithIdempotent())
-	}
-	return client.Component(n.cfg.Component, opts...).Invoke(ctx, inv.Method(), inv.Args()...)
+	token, _ := auth.TokenOf(inv)
+	stub := p.stub(stubKey{term: r.term, priority: inv.Priority, token: token}, func() *amrpc.Stub {
+		opts := []amrpc.StubOption{amrpc.WithFenceTerm(r.term), amrpc.WithPriority(inv.Priority)}
+		if token != "" {
+			opts = append(opts, amrpc.WithToken(token))
+		}
+		if n.cfg.Idempotent {
+			opts = append(opts, amrpc.WithIdempotent())
+		}
+		return p.client.Component(n.cfg.Component, opts...)
+	})
+	return stub.Invoke(ctx, inv.Method(), inv.Args()...)
 }
 
-// clientFor returns (dialing if needed) the pooled data-plane client for a
-// peer address.
-func (n *Node) clientFor(addr string) (*amrpc.Client, error) {
+// peer is the pooled data-plane connection to one node, with the stubs the
+// plane calls it through. A stub is immutable once built, so calls share
+// it instead of building a Stub and its option closures each.
+type peer struct {
+	client *amrpc.Client
+
+	mu    sync.Mutex
+	stubs map[stubKey]*amrpc.Stub
+}
+
+// stubKey is what a cached stub was built with, besides its peer.
+type stubKey struct {
+	control  string // the node whose control component it calls; "" for the public one
+	term     uint64 // the fence term it stamps; 0 for none
+	priority int
+	token    string
+}
+
+// maxPeerStubs bounds a peer's stub cache. Terms only grow and tokens come
+// and go, so a full cache is emptied, not grown.
+const maxPeerStubs = 16
+
+// stub returns the peer's stub for key, built by build on first use.
+func (p *peer) stub(key stubKey, build func() *amrpc.Stub) *amrpc.Stub {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s, ok := p.stubs[key]; ok {
+		return s
+	}
+	if len(p.stubs) == maxPeerStubs {
+		clear(p.stubs)
+	}
+	s := build()
+	p.stubs[key] = s
+	return s
+}
+
+// peerFor returns (dialing if needed) the pooled data-plane peer at addr.
+func (n *Node) peerFor(addr string) (*peer, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("cluster: node %s closed: %w", n.cfg.ID, amrpc.ErrTransport)
 	}
-	if c, ok := n.clients[addr]; ok {
+	if p, ok := n.peers[addr]; ok {
 		n.mu.Unlock()
-		return c, nil
+		return p, nil
 	}
 	n.mu.Unlock()
 
@@ -267,24 +308,26 @@ func (n *Node) clientFor(addr string) (*amrpc.Client, error) {
 		_ = c.Close()
 		return nil, fmt.Errorf("cluster: node %s closed: %w", n.cfg.ID, amrpc.ErrTransport)
 	}
-	if existing, ok := n.clients[addr]; ok {
+	if existing, ok := n.peers[addr]; ok {
 		_ = c.Close()
 		return existing, nil
 	}
-	n.clients[addr] = c
-	return c, nil
+	p := &peer{client: c, stubs: make(map[stubKey]*amrpc.Stub, 4)}
+	n.peers[addr] = p
+	return p, nil
 }
 
-// dropClient retires a pooled connection after a transport failure.
-func (n *Node) dropClient(addr string) {
+// dropPeer retires a pooled connection, and its stubs, after a transport
+// failure.
+func (n *Node) dropPeer(addr string) {
 	n.mu.Lock()
-	c, ok := n.clients[addr]
+	p, ok := n.peers[addr]
 	if ok {
-		delete(n.clients, addr)
+		delete(n.peers, addr)
 	}
 	n.mu.Unlock()
 	if ok {
-		_ = c.Close()
+		_ = p.client.Close()
 	}
 }
 
@@ -312,12 +355,13 @@ func (n *Node) propagateWakes(ctx context.Context, targets []string) {
 				n.wakesSent.Add(1)
 				break
 			}
-			client, err := n.clientFor(r.addr)
+			p, err := n.peerFor(r.addr)
 			if err != nil {
 				continue
 			}
-			stub := client.Component(controlName(r.holder),
-				amrpc.WithFenceTerm(r.term), amrpc.WithIdempotent())
+			stub := p.stub(stubKey{control: r.holder, term: r.term}, func() *amrpc.Stub {
+				return p.client.Component(controlName(r.holder), amrpc.WithFenceTerm(r.term), amrpc.WithIdempotent())
+			})
 			wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 			_, err = stub.Invoke(wctx, "wake", target)
 			cancel()
@@ -330,7 +374,7 @@ func (n *Node) propagateWakes(ctx context.Context, targets []string) {
 				continue
 			}
 			if errors.Is(err, amrpc.ErrTransport) {
-				n.dropClient(r.addr)
+				n.dropPeer(r.addr)
 				n.invalidateRoute(domain, r)
 				continue
 			}

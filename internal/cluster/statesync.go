@@ -63,17 +63,19 @@ func (t *syncTransport) Offer(ctx context.Context, succ string, o statesync.Offe
 	if err != nil {
 		return statesync.Ack{}, fmt.Errorf("cluster %s: encode sync offer: %w", n.cfg.ID, err)
 	}
-	client, err := n.clientFor(addr)
+	p, err := n.peerFor(addr)
 	if err != nil {
 		return statesync.Ack{}, err
 	}
 	// Idempotent by construction: the receiver drops duplicate sequence
 	// numbers, so a retried offer cannot double-apply.
-	res, err := client.Component(controlName(succ), amrpc.WithIdempotent()).
-		Invoke(ctx, "sync-offer", string(payload))
+	stub := p.stub(stubKey{control: succ}, func() *amrpc.Stub {
+		return p.client.Component(controlName(succ), amrpc.WithIdempotent())
+	})
+	res, err := stub.Invoke(ctx, "sync-offer", string(payload))
 	if err != nil {
 		if errors.Is(err, amrpc.ErrTransport) {
-			n.dropClient(addr)
+			n.dropPeer(addr)
 		}
 		return statesync.Ack{}, err
 	}
@@ -96,9 +98,13 @@ func ackFromReply(res any) (statesync.Ack, error) {
 }
 
 // inflightFor returns domain's in-flight admission counter, used by the
-// graceful-release drain.
+// graceful-release drain. LoadOrStore evaluates its argument, so it runs
+// only on a miss: a counter is allocated once per domain, not per call.
 func (n *Node) inflightFor(domain string) *atomic.Int64 {
-	c, _ := n.inflight.LoadOrStore(domain, &atomic.Int64{})
+	c, ok := n.inflight.Load(domain)
+	if !ok {
+		c, _ = n.inflight.LoadOrStore(domain, new(atomic.Int64))
+	}
 	return c.(*atomic.Int64)
 }
 
