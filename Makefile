@@ -13,9 +13,10 @@
 #                      differential-oracle, mutex-tier, optimistic and
 #                      route-equivalence tests and the waitq recycled-
 #                      waiter race, the obs event ring/histogram/churn
-#                      concurrency tests, and ten rounds of the amrpc
+#                      concurrency tests, ten rounds of the amrpc
 #                      line-buffer aliasing, late-reply, frame-writer and
-#                      flush-ledger tests
+#                      flush-ledger tests, and three of the amrpc retry,
+#                      re-dial and backoff-schedule tests
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders and the value decoder
 #                      (each differential against encoding/json), the
@@ -74,6 +75,7 @@ race:
 	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
+	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
 
 bench:
 	bash benchmark/run.sh $(ARGS)

@@ -403,31 +403,6 @@ func BenchmarkE8FaultBreakerOpenShed(b *testing.B) {
 	}
 }
 
-func BenchmarkE8FaultRetryTransient(b *testing.B) {
-	calls := 0
-	p := proxy.New(moderator.New("svc"))
-	if err := p.Bind("m", func(*aspect.Invocation) (any, error) {
-		calls++
-		if calls%2 == 0 { // every second raw call fails
-			return nil, errors.New("transient")
-		}
-		return nil, nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	r, err := fault.Retry(p, fault.RetryPolicy{MaxAttempts: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Invoke(ctx, "m"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- E9: recomposition churn ---
 
 func BenchmarkE9Churn(b *testing.B) {

@@ -72,11 +72,12 @@ func (b *soakBackend) snapshot() (map[string]int, []string) {
 }
 
 // TestChaosSoak drives ≥1000 guarded invocations through the full stack —
-// retrying client → circuit-breaking balancer → two servers — while a
-// chaosnet injector corrupts, drops, delays, partially writes, and resets
-// the links. Afterward: every intended effect happened (zero lost), nothing
-// unintended happened (zero forged/duplicated set entries), the moderators'
-// admission ledgers balance, and no goroutines leak.
+// one retrying client per worker, the workers spread over two servers —
+// while a chaosnet injector corrupts, drops, delays, partially writes, and
+// resets the links. Afterward: every intended effect happened (zero lost),
+// nothing unintended happened (zero forged/duplicated set entries), both
+// servers served effects, the moderators' admission ledgers balance, and no
+// goroutines leak.
 func TestChaosSoak(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -116,37 +117,36 @@ func TestChaosSoak(t *testing.T) {
 		Record:           true,
 	})
 
-	bal, err := NewBalancerWith(BalancerConfig{
-		Component:   "soak",
-		Resolver:    StaticResolver(addr1, addr2),
-		StubOptions: []StubOption{WithIdempotent()},
-		ClientOptions: []ClientOption{
-			WithRetry(RetryPolicy{
-				MaxAttempts:    2,
-				BaseBackoff:    time.Millisecond,
-				MaxBackoff:     8 * time.Millisecond,
-				AttemptTimeout: 300 * time.Millisecond,
-			}),
-			WithReconnectBackoff(time.Millisecond, 20*time.Millisecond),
-		},
-		DialConn:         func(addr string) (net.Conn, error) { return inj.DialFunc(addr)() },
-		BreakerThreshold: 5,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const (
 		workers   = 8
 		perWorker = 150 // 1200 total guarded invocations
 	)
+	// Each worker drives one server through its own client, the way a
+	// product client does: an idempotent stub whose transport failures the
+	// client retries and whose broken connections it re-dials.
+	addrs := []string{addr1, addr2}
+	clients := make([]*Client, workers)
+	for w := range clients {
+		addr := addrs[w%len(addrs)]
+		c, err := Dial(addr, WithDialFunc(inj.DialFunc(addr)), WithRetry(RetryPolicy{
+			MaxAttempts:    2,
+			BaseBackoff:    time.Millisecond,
+			MaxBackoff:     8 * time.Millisecond,
+			AttemptTimeout: 300 * time.Millisecond,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[w] = c
+	}
+
 	overall := time.Now().Add(60 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			stub := clients[w].Component("soak", WithIdempotent())
 			for k := 0; k < perWorker; k++ {
 				id := fmt.Sprintf("op-%d-%d", w, k)
 				for {
@@ -155,14 +155,14 @@ func TestChaosSoak(t *testing.T) {
 						return
 					}
 					ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-					_, err := bal.Invoke(ctx, "put", id)
+					_, err := stub.Invoke(ctx, "put", id)
 					cancel()
 					if err == nil {
 						break
 					}
 					// Under chaos every failure class here is retryable at
-					// this level: transport errors, attempt timeouts, and
-					// fail-fast circuit-open rejections all clear up.
+					// this level: transport errors and attempt timeouts
+					// that outlast the client's own retries clear up.
 					time.Sleep(2 * time.Millisecond)
 				}
 			}
@@ -175,7 +175,9 @@ func TestChaosSoak(t *testing.T) {
 
 	// Tear everything down before auditing: Server.Close waits for handler
 	// drain, so the moderator ledgers are final when we read them.
-	bal.Close()
+	for _, c := range clients {
+		_ = c.Close()
+	}
 	srv1.Close()
 	srv2.Close()
 
@@ -183,6 +185,9 @@ func TestChaosSoak(t *testing.T) {
 	ids2, unknown2 := backend2.snapshot()
 	if len(unknown1)+len(unknown2) != 0 {
 		t.Fatalf("forged effects slipped past frame integrity: %v %v", unknown1, unknown2)
+	}
+	if len(ids1) == 0 || len(ids2) == 0 {
+		t.Fatalf("workers did not spread over the servers: server1=%d server2=%d effects", len(ids1), len(ids2))
 	}
 
 	union := make(map[string]int, workers*perWorker)
@@ -233,7 +238,7 @@ func TestChaosSoak(t *testing.T) {
 	t.Logf("soak: %d ops, %d redelivered (absorbed), server1=%d server2=%d, faults=%v, conns=%d",
 		workers*perWorker, redelivered, len(ids1), len(ids2), inj.Counts(), inj.Conns())
 
-	// Goroutine-leak check: after balancer and servers close, the runtime
+	// Goroutine-leak check: after clients and servers close, the runtime
 	// should settle back to (about) where it started.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -270,7 +275,6 @@ func TestChaosCorruptionRecoveredByChecksumAndRetry(t *testing.T) {
 			MaxBackoff:     4 * time.Millisecond,
 			AttemptTimeout: 100 * time.Millisecond,
 		}),
-		WithReconnectBackoff(time.Millisecond, 8*time.Millisecond),
 	)
 	defer c.Close()
 

@@ -16,28 +16,47 @@ import (
 var ErrClientClosed = errors.New("amrpc: client closed")
 
 // ErrTransport marks connection-level failures (as opposed to application
-// errors the remote component returned). Load balancers fail over on it,
-// and the client's retry policy retries idempotent calls on it.
+// errors the remote component returned). The cluster router re-routes on
+// it, and the client's retry policy retries idempotent calls on it.
 var ErrTransport = errors.New("amrpc: transport failure")
 
 // codeTransportLocal is a client-internal marker used when failing pending
 // calls; it never travels on the wire.
 const codeTransportLocal = "_local-transport"
 
-// RetryPolicy controls transport-failure retries for idempotent calls.
-// Application errors (RemoteError) and caller-context cancellation are
-// never retried — retrying is for unreachable or flaky transports, not for
-// decisions the remote component already made.
+// lineLimit caps one frame line: always on the client's reader, and on the
+// server's unless WithMaxLineBytes overrides it.
+const lineLimit = 4 * 1024 * 1024
+
+// Backoff returns the pause before retry n (1-based) of a schedule that
+// starts at base and doubles up to max, both positive. The pause is drawn
+// uniformly from [d/2, d] for the schedule's d (equal jitter):
+// synchronized callers spread out, yet none waits less than half the
+// schedule. A base above max is capped, and no n overflows.
+func Backoff(base, max time.Duration, n int) time.Duration {
+	if n < 1 {
+		n = 1
+	}
+	d := max
+	if base <= max>>uint(n-1) {
+		d = base << uint(n-1)
+	}
+	return d - time.Duration(rand.Int63n(int64(d/2)+1))
+}
+
+// RetryPolicy controls transport-failure retries for idempotent calls, and
+// paces re-dials. Application errors (RemoteError) and caller-context
+// cancellation are never retried — retrying is for unreachable or flaky
+// transports, not for decisions the remote component already made.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per call (1 = no
 	// retry). Zero means the default of 1.
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; each subsequent
-	// retry doubles it, capped at MaxBackoff, with equal jitter (the
-	// sleep is uniformly drawn from [d/2, d]).
+	// BaseBackoff and MaxBackoff shape the client's one Backoff schedule:
+	// the pause before retry n of a call, and the wait before the next
+	// dial after n consecutive dial failures. Zero means 20ms and 2s.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero means 1s.
-	MaxBackoff time.Duration
+	MaxBackoff  time.Duration
 	// AttemptTimeout bounds each individual attempt. When a request or
 	// its response is silently lost in flight, this is what turns an
 	// indefinite hang into a fast, retryable failure. Zero disables the
@@ -50,36 +69,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.MaxAttempts = 1
 	}
 	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
+		p.BaseBackoff = 20 * time.Millisecond
 	}
 	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
+		p.MaxBackoff = 2 * time.Second
 	}
 	return p
 }
 
-// backoffFor returns the jittered sleep before retry attempt a (1-based).
-func (p RetryPolicy) backoffFor(a int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < a && d < p.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	// Equal jitter: half deterministic, half uniform — spreads synchronized
-	// retries without ever sleeping less than half the schedule.
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
 // clientOptions is the resolved configuration of a Client.
 type clientOptions struct {
-	dial          func() (net.Conn, error)
-	retry         RetryPolicy
-	callTimeout   time.Duration
-	reconnectBase time.Duration
-	reconnectMax  time.Duration
-	maxLineBytes  int
+	dial  func() (net.Conn, error)
+	retry RetryPolicy
 }
 
 // ClientOption configures Dial/NewClient.
@@ -87,38 +88,19 @@ type ClientOption func(*clientOptions)
 
 // WithDialFunc supplies the function used to establish (and re-establish)
 // the connection. Setting it enables automatic reconnect: when the
-// connection dies, the next call re-dials under exponential backoff with
-// jitter instead of failing forever. Tests use it to route the client
-// through a chaosnet injector.
+// connection dies, the next call re-dials, paced by the retry policy's
+// Backoff schedule, instead of failing forever. Tests use it to route the
+// client through a chaosnet injector.
 func WithDialFunc(dial func() (net.Conn, error)) ClientOption {
 	return func(o *clientOptions) { o.dial = dial }
 }
 
-// WithRetry sets the client's default retry policy. It applies only to
+// WithRetry sets the client's retry policy. Its retries apply only to
 // calls made through stubs marked idempotent (WithIdempotent): transport
 // failures and per-attempt timeouts are retried, application errors never.
+// Its backoff schedule also paces every re-dial.
 func WithRetry(p RetryPolicy) ClientOption {
 	return func(o *clientOptions) { o.retry = p }
-}
-
-// WithCallTimeout gives every call without a context deadline this default
-// deadline, so a lost frame fails fast instead of hanging forever.
-func WithCallTimeout(d time.Duration) ClientOption {
-	return func(o *clientOptions) { o.callTimeout = d }
-}
-
-// WithReconnectBackoff tunes the re-dial schedule (defaults 20ms base, 2s
-// cap). Each consecutive dial failure doubles the wait before the next
-// dial attempt; a successful dial resets it.
-func WithReconnectBackoff(base, max time.Duration) ClientOption {
-	return func(o *clientOptions) {
-		if base > 0 {
-			o.reconnectBase = base
-		}
-		if max > 0 {
-			o.reconnectMax = max
-		}
-	}
 }
 
 // encodeBuf is the scratch space of one call: its encoded arguments and the
@@ -183,7 +165,7 @@ type pendingCall struct {
 // Client is a connection to an amrpc server. Requests are pipelined: many
 // goroutines may invoke concurrently. When constructed with a dial
 // function (Dial does this), a broken connection is re-established
-// transparently on the next call, under exponential backoff with jitter.
+// transparently on the next call, paced by the retry policy's Backoff.
 // Construct with Dial or NewClient, then derive per-component stubs with
 // Component.
 type Client struct {
@@ -245,11 +227,7 @@ func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 }
 
 func newClient(opts ...ClientOption) *Client {
-	o := clientOptions{
-		reconnectBase: 20 * time.Millisecond,
-		reconnectMax:  2 * time.Second,
-		maxLineBytes:  4 * 1024 * 1024,
-	}
+	var o clientOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -362,13 +340,10 @@ func (c *Client) finishDial(done chan struct{}, conn net.Conn, err error) (*live
 			c.lastErr = err
 			c.dialFails++
 			c.stats.dialFailures.Add(1)
-			d := c.opts.reconnectBase << (c.dialFails - 1)
-			if d > c.opts.reconnectMax || d <= 0 {
-				d = c.opts.reconnectMax
-			}
-			// Full jitter keeps a thundering herd of reconnecting clients
-			// from hammering a recovering server in lockstep.
-			c.nextDialAt = time.Now().Add(d/2 + time.Duration(rand.Int63n(int64(d/2)+1)))
+			// The retry schedule's equal jitter keeps a herd of reconnecting
+			// clients from hammering a recovering server in lockstep.
+			p := c.opts.retry
+			c.nextDialAt = time.Now().Add(Backoff(p.BaseBackoff, p.MaxBackoff, c.dialFails))
 		}
 		return nil, nil
 	}
@@ -380,9 +355,7 @@ func (c *Client) finishDial(done chan struct{}, conn net.Conn, err error) (*live
 func (c *Client) readLoop(lc *liveConn) {
 	defer c.readers.Done()
 	scanner := bufio.NewScanner(lc.conn)
-	// Initial capacity capped at the limit — Scanner only enforces max
-	// when growing, so a larger starting buffer would defeat small limits.
-	scanner.Buffer(make([]byte, 0, min(64*1024, c.opts.maxLineBytes)), c.opts.maxLineBytes)
+	scanner.Buffer(make([]byte, 0, 64*1024), lineLimit)
 	for scanner.Scan() {
 		var resp response
 		if decodeResponse(scanner.Bytes(), &resp) != nil {
@@ -470,11 +443,6 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 	if eb.raws, err = eb.args.addArgs(eb.raws[:0], args); err != nil {
 		return nil, err
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.opts.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.callTimeout)
-		defer cancel()
-	}
 	attempts := 1
 	if idempotent {
 		attempts = c.opts.retry.MaxAttempts
@@ -497,8 +465,8 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 			return nil, err
 		}
 		c.stats.retries.Add(1)
-		d := c.opts.retry.backoffFor(a)
-		t := time.NewTimer(d)
+		p := c.opts.retry
+		t := time.NewTimer(Backoff(p.BaseBackoff, p.MaxBackoff, a))
 		select {
 		case <-t.C:
 		case <-ctx.Done():

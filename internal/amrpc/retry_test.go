@@ -3,6 +3,7 @@ package amrpc
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,39 @@ func (d *flakyDialer) dial() (net.Conn, error) {
 	return net.Dial("tcp", d.addr)
 }
 
+// TestBackoff pins the one backoff schedule that client retries, re-dials
+// and the cluster router all draw from: pause n lies in [d/2, d] for
+// d = min(base·2^(n-1), max), whatever n is.
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	huge := time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		name      string
+		base, max time.Duration
+		n         int
+		lo, hi    time.Duration
+	}{
+		{"first pause is base", 10 * ms, time.Second, 1, 5 * ms, 10 * ms},
+		{"second pause doubles", 10 * ms, time.Second, 2, 10 * ms, 20 * ms},
+		{"fourth pause doubles twice more", 10 * ms, time.Second, 4, 40 * ms, 80 * ms},
+		{"cap holds", 10 * ms, time.Second, 8, 500 * ms, time.Second},
+		{"n=63 is capped", 10 * ms, time.Second, 63, 500 * ms, time.Second},
+		{"n=64 is capped", 10 * ms, time.Second, 64, 500 * ms, time.Second},
+		{"n=1000 is capped", 10 * ms, time.Second, 1000, 500 * ms, time.Second},
+		{"n=64 under an unbounded max", time.Nanosecond, huge, 64, huge / 2, huge},
+		{"base above max is capped", 5 * time.Second, time.Second, 1, 500 * ms, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for k := 0; k < 1000; k++ {
+				d := Backoff(tc.base, tc.max, tc.n)
+				if d <= 0 || d < tc.lo || d > tc.hi {
+					t.Fatalf("Backoff(%v, %v, %d) = %v, want in [%v, %v]", tc.base, tc.max, tc.n, d, tc.lo, tc.hi)
+				}
+			}
+		})
+	}
+}
+
 // An idempotent call must survive a dead connection: the retry loop
 // re-dials under backoff and the second attempt lands on the live server.
 func TestIdempotentCallRetriesThroughReconnect(t *testing.T) {
@@ -38,7 +72,6 @@ func TestIdempotentCallRetriesThroughReconnect(t *testing.T) {
 	c := newClient(
 		WithDialFunc(d.dial),
 		WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
-		WithReconnectBackoff(time.Millisecond, 4*time.Millisecond),
 	)
 	defer c.Close()
 
@@ -64,8 +97,7 @@ func TestNonIdempotentCallIsNeverRetried(t *testing.T) {
 	d := &flakyDialer{failures: 1 << 30} // always refuse
 	c := newClient(
 		WithDialFunc(d.dial),
-		WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond}),
-		WithReconnectBackoff(time.Millisecond, 2*time.Millisecond),
+		WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}),
 	)
 	defer c.Close()
 
@@ -128,7 +160,6 @@ func TestCallerDeadlineStopsRetries(t *testing.T) {
 	c := newClient(
 		WithDialFunc(d.dial),
 		WithRetry(RetryPolicy{MaxAttempts: 50, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}),
-		WithReconnectBackoff(time.Millisecond, 2*time.Millisecond),
 	)
 	defer c.Close()
 
@@ -167,7 +198,7 @@ func TestCloseMidPipelineResolvesAllPending(t *testing.T) {
 	})
 	c := newClient(
 		WithDialFunc(inj.DialFunc(addr)),
-		WithReconnectBackoff(time.Millisecond, 4*time.Millisecond),
+		WithRetry(RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
 	)
 
 	const callers = 24

@@ -112,7 +112,7 @@ func WithShedPolicy(p ShedPolicy) ServerOption {
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
 		readTimeout:   5 * time.Minute,
-		maxLineBytes:  4 * 1024 * 1024,
+		maxLineBytes:  lineLimit,
 		maxConcurrent: 256,
 		listeners:     make(map[net.Listener]struct{}, 1),
 		conns:         make(map[net.Conn]struct{}, 16),

@@ -109,39 +109,3 @@ func (s *Server) Stats() ServerStats {
 		FlushFrames:   s.stats.flushFrames.Load(),
 	}
 }
-
-// balancerStats is the Balancer's internal counter block.
-type balancerStats struct {
-	invokes      atomic.Uint64
-	failovers    atomic.Uint64
-	breakerTrips atomic.Uint64
-	probes       atomic.Uint64
-	recoveries   atomic.Uint64
-}
-
-// BalancerStats is a snapshot of a Balancer's routing counters.
-type BalancerStats struct {
-	// Invokes is the number of logical invocations routed.
-	Invokes uint64
-	// Failovers counts candidate endpoints tried beyond the first of
-	// their invocation.
-	Failovers uint64
-	// BreakerTrips counts transitions to the open state (threshold trips
-	// and failed half-open probes alike).
-	BreakerTrips uint64
-	// Probes counts half-open probe attempts begun.
-	Probes uint64
-	// Recoveries counts breakers closed from a non-closed state.
-	Recoveries uint64
-}
-
-// Stats returns a snapshot of the balancer's routing counters.
-func (b *Balancer) Stats() BalancerStats {
-	return BalancerStats{
-		Invokes:      b.stats.invokes.Load(),
-		Failovers:    b.stats.failovers.Load(),
-		BreakerTrips: b.stats.breakerTrips.Load(),
-		Probes:       b.stats.probes.Load(),
-		Recoveries:   b.stats.recoveries.Load(),
-	}
-}

@@ -1,24 +1,18 @@
 // Package fault provides the fault-tolerance concerns of the framework —
-// one of the interaction properties the paper names in Section 1. Two
-// styles coexist:
-//
-//   - Guard aspects, evaluated by the moderator like any other concern:
-//     CircuitBreaker (shed calls to a failing component) and Bulkhead
-//     (bound in-flight work).
-//   - Invoker middleware, wrapped around a proxy or RPC stub: Retry and
-//     Timeout. Retrying must re-run the method body, which is outside a
-//     guard's power — the moderator model brackets a single execution — so
-//     these compose at the invoker boundary instead.
+// one of the interaction properties the paper names in Section 1 — as
+// guard aspects, evaluated by the moderator like any other concern:
+// CircuitBreaker sheds calls to a failing component and Bulkhead bounds
+// in-flight work. Retrying a remote call over a flaky transport is the
+// amrpc client's policy (amrpc.RetryPolicy), since only the transport
+// knows which failures left the call unexecuted.
 package fault
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/aspect"
-	"repro/internal/proxy"
 )
 
 // ErrCircuitOpen is recorded on invocations shed by an open circuit breaker.
@@ -197,95 +191,3 @@ func (b *Bulkhead) Aspect(name string) aspect.Aspect {
 // InUse returns the number of admitted invocations (diagnostics; call only
 // under the admission lock).
 func (b *Bulkhead) InUse() int { return b.inUse }
-
-// RetryPolicy configures the Retry middleware.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (>= 1).
-	MaxAttempts int
-	// ShouldRetry decides whether an error is transient. A nil function
-	// retries every error.
-	ShouldRetry func(error) bool
-	// Backoff returns the sleep before attempt n (1-based, first retry is
-	// n=1). A nil function means no backoff.
-	Backoff func(attempt int) time.Duration
-	// Sleep overrides time-based sleeping (tests). It must honor ctx.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// Retry wraps an invoker so that transient failures are re-invoked, up to
-// the policy's attempt budget. Each attempt is a full guarded invocation —
-// pre-activation, body, post-activation — so aspect state stays balanced.
-func Retry(inner proxy.Invoker, policy RetryPolicy) (proxy.Invoker, error) {
-	if inner == nil {
-		return nil, errors.New("fault: retry: nil invoker")
-	}
-	if policy.MaxAttempts < 1 {
-		return nil, fmt.Errorf("fault: retry: max attempts %d must be >= 1", policy.MaxAttempts)
-	}
-	shouldRetry := policy.ShouldRetry
-	if shouldRetry == nil {
-		shouldRetry = func(error) bool { return true }
-	}
-	sleep := policy.Sleep
-	if sleep == nil {
-		sleep = func(ctx context.Context, d time.Duration) error {
-			if d <= 0 {
-				return ctx.Err()
-			}
-			timer := time.NewTimer(d)
-			defer timer.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-timer.C:
-				return nil
-			}
-		}
-	}
-	return invokerFunc(func(ctx context.Context, method string, args ...any) (any, error) {
-		var lastErr error
-		for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
-			if attempt > 0 {
-				var d time.Duration
-				if policy.Backoff != nil {
-					d = policy.Backoff(attempt)
-				}
-				if err := sleep(ctx, d); err != nil {
-					return nil, fmt.Errorf("fault: retry %s: %w", method, err)
-				}
-			}
-			result, err := inner.Invoke(ctx, method, args...)
-			if err == nil {
-				return result, nil
-			}
-			lastErr = err
-			if !shouldRetry(err) || ctx.Err() != nil {
-				break
-			}
-		}
-		return nil, lastErr
-	}), nil
-}
-
-// Timeout wraps an invoker so every invocation carries a deadline. Blocked
-// pre-activations observe the deadline through context cancellation.
-func Timeout(inner proxy.Invoker, d time.Duration) (proxy.Invoker, error) {
-	if inner == nil {
-		return nil, errors.New("fault: timeout: nil invoker")
-	}
-	if d <= 0 {
-		return nil, fmt.Errorf("fault: timeout %v must be positive", d)
-	}
-	return invokerFunc(func(ctx context.Context, method string, args ...any) (any, error) {
-		tctx, cancel := context.WithTimeout(ctx, d)
-		defer cancel()
-		return inner.Invoke(tctx, method, args...)
-	}), nil
-}
-
-// invokerFunc adapts a function to proxy.Invoker.
-type invokerFunc func(ctx context.Context, method string, args ...any) (any, error)
-
-func (f invokerFunc) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	return f(ctx, method, args...)
-}

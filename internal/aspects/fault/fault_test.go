@@ -180,135 +180,6 @@ func (f *flakyComponent) body(*aspect.Invocation) (any, error) {
 	return "ok", nil
 }
 
-func newGuardedFlaky(t *testing.T, failures int) (*proxy.Proxy, *flakyComponent) {
-	t.Helper()
-	comp := &flakyComponent{failures: failures}
-	p := proxy.New(moderator.New("flaky"))
-	if err := p.Bind("m", comp.body); err != nil {
-		t.Fatal(err)
-	}
-	return p, comp
-}
-
-func TestRetryValidation(t *testing.T) {
-	p, _ := newGuardedFlaky(t, 0)
-	if _, err := Retry(nil, RetryPolicy{MaxAttempts: 1}); err == nil {
-		t.Error("nil invoker must error")
-	}
-	if _, err := Retry(p, RetryPolicy{MaxAttempts: 0}); err == nil {
-		t.Error("0 attempts must error")
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	p, comp := newGuardedFlaky(t, 2)
-	var backoffs []int
-	r, err := Retry(p, RetryPolicy{
-		MaxAttempts: 5,
-		Backoff:     func(n int) time.Duration { backoffs = append(backoffs, n); return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Invoke(context.Background(), "m")
-	if err != nil || got != "ok" {
-		t.Fatalf("retry result = %v, %v", got, err)
-	}
-	if comp.calls != 3 {
-		t.Errorf("calls = %d, want 3", comp.calls)
-	}
-	if len(backoffs) != 2 || backoffs[0] != 1 || backoffs[1] != 2 {
-		t.Errorf("backoff attempts = %v", backoffs)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	p, comp := newGuardedFlaky(t, 100)
-	r, err := Retry(p, RetryPolicy{MaxAttempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Invoke(context.Background(), "m"); err == nil {
-		t.Fatal("exhausted retry must fail")
-	}
-	if comp.calls != 3 {
-		t.Errorf("calls = %d, want 3", comp.calls)
-	}
-}
-
-func TestRetryHonorsShouldRetry(t *testing.T) {
-	p, comp := newGuardedFlaky(t, 100)
-	r, err := Retry(p, RetryPolicy{
-		MaxAttempts: 5,
-		ShouldRetry: func(error) bool { return false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Invoke(context.Background(), "m"); err == nil {
-		t.Fatal("must fail")
-	}
-	if comp.calls != 1 {
-		t.Errorf("non-retryable error must not retry: calls = %d", comp.calls)
-	}
-}
-
-func TestRetryHonorsContextDuringBackoff(t *testing.T) {
-	p, _ := newGuardedFlaky(t, 100)
-	ctx, cancel := context.WithCancel(context.Background())
-	r, err := Retry(p, RetryPolicy{
-		MaxAttempts: 10,
-		Backoff:     func(int) time.Duration { return time.Hour },
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			cancel() // simulate cancellation arriving mid-backoff
-			return ctx.Err()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Invoke(ctx, "m"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-func TestTimeoutValidation(t *testing.T) {
-	p, _ := newGuardedFlaky(t, 0)
-	if _, err := Timeout(nil, time.Second); err == nil {
-		t.Error("nil invoker must error")
-	}
-	if _, err := Timeout(p, 0); err == nil {
-		t.Error("0 duration must error")
-	}
-}
-
-func TestTimeoutUnblocksParkedCaller(t *testing.T) {
-	// A method guarded by an always-block aspect; the timeout middleware
-	// must convert the park into a deadline error.
-	mod := moderator.New("stuck")
-	gate := aspect.New("gate", aspect.KindSynchronization,
-		func(*aspect.Invocation) aspect.Verdict { return aspect.Block }, nil)
-	if err := mod.Register("m", aspect.KindSynchronization, gate); err != nil {
-		t.Fatal(err)
-	}
-	p := proxy.New(mod)
-	if err := p.Bind("m", func(*aspect.Invocation) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := Timeout(p, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = tp.Invoke(context.Background(), "m")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v", elapsed)
-	}
-}
-
 func TestBreakerUnderProxyIntegration(t *testing.T) {
 	// Breaker + flaky component wired through the full proxy stack: the
 	// breaker must shed while open and recover after cooldown.

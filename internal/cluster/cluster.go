@@ -87,8 +87,9 @@ type Config struct {
 	OwnershipMargin time.Duration
 
 	// RouteAttempts bounds how many ownership-resolution rounds one call
-	// may burn before giving up (default 25; with backoff this spans a
-	// failover window comfortably).
+	// may burn before giving up (default 25; at the defaults the router's
+	// backoff pauses sum to at least 1.6s, more than a LeaseTTL, so the
+	// rounds span a failover window).
 	RouteAttempts int
 
 	// Snapshot, Restore, and Apply are the replicated-state-handoff hooks.

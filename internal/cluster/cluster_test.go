@@ -309,6 +309,34 @@ func TestClusterOwnershipAndForwarding(t *testing.T) {
 	}
 }
 
+// TestRouteBackoffSpansLease pins the claim on Config.RouteAttempts: at the
+// defaults, even the shortest draw of every pause the router takes between
+// its rounds sums to more than a lease, so a call that arrives as an owner
+// dies outlasts the dead owner's lease instead of failing.
+func TestRouteBackoffSpansLease(t *testing.T) {
+	cfg := Config{ID: "n", Local: proxy.New(moderator.New("c")), Naming: "unused"}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	var floor time.Duration
+	d := routeBackoffBase
+	for n := 1; n < cfg.RouteAttempts; n++ {
+		// The pause before attempt n is drawn from [d/2, d].
+		for k := 0; k < 1000; k++ {
+			if p := amrpc.Backoff(routeBackoffBase, routeBackoffMax, n); p < d/2 {
+				t.Fatalf("pause before attempt %d = %v, below its floor %v", n, p, d/2)
+			}
+		}
+		floor += d / 2
+		d = min(2*d, routeBackoffMax)
+	}
+	if floor <= cfg.LeaseTTL {
+		t.Fatalf("%d routing rounds pause at least %v in total, not more than the %v lease",
+			cfg.RouteAttempts, floor, cfg.LeaseTTL)
+	}
+	t.Logf("%d routing rounds pause at least %v in total; lease %v", cfg.RouteAttempts, floor, cfg.LeaseTTL)
+}
+
 func TestClusterAbortPropagatesAsApplicationError(t *testing.T) {
 	namingAddr := startNaming(t)
 	_, n1 := startLedgerNode(t, "n1", namingAddr, nil)

@@ -81,6 +81,13 @@ func (n *Node) localCall(inv *aspect.Invocation) (any, error) {
 	return res, err
 }
 
+// The router's pause before routing attempt n is
+// amrpc.Backoff(routeBackoffBase, routeBackoffMax, n).
+const (
+	routeBackoffBase = 20 * time.Millisecond
+	routeBackoffMax  = 150 * time.Millisecond
+)
+
 // route drives one invocation to the current owner of its domain, chasing
 // ownership through stale-term refusals and owner deaths. Each round either
 // executes locally (we own the domain), forwards under the owner's term, or
@@ -97,11 +104,7 @@ func (n *Node) route(inv *aspect.Invocation) (any, error) {
 		}
 		if attempt > 0 {
 			n.forwardRetries.Add(1)
-			backoff := time.Duration(attempt) * 20 * time.Millisecond
-			if backoff > 150*time.Millisecond {
-				backoff = 150 * time.Millisecond
-			}
-			t := time.NewTimer(backoff)
+			t := time.NewTimer(amrpc.Backoff(routeBackoffBase, routeBackoffMax, attempt))
 			select {
 			case <-t.C:
 			case <-ctx.Done():

@@ -350,37 +350,30 @@ func TestClusterChaosSoak(t *testing.T) {
 		}
 	}
 
-	// The drivers reach the cluster like any external client: a breaker
-	// balancer over the (mutable) member list, retried idempotent stubs,
-	// chaos on every dial.
+	// The drivers reach the cluster like any external client: each worker
+	// dials one node of the (mutable) member list, calls it through a
+	// retried idempotent stub, with chaos on every dial, and moves on to
+	// the next member when a call fails. served counts each node's
+	// successful calls by its address.
 	var resMu sync.Mutex
 	resAddrs := []string{}
 	for _, n := range nodes {
 		resAddrs = append(resAddrs, n.Addr())
 	}
-	bal, err := amrpc.NewBalancerWith(amrpc.BalancerConfig{
-		Component: "cledger",
-		Resolver: func() ([]string, error) {
-			resMu.Lock()
-			defer resMu.Unlock()
-			return append([]string(nil), resAddrs...), nil
-		},
-		StubOptions: []amrpc.StubOption{amrpc.WithIdempotent()},
-		ClientOptions: []amrpc.ClientOption{
+	served := map[string]int{}
+	dialMember := func(k int) (string, *amrpc.Client, error) {
+		resMu.Lock()
+		addr := resAddrs[k%len(resAddrs)]
+		resMu.Unlock()
+		c, err := amrpc.Dial(addr,
+			amrpc.WithDialFunc(func() (net.Conn, error) { return g.dial(addr) }),
 			amrpc.WithRetry(amrpc.RetryPolicy{
 				MaxAttempts:    2,
 				BaseBackoff:    time.Millisecond,
 				MaxBackoff:     8 * time.Millisecond,
 				AttemptTimeout: 2 * time.Second,
-			}),
-			amrpc.WithReconnectBackoff(time.Millisecond, 20*time.Millisecond),
-		},
-		DialConn:         g.dial,
-		BreakerThreshold: 5,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+			}))
+		return addr, c, err
 	}
 
 	// Fault timeline, concurrent with the workload: partition one node's
@@ -423,6 +416,14 @@ func TestClusterChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			member := w // the workers start spread over the nodes
+			var addr string
+			var c *amrpc.Client
+			defer func() {
+				if c != nil {
+					_ = c.Close()
+				}
+			}()
 			for k := 0; k < perWorker; k++ {
 				method, id := "alpha-put", fmt.Sprintf("a-%d-%d", w, k)
 				if k%2 == 1 {
@@ -433,15 +434,29 @@ func TestClusterChaosSoak(t *testing.T) {
 						t.Errorf("worker %d: gave up on %s at the overall deadline", w, id)
 						return
 					}
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					_, err := bal.Invoke(ctx, method, id)
-					cancel()
+					var err error
+					if c == nil {
+						addr, c, err = dialMember(member)
+					}
 					if err == nil {
+						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+						_, err = c.Component("cledger", amrpc.WithIdempotent()).Invoke(ctx, method, id)
+						cancel()
+					}
+					if err == nil {
+						resMu.Lock()
+						served[addr]++
+						resMu.Unlock()
 						break
 					}
 					// Every failure class here is transient by design:
-					// chaos faults, partition refusals, breaker fail-fasts
-					// and failover windows all clear up.
+					// chaos faults, partition refusals and failover
+					// windows all clear up. Meanwhile, try the next node.
+					if c != nil {
+						_ = c.Close()
+						c = nil
+					}
+					member++
 					time.Sleep(2 * time.Millisecond)
 				}
 			}
@@ -461,6 +476,11 @@ func TestClusterChaosSoak(t *testing.T) {
 	for _, n := range nodes {
 		if n != victim {
 			survivors = append(survivors, n)
+		}
+	}
+	for _, n := range survivors {
+		if served[n.Addr()] == 0 {
+			t.Fatalf("live node %s served no call: the workers did not spread over the nodes", n.ID())
 		}
 	}
 	alphaOwner := liveOwnerOf(t, survivors, "alpha", 5*time.Second)
@@ -486,8 +506,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	// Teardown before the ledger audit: Close waits for handler drain, so
 	// backends and moderator ledgers are final. The victim's Close is a
 	// no-op handover (its old terms are dead, its zombie flush is fenced
-	// off by the new leader's term) but still drains and frees it.
-	bal.Close()
+	// off by the new leader's term) but still drains and frees it. The
+	// workers closed their clients on the way out.
 	for _, n := range nodes {
 		n.Close()
 	}
@@ -552,8 +572,12 @@ func TestClusterChaosSoak(t *testing.T) {
 		stTotal.StaleRefusals += st.StaleRefusals
 		stTotal.Takeovers += st.Takeovers
 	}
-	t.Logf("soak: %d ops, %d redelivered (absorbed), forwards=%d retries=%d staleRefusals=%d takeovers=%d, faults=%v",
-		workers*perWorker, redelivered, stTotal.Forwards, stTotal.ForwardRetries,
+	servedBy := map[string]int{}
+	for _, n := range nodes {
+		servedBy[n.ID()] = served[n.Addr()]
+	}
+	t.Logf("soak: %d ops, %d redelivered (absorbed), served=%v forwards=%d retries=%d staleRefusals=%d takeovers=%d, faults=%v",
+		workers*perWorker, redelivered, servedBy, stTotal.Forwards, stTotal.ForwardRetries,
 		stTotal.StaleRefusals, stTotal.Takeovers, inj.Counts())
 
 	deadline := time.Now().Add(5 * time.Second)

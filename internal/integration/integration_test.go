@@ -24,6 +24,7 @@ import (
 	"repro/internal/aspects/fault"
 	"repro/internal/aspects/metrics"
 	"repro/internal/aspects/sched"
+	"repro/internal/moderator"
 	"repro/internal/naming"
 )
 
@@ -331,39 +332,90 @@ func TestDistributedStackWithNaming(t *testing.T) {
 	}
 }
 
-// TestFaultToleranceComposition stacks retry middleware over a breaker-
-// guarded flaky component: the retries ride through transient failures,
-// the breaker sheds when the component stays down.
+// TestFaultToleranceComposition composes the fault-tolerance concern with
+// the ticket's synchronization: a circuit breaker in an outermost layer
+// over the bounded-buffer guard on open. Failing calls trip the breaker;
+// while it is open, calls are shed before the synchronization layer is
+// evaluated, so they never reach the body and take no buffer capacity;
+// the probe after the cooldown closes it. The guard state and the
+// moderator's ledger stay consistent throughout.
 func TestFaultToleranceComposition(t *testing.T) {
-	fails := 0
-	g, err := ticket.NewGuarded(ticket.GuardedConfig{Capacity: 4})
+	now := time.Unix(3000, 0)
+	cb, err := fault.NewCircuitBreaker(fault.CircuitBreakerConfig{
+		Threshold: 2,
+		Cooldown:  time.Second,
+		Now:       func() time.Time { return now },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A scheduling-kind chaos aspect that fails the first 2 admissions.
-	chaotic := aspect.New("chaos", aspect.KindScheduling, func(inv *aspect.Invocation) aspect.Verdict {
-		if fails < 2 {
-			fails++
-			inv.SetErr(errors.New("transient outage"))
-			return aspect.Abort
+	g, err := ticket.NewGuarded(ticket.GuardedConfig{Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := g.Moderator()
+	if err := mod.AddLayer("fault", moderator.Outermost); err != nil {
+		t.Fatal(err)
+	}
+	if err := mod.RegisterIn("fault", ticket.MethodOpen, aspect.KindFaultTolerance, cb.Aspect("breaker")); err != nil {
+		t.Fatal(err)
+	}
+	p, ctx := g.Proxy(), context.Background()
+	consistent := func(step string) {
+		t.Helper()
+		if err := g.Buffer().CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
-		return aspect.Resume
-	}, nil)
-	if err := g.Moderator().Register(ticket.MethodOpen, aspect.KindScheduling, chaotic); err != nil {
-		t.Fatal(err)
+		if st := mod.Stats(); st.Admissions != st.Completions {
+			t.Fatalf("%s: admissions=%d completions=%d", step, st.Admissions, st.Completions)
+		}
 	}
-	r, err := fault.Retry(g.Proxy(), fault.RetryPolicy{MaxAttempts: 5})
-	if err != nil {
-		t.Fatal(err)
+
+	// Transient failures: the body refuses a summary that is not a string,
+	// after the guard admitted the call.
+	for k := 0; k < 2; k++ {
+		_, err := p.Invoke(ctx, ticket.MethodOpen, fmt.Sprintf("bad-%d", k), 42)
+		if err == nil || errors.Is(err, fault.ErrCircuitOpen) {
+			t.Fatalf("failing open %d: err = %v, want a body failure", k, err)
+		}
+		consistent("failing open")
 	}
-	if _, err := r.Invoke(context.Background(), ticket.MethodOpen, "t1", "s"); err != nil {
-		t.Fatalf("retried open: %v", err)
+	if cb.State() != "open" {
+		t.Fatalf("breaker after 2 failures: %s, want open", cb.State())
 	}
-	if fails != 2 {
-		t.Errorf("chaos admissions = %d", fails)
+
+	// Open: more calls than the buffer holds are shed, none reaching the
+	// body or the buffer.
+	for k := 0; k < 3; k++ {
+		if _, err := p.Invoke(ctx, ticket.MethodOpen, fmt.Sprintf("shed-%d", k), "s"); !errors.Is(err, fault.ErrCircuitOpen) {
+			t.Fatalf("open %d while the breaker is open: err = %v, want ErrCircuitOpen", k, err)
+		}
+		consistent("shed open")
 	}
-	if err := g.Buffer().CheckInvariants(); err != nil {
-		t.Error(err)
+	if n := g.Server().Opened(); n != 0 {
+		t.Fatalf("%d shed calls reached the body", n)
+	}
+	if n := g.Buffer().Count(); n != 0 {
+		t.Fatalf("shed calls left %d items in the buffer", n)
+	}
+
+	// After the cooldown, the probe succeeds and closes the breaker; the
+	// buffer then takes its full capacity.
+	now = now.Add(2 * time.Second)
+	for k := 0; k < 2; k++ {
+		if _, err := p.Invoke(ctx, ticket.MethodOpen, fmt.Sprintf("t%d", k), "s"); err != nil {
+			t.Fatalf("open %d after the cooldown: %v", k, err)
+		}
+		if cb.State() != "closed" {
+			t.Fatalf("breaker after a good probe: %s, want closed", cb.State())
+		}
+		consistent("open after cooldown")
+	}
+	if n := g.Buffer().Count(); n != 2 {
+		t.Fatalf("buffer holds %d tickets, want its capacity 2", n)
+	}
+	if n := mod.Stats().Admissions; n != 4 {
+		t.Fatalf("admissions = %d, want 4: the two failures and the two successes, no shed call", n)
 	}
 }
 

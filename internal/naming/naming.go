@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -118,23 +117,3 @@ func (s *Store) List() []Entry {
 
 // Len returns the number of live registrations.
 func (s *Store) Len() int { return len(s.List()) }
-
-// PrefixResolver returns a function yielding the addresses of every live
-// registration whose name starts with prefix — the discovery side of
-// client-side load balancing over replicas registered as, for example,
-// "ticket-server/1", "ticket-server/2".
-func PrefixResolver(c *Client, prefix string) func() ([]string, error) {
-	return func() ([]string, error) {
-		entries, err := c.List()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, 0, len(entries))
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name, prefix) {
-				out = append(out, e.Addr)
-			}
-		}
-		return out, nil
-	}
-}
