@@ -16,10 +16,14 @@
 #                      concurrency tests, ten rounds of the amrpc
 #                      line-buffer aliasing, late-reply, frame-writer and
 #                      flush-ledger tests, and three of the amrpc retry,
-#                      re-dial and backoff-schedule tests
+#                      re-dial and backoff-schedule tests and of the
+#                      replication tests: offer atomicity, snapshot
+#                      order, request-line ownership and every handoff
+#                      path
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
-#                      wire encoders and decoders and the value decoder
-#                      (each differential against encoding/json), the
+#                      wire encoders and decoders, the value decoder and
+#                      the replication-offer decoder (each differential
+#                      against encoding/json), the
 #                      interference checker, and the seqlock guard-eval
 #                      differential target
 #   make bench       — the one benchmark harness: `bash benchmark/run.sh`,
@@ -41,8 +45,10 @@
 #                      plus the failover and park-readmission tests
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
-#                      kill via effect-log catch-up, and stale-term
-#                      replication fencing
+#                      kill via effect-log catch-up, stale-term
+#                      replication fencing, a late older snapshot
+#                      never replacing a newer one, and a stream getting
+#                      past an effect no offer can carry
 #   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
 #                      shadow-smoke + cluster-smoke + handoff-smoke
 
@@ -76,6 +82,8 @@ race:
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
+	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap' ./internal/cluster/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -86,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/statesync -run '^$$' -fuzz '^FuzzDecodeOffer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzSeqlockGuardEval$$' -fuzztime $(FUZZTIME)
 
@@ -152,11 +161,14 @@ cluster-smoke:
 # snapshot barrier before the lease moves; a hard kill must recover it
 # from the streamed effect log alone (no snapshot hooks); a zombie
 # leader's replication offer at a stale term must be refused; a lease
-# re-acquired at an unchanged term must keep its effect log; and a
-# snapshot the taker cannot install must be counted as a catch-up gap.
+# re-acquired at an unchanged term must keep its effect log; a
+# snapshot the taker cannot install must be counted as a catch-up gap;
+# a replica must not let a late, older snapshot replace a newer one; and
+# an effect whose argument no offer can carry must not stall the stream.
 handoff-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap'
+		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument'
+	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot'
 	@echo "handoff-smoke: OK"
 
 check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke

@@ -12,7 +12,8 @@ package amrpc
 // as raw values, and verifies the checksum over the bytes received.
 //
 // Argument and result values are encoded by a valueEncoder: scalars inline,
-// anything else through a json.Encoder writing into the same buffer. They
+// an Appender's own encoding verbatim once checked, anything else through a
+// json.Encoder writing into the same buffer. They
 // are decoded without encoding/json: decodeValue builds the generic values
 // json.Unmarshal into an any would (float64, string, bool, nil, []any,
 // map[string]any) in one pass, and the frame parser unquotes escaped
@@ -161,6 +162,9 @@ func (e *valueEncoder) add(v any) error {
 	if b, ok := appendScalar(e.buf, v); ok {
 		e.buf = b
 		return nil
+	}
+	if a, ok := v.(Appender); ok {
+		return e.addEncoded(a)
 	}
 	if e.json == nil {
 		e.json = json.NewEncoder(e)
@@ -620,10 +624,11 @@ var (
 // frameParser walks the members of one frame's top-level object. A syntax
 // or type error sets bad and stops the walk; finish reports it.
 type frameParser struct {
-	b     []byte
-	i     int
-	bad   bool
-	plain bool // the string skipString last scanned is printable ASCII with no escape
+	b      []byte
+	i      int
+	bad    bool
+	plain  bool // the string skipString last scanned is printable ASCII with no escape
+	floats bool // skipNumber also refuses a number outside float64's range
 
 	started bool   // the opening brace has been consumed
 	key     []byte // the current member's name, unquoted
@@ -956,6 +961,7 @@ func isHex(c byte) bool {
 }
 
 func (p *frameParser) skipNumber() bool {
+	start := p.i
 	if p.peek() == '-' {
 		p.i++
 	}
@@ -976,6 +982,9 @@ func (p *frameParser) skipNumber() bool {
 		if !p.skipDigitRun() {
 			return false
 		}
+	}
+	if p.floats && !fitsFloat(p.b[start:p.i]) {
+		return p.fail()
 	}
 	return true
 }

@@ -51,15 +51,9 @@ func decodeRequest(line []byte, req *request) error {
 	return decodeRequestInterned(line, req, &nameCache{table: &none, methods: make(map[string]string)})
 }
 
-// appendValue and encodeArgs are valueEncoder as a caller with no buffer to
-// reuse would use it, the form the seal targets below hold to the
-// reference.
-func appendValue(dst []byte, v any) ([]byte, error) {
-	e := valueEncoder{buf: dst}
-	err := e.add(v)
-	return e.buf, err
-}
-
+// encodeArgs is valueEncoder as a caller with no buffer to reuse would use
+// it, the form FuzzSealRequest holds to the reference (FuzzSealResponse
+// holds AppendValue to it).
 func encodeArgs(buf []byte, args []any) ([]byte, []json.RawMessage, error) {
 	if len(args) == 0 {
 		return buf, nil, nil
@@ -103,35 +97,81 @@ func refRaw(t testing.TB, args []any) []json.RawMessage {
 	return out
 }
 
+// encoded is an argument already in wire form: the Appender a caller hands
+// the client so that its bytes go into the frame verbatim.
+type encoded []byte
+
+func (e encoded) AppendJSON(dst []byte) ([]byte, error) { return append(dst, e...), nil }
+
+// encodedSeeds are already-encoded arguments FuzzSealRequest starts from:
+// canonical values of every type, values json.Marshal would re-space or
+// re-escape, and values no frame can carry.
+var encodedSeeds = []string{
+	`{"from":"n1","domain":"alpha","term":3,"snapshot":"AAEC/w==","snap_seq":9,"entries":[{"seq":10,"term":3,"method":"put","args":["id-10",1.5,true,null,{"k":[]}]}]}`,
+	`"plain"`, `"<escaped> 😀"`, `-12.5e3`, `true`, `null`, `[]`, `{}`, `[1,"two",[3]]`,
+	`{ "spaced" : [ 1 , 2 ] }`, `"<raw & unescaped>"`, "\"caf\xc3\xa9 \xff\"", `1e999`,
+	``, ` 1`, `1 `, `{"a":1}{"b":2}`, `{"a":}`, `"unterminated`, "[1,\n2]", "\"tab\there\"",
+	strings.Repeat("[", maxNesting-1) + strings.Repeat("]", maxNesting-1),
+	strings.Repeat("[", maxNesting) + strings.Repeat("]", maxNesting),
+}
+
 // FuzzSealRequest is the wire-compatibility pin for requests: for arbitrary
 // members and arguments the encoder emits exactly the bytes the reference
 // seal emits, and both decoders take the frame back to the same struct and
-// the same generic arguments.
+// the same generic arguments. An already-encoded argument (raw, when not
+// nil) is checked on its way: the encoder refuses it unless it is one JSON
+// value on one line, and then carries it verbatim — byte for byte the
+// reference's frame when it is already as json.Marshal would write it.
 func FuzzSealRequest(f *testing.F) {
 	for i, s := range awkward {
-		f.Add(uint64(i), s, "open", "", int64(i), 0.25, i%2 == 0, 0, int64(0), uint64(0))
-		f.Add(uint64(math.MaxUint64), "ticket", s, s, int64(math.MinInt64), -1e300, true, -7, int64(1500), uint64(math.MaxUint64))
+		f.Add(uint64(i), s, "open", "", int64(i), 0.25, i%2 == 0, 0, int64(0), uint64(0), []byte(nil))
+		f.Add(uint64(math.MaxUint64), "ticket", s, s, int64(math.MinInt64), -1e300, true, -7, int64(1500), uint64(math.MaxUint64), []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, id uint64, component, method, token string, n int64, fl float64, b bool, priority int, timeoutMS int64, fence uint64) {
+	for i, s := range encodedSeeds {
+		f.Add(uint64(i), "_cluster/n1", "sync-offer", "", int64(1), 0.5, false, 0, int64(2000), uint64(0), []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, id uint64, component, method, token string, n int64, fl float64, b bool, priority int, timeoutMS int64, fence uint64, raw []byte) {
 		args := fuzzArgs(component, n, fl, b)
 		if n%3 == 0 {
 			args = nil
 		}
-		ref := &request{ID: id, Component: component, Method: method, Args: refRaw(t, args),
+		refArgs := refRaw(t, args)
+		if raw != nil {
+			args = append(args, encoded(raw))
+			refArgs = append(refArgs, json.RawMessage(raw))
+		}
+
+		buf, raws, err := encodeArgs(nil, args)
+		carried := raw != nil && json.Valid(raw) && !bytes.ContainsRune(raw, '\n') &&
+			len(bytes.TrimSpace(raw)) == len(raw) && nesting(raw) < maxNesting
+		switch {
+		case err != nil && carried:
+			t.Fatalf("encodeArgs refused an argument it can carry (%v): %q", err, raw)
+		case err != nil && raw != nil:
+			return
+		case err != nil:
+			t.Fatalf("encodeArgs: %v", err)
+		case raw != nil && !carried:
+			t.Fatalf("encodeArgs accepted an argument no frame can carry: %q", raw)
+		case raw != nil && !bytes.Equal(raws[len(raws)-1], raw):
+			t.Fatalf("already-encoded argument not carried verbatim: %q became %q", raw, raws[len(raws)-1])
+		}
+		req := &request{ID: id, Component: component, Method: method, Args: raws,
+			Token: token, Priority: priority, TimeoutMS: timeoutMS, Fence: fence}
+		got := appendRequest(buf, req)[len(buf):]
+
+		ref := &request{ID: id, Component: component, Method: method, Args: refArgs,
 			Token: token, Priority: priority, TimeoutMS: timeoutMS, Fence: fence}
 		want, err := refSealRequest(ref)
 		if err != nil {
 			t.Fatalf("reference seal: %v", err)
 		}
-
-		buf, raws, err := encodeArgs(nil, args)
-		if err != nil {
-			t.Fatalf("encodeArgs: %v", err)
+		canonical := true
+		if raw != nil {
+			again, _ := json.Marshal(json.RawMessage(raw))
+			canonical = bytes.Equal(again, raw)
 		}
-		req := &request{ID: id, Component: component, Method: method, Args: raws,
-			Token: token, Priority: priority, TimeoutMS: timeoutMS, Fence: fence}
-		got := appendRequest(buf, req)[len(buf):]
-		if !bytes.Equal(got, want) {
+		if canonical && !bytes.Equal(got, want) {
 			t.Fatalf("encoder diverged from the reference\n got %s\nwant %s", got, want)
 		}
 
@@ -140,24 +180,27 @@ func FuzzSealRequest(f *testing.F) {
 			t.Fatalf("own frame rejected: %v\n%s", err, got)
 		}
 		var refDec request
-		if err := json.Unmarshal(want, &refDec); err != nil {
-			t.Fatalf("json.Unmarshal of the reference frame: %v", err)
+		if err := json.Unmarshal(got, &refDec); err != nil {
+			t.Fatalf("json.Unmarshal of the frame: %v", err)
 		}
 		if !reflect.DeepEqual(dec, refDec) {
 			t.Fatalf("decoded %+v, json.Unmarshal %+v", dec, refDec)
 		}
-		gotArgs, err := decodeArgs(dec.Args)
-		if err != nil {
-			t.Fatalf("decodeArgs: %v", err)
-		}
+		gotArgs, argsErr := decodeArgs(dec.Args)
 		for i, r := range dec.Args {
 			var v any
 			if err := json.Unmarshal(r, &v); err != nil {
-				t.Fatalf("reference decode of arg %d: %v", i, err)
+				if argsErr == nil {
+					t.Fatalf("decodeArgs accepted arg %d that encoding/json refuses (%v): %s", i, err, r)
+				}
+				return
 			}
-			if !reflect.DeepEqual(gotArgs[i], v) {
+			if argsErr == nil && !reflect.DeepEqual(gotArgs[i], v) {
 				t.Fatalf("arg %d decoded to %#v, reference %#v", i, gotArgs[i], v)
 			}
+		}
+		if argsErr != nil {
+			t.Fatalf("decodeArgs refused what encoding/json decodes: %v", argsErr)
 		}
 	})
 }
@@ -184,8 +227,8 @@ func FuzzSealResponse(f *testing.F) {
 
 		resp := &response{ID: id, Err: errText, Code: code, RetryAfterMS: retryMS}
 		if pick < 200 {
-			if resp.Result, err = appendValue(nil, result); err != nil {
-				t.Fatalf("appendValue(%#v): %v", result, err)
+			if resp.Result, err = AppendValue(nil, result); err != nil {
+				t.Fatalf("AppendValue(%#v): %v", result, err)
 			}
 		}
 		got := appendResponse(nil, resp)

@@ -60,10 +60,12 @@ type Server struct {
 }
 
 // hosted is one registered component under the name it was registered
-// by: the one copy of that name every request addressing it uses.
+// by: the one copy of that name every request addressing it uses. raw is
+// the component as a RawComponent, nil when it is not one.
 type hosted struct {
 	name string
 	c    Component
+	raw  RawComponent
 }
 
 // ServerOption configures NewServer.
@@ -145,7 +147,8 @@ func (s *Server) RegisterComponent(c Component) error {
 		return fmt.Errorf("amrpc: component %q already registered", name)
 	}
 	table := maps.Clone(old)
-	table[name] = hosted{name: name, c: c}
+	raw, _ := c.(RawComponent)
+	table[name] = hosted{name: name, c: c, raw: raw}
 	s.components.Store(&table)
 	return nil
 }
@@ -444,9 +447,20 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 			Code: CodeNoComponent,
 		}
 	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		return response{ID: req.ID, Err: err.Error(), Code: CodeBadRequest}
+	var args []any
+	if h.raw != nil && h.raw.RawArgs(req.Method) {
+		// The arguments alias the request line, which the worker recycles
+		// only after the reply: they stay valid for all of Call, as
+		// RawComponent promises.
+		args = make([]any, len(req.Args))
+		for i, r := range req.Args {
+			args[i] = r
+		}
+	} else {
+		var err error
+		if args, err = decodeArgs(req.Args); err != nil {
+			return response{ID: req.ID, Err: err.Error(), Code: CodeBadRequest}
+		}
 	}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // forwardAllocs is what one call entering the plane at a node that does not
@@ -40,5 +42,71 @@ func TestForwardAllocations(t *testing.T) {
 	t.Logf("%.0f allocs per forwarded call", n)
 	if n > forwardAllocs {
 		t.Errorf("forwarded call: %.0f allocs, want <= %d", n, forwardAllocs)
+	}
+}
+
+// replicatedForwardAllocs is forwardAllocs with state sync on: the owner
+// streams each effect to its successor, which may add at most one heap
+// allocation per call to the forward path's.
+const replicatedForwardAllocs = 9
+
+// TestReplicatedForwardAllocations is TestForwardAllocations with state
+// sync on. The owner captures each call's effect and streams it to its
+// ring successor — here the entry node — in batched offers: encoded from
+// the log straight into the frame, parsed by the successor straight into
+// its packed replica, neither side allocating per entry. The count covers
+// the streamer's work: it is read only once the successor holds every
+// effect the owner captured.
+func TestReplicatedForwardAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	namingAddr := startNaming(t)
+	_, n1 := startLedgerNode(t, "n1", namingAddr, nil)
+	_, n2 := startLedgerNode(t, "n2", namingAddr, nil)
+	owner, entry := n1, n2
+	if waitOwnership(t, n1, n2)["alpha"] == n2 {
+		owner, entry = n2, n1
+	}
+	ctx := context.Background()
+	call := func() {
+		if _, err := entry.Invoke(ctx, "alpha-put", "a-forwarded"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// drained waits for the successor to hold the owner's whole log. It
+	// polls slowly: each status read allocates.
+	drained := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			last := owner.sync.Seq("alpha")
+			for _, st := range entry.SyncStatus() {
+				if st.Domain == "alpha" && st.ReplicaSeq == last {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("successor never caught up with the owner's seq %d", last)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		call()
+	}
+	drained()
+
+	const calls = 20_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	drained()
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("%.2f allocs per replicated forwarded call", per)
+	if per > replicatedForwardAllocs {
+		t.Errorf("replicated forwarded call: %.2f allocs, want <= %d", per, replicatedForwardAllocs)
 	}
 }

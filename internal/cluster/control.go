@@ -8,7 +8,6 @@ import (
 	"repro/internal/amrpc"
 	"repro/internal/aspect"
 	"repro/internal/naming"
-	"repro/internal/statesync"
 )
 
 // controlName is the per-node control component: cluster-internal
@@ -36,31 +35,32 @@ func (c *control) Call(inv *aspect.Invocation) (any, error) {
 	}
 }
 
+// RawArgs implements amrpc.RawComponent: a sync offer reaches syncOffer as
+// the bytes the frame carried it in, not as a generic decoded value.
+func (c *control) RawArgs(method string) bool { return method == "sync-offer" }
+
 // syncOffer is the replication stream endpoint: a domain leader ships its
 // effect log (and snapshots) here, to the node standing ring successor.
 // The offer's own term field fences it — the manager refuses terms behind
 // the replica's (or behind a leadership this node itself holds), so a
-// zombie leader cannot overwrite fresher replicated state.
+// zombie leader cannot overwrite fresher replicated state. The reply is
+// the acknowledged sequence number.
 func (c *control) syncOffer(inv *aspect.Invocation) (any, error) {
 	if c.n.sync == nil {
 		return nil, fmt.Errorf("cluster %s: state sync disabled", c.n.cfg.ID)
 	}
-	payload, err := inv.ArgString(0)
-	if err != nil {
-		return nil, fmt.Errorf("cluster control %s: sync-offer: %w", c.n.cfg.ID, err)
+	raw, ok := inv.Arg(0).(json.RawMessage)
+	if !ok {
+		return nil, fmt.Errorf("cluster control %s: sync-offer: want the offer, got %T", c.n.cfg.ID, inv.Arg(0))
 	}
-	var o statesync.Offer
-	if err := json.Unmarshal([]byte(payload), &o); err != nil {
-		return nil, fmt.Errorf("cluster control %s: sync-offer: decode: %w", c.n.cfg.ID, err)
-	}
-	ack, err := c.n.sync.HandleOffer(o)
+	ack, err := c.n.sync.HandleOffer(raw)
 	if err != nil {
 		if errors.Is(err, naming.ErrStaleTerm) {
 			c.n.staleRefusals.Add(1)
 		}
 		return nil, err
 	}
-	return ack, nil
+	return ack.Acked, nil
 }
 
 // wake is the cross-node wake notification endpoint. It re-kicks the

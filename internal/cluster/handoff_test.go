@@ -15,14 +15,15 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/amrpc"
+	"repro/internal/cluster/view"
 	"repro/internal/naming"
 	"repro/internal/statesync"
 )
@@ -336,12 +337,8 @@ func TestClusterStaleSyncOfferRefused(t *testing.T) {
 		From: "zombie", Domain: "beta", Term: term,
 		Entries: []statesync.Entry{{Domain: "beta", Seq: 1, Term: term, Method: "beta-put", Args: []any{"b-zombie"}}},
 	}
-	payload, err := json.Marshal(offer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := owner.Status().StaleRefusals
-	_, err = c.Component(controlName(owner.ID())).Invoke(context.Background(), "sync-offer", string(payload))
+	_, err = c.Component(controlName(owner.ID())).Invoke(context.Background(), "sync-offer", offer)
 	if !errors.Is(err, naming.ErrStaleTerm) {
 		t.Fatalf("stale sync offer: err = %v, want ErrStaleTerm", err)
 	}
@@ -351,17 +348,127 @@ func TestClusterStaleSyncOfferRefused(t *testing.T) {
 }
 
 // TestAckFromReply pins how the replication stream reads its ack: straight
-// from the reply's generic wire form, and a reply without a numeric acked
-// is an error that names the reply — not a silent ack of zero, which would
-// leave the leader's log unreclaimed with nothing said.
+// from the reply's generic wire form, a bare number, and a reply that is
+// not one is an error that names the reply — not a silent ack of zero,
+// which would leave the leader's log unreclaimed with nothing said.
 func TestAckFromReply(t *testing.T) {
-	ack, err := ackFromReply(map[string]any{"acked": float64(1 << 40)})
+	ack, err := ackFromReply(float64(1 << 40))
 	if err != nil || ack.Acked != 1<<40 {
 		t.Fatalf("ack = %+v, err = %v", ack, err)
 	}
-	for _, bad := range []any{nil, true, "acked", map[string]any{}, map[string]any{"acked": "7"}} {
+	for _, bad := range []any{nil, true, "7", map[string]any{}, map[string]any{"acked": float64(7)}} {
 		if _, err := ackFromReply(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
 			t.Errorf("reply %v: err = %v, want an error naming the reply", bad, err)
 		}
 	}
+}
+
+// TestReplicaDoesNotAliasRequestLine pins the lifetime rule of raw
+// arguments on the replication stream: an offer reaches the successor as
+// bytes of the server's pooled request line, which the next frames on the
+// connection overwrite, so the replica must copy whatever it keeps. The
+// test ships one offer, pushes 64 more of the same shape through the same
+// connection — the same pooled lines — and then takes the first one's
+// domain over: every entry must come back as it was offered.
+func TestReplicaDoesNotAliasRequestLine(t *testing.T) {
+	namingAddr := startNaming(t)
+	_, n := startLedgerNode(t, "o1", namingAddr, nil)
+	c, err := amrpc.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctl := c.Component(controlName(n.ID()))
+	offer := func(domain, tag string, from int) statesync.Offer {
+		o := statesync.Offer{From: "peer", Domain: domain, Term: 1}
+		for s := from; s < from+16; s++ {
+			o.Entries = append(o.Entries, statesync.Entry{Domain: domain, Seq: uint64(s), Term: 1, Method: "gamma-put",
+				Args: []any{fmt.Sprintf("%s-%04d", tag, s), float64(s), map[string]any{"tag": tag}}})
+		}
+		return o
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	first := offer("gamma", "first", 1)
+	if _, err := ctl.Invoke(ctx, "sync-offer", first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := ctl.Invoke(ctx, "sync-offer", offer("delta", "later", 1+16*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, held := n.sync.Takeover("gamma")
+	if !held || !reflect.DeepEqual(st.Entries, first.Entries) {
+		t.Fatalf("takeover after 64 more frames: held=%v entries=%+v, want %+v", held, st.Entries, first.Entries)
+	}
+}
+
+// TestClusterReplicatesPastDeepArgument pins the replication stream against
+// an argument an amrpc call may carry but an offer may not: nested 62
+// levels deep, it is legal in the forwarded call, and four levels too deep
+// once wrapped in the offer, its entry and its args. The owner must get
+// past that entry — through a snapshot with the app's hooks, as a gap the
+// successor records without them — so that the ordinary calls after it
+// still bring the successor level with the owner, with no offer error.
+func TestClusterReplicatesPastDeepArgument(t *testing.T) {
+	deep := any("x")
+	for i := 0; i < 62; i++ {
+		deep = []any{deep}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"snapshot hooks", nil},
+		{"no snapshot hooks", func(cfg *Config) { cfg.Snapshot, cfg.Restore = nil, nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			namingAddr := startNaming(t)
+			_, n1 := startLedgerNode(t, "n1", namingAddr, c.mutate)
+			_, n2 := startLedgerNode(t, "n2", namingAddr, c.mutate)
+			owner, entry := n1, n2
+			if waitOwnership(t, n1, n2)["alpha"] == n2 {
+				owner, entry = n2, n1
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := entry.Invoke(ctx, "alpha-put", "a-deep", deep); err != nil {
+				t.Fatalf("forwarded call with a 62-deep argument: %v", err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := entry.Invoke(ctx, "alpha-put", fmt.Sprintf("a-after-%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := owner.sync.Seq("alpha")
+			var lead, replica view.SyncStatus
+			deadline := time.Now().Add(5 * time.Second)
+			for replica.ReplicaSeq != last {
+				if time.Now().After(deadline) {
+					t.Fatalf("successor stuck at seq %d, owner at %d (offer errors %d)", replica.ReplicaSeq, last, lead.OfferErrors)
+				}
+				time.Sleep(20 * time.Millisecond)
+				lead, replica = syncRow(owner, "alpha"), syncRow(entry, "alpha")
+			}
+			wantSkipped, wantGaps := uint64(0), uint64(0)
+			if c.mutate != nil {
+				wantSkipped, wantGaps = 1, 1
+			}
+			if lead.OfferErrors != 0 || lead.Skipped != wantSkipped || replica.Gaps != wantGaps {
+				t.Fatalf("owner: offer errors %d, skipped %d; successor: gaps %d; want 0, %d, %d",
+					lead.OfferErrors, lead.Skipped, replica.Gaps, wantSkipped, wantGaps)
+			}
+		})
+	}
+}
+
+// syncRow returns n's replication status row for domain.
+func syncRow(n *Node, domain string) view.SyncStatus {
+	for _, st := range n.SyncStatus() {
+		if st.Domain == domain {
+			return st
+		}
+	}
+	return view.SyncStatus{}
 }

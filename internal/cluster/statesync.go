@@ -23,7 +23,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -59,20 +58,18 @@ func (t *syncTransport) Offer(ctx context.Context, succ string, o statesync.Offe
 		return statesync.Ack{}, fmt.Errorf("cluster %s: sync successor %s not in membership: %w",
 			n.cfg.ID, succ, amrpc.ErrTransport)
 	}
-	payload, err := json.Marshal(o)
-	if err != nil {
-		return statesync.Ack{}, fmt.Errorf("cluster %s: encode sync offer: %w", n.cfg.ID, err)
-	}
 	p, err := n.peerFor(addr)
 	if err != nil {
 		return statesync.Ack{}, err
 	}
 	// Idempotent by construction: the receiver drops duplicate sequence
-	// numbers, so a retried offer cannot double-apply.
+	// numbers, so a retried offer cannot double-apply. The offer appends
+	// its own wire form to the call's frame (it is an amrpc.Appender),
+	// once, however often the call is retried.
 	stub := p.stub(stubKey{control: succ}, func() *amrpc.Stub {
 		return p.client.Component(controlName(succ), amrpc.WithIdempotent())
 	})
-	res, err := stub.Invoke(ctx, "sync-offer", string(payload))
+	res, err := stub.Invoke(ctx, "sync-offer", o)
 	if err != nil {
 		if errors.Is(err, amrpc.ErrTransport) {
 			n.dropPeer(addr)
@@ -87,12 +84,11 @@ func (t *syncTransport) Offer(ctx context.Context, succ string, o statesync.Offe
 }
 
 // ackFromReply reads an Ack out of a sync-offer reply in its generic wire
-// form, {"acked": <number>}.
+// form: the acknowledged sequence number, bare.
 func ackFromReply(res any) (statesync.Ack, error) {
-	reply, _ := res.(map[string]any)
-	acked, ok := reply["acked"].(float64)
+	acked, ok := res.(float64)
 	if !ok {
-		return statesync.Ack{}, fmt.Errorf("reply %v has no numeric \"acked\"", res)
+		return statesync.Ack{}, fmt.Errorf("reply %v is not an acknowledged sequence number", res)
 	}
 	return statesync.Ack{Acked: uint64(acked)}, nil
 }

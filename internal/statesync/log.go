@@ -37,36 +37,36 @@ import (
 // owner of Domain while it held the lease at Term. Seq is the per-domain,
 // per-leadership sequence number (1-based); a new leader starts a fresh
 // sequence, so (Term, Seq) totally orders a domain's replicated history.
+//
+// On the wire an entry leaves Domain out: the offer carrying it names the
+// domain once.
 type Entry struct {
-	Domain string `json:"domain"`
+	Domain string `json:"-"`
 	Seq    uint64 `json:"seq"`
 	Term   uint64 `json:"term"`
 	Method string `json:"method"`
 	Args   []any  `json:"args,omitempty"`
 }
 
-// logSlot is one ring cell: ready publishes the sequence number whose entry
-// the cell currently holds, so readers can detect both unpublished and
-// wrapped cells without a lock.
-type logSlot struct {
-	ready atomic.Uint64
-	e     Entry
-}
-
 // Log is one domain's effect log: a fixed-capacity MPSC ring. Any number
 // of completion hooks may Append concurrently; a single streamer reads
 // contiguous published entries and advances the acknowledged mark. A slot
 // is reused only after its entry has been acknowledged, so the reader
-// never observes a torn entry.
+// never observes a torn entry. The entries sit in one array, apart from
+// their ready marks, so that a run of them is a slice the streamer encodes
+// in place.
 type Log struct {
-	domain string
-	mask   uint64
-	slots  []logSlot
+	domain  string
+	mask    uint64
+	entries []Entry
+	// ready[i] publishes the sequence number whose entry entries[i] holds,
+	// so readers detect both unpublished and wrapped cells without a lock.
+	ready []atomic.Uint64
 
 	head     atomic.Uint64 // last assigned sequence (0 = empty)
 	acked    atomic.Uint64 // acknowledged high-water mark; entries <= acked are reclaimable
 	overflow atomic.Uint64 // appends refused because the unacked window was full
-	skipped  atomic.Uint64 // lost sequences abandoned by SkipGap (no snapshot available)
+	skipped  atomic.Uint64 // sequences abandoned by SkipGap or Abandon (no snapshot available)
 	gapped   atomic.Bool   // the log has lost an entry since the last resync
 }
 
@@ -77,11 +77,11 @@ func NewLog(domain string, capacity int) *Log {
 	for size < capacity {
 		size <<= 1
 	}
-	return &Log{domain: domain, mask: uint64(size - 1), slots: make([]logSlot, size)}
+	return &Log{domain: domain, mask: uint64(size - 1), entries: make([]Entry, size), ready: make([]atomic.Uint64, size)}
 }
 
 // Capacity returns the slot count.
-func (l *Log) Capacity() int { return len(l.slots) }
+func (l *Log) Capacity() int { return len(l.entries) }
 
 // Append records one completed effect, returning its sequence number and
 // whether it was stored. An append that would overwrite an unacknowledged
@@ -90,35 +90,34 @@ func (l *Log) Capacity() int { return len(l.slots) }
 // snapshot resync. Lock-free; safe from any number of goroutines.
 func (l *Log) Append(term uint64, method string, args []any) (uint64, bool) {
 	seq := l.head.Add(1)
-	if seq > uint64(len(l.slots)) && seq-uint64(len(l.slots)) > l.acked.Load() {
+	if seq > uint64(len(l.entries)) && seq-uint64(len(l.entries)) > l.acked.Load() {
 		l.overflow.Add(1)
 		l.gapped.Store(true)
 		return seq, false
 	}
-	s := &l.slots[seq&l.mask]
-	s.e = Entry{Domain: l.domain, Seq: seq, Term: term, Method: method, Args: args}
-	s.ready.Store(seq)
+	i := seq & l.mask
+	l.entries[i] = Entry{Domain: l.domain, Seq: seq, Term: term, Method: method, Args: args}
+	l.ready[i].Store(seq)
 	return seq, true
 }
 
 // ReadFrom returns up to max contiguous published entries with sequence
 // numbers strictly greater than from. It stops at the first unpublished
-// (or lost) slot. Single-reader.
+// (or lost) slot, and at the end of the ring: the run is a slice of the
+// log itself, not a copy. No append can overwrite a published entry
+// before it is acknowledged, so the run stays valid until the reader
+// advances the acknowledged mark past it. Single-reader.
 func (l *Log) ReadFrom(from uint64, max int) []Entry {
 	head := l.head.Load()
-	var out []Entry
-	for seq := from + 1; seq <= head && len(out) < max; seq++ {
-		s := &l.slots[seq&l.mask]
-		if s.ready.Load() != seq {
+	first := (from + 1) & l.mask
+	n := 0
+	for seq := from + 1; seq <= head && n < max && first+uint64(n) < uint64(len(l.entries)); seq++ {
+		if l.ready[seq&l.mask].Load() != seq {
 			break // not yet published, or lost to overflow
 		}
-		e := s.e
-		if s.ready.Load() != seq {
-			break // wrapped under us (only possible past the acked mark)
-		}
-		out = append(out, e)
+		n++
 	}
-	return out
+	return l.entries[first : first+uint64(n) : first+uint64(n)]
 }
 
 // Ack advances the acknowledged high-water mark (monotone).
@@ -148,7 +147,7 @@ func (l *Log) SkipGap() uint64 {
 	}
 	skipTo := head
 	for seq := from + 1; seq <= head; seq++ {
-		if l.slots[seq&l.mask].ready.Load() == seq {
+		if l.ready[seq&l.mask].Load() == seq {
 			skipTo = seq - 1
 			break
 		}
@@ -160,6 +159,16 @@ func (l *Log) SkipGap() uint64 {
 	l.skipped.Add(skipTo - from)
 	l.gapped.Store(false)
 	return skipTo - from
+}
+
+// Abandon gives up on the entry at seq, which must be the first
+// unacknowledged one: the acknowledged mark passes it, and it is counted
+// as skipped, as SkipGap counts a lost range. Single-reader, like ReadFrom.
+func (l *Log) Abandon(seq uint64) {
+	if seq == l.acked.Load()+1 {
+		l.Ack(seq)
+		l.skipped.Add(1)
+	}
 }
 
 // LastSeq returns the last assigned sequence number.
@@ -174,7 +183,7 @@ func (l *Log) Pending() uint64 { return l.head.Load() - l.acked.Load() }
 // Overflows returns how many appends were refused for a full window.
 func (l *Log) Overflows() uint64 { return l.overflow.Load() }
 
-// Skipped returns how many lost sequences SkipGap has abandoned.
+// Skipped returns how many sequences SkipGap and Abandon have abandoned.
 func (l *Log) Skipped() uint64 { return l.skipped.Load() }
 
 // Gapped reports whether the log has lost an entry since the last resync.

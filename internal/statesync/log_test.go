@@ -119,6 +119,40 @@ func TestLogWrapWithAcks(t *testing.T) {
 	if l.Overflows() != 0 {
 		t.Fatalf("overflows %d on a drained log", l.Overflows())
 	}
+
+	// A run of several entries across the ring's end: a read is a slice of
+	// the log itself, so it stops at the end and the next read, after the
+	// ack, returns the rest. Appends the window refuses leave the run as
+	// it was.
+	l = NewLog("alpha", 16)
+	for i := 1; i <= 12; i++ {
+		l.Append(2, "put", []any{i})
+	}
+	l.Ack(12)
+	for i := 13; i <= 28; i++ {
+		if _, ok := l.Append(2, "put", []any{i}); !ok {
+			t.Fatalf("append %d refused inside the window", i)
+		}
+	}
+	run := l.ReadFrom(l.Acked(), 100)
+	if len(run) != 3 || run[0].Seq != 13 || run[2].Seq != 15 {
+		t.Fatalf("read across the ring end: %+v, want seqs 13-15", run)
+	}
+	for i := 29; i <= 31; i++ {
+		if _, ok := l.Append(2, "put", []any{i}); ok {
+			t.Fatalf("append %d accepted over unacknowledged seq 13", i)
+		}
+	}
+	for k, e := range run {
+		if want := 13 + k; e.Seq != uint64(want) || e.Args[0] != want {
+			t.Fatalf("run entry %d after refused appends: %+v, want seq and arg %d", k, e, want)
+		}
+	}
+	l.Ack(15)
+	rest := l.ReadFrom(l.Acked(), 100)
+	if len(rest) != 13 || rest[0].Seq != 16 || rest[12].Seq != 28 || rest[12].Args[0] != 28 {
+		t.Fatalf("read after the ack: %d entries from %+v, want seqs 16-28", len(rest), rest)
+	}
 }
 
 func TestLogConcurrentAppend(t *testing.T) {

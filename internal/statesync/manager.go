@@ -39,6 +39,10 @@ type Ack struct {
 
 // Transport ships offers to a successor node. The plane implements it
 // over its pooled amrpc control connections; tests use in-process fakes.
+// An offer's Entries are a run of the leader's log itself: they are valid
+// only until Offer returns. A transport that fails because the offer's
+// AppendJSON failed returns that error wrapped, so the streamer can tell an
+// entry no offer can carry from a failed delivery.
 type Transport interface {
 	Offer(ctx context.Context, successor string, o Offer) (Ack, error)
 }
@@ -406,9 +410,19 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 		return nil
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.OfferTimeout)
-	ack, err := m.cfg.Transport.Offer(ctx, succ, offer)
-	cancel()
+	ack, err := m.send(succ, offer)
+	var bad *unsendableEntry
+	if errors.As(err, &bad) && len(offer.Entries) > 0 {
+		switch k := bad.seq - offer.Entries[0].Seq; {
+		case k == 0:
+			m.passUnsendable(domain, s, bad)
+			return nil
+		case k < uint64(len(offer.Entries)):
+			// Ship what precedes it; the next round finds it first.
+			offer.Entries = offer.Entries[:k]
+			ack, err = m.send(succ, offer)
+		}
+	}
 	if err != nil {
 		s.mu.Lock()
 		if errors.Is(err, ErrStaleTerm) {
@@ -436,6 +450,29 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 		l.Ack(ack.Acked)
 	}
 	return nil
+}
+
+func (m *Manager) send(succ string, o Offer) (Ack, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.OfferTimeout)
+	defer cancel()
+	return m.cfg.Transport.Offer(ctx, succ, o)
+}
+
+// passUnsendable gets the stream past the first unacknowledged entry when
+// no offer can carry it. With a Snapshot hook the next offer's snapshot
+// carries its effect; without one the entry is abandoned, and the successor
+// counts the hole as a gap at the next entry it receives. Either way the
+// entries behind it replicate as before, where retrying it would stall the
+// stream for the rest of the term. Called under flushMu.
+func (m *Manager) passUnsendable(domain string, s *stream, bad *unsendableEntry) {
+	m.logf("statesync %s: domain %s: %v", m.cfg.Node, domain, bad)
+	if m.cfg.Snapshot != nil {
+		s.mu.Lock()
+		s.needSnap = true
+		s.mu.Unlock()
+		return
+	}
+	s.log.Abandon(bad.seq)
 }
 
 // Handoff synchronously drains domain's log to succ for a graceful
@@ -475,63 +512,81 @@ func (m *Manager) Handoff(ctx context.Context, domain, succ string) (uint64, err
 	}
 }
 
-// HandleOffer ingests one replication offer on the successor side. Offers
-// fenced at a term below the replica's recorded term — or below a term
-// this node itself leads the domain at — are refused with ErrStaleTerm;
-// duplicate entries are dropped idempotently. The returned Ack carries
-// the contiguous high-water mark now held here.
-func (m *Manager) HandleOffer(o Offer) (Ack, error) {
-	if s := (*m.streams.Load())[o.Domain]; s != nil && s.term >= o.Term {
+// HandleOffer ingests one replication offer, given in its wire form (see
+// Offer.AppendJSON), on the successor side. Offers fenced at a term below
+// the replica's recorded term — or below a term this node itself leads the
+// domain at — are refused with ErrStaleTerm; duplicate entries, and a
+// snapshot older than the one held at the same term, are dropped
+// idempotently. The offer is parsed whole before anything of it is
+// applied, so a malformed one changes nothing. The replica keeps no
+// reference to raw. The returned Ack carries the contiguous high-water mark
+// now held here.
+func (m *Manager) HandleOffer(raw []byte) (Ack, error) {
+	d := offerDecoders.Get().(*offerDecoder)
+	defer d.recycle()
+	if err := d.decode(raw); err != nil {
+		return Ack{}, fmt.Errorf("statesync %s: offer: %w", m.cfg.Node, err)
+	}
+	o := &d.out
+	if s := (*m.streams.Load())[string(o.domain)]; s != nil && s.term >= o.term {
 		m.mu.Lock()
-		r := m.replicaFor(o.Domain)
+		r := m.replicaFor(o.domain)
 		m.mu.Unlock()
 		r.mu.Lock()
 		r.refusals++
 		r.mu.Unlock()
 		return Ack{}, fmt.Errorf("statesync %s: offer for %s at term %d, but leading at term %d: %w",
-			m.cfg.Node, o.Domain, o.Term, s.term, ErrStaleTerm)
+			m.cfg.Node, o.domain, o.term, s.term, ErrStaleTerm)
 	}
 	m.mu.Lock()
-	r := m.replicaFor(o.Domain)
+	r := m.replicaFor(o.domain)
 	m.mu.Unlock()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if o.Term < r.term {
+	if o.term < r.term {
 		r.refusals++
 		return Ack{}, fmt.Errorf("statesync %s: offer for %s at stale term %d (replica at %d): %w",
-			m.cfg.Node, o.Domain, o.Term, r.term, ErrStaleTerm)
+			m.cfg.Node, o.domain, o.term, r.term, ErrStaleTerm)
 	}
-	if o.Term > r.term {
+	if o.term > r.term {
 		// A new leadership generation: its sequence starts over, so the
 		// old replica contents are superseded wholesale.
-		r.term, r.snap, r.snapSeq, r.entries, r.lastSeq = o.Term, nil, 0, suffix{}, 0
+		r.term, r.snap, r.snapSeq, r.entries, r.lastSeq = o.term, nil, 0, suffix{}, 0
 	}
-	r.from = o.From
-	if o.Snapshot != nil {
-		r.snap, r.snapSeq = o.Snapshot, o.SnapSeq
-		r.snapsIn++
-		r.entries.dropThrough(o.SnapSeq)
-		if r.lastSeq < o.SnapSeq {
-			r.lastSeq = o.SnapSeq
+	if r.from != string(o.from) {
+		r.from = string(o.from)
+	}
+	if o.snapshot != nil {
+		if o.snapSeq < r.snapSeq {
+			// A late retry of an older baseline (its connection re-dialled,
+			// say): installing it would roll back past the newer one and
+			// silently drop what lies between.
+			r.dups++
+		} else {
+			r.snap, r.snapSeq = o.snapshot, o.snapSeq
+			r.snapsIn++
+			r.entries.dropThrough(o.snapSeq)
+			if r.lastSeq < o.snapSeq {
+				r.lastSeq = o.snapSeq
+			}
 		}
 	}
-	for _, e := range o.Entries {
-		if e.Seq <= r.lastSeq {
+	for i := range o.entries {
+		e := &o.entries[i]
+		if e.seq <= r.lastSeq {
 			r.dups++
 			continue
 		}
-		if e.Seq != r.lastSeq+1 {
+		if e.seq != r.lastSeq+1 {
 			// Adopting a mid-stream baseline (no snapshot path), or a hole
 			// (sender overflowed without a snapshot): keep what we have,
 			// record the gap, and continue from the new position so the
 			// suffix stays fresh.
 			r.gaps++
 		}
-		if err := r.entries.add(e); err != nil {
-			return Ack{}, err
-		}
-		r.lastSeq = e.Seq
+		r.entries.add(e.seq, e.term, e.method, e.args)
+		r.lastSeq = e.seq
 	}
 	ack := r.lastSeq
 	if r.snapSeq > ack {
@@ -540,11 +595,11 @@ func (m *Manager) HandleOffer(o Offer) (Ack, error) {
 	return Ack{Acked: ack}, nil
 }
 
-func (m *Manager) replicaFor(domain string) *replica {
-	r, ok := m.replicas[domain]
+func (m *Manager) replicaFor(domain []byte) *replica {
+	r, ok := m.replicas[string(domain)]
 	if !ok {
 		r = &replica{}
-		m.replicas[domain] = r
+		m.replicas[string(domain)] = r
 	}
 	return r
 }

@@ -32,7 +32,21 @@ func (p *pipeTransport) Offer(ctx context.Context, succ string, o Offer) (Ack, e
 	if m == nil {
 		return Ack{}, errors.New("pipe: no such peer")
 	}
-	return m.HandleOffer(o)
+	raw, err := o.AppendJSON(nil)
+	if err != nil {
+		return Ack{}, err
+	}
+	return m.HandleOffer(raw)
+}
+
+// wire is o in its wire form.
+func wire(t testing.TB, o Offer) []byte {
+	t.Helper()
+	raw, err := o.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func newPair(t *testing.T, snapshot func(string) ([]byte, error)) (*Manager, *Manager, *pipeTransport) {
@@ -291,17 +305,17 @@ func TestManagerReplicaDiscipline(t *testing.T) {
 		}
 		return o
 	}
-	ack, err := m.HandleOffer(mkOffer(1, 1, 2))
+	ack, err := m.HandleOffer(wire(t, mkOffer(1, 1, 2)))
 	if err != nil || ack.Acked != 2 {
 		t.Fatalf("first offer: ack=%d err=%v", ack.Acked, err)
 	}
 	// A retransmission: dropped idempotently, ack unchanged.
-	ack, err = m.HandleOffer(mkOffer(1, 1, 2))
+	ack, err = m.HandleOffer(wire(t, mkOffer(1, 1, 2)))
 	if err != nil || ack.Acked != 2 {
 		t.Fatalf("duplicate offer: ack=%d err=%v", ack.Acked, err)
 	}
 	// A hole (sender overflowed): the gap is recorded, the suffix restarts.
-	ack, err = m.HandleOffer(mkOffer(1, 5))
+	ack, err = m.HandleOffer(wire(t, mkOffer(1, 5)))
 	if err != nil || ack.Acked != 5 {
 		t.Fatalf("gapped offer: ack=%d err=%v", ack.Acked, err)
 	}
@@ -315,12 +329,12 @@ func TestManagerReplicaDiscipline(t *testing.T) {
 		t.Fatalf("dups=%d gaps=%d, want 2/1", st0.dups, st0.gaps)
 	}
 	// A stale term is refused outright.
-	if _, err := m.HandleOffer(mkOffer(0, 6)); !errors.Is(err, ErrStaleTerm) {
+	if _, err := m.HandleOffer(wire(t, mkOffer(0, 6))); !errors.Is(err, ErrStaleTerm) {
 		t.Fatalf("stale-term offer: err=%v", err)
 	}
 	// A higher term supersedes the old replica wholesale: its sequence
 	// starts over.
-	ack, err = m.HandleOffer(mkOffer(2, 1))
+	ack, err = m.HandleOffer(wire(t, mkOffer(2, 1)))
 	if err != nil || ack.Acked != 1 {
 		t.Fatalf("new-term offer: ack=%d err=%v", ack.Acked, err)
 	}
@@ -423,7 +437,7 @@ func TestReplicaRetainsPackedSuffix(t *testing.T) {
 		for s := seq; s < seq+batch && s <= n; s++ {
 			o.Entries = append(o.Entries, entry(s))
 		}
-		if ack, err := m.HandleOffer(o); err != nil || ack.Acked != o.Entries[len(o.Entries)-1].Seq {
+		if ack, err := m.HandleOffer(wire(t, o)); err != nil || ack.Acked != o.Entries[len(o.Entries)-1].Seq {
 			t.Fatalf("offer at seq %d: ack=%d err=%v", seq, ack.Acked, err)
 		}
 	}
@@ -467,10 +481,10 @@ func TestReplicaSnapshotTrimsPackedSuffix(t *testing.T) {
 		}
 		o.Entries = append(o.Entries, e)
 	}
-	if _, err := m.HandleOffer(o); err != nil {
+	if _, err := m.HandleOffer(wire(t, o)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.HandleOffer(Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s"), SnapSeq: 4}); err != nil {
+	if _, err := m.HandleOffer(wire(t, Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s"), SnapSeq: 4})); err != nil {
 		t.Fatal(err)
 	}
 	st, held := m.Takeover("alpha")

@@ -1,0 +1,464 @@
+package statesync
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// maxDepth is amrpc's nesting bound: the offer decoder refuses values that
+// nest deeper, as amrpc's frame decoder does.
+const maxDepth = 64
+
+// newReceiver is a manager that only receives: it leads nothing and never
+// streams.
+func newReceiver(t testing.TB) *Manager {
+	t.Helper()
+	m, err := NewManager(Config{Node: "B", Transport: &pipeTransport{}, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m
+}
+
+func statusOf(m *Manager, domain string) (st struct {
+	seq, entries, dups, gaps, snaps uint64
+}) {
+	for _, s := range m.Status() {
+		if s.Domain == domain {
+			st.seq, st.entries, st.dups, st.gaps, st.snaps = s.ReplicaSeq, uint64(s.ReplicaEntries), s.Duplicates, s.Gaps, s.SnapshotsRecv
+		}
+	}
+	return st
+}
+
+func entries(domain string, term uint64, from, to int) []Entry {
+	var out []Entry
+	for s := from; s <= to; s++ {
+		out = append(out, Entry{Domain: domain, Seq: uint64(s), Term: term, Method: "put", Args: []any{fmt.Sprintf("id-%d", s)}})
+	}
+	return out
+}
+
+// TestReplicaIgnoresOlderSnapshot pins the snapshot's monotonicity within a
+// term: a retried offer carrying an older baseline that arrives after a
+// newer one — over a re-dialled connection, say — is a duplicate. Installing
+// it would roll the replica back to the older snapshot while keeping the
+// newer suffix, and the effects between the two would be lost without a
+// gap being counted.
+func TestReplicaIgnoresOlderSnapshot(t *testing.T) {
+	m := newReceiver(t)
+	newer := Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s20"), SnapSeq: 20, Entries: entries("alpha", 1, 21, 25)}
+	older := Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s10"), SnapSeq: 10, Entries: entries("alpha", 1, 11, 15)}
+	if ack, err := m.HandleOffer(wire(t, newer)); err != nil || ack.Acked != 25 {
+		t.Fatalf("newer offer: ack=%d err=%v", ack.Acked, err)
+	}
+	if ack, err := m.HandleOffer(wire(t, older)); err != nil || ack.Acked != 25 {
+		t.Fatalf("late older offer: ack=%d err=%v", ack.Acked, err)
+	}
+	if st := statusOf(m, "alpha"); st.snaps != 1 || st.dups != 6 || st.gaps != 0 {
+		t.Fatalf("snapshots=%d dups=%d gaps=%d, want 1/6/0 (the old snapshot and its five entries are duplicates)", st.snaps, st.dups, st.gaps)
+	}
+	st, held := m.Takeover("alpha")
+	if !held || string(st.Snapshot) != "s20" || st.SnapSeq != 20 || st.Gaps != 0 || !reflect.DeepEqual(st.Entries, newer.Entries) {
+		t.Fatalf("takeover: held=%v snapshot=%q through %d gaps=%d entries=%+v, want s20 through 20 and entries 21-25",
+			held, st.Snapshot, st.SnapSeq, st.Gaps, st.Entries)
+	}
+
+	// A newer term's baseline always wins, whatever its sequence.
+	if _, err := m.HandleOffer(wire(t, newer)); err != nil {
+		t.Fatal(err)
+	}
+	fresh := Offer{From: "C", Domain: "alpha", Term: 2, Snapshot: []byte("t2"), SnapSeq: 3}
+	if ack, err := m.HandleOffer(wire(t, fresh)); err != nil || ack.Acked != 3 {
+		t.Fatalf("new-term snapshot: ack=%d err=%v", ack.Acked, err)
+	}
+	if st, _ := m.Takeover("alpha"); string(st.Snapshot) != "t2" || len(st.Entries) != 0 {
+		t.Fatalf("new-term takeover: snapshot=%q entries=%d", st.Snapshot, len(st.Entries))
+	}
+}
+
+// TestMalformedOfferAppliesNothing pins the receiver's atomicity: an offer
+// is parsed whole before any of it is applied, so one bad entry in the
+// middle leaves the replica exactly as it was — sequence, counters and
+// suffix — and the error says which entry was bad.
+func TestMalformedOfferAppliesNothing(t *testing.T) {
+	m := newReceiver(t)
+	good := Offer{From: "A", Domain: "alpha", Term: 1, Entries: entries("alpha", 1, 1, 3)}
+	if _, err := m.HandleOffer(wire(t, good)); err != nil {
+		t.Fatal(err)
+	}
+	before := statusOf(m, "alpha")
+	next := string(wire(t, Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s"), SnapSeq: 3, Entries: entries("alpha", 1, 4, 8)}))
+	for _, c := range []struct{ from, to, names string }{
+		{`"seq":6`, `"seq":"6"`, "entries[2]"},
+		{`"seq":6`, `"seq":-6`, "entries[2]"},
+		{`"seq":6`, `"seq":null`, "entries[2]"},
+		{`"seq":6`, `"Seq":6`, "entries[2]"},
+		{`"seq":6`, `"seq":6,"seq":6`, "entries[2]"},
+		{`"seq":6`, `"domain":"alpha","seq":6`, "entries[2]"},
+		{`"term":1`, `"term":1,"term":1`, `"term" repeated`},
+		{`"args":["id-6"]`, `"args":"id-6"`, "entries[2]"},
+		{`"args":["id-6"]`, `"args":[1e999]`, "entries[2]"},
+		{`"method":"put","args":["id-6"]`, `"method":6`, "entries[2]"},
+		{`{"seq":6`, `7`, "entries[2]"},
+		{`{"seq":6`, `{"seq":6,`, "entries[2]"},
+		{`,{"seq":6`, ` {"seq":6`, "entries[2]"},
+		{`"snapshot":"cw=="`, `"snapshot":"c w"`, "snapshot"},
+		{`{"from"`, `x{"from"`, "offer"},
+	} {
+		bad := strings.Replace(next, c.from, c.to, 1)
+		if bad == next {
+			t.Fatalf("mutation %q -> %q did not apply to %s", c.from, c.to, next)
+		}
+		_, err := m.HandleOffer([]byte(bad))
+		if err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Fatalf("offer %s: err = %v, want an error naming %s", bad, err, c.names)
+		}
+		if after := statusOf(m, "alpha"); after != before {
+			t.Fatalf("offer %s (%v) changed the replica: %+v, was %+v", bad, err, after, before)
+		}
+	}
+	st, held := m.Takeover("alpha")
+	if !held || st.Snapshot != nil || !reflect.DeepEqual(st.Entries, good.Entries) {
+		t.Fatalf("takeover after refused offers: held=%v snapshot=%q entries=%+v", held, st.Snapshot, st.Entries)
+	}
+}
+
+// TestOfferWireFormIsJSONMarshal pins the encoder to encoding/json: an
+// offer's wire form is byte for byte json.Marshal's, for arguments of every
+// wire type and a snapshot holding every byte value.
+func TestOfferWireFormIsJSONMarshal(t *testing.T) {
+	snap := make([]byte, 256)
+	for i := range snap {
+		snap[i] = byte(i)
+	}
+	o := Offer{From: "A <&>", Domain: "café  ", Term: math.MaxUint64, Snapshot: snap, SnapSeq: 1,
+		Entries: []Entry{
+			{Domain: "ignored", Seq: 2, Term: 3, Method: "put", Args: []any{"s\x00\xff", 1.5, 1e21, -0.0, int64(-7), uint64(math.MaxUint64), true, nil,
+				map[string]any{"k": []any{"v", 2.0}}, []any{}, json.RawMessage(`{"raw":1}`)}},
+			{Seq: 3, Method: "close"},
+		}}
+	got, err := o.AppendJSON([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("wire form diverged from json.Marshal\n got %s\nwant %s", got[len("prefix"):], want)
+	}
+	if _, err := (Offer{Entries: []Entry{{Args: []any{math.NaN()}}}}).AppendJSON(nil); err == nil {
+		t.Fatal("encoded a NaN argument")
+	}
+}
+
+// offerSeeds are inputs FuzzDecodeOffer starts from: canonical offers,
+// shapes json.Unmarshal tolerates and the strict decoder refuses, and each
+// way an entry can be wrong.
+var offerSeeds = []string{
+	`{"from":"A","domain":"alpha","term":1,"entries":[{"seq":1,"term":1,"method":"put","args":["x",2,true,null,{"k":[1.5]}]}]}`,
+	`{"from":"A","domain":"alpha","term":2,"snapshot":"AAEC/w==","snap_seq":9}`,
+	`{"from":"A","domain":"alpha","term":2,"snapshot":"","snap_seq":0,"entries":[]}`,
+	` { "from" : "a" , "domain":"d", "term":3, "entries" : [ { "seq" : 2 , "args" : [ ] } ] } `,
+	`{"fr\u006fm":"a","entries":[{"m\u0065thod":"b"}]}`,
+	` { "FROM" : "a" , "Domain":"d", "TERM":3, "entries" : [ null , { "SEQ" : 2 , "args" : [ ] } ] } `,
+	`{"term":1,"term":2,"from":"a","from":null,"snapshot":"AA==","snapshot":null}`,
+	`{"entries":[{"seq":1,"args":[1],"args":null,"method":"a","method":"b","domain":"x"}]}`,
+	`{"ſnapshot":"AA==","ſnap_seq":4,"entrieſ":[]}`,
+	`{"entries":[],"entries":[]}`, `{"entries":null,"Entries":[{}]}`,
+	`null`, `{}`, `[]`, `""`, `1`, ``, `{"term":-1}`, `{"term":1.0}`, `{"term":1e2}`, `{"term":18446744073709551616}`,
+	`{"term":null,"snap_seq":null,"from":null}`, `{"snapshot":5}`, `{"snapshot":"*"}`, `{"snapshot":"QUJD\r\nREVG"}`,
+	`{"snapshot":"AA=="}`, `{"entries":{}}`, `{"entries":[5]}`, `{"entries":[[]]}`,
+	`{"entries":[{"args":5}]}`, `{"entries":[{"args":{}}]}`, `{"entries":[{"args":[1e999]}]}`, `{"entries":[{"args":[{"a":-1e400}]}]}`,
+	`{"entries":[{"args":[1e-999,-0,0.1e+2]}]}`, `{"x":1e999,"entries":[{"y":1e999}]}`,
+	`{"entries":[{"method":"café 😀 \ud83d x \"q\""}],"from":"` + "\xff\xfe" + `"}`,
+	`{"entries":[{"method":"raw` + "\x01" + `"}]}`, `{"entries":[{"seq":1,}]}`, `{"entries":[{"seq":1}],}`, `{"from":"a"} x`,
+	`{"entries":[{"args":[` + strings.Repeat("[", maxDepth-4) + strings.Repeat("]", maxDepth-4) + `]}]}`,
+	`{"entries":[{"args":[` + strings.Repeat("[", maxDepth-3) + strings.Repeat("]", maxDepth-3) + `]}]}`,
+}
+
+// decoded turns what the decoder made of an offer back into an Offer, its
+// args through encoding/json, normalized as normalize does.
+func decoded(t *testing.T, w *wireOffer) Offer {
+	t.Helper()
+	o := Offer{From: string(w.from), Domain: string(w.domain), Term: w.term, Snapshot: w.snapshot, SnapSeq: w.snapSeq}
+	for _, we := range w.entries {
+		e := Entry{Seq: we.seq, Term: we.term, Method: string(we.method)}
+		if we.args != nil {
+			if err := json.Unmarshal(we.args, &e.Args); err != nil {
+				t.Fatalf("accepted args %s that encoding/json refuses: %v", we.args, err)
+			}
+		}
+		o.Entries = append(o.Entries, e)
+	}
+	return normalize(o)
+}
+
+// normalize drops the differences no replica can observe: an empty entry
+// list or argument list is the same as none.
+func normalize(o Offer) Offer {
+	if len(o.Entries) == 0 {
+		o.Entries = nil
+	}
+	for i := range o.Entries {
+		if len(o.Entries[i].Args) == 0 {
+			o.Entries[i].Args = nil
+		}
+	}
+	return o
+}
+
+// checkDecode holds the offer decoder to json.Unmarshal into an Offer on
+// data, one way: whatever it accepts, json.Unmarshal accepts too and
+// decodes to the same offer. It reports whether the decoder accepted.
+func checkDecode(t *testing.T, data []byte) bool {
+	t.Helper()
+	d := new(offerDecoder)
+	if err := d.decode(data); err != nil {
+		return false
+	}
+	var want Offer
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("accepted an offer json.Unmarshal refuses (%v): %q", err, data)
+	}
+	if got := decoded(t, &d.out); !reflect.DeepEqual(got, normalize(want)) {
+		t.Fatalf("decoded %+v, json.Unmarshal %+v, input %q", got, normalize(want), data)
+	}
+	return true
+}
+
+// gen draws an offer's parts from fuzz bytes, zero once they run out.
+type gen struct{ b []byte }
+
+func (g *gen) byte() byte {
+	if len(g.b) == 0 {
+		return 0
+	}
+	c := g.b[0]
+	g.b = g.b[1:]
+	return c
+}
+
+func (g *gen) bytes() []byte {
+	n := min(int(g.byte()), len(g.b))
+	out := g.b[:n]
+	g.b = g.b[n:]
+	return out
+}
+
+func (g *gen) u64() uint64 {
+	var w [8]byte
+	copy(w[:], g.bytes())
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// arg draws one argument of some wire type: a string of arbitrary bytes, a
+// finite float, an integer, a boolean, null, an object or an array.
+func (g *gen) arg() any {
+	s := string(g.bytes())
+	f := math.Float64frombits(g.u64())
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		f = 0.5
+	}
+	switch g.byte() % 8 {
+	case 0:
+		return s
+	case 1:
+		return f
+	case 2:
+		return int64(g.u64())
+	case 3:
+		return g.u64()
+	case 4:
+		return g.byte()%2 == 0
+	case 5:
+		return nil
+	case 6:
+		return map[string]any{s: s, "n": f}
+	default:
+		return []any{s, f, nil}
+	}
+}
+
+func (g *gen) offer() Offer {
+	o := Offer{From: string(g.bytes()), Domain: string(g.bytes()), Term: g.u64()}
+	if g.byte()%2 == 0 {
+		o.Snapshot, o.SnapSeq = g.bytes(), g.u64()%64
+	}
+	for n := g.byte() % 8; n > 0; n-- {
+		e := Entry{Domain: o.Domain, Seq: g.u64() % 64, Term: o.Term, Method: string(g.bytes())}
+		for k := g.byte() % 4; k > 0; k-- {
+			e.Args = append(e.Args, g.arg())
+		}
+		o.Entries = append(o.Entries, e)
+	}
+	return o
+}
+
+// takeoverToday is what a replica surrendered before offers were parsed
+// from their wire bytes: the offer through json.Marshal and json.Unmarshal,
+// each entry's args re-marshalled into the suffix and unmarshalled again at
+// takeover, duplicates dropped.
+func takeoverToday(t *testing.T, o Offer) TakeoverState {
+	t.Helper()
+	raw, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec Offer
+	if err := json.Unmarshal(raw, &dec); err != nil {
+		t.Fatal(err)
+	}
+	st := TakeoverState{From: dec.From, Term: dec.Term}
+	last := uint64(0)
+	if dec.Snapshot != nil {
+		st.Snapshot, st.SnapSeq, last = dec.Snapshot, dec.SnapSeq, dec.SnapSeq
+	}
+	for _, e := range dec.Entries {
+		if e.Seq <= last {
+			continue
+		}
+		if e.Seq != last+1 {
+			st.Gaps++
+		}
+		e.Domain = dec.Domain
+		if len(e.Args) > 0 {
+			args, err := json.Marshal(e.Args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Args = nil
+			if err := json.Unmarshal(args, &e.Args); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			e.Args = nil
+		}
+		st.Entries = append(st.Entries, e)
+		last = e.Seq
+	}
+	return st
+}
+
+// FuzzDecodeOffer holds the offer's receive path to encoding/json twice
+// over. On arbitrary bytes, whatever the decoder accepts json.Unmarshal
+// into an Offer accepts too, and decodes to the same offer. And an offer
+// drawn from the bytes — arguments of every wire type, a snapshot of
+// arbitrary bytes — encodes to json.Marshal's bytes, the decoder accepts
+// it, and through HandleOffer and Takeover it comes back exactly as the
+// json.Unmarshal path of old brought it back.
+func FuzzDecodeOffer(f *testing.F) {
+	for _, s := range offerSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+
+		g := gen{b: data}
+		o := g.offer()
+		raw, err := o.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(o); !bytes.Equal(raw, want) {
+			t.Fatalf("wire form diverged from json.Marshal\n got %s\nwant %s", raw, want)
+		}
+		if !checkDecode(t, raw) {
+			t.Fatalf("refused its own wire form %s", raw)
+		}
+		want := takeoverToday(t, o)
+		m := newReceiver(t)
+		if _, err := m.HandleOffer(raw); err != nil {
+			t.Fatal(err)
+		}
+		var dec Offer
+		_ = json.Unmarshal(raw, &dec)
+		got, _ := m.Takeover(dec.Domain)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("takeover %+v, the json.Unmarshal path %+v, offer %s", got, want, raw)
+		}
+	})
+}
+
+// TestManagerPassesUnsendableEntry pins what the streamer does with a
+// logged entry no offer can carry: an argument the call carried in that
+// nests too deep once inside the offer, or one that does not encode at
+// all. Retrying it would stall the domain's stream for the rest of the
+// term. Instead the entries before it ship and the stream gets past it —
+// through a snapshot when the application provides one, else as a gap the
+// successor records — and no offer error is counted. An argument one level
+// shallower still replicates.
+func TestManagerPassesUnsendableEntry(t *testing.T) {
+	nested := func(levels int) any {
+		v := any("x")
+		for i := 0; i < levels; i++ {
+			v = []any{v}
+		}
+		return v
+	}
+	// An argument sits argDepth levels deeper in the offer than in the call.
+	tooDeep, fits := nested(maxDepth-argDepth), nested(maxDepth-argDepth-1)
+	snap := func(string) ([]byte, error) { return []byte("s"), nil }
+	for _, c := range []struct {
+		name     string
+		snapshot func(string) ([]byte, error)
+		bad      any
+	}{
+		{"too deep, snapshot hook", snap, tooDeep},
+		{"too deep, no snapshot hook", nil, tooDeep},
+		{"NaN, no snapshot hook", nil, math.NaN()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, b, _ := newPair(t, c.snapshot)
+			a.Lead("alpha", 1)
+			a.SetSuccessor("alpha", "B")
+			a.Capture("alpha", "put", []any{"id-1"})
+			a.Capture("alpha", "put", []any{"id-2", c.bad})
+			for i := 3; i <= 5; i++ {
+				a.Capture("alpha", "put", []any{fmt.Sprintf("id-%d", i)})
+			}
+			waitFor(t, "replica to get past seq 2", func() bool { return replicaSeq(b, "alpha") == 5 })
+			a.Capture("alpha", "put", []any{"id-6", fits})
+			waitFor(t, "replica to reach the head", func() bool { return replicaSeq(b, "alpha") == 6 })
+			for _, st := range a.Status() {
+				if st.Domain == "alpha" && (st.OfferErrors != 0 || st.Skipped != boolTo(c.snapshot == nil)) {
+					t.Fatalf("leader: offer errors %d, skipped %d", st.OfferErrors, st.Skipped)
+				}
+			}
+			st, _ := b.Takeover("alpha")
+			var seqs []uint64
+			for _, e := range st.Entries {
+				seqs = append(seqs, e.Seq)
+			}
+			if c.snapshot != nil {
+				if string(st.Snapshot) != "s" || st.SnapSeq < 2 || st.Gaps != 0 {
+					t.Fatalf("takeover: snapshot %q through %d, gaps %d, entries %v; want the snapshot past seq 2 and no gap",
+						st.Snapshot, st.SnapSeq, st.Gaps, seqs)
+				}
+			} else if st.Gaps != 1 || !reflect.DeepEqual(seqs, []uint64{1, 3, 4, 5, 6}) {
+				t.Fatalf("takeover: gaps %d, entries %v; want one gap and seqs 1, 3-6", st.Gaps, seqs)
+			}
+			last := st.Entries[len(st.Entries)-1]
+			if last.Seq != 6 || !reflect.DeepEqual(last.Args, []any{"id-6", fits}) {
+				t.Fatalf("last entry %+v, want seq 6 with its nested argument", last)
+			}
+		})
+	}
+}
+
+func boolTo(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -1,16 +1,13 @@
 package statesync
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // A replica holds every effect since the last snapshot — all of them, for
 // the whole term, when the application configures no Snapshot hook — and
 // reads them exactly once, at takeover. suffix therefore stores them packed
 // rather than as decoded Entry values: the domain is dropped (it is the
-// replica's key), the method name is interned, the arguments stay in their
-// JSON encoding in large shared chunks, and what is left of an entry is a
+// replica's key), the method name is interned, the arguments stay in the
+// JSON encoding the offer carried them in, in large shared chunks, and what is left of an entry is a
 // fixed 32-byte record in a page that is never copied to grow. An entry
 // costs its record plus its encoded arguments, about a third of the decoded
 // form; entries decodes them back.
@@ -41,27 +38,20 @@ func (s *suffix) len() int {
 	return (len(s.pages)-1)*suffixPageRecords + len(s.pages[len(s.pages)-1])
 }
 
-// add appends one entry. It fails only for arguments JSON cannot encode,
-// which the wire never delivers.
-func (s *suffix) add(e Entry) error {
-	var args []byte
-	if len(e.Args) > 0 {
-		var err error
-		if args, err = json.Marshal(e.Args); err != nil {
-			return fmt.Errorf("statesync: entry %d (%s): arguments not encodable: %w", e.Seq, e.Method, err)
-		}
-	}
-	id, ok := s.methodID[e.Method]
+// add appends one entry: its method interned, its args — the JSON array
+// as the offer carried it, nil for none — copied into the current chunk.
+func (s *suffix) add(seq, term uint64, method, args []byte) {
+	id, ok := s.methodID[string(method)]
 	if !ok {
 		if s.methodID == nil {
 			s.methodID = make(map[string]uint32, 4)
 		}
+		name := string(method)
 		id = uint32(len(s.methods))
-		s.methods = append(s.methods, e.Method)
-		s.methodID[e.Method] = id
+		s.methods = append(s.methods, name)
+		s.methodID[name] = id
 	}
-	s.put(suffixRecord{seq: e.Seq, term: e.Term, method: id}, args)
-	return nil
+	s.put(suffixRecord{seq: seq, term: term, method: id}, args)
 }
 
 // put stores rec with args as its arguments, copied into the current chunk.
