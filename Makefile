@@ -19,11 +19,13 @@
 #                      re-dial and backoff-schedule tests and of the
 #                      replication tests: offer atomicity, snapshot
 #                      order, request-line ownership and every handoff
-#                      path
+#                      path, and of the relay's buffer-lifetime and
+#                      retry tests
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders, the value decoder and
 #                      the replication-offer decoder (each differential
-#                      against encoding/json), the
+#                      against encoding/json), the cluster relay
+#                      (differential against decoding at the entry), the
 #                      interference checker, and the seqlock guard-eval
 #                      differential target
 #   make bench       — the one benchmark harness: `bash benchmark/run.sh`,
@@ -42,7 +44,8 @@
 #   make cluster-smoke — the 3-node in-process admission-plane soak:
 #                      ≥1000 guarded invocations under chaosnet faults
 #                      with a mid-run partition+heal and an owner kill,
-#                      plus the failover and park-readmission tests
+#                      plus the failover and park-readmission tests and
+#                      the relay's buffer-lifetime and retry tests
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
@@ -83,7 +86,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
-	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments' ./internal/cluster/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -95,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statesync -run '^$$' -fuzz '^FuzzDecodeOffer$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRelayArgs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzSeqlockGuardEval$$' -fuzztime $(FUZZTIME)
 
@@ -149,11 +153,13 @@ shadow-smoke:
 # The distributed-admission certification run: a 3-node in-process
 # cluster soak (chaos faults on every data-plane link, one node
 # partitioned and healed mid-run, the owner of a domain killed outright)
-# plus the deterministic failover and parked-caller re-admission tests.
+# plus the deterministic failover and parked-caller re-admission tests,
+# and the relay's: 64 pipelined relayed calls each get their own argument
+# back, and a retried forward re-sends the same argument bytes.
 # The ledger audit inside demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff

@@ -431,38 +431,62 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call performs one logical request/response exchange, retrying transport
-// failures per the client's policy when the call is idempotent.
-func (c *Client) call(ctx context.Context, component, method, token string, priority int, fence uint64, idempotent bool, args []any) (any, error) {
-	// One buffer serves the whole call: the arguments are encoded once and
-	// every attempt's frame references them.
-	eb := encodeBufs.Get().(*encodeBuf)
-	defer eb.recycle()
-	eb.args.buf = eb.args.buf[:0]
-	var err error
-	if eb.raws, err = eb.args.addArgs(eb.raws[:0], args); err != nil {
-		return nil, err
+// callResult is where a call's reply goes: decoded into value, or — for
+// InvokeRaw — appended verbatim to raw.
+type callResult struct {
+	value any
+	raw   []byte
+	isRaw bool
+}
+
+// take turns one attempt's response into the call's result. It runs before
+// the attempt's reply slot is recycled: neither the decoded value nor the
+// appended bytes alias the slot's buffer.
+func (r *callResult) take(resp *response, component, method string) error {
+	if resp.Code == codeTransportLocal {
+		return fmt.Errorf("amrpc: %s.%s: %s: %w", component, method, resp.Err, ErrTransport)
 	}
+	if resp.Err != "" {
+		return &RemoteError{Code: resp.Code, Msg: resp.Err, RetryAfterMS: resp.RetryAfterMS}
+	}
+	switch {
+	case r.isRaw && len(resp.Result) == 0:
+		r.raw = append(r.raw, "null"...)
+	case r.isRaw:
+		r.raw = append(r.raw, resp.Result...)
+	case len(resp.Result) > 0:
+		v, err := decodeValue(resp.Result)
+		if err != nil {
+			return fmt.Errorf("amrpc: decode result of %s.%s: %w", component, method, err)
+		}
+		r.value = v
+	}
+	return nil
+}
+
+// call performs one logical request/response exchange through s, retrying
+// transport failures per the client's policy when s is idempotent. Every
+// attempt's frame carries the same wire-form arguments, args; the reply
+// goes to out.
+func (c *Client) call(ctx context.Context, s *Stub, method string, args []json.RawMessage, out *callResult) error {
 	attempts := 1
-	if idempotent {
+	if s.idempotent {
 		attempts = c.opts.retry.MaxAttempts
 	}
 	c.stats.calls.Add(1)
-	var lastErr error
 	for a := 1; ; a++ {
 		c.stats.attempts.Add(1)
-		result, err := c.callOnce(ctx, component, method, token, priority, fence, eb.raws)
+		err := c.callOnce(ctx, s, method, args, out)
 		if err == nil {
-			return result, nil
+			return nil
 		}
-		lastErr = err
 		if errors.Is(err, ErrTransport) {
 			c.stats.transportErrors.Add(1)
 		}
 		// Only transport-class failures are retryable, only on idempotent
 		// calls, and never once the caller's own context has expired.
 		if !errors.Is(err, ErrTransport) || a >= attempts || ctx.Err() != nil {
-			return nil, err
+			return err
 		}
 		c.stats.retries.Add(1)
 		p := c.opts.retry
@@ -471,14 +495,15 @@ func (c *Client) call(ctx context.Context, component, method, token string, prio
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return nil, lastErr
+			return err
 		}
 	}
 }
 
 // callOnce performs a single attempt: ensure a connection, register the
 // pending call, write the frame, await the response or a deadline.
-func (c *Client) callOnce(parent context.Context, component, method, token string, priority int, fence uint64, rawArgs []json.RawMessage) (any, error) {
+func (c *Client) callOnce(parent context.Context, s *Stub, method string, rawArgs []json.RawMessage, out *callResult) error {
+	component := s.component
 	ctx := parent
 	if d := c.opts.retry.AttemptTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -491,9 +516,9 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 			// Only the per-attempt bound expired — the attempt spent its
 			// budget waiting out the reconnect backoff. The caller is still
 			// waiting; classify as transport so idempotent calls retry.
-			return nil, fmt.Errorf("amrpc: %s.%s: connect attempt timed out: %w", component, method, ErrTransport)
+			return fmt.Errorf("amrpc: %s.%s: connect attempt timed out: %w", component, method, ErrTransport)
 		}
-		return nil, fmt.Errorf("amrpc: %s.%s: %w", component, method, err)
+		return fmt.Errorf("amrpc: %s.%s: %w", component, method, err)
 	}
 
 	var timeoutMS int64
@@ -501,9 +526,9 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			if parent.Err() == nil {
-				return nil, fmt.Errorf("amrpc: %s.%s: attempt timed out: %w", component, method, ErrTransport)
+				return fmt.Errorf("amrpc: %s.%s: attempt timed out: %w", component, method, ErrTransport)
 			}
-			return nil, fmt.Errorf("amrpc: %s.%s: %w", component, method, context.DeadlineExceeded)
+			return fmt.Errorf("amrpc: %s.%s: %w", component, method, context.DeadlineExceeded)
 		}
 		timeoutMS = remaining.Milliseconds()
 		if timeoutMS == 0 {
@@ -516,7 +541,7 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 	if c.closed {
 		c.mu.Unlock()
 		slot.recycle()
-		return nil, ErrClientClosed
+		return ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID
@@ -531,10 +556,10 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 		Component: component,
 		Method:    method,
 		Args:      rawArgs,
-		Token:     token,
-		Priority:  priority,
+		Token:     s.token,
+		Priority:  s.priority,
 		TimeoutMS: timeoutMS,
-		Fence:     fence,
+		Fence:     s.fence,
 	}
 	// A nil return means the frame was written or rides the flush in
 	// progress; if that flush fails, its flusher's teardown fails this call
@@ -542,47 +567,27 @@ func (c *Client) callOnce(parent context.Context, component, method, token strin
 	if err := lc.out.sendRequest(&req, shared); err != nil {
 		c.unregister(id)
 		c.teardown(lc, err)
-		return nil, fmt.Errorf("amrpc: send %s.%s: %v: %w", component, method, err, ErrTransport)
+		return fmt.Errorf("amrpc: send %s.%s: %v: %w", component, method, err, ErrTransport)
 	}
 
 	select {
 	case resp := <-slot.ch:
-		// Decoded before the slot is recycled: nothing decoded aliases the
-		// result buffer.
-		v, err := resultOf(&resp, component, method)
+		err := out.take(&resp, component, method)
 		slot.recycle()
-		return v, err
+		return err
 	case <-ctx.Done():
 		// The slot stays out of the pool: a sender that took the pending
 		// entry first may still deliver into it.
 		c.unregister(id)
 		if parent.Err() != nil {
 			// The caller's own deadline/cancellation: never retried.
-			return nil, fmt.Errorf("amrpc: %s.%s: %w", component, method, parent.Err())
+			return fmt.Errorf("amrpc: %s.%s: %w", component, method, parent.Err())
 		}
 		// Only the per-attempt bound expired — the request or response was
 		// probably lost in flight. Classify as transport so idempotent
 		// calls retry.
-		return nil, fmt.Errorf("amrpc: %s.%s: attempt timed out: %w", component, method, ErrTransport)
+		return fmt.Errorf("amrpc: %s.%s: attempt timed out: %w", component, method, ErrTransport)
 	}
-}
-
-// resultOf turns one attempt's response into the call's result.
-func resultOf(resp *response, component, method string) (any, error) {
-	if resp.Code == codeTransportLocal {
-		return nil, fmt.Errorf("amrpc: %s.%s: %s: %w", component, method, resp.Err, ErrTransport)
-	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Code: resp.Code, Msg: resp.Err, RetryAfterMS: resp.RetryAfterMS}
-	}
-	if len(resp.Result) == 0 {
-		return nil, nil
-	}
-	v, err := decodeValue(resp.Result)
-	if err != nil {
-		return nil, fmt.Errorf("amrpc: decode result of %s.%s: %w", component, method, err)
-	}
-	return v, nil
 }
 
 // unregister drops a pending call registration if still present.
@@ -659,5 +664,34 @@ func (c *Client) Component(name string, opts ...StubOption) *Stub {
 
 // Invoke performs a guarded invocation on the remote component.
 func (s *Stub) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	return s.client.call(ctx, s.component, method, s.token, s.priority, s.fence, s.idempotent, args)
+	// One buffer serves the whole call: the arguments are encoded once and
+	// every attempt's frame references them.
+	eb := encodeBufs.Get().(*encodeBuf)
+	defer eb.recycle()
+	eb.args.buf = eb.args.buf[:0]
+	var err error
+	if eb.raws, err = eb.args.addArgs(eb.raws[:0], args); err != nil {
+		return nil, err
+	}
+	var out callResult
+	err = s.client.call(ctx, s, method, eb.raws, &out)
+	return out.value, err
+}
+
+// InvokeRaw is Invoke for a caller that holds the arguments in wire form —
+// a RawComponent passing a call on — and wants the result in wire form too.
+// Each argument goes into the frame verbatim, every attempt's frame
+// carrying the same bytes, so args must stay valid until InvokeRaw returns;
+// one that is not a JSON value a frame can carry on one line fails the call
+// before anything is sent. The result's bytes are appended verbatim to dst,
+// and the extended slice returned; on an error dst comes back as it was.
+func (s *Stub) InvokeRaw(ctx context.Context, method string, args []json.RawMessage, dst []byte) ([]byte, error) {
+	for i, a := range args {
+		if !carriable(a) {
+			return dst, fmt.Errorf("amrpc: %s.%s: arg %d is not one JSON value on one line", s.component, method, i)
+		}
+	}
+	out := callResult{raw: dst, isRaw: true}
+	err := s.client.call(ctx, s, method, args, &out)
+	return out.raw, err
 }

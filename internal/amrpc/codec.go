@@ -195,21 +195,6 @@ func (e *valueEncoder) addArgs(raws []json.RawMessage, args []any) ([]json.RawMe
 	return raws, nil
 }
 
-// decodeArgs decodes wire arguments into generic values (numbers become
-// float64, objects become map[string]any — the invocation's coercion
-// helpers absorb this).
-func decodeArgs(raw []json.RawMessage) ([]any, error) {
-	out := make([]any, len(raw))
-	for i, r := range raw {
-		v, err := decodeValue(r)
-		if err != nil {
-			return nil, fmt.Errorf("amrpc: decode arg %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // decodeValue decodes one JSON value into the generic form json.Unmarshal
 // into an any produces, and refuses what it refuses, except that arrays and
 // objects may not nest more than maxNesting deep. Nothing in the result

@@ -186,12 +186,12 @@ func FuzzSealRequest(f *testing.F) {
 		if !reflect.DeepEqual(dec, refDec) {
 			t.Fatalf("decoded %+v, json.Unmarshal %+v", dec, refDec)
 		}
-		gotArgs, argsErr := decodeArgs(dec.Args)
+		gotArgs, argsErr := DecodeArgs(dec.Args)
 		for i, r := range dec.Args {
 			var v any
 			if err := json.Unmarshal(r, &v); err != nil {
 				if argsErr == nil {
-					t.Fatalf("decodeArgs accepted arg %d that encoding/json refuses (%v): %s", i, err, r)
+					t.Fatalf("DecodeArgs accepted arg %d that encoding/json refuses (%v): %s", i, err, r)
 				}
 				return
 			}
@@ -200,7 +200,7 @@ func FuzzSealRequest(f *testing.F) {
 			}
 		}
 		if argsErr != nil {
-			t.Fatalf("decodeArgs refused what encoding/json decodes: %v", argsErr)
+			t.Fatalf("DecodeArgs refused what encoding/json decodes: %v", argsErr)
 		}
 	})
 }
@@ -382,7 +382,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoded %+v, json.Unmarshal %+v, line %q", got, want, data)
 			}
-			_, _ = decodeArgs(got.Args) // may refuse a value (1e999); must not panic
+			_, _ = DecodeArgs(got.Args) // may refuse a value (1e999); must not panic
 		case errors.Is(err, errMalformed):
 			if jsonErr == nil && !tolerated(data, requestMembers, " id component method token priority timeout_ms fence sum ") {
 				t.Fatalf("refused a line json.Unmarshal accepts, outside the documented classes: %q", data)

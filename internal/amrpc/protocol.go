@@ -102,6 +102,11 @@ const (
 // guard state changed — always safe to retry after backing off.
 var ErrOverloaded = errors.New("amrpc: server overloaded")
 
+// ErrBadRequest is the sentinel behind CodeBadRequest: the request could
+// not be taken as sent — a malformed frame, or an argument its component
+// cannot decode (DecodeArgs wraps it around one).
+var ErrBadRequest = errors.New("amrpc: bad request")
+
 // RemoteError is an application error transported over the RPC boundary.
 // It unwraps to the framework sentinel matching its code, so errors.Is
 // works transparently for remote callers.
@@ -138,6 +143,7 @@ var codeToSentinel = map[string]error{
 	CodeDeadline:        context.DeadlineExceeded,
 	CodeStaleTerm:       naming.ErrStaleTerm,
 	CodeOverloaded:      ErrOverloaded,
+	CodeBadRequest:      ErrBadRequest,
 }
 
 // codeFor classifies a server-side error for the wire.
@@ -163,6 +169,8 @@ func codeFor(err error) string {
 		return CodeStaleTerm
 	case errors.Is(err, ErrOverloaded):
 		return CodeOverloaded
+	case errors.Is(err, ErrBadRequest):
+		return CodeBadRequest
 	case errors.Is(err, aspect.ErrAborted):
 		return CodeAborted
 	default:

@@ -1,27 +1,57 @@
 package amrpc
 
-// The raw-argument surface: how a component that knows its arguments'
-// shape better than the generic decoder takes them as wire bytes, and how a
-// caller hands the client a value that writes its own encoding. Both reuse
-// the codec's one parser and one string escaper instead of bringing their
-// own.
+// The raw-call surface: how a component that knows its arguments' shape
+// better than the generic decoder — or that only passes them on — takes a
+// call in wire form and answers it in wire form, and how a caller hands the
+// client a value that writes its own encoding. All of it reuses the codec's
+// one parser and one string escaper instead of bringing their own.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
+
+	"repro/internal/aspect"
 )
 
-// A RawComponent is a Component that decodes some of its methods' arguments
-// itself. For a method RawArgs reports, the server skips the generic
-// decoding: each argument reaches Call as a json.RawMessage holding its wire
-// bytes as the frame carried them, one valid JSON value each. Those bytes
-// alias the connection's pooled request line: they are valid only until
-// Call returns, and a component that keeps anything of them must copy it.
+// A RawCall is what a RawComponent reads of a wire request besides what the
+// invocation carries: each argument as the frame carried it, one valid JSON
+// value, and the request's fence term, zero when the request is unfenced.
+// The arguments alias the connection's pooled request line: they are valid
+// only until CallRaw returns, and a component that keeps anything of them
+// must copy it.
+type RawCall struct {
+	Args  []json.RawMessage
+	Fence uint64
+}
+
+// A RawComponent is a Component the server calls in wire form. Every
+// request addressing it goes to CallRaw instead of Call, its arguments
+// undecoded and its invocation holding none; the component decodes what it
+// needs (DecodeArgs, Scanner) and appends exactly one JSON value, its
+// result, to dst, the server's result buffer. The server sends those bytes
+// verbatim once it has checked they are one JSON value a frame can carry on
+// one line, as it checks an Appender's.
 type RawComponent interface {
 	Component
-	RawArgs(method string) bool
+	CallRaw(inv *aspect.Invocation, call RawCall, dst []byte) ([]byte, error)
+}
+
+// DecodeArgs decodes arguments in wire form into the generic values a
+// Component's invocation holds: numbers become float64, objects
+// map[string]any. An argument it cannot decode is an ErrBadRequest.
+func DecodeArgs(raw []json.RawMessage) ([]any, error) {
+	out := make([]any, len(raw))
+	for i, r := range raw {
+		v, err := decodeValue(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: arg %d: %w", ErrBadRequest, i, err)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // An Appender is an argument (or result) that writes its own JSON encoding:
@@ -67,9 +97,15 @@ func Fits(v []byte, depth int) bool {
 	return p.skipValue(1+depth) && p.i == len(v)
 }
 
-// addEncoded appends what a writes, verbatim, after checking it is one JSON
-// value a frame can carry: valid, nested no deeper than an argument may be,
-// and on one line.
+// carriable reports whether v is one JSON value a frame can carry verbatim
+// as an argument or a result: valid, nested no deeper than an argument may
+// be, and on one line.
+func carriable(v []byte) bool {
+	return Fits(v, 0) && bytes.IndexByte(v, '\n') < 0
+}
+
+// addEncoded appends what a writes, verbatim, after checking it is
+// carriable.
 func (e *valueEncoder) addEncoded(a Appender) error {
 	start := len(e.buf)
 	b, err := a.AppendJSON(e.buf)
@@ -81,9 +117,7 @@ func (e *valueEncoder) addEncoded(a Appender) error {
 		e.buf = e.buf[:start]
 		return fmt.Errorf("amrpc: %T shortened the buffer it was to append to", a)
 	}
-	v := b[start:]
-	p := frameParser{b: v}
-	if !p.skipValue(1) || p.i != len(v) || bytes.IndexByte(v, '\n') >= 0 {
+	if v := b[start:]; !carriable(v) {
 		e.buf = e.buf[:start]
 		return fmt.Errorf("amrpc: %T appended %d bytes that are not one JSON value on one line", a, len(v))
 	}

@@ -2,7 +2,6 @@ package amrpc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -14,31 +13,46 @@ import (
 	"repro/internal/aspect"
 )
 
-// rawEcho takes the arguments of its method "raw" as wire bytes and returns
-// copies of them; every other method gets decoded values and returns them.
-// A result that is already encoded goes back verbatim.
+// rawEcho is a RawComponent. Its method "raw" returns each argument's wire
+// bytes as a string; "encoded" returns its string argument as the result's
+// bytes, verbatim; every other method decodes its arguments and returns
+// them.
 type rawEcho struct{}
 
-func (rawEcho) Name() string               { return "rawecho" }
-func (rawEcho) RawArgs(method string) bool { return method == "raw" }
+func (rawEcho) Name() string { return "rawecho" }
 
 func (rawEcho) Call(inv *aspect.Invocation) (any, error) {
+	return nil, fmt.Errorf("%s reached Call", inv.Method())
+}
+
+func (rawEcho) CallRaw(inv *aspect.Invocation, call RawCall, dst []byte) ([]byte, error) {
+	if inv.NumArgs() != 0 {
+		return dst, fmt.Errorf("a raw call's invocation holds %d decoded arguments", inv.NumArgs())
+	}
 	switch inv.Method() {
 	case "raw":
-		out := make([]any, inv.NumArgs())
-		for i, a := range inv.Args() {
-			r, ok := a.(json.RawMessage)
-			if !ok {
-				return nil, fmt.Errorf("arg %d reached a raw method as %T", i, a)
+		dst = append(dst, '[')
+		for i, r := range call.Args {
+			if i > 0 {
+				dst = append(dst, ',')
 			}
-			out[i] = string(r) // a copy: r aliases the request line
+			dst = AppendString(dst, string(r))
 		}
-		return out, nil
+		return append(dst, ']'), nil
 	case "encoded":
-		s, err := inv.ArgString(0)
-		return encoded(s), err
+		var s Scanner
+		s.Reset(call.Args[0])
+		body := s.String()
+		if err := s.Done(); err != nil {
+			return dst, err
+		}
+		return append(dst, body...), nil
 	}
-	return inv.Args(), nil
+	args, err := DecodeArgs(call.Args)
+	if err != nil {
+		return dst, err
+	}
+	return AppendValue(dst, args)
 }
 
 // failing is an Appender whose encoding fails.
@@ -48,14 +62,15 @@ func (failing) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, `{"half":`...), errors.New("cannot encode")
 }
 
-// TestRawArgumentsAndEncodedValues pins both halves of the raw-argument
-// surface over a live connection. A RawComponent's chosen method receives
-// each argument as the bytes the frame carried — an already-encoded
-// argument exactly as its Appender wrote it, escapes and spacing included —
-// while its other methods get decoded values as before. An Appender's bytes
-// go into the frame verbatim; one that fails, or writes something that is
-// not one JSON value on one line, fails its call before anything is sent,
-// and the connection serves the next call.
+// TestRawArgumentsAndEncodedValues pins both halves of the raw-call surface
+// over a live connection. A RawComponent receives each argument as the
+// bytes the frame carried — an already-encoded argument exactly as its
+// Appender wrote it, escapes and spacing included — and decodes them only
+// if it chooses to; the bytes it appends are the result, verbatim, unless
+// they are not one JSON value on one line. An Appender's bytes go into the
+// frame verbatim; one that fails, or writes something that is not one JSON
+// value on one line, fails its call before anything is sent, and the
+// connection serves the next call.
 func TestRawArgumentsAndEncodedValues(t *testing.T) {
 	srv := NewServer()
 	if err := srv.RegisterComponent(rawEcho{}); err != nil {

@@ -436,8 +436,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	workers.Wait()
 }
 
-// handle executes one request against the named component's proxy. A
-// result is encoded into results.buf, which the response aliases.
+// handle executes one request against the named component. A result is
+// encoded into results.buf, which the response aliases.
 func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder) response {
 	h, ok := (*s.components.Load())[req.Component]
 	if !ok {
@@ -448,18 +448,10 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 		}
 	}
 	var args []any
-	if h.raw != nil && h.raw.RawArgs(req.Method) {
-		// The arguments alias the request line, which the worker recycles
-		// only after the reply: they stay valid for all of Call, as
-		// RawComponent promises.
-		args = make([]any, len(req.Args))
-		for i, r := range req.Args {
-			args[i] = r
-		}
-	} else {
+	if h.raw == nil {
 		var err error
-		if args, err = decodeArgs(req.Args); err != nil {
-			return response{ID: req.ID, Err: err.Error(), Code: CodeBadRequest}
+		if args, err = DecodeArgs(req.Args); err != nil {
+			return refusal(req.ID, err)
 		}
 	}
 	if req.TimeoutMS > 0 {
@@ -472,16 +464,31 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 	if req.Token != "" {
 		auth.WithToken(inv, req.Token)
 	}
-	if req.Fence != 0 {
-		SetFence(inv, req.Fence)
-	}
-	result, err := h.c.Call(inv)
-	if err != nil {
-		return response{ID: req.ID, Err: err.Error(), Code: codeFor(err)}
-	}
 	results.buf = results.buf[:0]
 	if cap(results.buf) > maxRecycled {
 		results.buf = nil
+	}
+	if h.raw != nil {
+		// The arguments alias the request line, which the worker recycles
+		// only after the reply: they stay valid for all of CallRaw, as
+		// RawComponent promises.
+		out, err := h.raw.CallRaw(inv, RawCall{Args: req.Args, Fence: req.Fence}, results.buf)
+		if err != nil {
+			return refusal(req.ID, err)
+		}
+		results.buf = out
+		if !carriable(out) {
+			return response{
+				ID:   req.ID,
+				Err:  fmt.Sprintf("unencodable result: %d bytes that are not one JSON value on one line", len(out)),
+				Code: CodeInternal,
+			}
+		}
+		return response{ID: req.ID, Result: out}
+	}
+	result, err := h.c.Call(inv)
+	if err != nil {
+		return refusal(req.ID, err)
 	}
 	if err := results.add(result); err != nil {
 		return response{
@@ -491,4 +498,20 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 		}
 	}
 	return response{ID: req.ID, Result: results.buf}
+}
+
+// refusal is the response to a call that failed with err. A *RemoteError —
+// a peer's refusal the component passes on — keeps its code and retry-after
+// hint, and its message unless the component wrapped it; any other error is
+// classified by codeFor.
+func refusal(id uint64, err error) response {
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		return response{ID: id, Err: err.Error(), Code: codeFor(err)}
+	}
+	msg := re.Msg
+	if err != error(re) {
+		msg = err.Error()
+	}
+	return response{ID: id, Err: msg, Code: re.Code, RetryAfterMS: re.RetryAfterMS}
 }

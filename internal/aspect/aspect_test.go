@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestVerdictString(t *testing.T) {
@@ -332,5 +333,20 @@ func TestAttrsRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInvocationSize pins the invocation record at 160 bytes on 64-bit
+// platforms. Every call builds one, so a field added to it is paid on the
+// in-process fast path: two inline attribute slots, which put it in the
+// 240-byte size class, cost inproc_fast 12 % of its throughput
+// (EXPERIMENTS.md E26). Growing it is a decision to measure, not a side
+// effect.
+func TestInvocationSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Invocation{}); got != 160 {
+		t.Fatalf("Invocation is %d bytes, want 160", got)
 	}
 }

@@ -80,6 +80,11 @@ func (inv *Invocation) Created() time.Time { return inv.created }
 // Args returns the raw argument list. The slice is shared, not copied.
 func (inv *Invocation) Args() []any { return inv.args }
 
+// SetArgs replaces the argument list. A component that receives a call's
+// arguments in wire form decodes them into its invocation with it, before
+// the invocation reaches any aspect.
+func (inv *Invocation) SetArgs(args []any) { inv.args = args }
+
 // NumArgs returns the number of arguments.
 func (inv *Invocation) NumArgs() int { return len(inv.args) }
 

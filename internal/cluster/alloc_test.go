@@ -9,14 +9,15 @@ import (
 
 // forwardAllocs is what one call entering the plane at a node that does not
 // own its domain may cost the heap, both nodes together.
-const forwardAllocs = 8
+const forwardAllocs = 6
 
 // TestForwardAllocations pins the forward path: the entry node routes the
 // call to the owner over its pooled connection, the owner admits and runs
 // it. What is left outlives the call — the two invocations, the owner's
-// decoded argument and fence attribute, the caller's boxed argument. A
-// Stub and its option closures built per forwarded call come back as four
-// allocations, an in-flight counter allocated per local call as two.
+// decoded argument, the caller's boxed argument. A Stub and its option
+// closures built per forwarded call come back as four allocations, an
+// in-flight counter allocated per local call as two, the fence carried in
+// an attribute map instead of the raw call as two.
 func TestForwardAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -45,10 +46,49 @@ func TestForwardAllocations(t *testing.T) {
 	}
 }
 
+// relayedForwardAllocs is what one call an external client makes through a
+// node that does not own its domain may cost the heap: client, entry node
+// and owner together.
+const relayedForwardAllocs = 6
+
+// TestRelayedForwardAllocations pins the relay: an external amrpc client
+// calls the entry node, which passes the call's argument bytes to the owner
+// and the owner's result bytes back without decoding either. What is left
+// is the two invocations and the owner's decoded argument (its list, its
+// string, the boxing). Decoding the argument at the entry as well comes
+// back as three more; a string result decoded there would add two.
+func TestRelayedForwardAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	r := startRelayRig(t, nil)
+	ctx := context.Background()
+	call := func() {
+		if _, err := r.stub.Invoke(ctx, "alpha-put", "a-relayed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call()
+	}
+	const calls = 20_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("%.2f allocs per relayed call", per)
+	if per > relayedForwardAllocs {
+		t.Errorf("relayed call: %.2f allocs, want <= %d", per, relayedForwardAllocs)
+	}
+}
+
 // replicatedForwardAllocs is forwardAllocs with state sync on: the owner
 // streams each effect to its successor, which may add at most one heap
 // allocation per call to the forward path's.
-const replicatedForwardAllocs = 9
+const replicatedForwardAllocs = 7
 
 // TestReplicatedForwardAllocations is TestForwardAllocations with state
 // sync on. The owner captures each call's effect and streams it to its

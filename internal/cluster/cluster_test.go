@@ -19,7 +19,7 @@ import (
 )
 
 // startNaming runs an in-process naming server on an ephemeral port.
-func startNaming(t *testing.T) string {
+func startNaming(t testing.TB) string {
 	t.Helper()
 	srv := naming.NewServer(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -38,6 +38,25 @@ type ledgerBackend struct {
 	mu      sync.Mutex
 	ids     map[string]int
 	unknown []string
+	echoes  [][]any // the arguments of every echo call, in arrival order
+}
+
+// echo records the arguments an echo call's body saw and returns the first.
+func (b *ledgerBackend) echo(args []any) any {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.echoes = append(b.echoes, args)
+	if len(args) == 0 {
+		return nil
+	}
+	return args[0]
+}
+
+// echoed returns the arguments of the echo calls from the nth on.
+func (b *ledgerBackend) echoed(n int) [][]any {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([][]any(nil), b.echoes[min(n, len(b.echoes)):]...)
 }
 
 func (b *ledgerBackend) put(id, wantPrefix string) (any, error) {
@@ -98,16 +117,22 @@ func (b *ledgerBackend) restoreDomain(prefix string, data []byte) error {
 }
 
 // ledgerDomains is the method → admission-domain map of the test app: two
-// methods in two distinct domains, so a multi-node cluster splits them.
+// put methods in two distinct domains, so a multi-node cluster splits them,
+// and ledgerEcho beside alpha-put.
 var ledgerDomains = map[string]string{
 	"alpha-put": "alpha",
 	"beta-put":  "beta",
+	ledgerEcho:  "alpha",
 }
+
+// ledgerEcho is the ledger's effect-free method: its body records the
+// arguments it sees and returns the first.
+const ledgerEcho = "alpha-echo"
 
 // newLedgerApp builds one node's guarded two-domain ledger component.
 // Every method carries a pass-through synchronization guard so each call
 // runs the full admission protocol (park/wake accounting included).
-func newLedgerApp(t *testing.T) (*ledgerBackend, *proxy.Proxy) {
+func newLedgerApp(t testing.TB) (*ledgerBackend, *proxy.Proxy) {
 	t.Helper()
 	b := &ledgerBackend{ids: make(map[string]int, 2048)}
 	mod := moderator.New("cledger")
@@ -124,6 +149,14 @@ func newLedgerApp(t *testing.T) (*ledgerBackend, *proxy.Proxy) {
 				},
 				func(inv *aspect.Invocation) {})); err != nil {
 			t.Fatal(err)
+		}
+		if m == ledgerEcho {
+			if err := p.Bind(m, func(inv *aspect.Invocation) (any, error) {
+				return b.echo(inv.Args()), nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
 		if err := p.Bind(m, func(inv *aspect.Invocation) (any, error) {
 			id, err := inv.ArgString(0)
@@ -142,7 +175,7 @@ func newLedgerApp(t *testing.T) (*ledgerBackend, *proxy.Proxy) {
 // test-friendly (sub-second failover) timings. State sync is on with the
 // app's snapshot/restore hooks, so graceful handovers travel the snapshot
 // path and hard failovers replay the replicated effect log.
-func startLedgerNode(t *testing.T, id, namingAddr string, mutate func(*Config)) (*ledgerBackend, *Node) {
+func startLedgerNode(t testing.TB, id, namingAddr string, mutate func(*Config)) (*ledgerBackend, *Node) {
 	t.Helper()
 	backend, p := newLedgerApp(t)
 	cfg := Config{
@@ -176,7 +209,7 @@ func startLedgerNode(t *testing.T, id, namingAddr string, mutate func(*Config)) 
 // full membership, and every domain of the test app is owned by exactly
 // the node the ring designates — so ownership will not move again unless
 // the membership does.
-func waitOwnership(t *testing.T, nodes ...*Node) map[string]*Node {
+func waitOwnership(t testing.TB, nodes ...*Node) map[string]*Node {
 	t.Helper()
 	ids := make([]string, len(nodes))
 	byID := make(map[string]*Node, len(nodes))

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/amrpc"
 	"repro/internal/aspect"
@@ -15,52 +15,65 @@ import (
 // component name so application traffic and plane traffic cannot collide.
 func controlName(nodeID string) string { return "_cluster/" + nodeID }
 
-// control hosts this node's cluster-internal endpoints.
+// control hosts this node's cluster-internal endpoints. The server hands it
+// every call in wire form (it is an amrpc.RawComponent): each endpoint
+// reads the arguments it needs from their bytes and appends its reply.
 type control struct{ n *Node }
 
 // Name implements amrpc.Component.
 func (c *control) Name() string { return controlName(c.n.cfg.ID) }
 
-// Call implements amrpc.Component.
+// Call implements amrpc.Component. The endpoints have no in-process
+// callers; the server reaches them through CallRaw only.
 func (c *control) Call(inv *aspect.Invocation) (any, error) {
+	return nil, fmt.Errorf("cluster control %s: %s is served in wire form only", c.n.cfg.ID, inv.Method())
+}
+
+// CallRaw implements amrpc.RawComponent.
+func (c *control) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) ([]byte, error) {
 	switch inv.Method() {
 	case "wake":
-		return c.wake(inv)
+		return c.wake(call, dst)
 	case "sync-offer":
-		return c.syncOffer(inv)
+		return c.syncOffer(call, dst)
 	case "status":
-		return c.n.Status(), nil
+		return amrpc.AppendValue(dst, c.n.Status())
 	default:
-		return nil, fmt.Errorf("cluster control %s: unknown method %q", c.n.cfg.ID, inv.Method())
+		return dst, fmt.Errorf("cluster control %s: unknown method %q", c.n.cfg.ID, inv.Method())
 	}
 }
 
-// RawArgs implements amrpc.RawComponent: a sync offer reaches syncOffer as
-// the bytes the frame carried it in, not as a generic decoded value.
-func (c *control) RawArgs(method string) bool { return method == "sync-offer" }
+// oneArg returns the single argument an endpoint takes.
+func (c *control) oneArg(method string, call amrpc.RawCall) ([]byte, error) {
+	if len(call.Args) != 1 {
+		return nil, fmt.Errorf("cluster control %s: %s: %w: want 1 argument, got %d",
+			c.n.cfg.ID, method, amrpc.ErrBadRequest, len(call.Args))
+	}
+	return call.Args[0], nil
+}
 
 // syncOffer is the replication stream endpoint: a domain leader ships its
 // effect log (and snapshots) here, to the node standing ring successor.
 // The offer's own term field fences it — the manager refuses terms behind
 // the replica's (or behind a leadership this node itself holds), so a
 // zombie leader cannot overwrite fresher replicated state. The reply is
-// the acknowledged sequence number.
-func (c *control) syncOffer(inv *aspect.Invocation) (any, error) {
+// the acknowledged sequence number, bare.
+func (c *control) syncOffer(call amrpc.RawCall, dst []byte) ([]byte, error) {
 	if c.n.sync == nil {
-		return nil, fmt.Errorf("cluster %s: state sync disabled", c.n.cfg.ID)
+		return dst, fmt.Errorf("cluster %s: state sync disabled", c.n.cfg.ID)
 	}
-	raw, ok := inv.Arg(0).(json.RawMessage)
-	if !ok {
-		return nil, fmt.Errorf("cluster control %s: sync-offer: want the offer, got %T", c.n.cfg.ID, inv.Arg(0))
+	raw, err := c.oneArg("sync-offer", call)
+	if err != nil {
+		return dst, err
 	}
 	ack, err := c.n.sync.HandleOffer(raw)
 	if err != nil {
 		if errors.Is(err, naming.ErrStaleTerm) {
 			c.n.staleRefusals.Add(1)
 		}
-		return nil, err
+		return dst, err
 	}
-	return ack.Acked, nil
+	return strconv.AppendUint(dst, ack.Acked, 10), nil
 }
 
 // wake is the cross-node wake notification endpoint. It re-kicks the
@@ -71,21 +84,29 @@ func (c *control) syncOffer(inv *aspect.Invocation) (any, error) {
 // the target's domain: a wake fenced at a term this node no longer (or
 // never) holds is refused so the sender re-resolves ownership and the
 // wake lands on the node that actually parks the waiters.
-func (c *control) wake(inv *aspect.Invocation) (any, error) {
-	target, err := inv.ArgString(0)
+func (c *control) wake(call amrpc.RawCall, dst []byte) ([]byte, error) {
+	raw, err := c.oneArg("wake", call)
 	if err != nil {
-		return nil, fmt.Errorf("cluster control %s: wake: %w", c.n.cfg.ID, err)
+		return dst, err
 	}
+	var s amrpc.Scanner
+	s.Reset(raw)
+	name := s.String()
+	if err := s.Done(); err != nil {
+		return dst, fmt.Errorf("cluster control %s: wake: %w: target is not a string: %w",
+			c.n.cfg.ID, amrpc.ErrBadRequest, err)
+	}
+	target := string(name)
 	domain := c.n.domainOf(target)
-	if fence, fenced := amrpc.FenceOf(inv); fenced {
+	if call.Fence != 0 {
 		term, ok := c.n.owns(domain)
-		if !ok || term != fence {
+		if !ok || term != call.Fence {
 			c.n.staleRefusals.Add(1)
-			return nil, fmt.Errorf("cluster %s: wake %s (domain %s) at term %d: %w",
-				c.n.cfg.ID, target, domain, fence, naming.ErrStaleTerm)
+			return dst, fmt.Errorf("cluster %s: wake %s (domain %s) at term %d: %w",
+				c.n.cfg.ID, target, domain, call.Fence, naming.ErrStaleTerm)
 		}
 	}
 	c.n.wakesReceived.Add(1)
 	c.n.cfg.Local.Moderator().Kick(target)
-	return true, nil
+	return append(dst, "true"...), nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -19,25 +20,74 @@ import (
 // already resolved ownership) is executed locally iff the fence matches
 // this node's live lease; unfenced traffic (an external caller that hit an
 // arbitrary node) is routed — executed here or transparently forwarded to
-// the owner.
+// the owner. The server hands it every call in wire form (it is an
+// amrpc.RawComponent): a call it forwards is relayed as the bytes it
+// arrived in, and only a call it executes is decoded.
 type front struct{ n *Node }
 
 // Name implements amrpc.Component.
 func (f *front) Name() string { return f.n.cfg.Component }
 
-// Call implements amrpc.Component.
-func (f *front) Call(inv *aspect.Invocation) (any, error) {
-	if fence, ok := amrpc.FenceOf(inv); ok {
-		return f.n.serveFenced(inv, fence)
+// Call implements amrpc.Component: an in-process caller's invocation,
+// routed as Node.Invoke routes it.
+func (f *front) Call(inv *aspect.Invocation) (any, error) { return f.n.route(inv, nil) }
+
+// CallRaw implements amrpc.RawComponent.
+func (f *front) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) ([]byte, error) {
+	w := wireCall{args: call.Args, out: dst}
+	if call.Fence == 0 {
+		_, err := f.n.route(inv, &w)
+		return w.out, err
 	}
-	return f.n.route(inv)
+	if err := w.decode(inv); err != nil {
+		return dst, err
+	}
+	res, err := f.n.serveFenced(inv, call.Fence)
+	if err == nil {
+		err = w.encode(res)
+	}
+	return w.out, err
+}
+
+// wireCall is a remote caller's call on its way through route: the
+// arguments as its frame carried them, decoded into the invocation only if
+// this node executes the call, and the buffer its result is appended to in
+// wire form — the owner's bytes verbatim when the call is forwarded.
+type wireCall struct {
+	args    []json.RawMessage
+	decoded bool
+	out     []byte
+}
+
+// decode puts the call's arguments into inv, once.
+func (w *wireCall) decode(inv *aspect.Invocation) error {
+	if w.decoded {
+		return nil
+	}
+	args, err := amrpc.DecodeArgs(w.args)
+	if err != nil {
+		return err
+	}
+	inv.SetArgs(args)
+	w.decoded = true
+	return nil
+}
+
+// encode appends the result of a call this node executed to out.
+func (w *wireCall) encode(res any) error {
+	out, err := amrpc.AppendValue(w.out, res)
+	if err != nil {
+		return fmt.Errorf("unencodable result: %w", err)
+	}
+	w.out = out
+	return nil
 }
 
 // Invoke lets in-process callers (tests, embedded deployments) enter the
 // plane through this node, with the same routing as remote callers. It
 // implements the proxy.Invoker interface.
 func (n *Node) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	return n.route(aspect.NewInvocation(ctx, n.cfg.Component, method, args))
+	return n.route(aspect.NewInvocation(ctx, n.cfg.Component, method, args), nil)
 }
 
 // serveFenced executes an admission a peer routed here under a fence term.
@@ -92,8 +142,10 @@ const (
 // ownership through stale-term refusals and owner deaths. Each round either
 // executes locally (we own the domain), forwards under the owner's term, or
 // refreshes the ownership view and backs off — so a call arriving during a
-// failover window simply waits out the lease handover.
-func (n *Node) route(inv *aspect.Invocation) (any, error) {
+// failover window simply waits out the lease handover. A remote caller's
+// call comes with w, which carries its arguments in and its result out in
+// wire form; an in-process caller's, with a nil w, carries them on inv.
+func (n *Node) route(inv *aspect.Invocation, w *wireCall) (any, error) {
 	ctx := inv.Context()
 	method := inv.Method()
 	domain := n.domainOf(method)
@@ -117,12 +169,20 @@ func (n *Node) route(inv *aspect.Invocation) (any, error) {
 		}
 
 		if _, ok := n.owns(domain); ok {
+			if w != nil {
+				if err := w.decode(inv); err != nil {
+					return nil, err
+				}
+			}
 			res, err := n.localCall(inv)
 			if err != nil && errors.Is(err, naming.ErrStaleTerm) {
 				// Ownership lapsed between the check and execution (a
 				// graceful release won the race): resolve afresh.
 				lastErr = err
 				continue
+			}
+			if w != nil && err == nil {
+				return nil, w.encode(res)
 			}
 			return res, err
 		}
@@ -140,7 +200,7 @@ func (n *Node) route(inv *aspect.Invocation) (any, error) {
 			continue
 		}
 
-		res, err := n.forward(ctx, r, inv)
+		res, err := n.forward(ctx, r, inv, w)
 		switch {
 		case err == nil:
 			n.forwards.Add(1)
@@ -226,8 +286,10 @@ func (n *Node) invalidateRoute(domain string, r route) {
 
 // forward proxies inv to the owner under its lease term, re-attaching the
 // caller's metadata (token, priority, remaining deadline travel with the
-// stub and the context).
-func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation) (any, error) {
+// stub and the context). A remote caller's call is relayed: its argument
+// bytes go into the owner's frame and the owner's result bytes onto w.out,
+// neither decoded here.
+func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation, w *wireCall) (any, error) {
 	p, err := n.peerFor(r.addr)
 	if err != nil {
 		return nil, err
@@ -243,7 +305,12 @@ func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation) (an
 		}
 		return p.client.Component(n.cfg.Component, opts...)
 	})
-	return stub.Invoke(ctx, inv.Method(), inv.Args()...)
+	if w == nil {
+		return stub.Invoke(ctx, inv.Method(), inv.Args()...)
+	}
+	out, err := stub.InvokeRaw(ctx, inv.Method(), w.args, w.out)
+	w.out = out
+	return nil, err
 }
 
 // peer is the pooled data-plane connection to one node, with the stubs the
