@@ -52,15 +52,20 @@
 #                      replication fencing, a late older snapshot
 #                      never replacing a newer one, and a stream getting
 #                      past an effect no offer can carry
+#   make examples-smoke — build every examples/* program and run each
+#                      under a timeout; any non-zero exit fails (go test
+#                      only compiles them)
 #   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
-#                      shadow-smoke + cluster-smoke + handoff-smoke
+#                      shadow-smoke + cluster-smoke + handoff-smoke +
+#                      examples-smoke
 
 GO ?= go
 FUZZTIME ?= 10s
 OBS_SMOKE_DIR := $(or $(TMPDIR),/tmp)/obs-smoke
 SHADOW_SMOKE_DIR := $(or $(TMPDIR),/tmp)/shadow-smoke
+EXAMPLES_SMOKE_DIR := $(or $(TMPDIR),/tmp)/examples-smoke
 
-.PHONY: tier1 lint race fuzz-smoke bench obs-smoke shadow-smoke cluster-smoke handoff-smoke check
+.PHONY: tier1 lint race fuzz-smoke bench obs-smoke shadow-smoke cluster-smoke handoff-smoke examples-smoke check
 
 tier1:
 	$(GO) build ./...
@@ -177,4 +182,20 @@ handoff-smoke:
 	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot'
 	@echo "handoff-smoke: OK"
 
-check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke
+# Every example run as the program it is. go test ./... only compiles
+# them, so a log.Fatal inside one — such as examples/adaptability's check
+# that a self-contradicting concern is refused — is caught only here.
+examples-smoke:
+	rm -rf $(EXAMPLES_SMOKE_DIR) && mkdir -p $(EXAMPLES_SMOKE_DIR)
+	$(GO) build -o $(EXAMPLES_SMOKE_DIR)/ ./examples/...
+	@for dir in examples/*/; do \
+		e=$$(basename $$dir); \
+		if timeout 120 $(EXAMPLES_SMOKE_DIR)/$$e > $(EXAMPLES_SMOKE_DIR)/$$e.log 2>&1; then \
+			echo "examples-smoke: $$e ok"; \
+		else \
+			echo "examples-smoke: $$e failed"; cat $(EXAMPLES_SMOKE_DIR)/$$e.log; exit 1; \
+		fi; \
+	done
+	@echo "examples-smoke: OK"
+
+check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke examples-smoke

@@ -160,14 +160,6 @@ func summarize(base string, n int) error {
 			}
 			fmt.Printf("  admission domains: %s\n", strings.Join(groups, " "))
 		}
-		if comp.Epoch > 0 {
-			line := fmt.Sprintf("  plan epoch: %d", comp.Epoch)
-			if comp.Canary != nil {
-				line += fmt.Sprintf("   canary: epoch %d at %d%% [%s]",
-					comp.Canary.CandidateEpoch, comp.Canary.Percent, strings.Join(comp.Canary.Layers, " > "))
-			}
-			fmt.Println(line)
-		}
 		fmt.Printf("  admissions %d   blocks %d   aborts %d   completions %d\n",
 			comp.Stats.Admissions, comp.Stats.Blocks, comp.Stats.Aborts, comp.Stats.Completions)
 		if len(comp.Parked) > 0 {
@@ -207,7 +199,7 @@ func summarize(base string, n int) error {
 				fmt.Printf("  divergences: verdict=%d stack=%d wake=%d\n",
 					st.VerdictDivergences, st.StackDivergences, st.WakeDivergences)
 				for _, div := range sc.Divergences {
-					fmt.Printf("  !! [%s] %s epoch=%d: %s\n", div.Class, div.Method, div.Epoch, div.Detail)
+					fmt.Printf("  !! [%s] %s: %s\n", div.Class, div.Method, div.Detail)
 				}
 			}
 		}

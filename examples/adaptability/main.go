@@ -4,7 +4,9 @@
 // invocations still flowing — an authentication concern is layered
 // outermost: the ExtendedAspectModerator / ExtendedAspectFactory scenario,
 // realized as moderator layers instead of subclasses. No functional code
-// changes hands.
+// changes hands. Every registration is vetted on the way in: a second
+// concern whose aspect contradicts its own declarations is refused with a
+// structured report, and the composition stays as it was.
 //
 // Run with:
 //
@@ -20,6 +22,7 @@ import (
 	"repro/internal/apps/ticket"
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
+	"repro/internal/moderator"
 )
 
 func main() {
@@ -66,7 +69,31 @@ func main() {
 	}
 	fmt.Println("  alice's open:   accepted (token resolved to principal)")
 
-	fmt.Println("\nphase 3: revocation is immediate")
+	fmt.Println("\nphase 3: an extension that contradicts itself is refused")
+	mod := g.Moderator()
+	if err := mod.AddLayer("quota", moderator.Outermost); err != nil {
+		log.Fatal(err)
+	}
+	quota := &aspect.Func{
+		AspectName: "quota-" + ticket.MethodOpen,
+		AspectKind: aspect.KindScheduling,
+		// Claims the lock-free route, yet expects blocked callers to
+		// abandon: no caller ever blocks on a NonBlocking aspect.
+		NonBlockingFlag: true,
+		AbandonFn:       func(*aspect.Invocation) {},
+	}
+	err = mod.RegisterIn("quota", ticket.MethodOpen, aspect.KindScheduling, quota)
+	var refusal *moderator.InterferenceError
+	if !errors.As(err, &refusal) {
+		log.Fatalf("self-contradicting concern: want an interference refusal, got %v", err)
+	}
+	fmt.Printf("  refused: %s\n", refusal.Report)
+	if err := mod.RemoveLayer("quota"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  layers: %v (authentication was accepted, quota left no trace)\n", mod.Layers())
+
+	fmt.Println("\nphase 4: revocation is immediate")
 	store.Revoke(aliceTok)
 	inv2 := aspect.NewInvocation(ctx, p.Name(), ticket.MethodOpen, []any{"TT-4", "stale token"})
 	auth.WithToken(inv2, aliceTok)
@@ -76,7 +103,7 @@ func main() {
 		log.Fatalf("expected unauthenticated, got %v", err)
 	}
 
-	fmt.Println("\nphase 4: the concern detaches as cleanly as it attached")
+	fmt.Println("\nphase 5: the concern detaches as cleanly as it attached")
 	if err := g.DisableAuthentication(); err != nil {
 		log.Fatal(err)
 	}

@@ -336,8 +336,8 @@ func TestAttrsRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestInvocationSize pins the invocation record at 160 bytes on 64-bit
-// platforms. Every call builds one, so a field added to it is paid on the
+// TestInvocationSize pins the invocation record at 152 bytes on 64-bit
+// platforms, inside the 160-byte allocation size class. Every call builds one, so a field added to it is paid on the
 // in-process fast path: two inline attribute slots, which put it in the
 // 240-byte size class, cost inproc_fast 12 % of its throughput
 // (EXPERIMENTS.md E26). Growing it is a decision to measure, not a side
@@ -346,7 +346,7 @@ func TestInvocationSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sized for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Invocation{}); got != 160 {
-		t.Fatalf("Invocation is %d bytes, want 160", got)
+	if got := unsafe.Sizeof(Invocation{}); got != 152 {
+		t.Fatalf("Invocation is %d bytes, want 152", got)
 	}
 }

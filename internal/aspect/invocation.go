@@ -28,16 +28,6 @@ type Invocation struct {
 	// use a priority wake policy. Higher values wake first.
 	Priority int
 
-	// RouteKey, when non-zero, is the stable identity the moderator hashes
-	// (together with the method name) to decide whether this invocation is
-	// routed to a staged canary plan epoch. Callers that want reproducible
-	// canary routing across replays — the same ticket hitting the same
-	// epoch every time — set it from a durable request identity (a ticket
-	// id hash, a session id). When zero, the moderator falls back to the
-	// process-unique invocation ID, which still distributes evenly but is
-	// not stable across runs.
-	RouteKey uint64
-
 	attrs   map[any]any
 	result  any
 	err     error

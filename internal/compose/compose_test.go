@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -95,13 +96,26 @@ func TestDuplicateOnMethod(t *testing.T) {
 	if got := issuesOf(r, "duplicate-on-method"); len(got) != 1 {
 		t.Fatalf("issues = %v", r.Issues)
 	}
-	// The same instance on different methods is fine (shared guard state).
+	// The same instance on different methods of one admission domain is
+	// fine (shared guard state); Verify must not flag it.
 	p2 := newComponent(t)
+	mod2 := p2.Moderator()
 	shared := noop("shared", aspect.KindSynchronization)
-	if err := p2.Moderator().Register("open", aspect.KindSynchronization, shared); err != nil {
+	if err := mod2.Register("open", aspect.KindSynchronization, shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.Moderator().Register("assign", aspect.KindSynchronization, shared); err != nil {
+	// Ungrouped, open and assign are two domains: the moderator refuses to
+	// run one guard's hooks under both of their mutexes.
+	err := mod2.Register("assign", aspect.KindSynchronization, shared)
+	var ie *moderator.InterferenceError
+	if !errors.As(err, &ie) || len(ie.Report.Findings) == 0 ||
+		ie.Report.Findings[0].Class != moderator.InterferenceSharedGuard {
+		t.Fatalf("ungrouped cross-method sharing: err = %v, want a %s refusal", err, moderator.InterferenceSharedGuard)
+	}
+	if err := mod2.GroupMethods("open", "assign"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mod2.Register("assign", aspect.KindSynchronization, shared); err != nil {
 		t.Fatal(err)
 	}
 	if got := issuesOf(Verify(p2), "duplicate-on-method"); len(got) != 0 {

@@ -186,7 +186,9 @@ func (b *Builder) GuardIn(layer, method string, kind aspect.Kind) *Builder {
 // fail with moderator.ErrDomainActive. Aspects whose Wakes list names
 // other methods are grouped automatically at registration; Group is for
 // making the coupling explicit in wiring, or for guards that share state
-// without waking each other.
+// without waking each other — without the group, registering one such
+// guard instance on a second method is refused as shared-guard
+// interference (moderator.InterferenceError).
 func (b *Builder) Group(methods ...string) *Builder {
 	if len(methods) < 2 {
 		b.err = fmt.Errorf("core: component %s: Group needs at least two methods", b.name)

@@ -1,38 +1,39 @@
 package moderator
 
-// Publish-time interference checking for staged canary epochs.
+// Registration-time interference checking.
 //
-// A candidate composition does not run alone: while staged, its plans
-// admit a fraction of traffic side by side with the stable epoch, over
-// the SAME admission domains, wait queues, and guard instances. Three
-// mechanically checkable interference classes can make that coexistence
-// unsound, and StageCanary refuses a candidate that exhibits any of them:
+// RegisterIn is the one mutator that brings an aspect into a composition,
+// and the sharded moderator runs the hooks of different admission domains
+// under different mutexes — a pure stack under none at all. Three
+// mechanically checkable classes of registration would make that unsound,
+// and RegisterIn refuses each with a structured report before anything is
+// stored:
 //
-//   - wake-overlap: a candidate aspect declares a wake span (aspect.Waker
-//     with a non-empty list) that cannot be merged into one admission
-//     domain — typically because two of the spanned domains already saw
-//     traffic under the stable epoch. Admitting such a stack would let
-//     its hooks touch guard state across domain mutexes. Spans that CAN
-//     merge are merged during the check, exactly as live registration
-//     would; a merge of quiescent domains only reduces concurrency and
-//     never changes admission semantics, so merges performed while
-//     vetting a candidate that is ultimately refused are harmless.
+//   - capability: the aspect declares NonBlocking — granting its stack the
+//     lock-free route when its peers do too — while also declaring
+//     behaviour only meaningful for blocking guards: a non-empty wake list
+//     (wake fan-out is skipped on that route) or an Abandon hook (only
+//     blocked callers abandon). The declaration contradicts itself;
+//     admitting it could strand parked callers. Checked on the aspect
+//     alone.
+//
+//   - wake-overlap: the aspect declares a wake span (aspect.Waker with a
+//     non-empty list) that cannot be merged into one admission domain,
+//     because two of the spanned domains already saw traffic
+//     (ErrDomainActive). Its hooks would touch guard state across domain
+//     mutexes. A span that can merge is merged (see RegisterIn).
 //
 //   - shared-guard: one stateful guard instance (synchronization or
-//     scheduling kind, not declared NonBlocking) is bound to more than
-//     one admission domain — either across two candidate methods, or
-//     across a candidate method and a stable method that grouping did
-//     not co-locate. Its hooks would mutate shared guard state under
-//     different mutexes. Observational aspects (metrics, audit,
-//     authentication) are exempt: sharing a passive instance across
+//     scheduling kind, or wake-declaring, and not NonBlocking) is already
+//     bound to a method in a different admission domain, counted after the
+//     registration's own wake-span merge. Its hooks would mutate shared
+//     guard state under two mutexes. Observational aspects (metrics,
+//     audit, authentication) are exempt: sharing a passive instance across
 //     domains is the normal veneer pattern.
 //
-//   - capability: an aspect declares NonBlocking — granting the whole
-//     stack the lock-free fast path when its peers do too — while also
-//     declaring behaviour only meaningful for blocking guards: a
-//     non-empty wake list (wake fan-out is skipped on the fast path) or
-//     an Abandon hook (only blocked callers abandon). The declaration
-//     contradicts itself; admitting it could strand parked callers.
+// The Reference needs no checker: under its one mutex every method is one
+// domain, and with no lock-free route a NonBlocking declaration has
+// nothing to subvert.
 //
 // The taxonomy follows the "invasive pattern" classification literature:
 // these are exactly the compositions where an independently authored
@@ -56,9 +57,9 @@ const (
 )
 
 // ErrInterference is the sentinel wrapped by every InterferenceError.
-var ErrInterference = errors.New("moderator: canary interference detected")
+var ErrInterference = errors.New("moderator: interference detected")
 
-// InterferenceFinding is one refused pattern in a candidate composition.
+// InterferenceFinding is one refused pattern in a registration.
 type InterferenceFinding struct {
 	Class  string `json:"class"`
 	Method string `json:"method"`
@@ -66,41 +67,84 @@ type InterferenceFinding struct {
 	Detail string `json:"detail"`
 }
 
-// InterferenceReport is the structured result of vetting one candidate
-// epoch.
+// InterferenceReport is the structured result of vetting one
+// registration.
 type InterferenceReport struct {
-	CandidateEpoch uint64                `json:"candidate_epoch"`
-	Findings       []InterferenceFinding `json:"findings"`
+	Findings []InterferenceFinding `json:"findings"`
 }
 
-// OK reports whether the candidate was free of interference findings.
+// OK reports whether the registration was free of interference findings.
 func (r InterferenceReport) OK() bool { return len(r.Findings) == 0 }
 
 // String renders the report for logs and error messages.
 func (r InterferenceReport) String() string {
 	if r.OK() {
-		return fmt.Sprintf("epoch %d: no interference", r.CandidateEpoch)
+		return "no interference"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d: %d interference finding(s)", r.CandidateEpoch, len(r.Findings))
+	fmt.Fprintf(&b, "%d interference finding(s)", len(r.Findings))
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "\n  [%s] %s (aspect %q): %s", f.Class, f.Method, f.Aspect, f.Detail)
 	}
 	return b.String()
 }
 
-// InterferenceError refuses a StageCanary whose candidate the checker
-// flagged. It wraps ErrInterference and carries the structured report.
+// InterferenceError refuses a registration the checker flagged. It carries
+// the structured report and unwraps to ErrInterference and, for a
+// wake-overlap refusal, to the ErrDomainActive merge failure behind it.
 type InterferenceError struct {
 	Component string
 	Report    InterferenceReport
+	cause     error
 }
 
 func (e *InterferenceError) Error() string {
-	return fmt.Sprintf("moderator %s: stage canary refused: %s", e.Component, e.Report.String())
+	return fmt.Sprintf("moderator %s: registration refused: %s", e.Component, e.Report.String())
 }
 
-func (e *InterferenceError) Unwrap() error { return ErrInterference }
+func (e *InterferenceError) Unwrap() []error {
+	if e.cause == nil {
+		return []error{ErrInterference}
+	}
+	return []error{ErrInterference, e.cause}
+}
+
+// vetLocked runs the three checks on registering a at (method, kind)
+// against the composition cs. It returns the domain table the
+// registration's wake span merges into — nil when it merges nothing — for
+// the caller to publish once the registration is stored, or an
+// *InterferenceError. Nothing is published here. The admin mutex must be
+// held.
+func (m *Moderator) vetLocked(cs *compState, method string, kind aspect.Kind, a aspect.Aspect) (*domainTable, error) {
+	if method == "" || a == nil {
+		return nil, nil // the bank refuses both
+	}
+	findings := checkCapability(method, a)
+	dt := m.domains.Load()
+	var merged *domainTable
+	var cause error
+	if span := wakeSpan(a); len(span) > 0 {
+		next, err := m.mergeLocked(append([]string{method}, span...))
+		switch {
+		case errors.Is(err, ErrDomainActive):
+			cause = err
+			findings = append(findings, InterferenceFinding{
+				Class: InterferenceWakeOverlap, Method: method, Aspect: a.Name(),
+				Detail: fmt.Sprintf("wake span %v cannot merge into one admission domain: %v", span, err),
+			})
+		case err != nil:
+			return nil, fmt.Errorf("moderator %s: register %s/%s: %w", m.name, method, kind, err)
+		case next != nil:
+			merged, dt = next, next
+		}
+	}
+	findings = append(findings, checkSharedGuard(cs.plans, dt, method, kind, a)...)
+	if len(findings) > 0 {
+		sortFindings(findings)
+		return nil, &InterferenceError{Component: m.name, Report: InterferenceReport{Findings: findings}, cause: cause}
+	}
+	return merged, nil
+}
 
 // sortFindings orders findings deterministically: by class, then method,
 // then aspect, then detail.
@@ -159,109 +203,54 @@ func statefulGuard(kind aspect.Kind, a aspect.Aspect) bool {
 	return len(wakeSpan(a)) > 0
 }
 
-// checkCapability flags NonBlocking declarations that contradict
-// themselves (class "capability"). Pure structural scan; no locks needed.
-func checkCapability(layers []compLayer) []InterferenceFinding {
-	var out []InterferenceFinding
-	for _, l := range layers {
-		for _, meth := range l.snap.Methods() {
-			for _, e := range l.snap.ForMethod(meth) {
-				if !declaresNonBlocking(e.Aspect) {
-					continue
-				}
-				if span := wakeSpan(e.Aspect); len(span) > 0 {
-					out = append(out, InterferenceFinding{
-						Class: InterferenceCapability, Method: meth, Aspect: e.Aspect.Name(),
-						Detail: fmt.Sprintf("declares NonBlocking but wakes %v: the lock-free fast path skips wake fan-out, so its completions could strand parked callers", span),
-					})
-				}
-				if abandons(e.Aspect) {
-					out = append(out, InterferenceFinding{
-						Class: InterferenceCapability, Method: meth, Aspect: e.Aspect.Name(),
-						Detail: "declares NonBlocking but implements Abandon: only blocked callers abandon, and a NonBlocking precondition must never block",
-					})
-				}
-			}
-		}
+// checkCapability flags a NonBlocking declaration that contradicts itself
+// (class "capability").
+func checkCapability(method string, a aspect.Aspect) []InterferenceFinding {
+	if !declaresNonBlocking(a) {
+		return nil
 	}
-	return out
-}
-
-// checkWakeOverlapLocked vets every candidate wake span by merging it into
-// one admission domain, exactly as live Waker registration would. A span
-// that cannot merge (two spanned domains already active) is a
-// "wake-overlap" finding. The admin mutex must be held.
-func (m *Moderator) checkWakeOverlapLocked(layers []compLayer) []InterferenceFinding {
 	var out []InterferenceFinding
-	for _, l := range layers {
-		for _, meth := range l.snap.Methods() {
-			for _, e := range l.snap.ForMethod(meth) {
-				span := wakeSpan(e.Aspect)
-				if len(span) == 0 {
-					continue
-				}
-				group := append([]string{meth}, span...)
-				if err := m.groupLocked(group); err != nil {
-					out = append(out, InterferenceFinding{
-						Class: InterferenceWakeOverlap, Method: meth, Aspect: e.Aspect.Name(),
-						Detail: fmt.Sprintf("wake span %v cannot merge into one admission domain: %v", span, err),
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkSharedGuards flags stateful guard instances bound to more than one
-// admission domain across the candidate's plans and the stable epoch's
-// (class "shared-guard"). Instances whose dynamic type is not comparable
-// cannot be identity-tracked and are skipped (such aspects cannot be
-// registered twice as the same instance anyway).
-func checkSharedGuards(stable, cand map[string]*compiledPlan) []InterferenceFinding {
-	type binding struct {
-		d      *domain
-		method string
-	}
-	seen := make(map[aspect.Aspect]binding)
-	var out []InterferenceFinding
-	flag := func(method string, a aspect.Aspect, prev binding, epoch string) {
+	if span := wakeSpan(a); len(span) > 0 {
 		out = append(out, InterferenceFinding{
-			Class: InterferenceSharedGuard, Method: method, Aspect: a.Name(),
-			Detail: fmt.Sprintf("stateful guard instance also bound to %s method %q in a different admission domain: its hooks would mutate shared state under two mutexes", epoch, prev.method),
+			Class: InterferenceCapability, Method: method, Aspect: a.Name(),
+			Detail: fmt.Sprintf("declares NonBlocking but wakes %v: the lock-free fast path skips wake fan-out, so its completions could strand parked callers", span),
 		})
 	}
-	scan := func(plans map[string]*compiledPlan, epoch string, record bool) {
-		methods := make([]string, 0, len(plans))
-		for meth := range plans {
-			methods = append(methods, meth)
+	if abandons(a) {
+		out = append(out, InterferenceFinding{
+			Class: InterferenceCapability, Method: method, Aspect: a.Name(),
+			Detail: "declares NonBlocking but implements Abandon: only blocked callers abandon, and a NonBlocking precondition must never block",
+		})
+	}
+	return out
+}
+
+// checkSharedGuard flags every other method whose plan already binds the
+// stateful instance a in an admission domain other than method's under the
+// domain table dt (class "shared-guard"). An instance whose dynamic type
+// is not comparable cannot be identity-tracked and is skipped (such an
+// aspect cannot be registered twice as the same instance anyway).
+func checkSharedGuard(plans map[string]*compiledPlan, dt *domainTable, method string, kind aspect.Kind, a aspect.Aspect) []InterferenceFinding {
+	if !statefulGuard(kind, a) || !reflect.TypeOf(a).Comparable() {
+		return nil
+	}
+	// Every planned method has a domain, so a nil d (method gets a fresh
+	// domain of its own) matches none of them.
+	d := dt.byMethod[method]
+	var out []InterferenceFinding
+	for meth, p := range plans {
+		if dt.byMethod[meth] == d {
+			continue
 		}
-		sort.Strings(methods)
-		for _, meth := range methods {
-			p := plans[meth]
-			for i := range p.entries {
-				e := &p.entries[i]
-				if !statefulGuard(e.kind, e.a) {
-					continue
-				}
-				if !reflect.TypeOf(e.a).Comparable() {
-					continue
-				}
-				if prev, ok := seen[e.a]; ok {
-					if prev.d != p.d {
-						flag(meth, e.a, prev, epoch)
-					}
-					continue
-				}
-				if record {
-					seen[e.a] = binding{d: p.d, method: meth}
-				}
+		for i := range p.entries {
+			if e := &p.entries[i]; e.a == a && statefulGuard(e.kind, e.a) {
+				out = append(out, InterferenceFinding{
+					Class: InterferenceSharedGuard, Method: method, Aspect: a.Name(),
+					Detail: fmt.Sprintf("stateful guard instance already bound to method %q in a different admission domain: its hooks would mutate shared state under two mutexes", meth),
+				})
+				break
 			}
 		}
 	}
-	// Record candidate bindings first, then check them against each other
-	// and against the stable epoch's bindings.
-	scan(cand, "candidate", true)
-	scan(stable, "candidate", false)
 	return out
 }

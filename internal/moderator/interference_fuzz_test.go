@@ -3,46 +3,49 @@ package moderator
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/aspect"
 )
 
-// FuzzInterferenceChecker feeds the publish-time checker candidate
-// compositions decoded from raw bytes and asserts soundness: a candidate
-// that exhibits a known-invasive pattern by construction must NEVER be
-// staged successfully. Over-flagging (refusing a pattern the predicate
-// below calls safe) is allowed — the checker is conservative — but a
-// false "safe" is a bug.
+// FuzzInterferenceChecker drives registrations decoded from raw bytes,
+// one Register call at a time, onto an already-active composition and
+// asserts soundness: a registration that exhibits a known-invasive
+// pattern by construction must NEVER be accepted, and a refused one must
+// leave the composition as it was. Over-flagging (refusing a registration
+// the predicate below calls safe) is allowed — the checker is
+// conservative — but a false "safe" is a bug.
 //
 // Decoding: the input is consumed in 3-byte specs, at most 6:
 //
-//	b0: bits 0-1 method index (mod 3), bit 2 NonBlocking, bit 3
-//	    registration kind (1 = synchronization, 0 = metrics)
+//	b0: method index b0 % 3, bit 2 NonBlocking, bit 3 registration
+//	    kind (1 = synchronization, 0 = metrics)
 //	b1: bits 0-2 wake mask over the method set
 //	b2: bits 0-1 shared-instance id (specs with one id share one aspect
 //	    instance; the first spec fixes its flags)
 //
-// The stable composition always has one private guard per method and all
-// three admission domains active (one admission driven through each), so
-// the invasive predicates below are exact:
+// The composition starts with one private guard per method and all three
+// admission domains active (one admission driven through each), so no
+// registration can ever merge two of them and the invasive predicates
+// below are exact, each judged against the registrations accepted so far:
 //
-//	capability:   an instance declares NonBlocking with a non-empty wake
+//	capability:   the instance declares NonBlocking with a non-empty wake
 //	              list
-//	wake-overlap: a registration's wake span names a method other than
-//	              its own (all domains are active and distinct, so the
-//	              span cannot merge)
-//	shared-guard: one stateful instance (blocking-capable: registered at
-//	              synchronization kind or declaring wakes, and not
-//	              NonBlocking) is registered on two distinct methods
+//	wake-overlap: its wake span names a method other than its own
+//	shared-guard: the instance is stateful (blocking-capable: registered
+//	              at synchronization kind or declaring wakes, and not
+//	              NonBlocking) and an accepted stateful registration of the
+//	              same instance sits on another method
 func FuzzInterferenceChecker(f *testing.F) {
 	// One known-invasive encoding per class, plus safe shapes.
-	f.Add([]byte{0x0C, 0x02, 0x00})                   // capability: NonBlocking + wakes m1
-	f.Add([]byte{0x08, 0x02, 0x00})                   // wake-overlap: guard on m0 wakes m1
-	f.Add([]byte{0x08, 0x00, 0x01, 0x09, 0x00, 0x01}) // shared-guard: one sync instance on m0 and m1
+	f.Add([]byte{0x0C, 0x02, 0x00})                   // capability: NonBlocking on m0 + wakes m1
+	f.Add([]byte{0x08, 0x02, 0x00})                   // wake-overlap: guard on m2 wakes m1
+	f.Add([]byte{0x08, 0x00, 0x01, 0x09, 0x00, 0x01}) // shared-guard: one sync instance on m2 and m0
 	f.Add([]byte{0x00, 0x00, 0x00})                   // safe: private metrics veneer
 	f.Add([]byte{0x0C, 0x00, 0x02, 0x0D, 0x00, 0x02}) // safe: shared NonBlocking instance, no wakes
-	f.Add([]byte{0x08, 0x01, 0x00})                   // safe: guard wakes only its own method
+	f.Add([]byte{0x08, 0x01, 0x00})                   // wake-overlap: guard on m2 wakes m0
+	f.Add([]byte{0x08, 0x04, 0x00})                   // safe: guard on m2 wakes only m2
 
 	methods := []string{"m0", "m1", "m2"}
 
@@ -86,30 +89,29 @@ func FuzzInterferenceChecker(f *testing.F) {
 
 		// Independent invasiveness predicate, straight from the decoded
 		// specs — no checker internals involved.
-		mustFlag := false
 		stateful := func(s spec) bool {
 			if s.instance.NonBlockingFlag {
 				return false
 			}
 			return s.kind == aspect.KindSynchronization || len(s.instance.WakeList) > 0
 		}
-		bound := map[*aspect.Func]string{}
-		for _, s := range specs {
+		invasive := func(s spec, accepted []spec) bool {
 			if s.instance.NonBlockingFlag && len(s.instance.WakeList) > 0 {
-				mustFlag = true // capability
+				return true // capability
 			}
 			for _, w := range s.instance.WakeList {
 				if w != s.method {
-					mustFlag = true // wake-overlap: span crosses active domains
+					return true // wake-overlap: span crosses active domains
 				}
 			}
 			if stateful(s) {
-				if prev, ok := bound[s.instance]; ok && prev != s.method {
-					mustFlag = true // shared-guard across distinct domains
-				} else if !ok {
-					bound[s.instance] = s.method
+				for _, a := range accepted {
+					if a.instance == s.instance && a.method != s.method && stateful(a) {
+						return true // shared-guard across distinct domains
+					}
 				}
 			}
+			return false
 		}
 
 		m := New("fuzz")
@@ -119,30 +121,26 @@ func FuzzInterferenceChecker(f *testing.F) {
 			}
 			admitComplete(t, m, meth)
 		}
-		err := m.StageCanary(50, func(tx *CanaryTx) error {
-			for _, s := range specs {
-				if err := tx.Register(s.method, s.kind, s.instance); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if mustFlag {
+		var accepted []spec
+		for i, s := range specs {
+			before := m.Describe()
+			err := m.Register(s.method, s.kind, s.instance)
 			if err == nil {
-				t.Fatalf("checker staged a known-invasive candidate: specs %+v", specs)
+				if invasive(s, accepted) {
+					t.Fatalf("checker accepted known-invasive registration %d: specs %+v", i, specs)
+				}
+				accepted = append(accepted, s)
+				continue
 			}
 			if !errors.Is(err, ErrInterference) {
-				t.Fatalf("invasive candidate refused with a non-interference error: %v", err)
+				t.Fatalf("registration %d refused with a non-interference error: %v", i, err)
+			}
+			if !reflect.DeepEqual(m.Describe(), before) {
+				t.Fatalf("refused registration %d changed the composition: %v", i, err)
 			}
 		}
-		if err == nil {
-			// An accepted candidate must be live and promotable.
-			if _, staged := m.CanaryInfo(); !staged {
-				t.Fatal("accepted stage reports no canary")
-			}
-			if err := m.PromoteCanary(); err != nil {
-				t.Fatalf("promote accepted candidate: %v", err)
-			}
+		if got := len(m.Domains()); got != len(methods) {
+			t.Fatalf("domains merged across active methods: %v", m.Domains())
 		}
 	})
 }

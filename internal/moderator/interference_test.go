@@ -3,6 +3,7 @@ package moderator
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,11 +28,18 @@ func admitComplete(t *testing.T, m *Moderator, method string) {
 	m.Postactivation(i, adm)
 }
 
+func mustRegister(t *testing.T, m *Moderator, method string, kind aspect.Kind, a aspect.Aspect) {
+	t.Helper()
+	if err := m.Register(method, kind, a); err != nil {
+		t.Fatalf("register %s/%s: %v", method, kind, err)
+	}
+}
+
 // findingsOf asserts err is a refusal and returns its report.
 func findingsOf(t *testing.T, err error) InterferenceReport {
 	t.Helper()
 	if err == nil {
-		t.Fatal("stage accepted, want interference refusal")
+		t.Fatal("registration accepted, want interference refusal")
 	}
 	if !errors.Is(err, ErrInterference) {
 		t.Fatalf("refusal does not wrap ErrInterference: %v", err)
@@ -57,132 +65,90 @@ func hasFinding(r InterferenceReport, class, method string) bool {
 
 func TestInterferenceWakeOverlapAcrossActiveDomains(t *testing.T) {
 	m := New("comp")
-	if err := m.Register("a", aspect.KindSynchronization, syncGuard("guard-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("b", aspect.KindSynchronization, syncGuard("guard-b")); err != nil {
-		t.Fatal(err)
-	}
-	// Both domains see traffic under the stable epoch; they can no longer
-	// merge.
+	mustRegister(t, m, "a", aspect.KindSynchronization, syncGuard("guard-a"))
+	mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+	// Both domains saw traffic; they can no longer merge.
 	admitComplete(t, m, "a")
 	admitComplete(t, m, "b")
 
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		return tx.Register("a", aspect.KindScheduling, &aspect.Func{
-			AspectName: "cross-waker",
-			AspectKind: aspect.KindScheduling,
-			WakeList:   []string{"b"},
-		})
+	err := m.Register("a", aspect.KindScheduling, &aspect.Func{
+		AspectName: "cross-waker",
+		AspectKind: aspect.KindScheduling,
+		WakeList:   []string{"b"},
 	})
 	report := findingsOf(t, err)
 	if !hasFinding(report, InterferenceWakeOverlap, "a") {
 		t.Errorf("missing wake-overlap finding for method a:\n%s", report)
 	}
-	// The refusal leaves no canary staged and burns no epoch number.
-	if _, staged := m.CanaryInfo(); staged {
-		t.Error("refused stage left a canary staged")
-	}
-	if err := m.StageCanary(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := m.CanaryInfo(); info.CandidateEpoch != 2 {
-		t.Errorf("epoch after refusal+restage = %d, want 2 (refusals must not burn epochs)", info.CandidateEpoch)
+	if got := len(m.Aspects("a")); got != 1 {
+		t.Errorf("refused waker was stored: a has %d aspects, want 1", got)
 	}
 }
 
 func TestInterferenceWakeSpanMergesQuiescentDomains(t *testing.T) {
 	m := New("comp")
-	if err := m.Register("a", aspect.KindSynchronization, syncGuard("guard-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("b", aspect.KindSynchronization, syncGuard("guard-b")); err != nil {
-		t.Fatal(err)
-	}
-	// Only a has seen traffic: {a,b} can merge into a's domain, exactly as
-	// live Waker registration would.
+	mustRegister(t, m, "a", aspect.KindSynchronization, syncGuard("guard-a"))
+	mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+	// Only a has seen traffic: {a,b} can merge into a's domain.
 	admitComplete(t, m, "a")
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		return tx.Register("a", aspect.KindScheduling, &aspect.Func{
-			AspectName: "cross-waker",
-			AspectKind: aspect.KindScheduling,
-			WakeList:   []string{"b"},
-		})
+	err := m.Register("a", aspect.KindScheduling, &aspect.Func{
+		AspectName: "cross-waker",
+		AspectKind: aspect.KindScheduling,
+		WakeList:   []string{"b"},
 	})
 	if err != nil {
-		t.Fatalf("stage with mergeable wake span refused: %v", err)
+		t.Fatalf("registration with mergeable wake span refused: %v", err)
 	}
-	var merged bool
-	for _, group := range m.Domains() {
-		if len(group) == 2 && group[0] == "a" && group[1] == "b" {
-			merged = true
-		}
-	}
-	if !merged {
-		t.Errorf("wake-span vetting did not merge {a,b}: domains %v", m.Domains())
-	}
-	// The merge persists after rollback — it reduced concurrency only.
-	if err := m.RollbackCanary(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m.Domains()); got != 1 {
-		t.Errorf("merge did not persist after rollback: domains %v", m.Domains())
+	if got := m.Domains(); !reflect.DeepEqual(got, [][]string{{"a", "b"}}) {
+		t.Errorf("wake span did not merge {a,b}: domains %v", got)
 	}
 }
 
+// TestInterferenceSharedGuardAcrossCandidateDomains: the candidate — the
+// registration under vetting — would bind a stateful instance in a second
+// admission domain.
 func TestInterferenceSharedGuardAcrossCandidateDomains(t *testing.T) {
 	m := New("comp")
-	if err := m.Register("x", aspect.KindSynchronization, syncGuard("guard-x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("y", aspect.KindSynchronization, syncGuard("guard-y")); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, m, "x", aspect.KindSynchronization, syncGuard("guard-x"))
+	mustRegister(t, m, "y", aspect.KindSynchronization, syncGuard("guard-y"))
 	shared := syncGuard("shared-guard")
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		if err := tx.Register("x", aspect.KindSynchronization, shared); err != nil {
-			return err
-		}
-		return tx.Register("y", aspect.KindSynchronization, shared)
-	})
-	report := findingsOf(t, err)
+	mustRegister(t, m, "x", aspect.KindSynchronization, shared)
+	report := findingsOf(t, m.Register("y", aspect.KindSynchronization, shared))
 	if !hasFinding(report, InterferenceSharedGuard, "y") {
 		t.Errorf("missing shared-guard finding for method y:\n%s", report)
 	}
+	if !strings.Contains(report.String(), `"x"`) {
+		t.Errorf("finding does not name the method already bound:\n%s", report)
+	}
 }
 
+// TestInterferenceSharedGuardCandidateVsStable: the stable binding that
+// makes a candidate registration invasive may sit in any layer, and
+// grouping the two methods first is what makes sharing the instance sound.
 func TestInterferenceSharedGuardCandidateVsStable(t *testing.T) {
 	m := New("comp")
 	shared := syncGuard("shared-guard")
-	if err := m.Register("x", aspect.KindSynchronization, shared); err != nil {
+	mustRegister(t, m, "x", aspect.KindSynchronization, shared)
+	mustRegister(t, m, "y", aspect.KindSynchronization, syncGuard("guard-y"))
+	if err := m.AddLayer("outer", Outermost); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register("y", aspect.KindSynchronization, syncGuard("guard-y")); err != nil {
+	report := findingsOf(t, m.RegisterIn("outer", "y", aspect.KindSynchronization, shared))
+	if !hasFinding(report, InterferenceSharedGuard, "y") {
+		t.Errorf("missing shared-guard finding for method y:\n%s", report)
+	}
+	if err := m.GroupMethods("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	// The candidate drops the stable binding on x and rebinds the instance
-	// on y: the stable epoch still drives it under x's domain while the
-	// candidate would drive it under y's.
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		if _, err := tx.Unregister(BaseLayer, "x", aspect.KindSynchronization); err != nil {
-			return err
-		}
-		return tx.Register("y", aspect.KindSynchronization, shared)
-	})
-	report := findingsOf(t, err)
-	if !hasFinding(report, InterferenceSharedGuard, "x") {
-		t.Errorf("missing shared-guard finding for stable method x:\n%s", report)
+	if err := m.RegisterIn("outer", "y", aspect.KindSynchronization, shared); err != nil {
+		t.Errorf("shared guard within one grouped domain refused: %v", err)
 	}
 }
 
 func TestInterferenceSharedVeneerExempt(t *testing.T) {
 	m := New("comp")
-	if err := m.Register("x", aspect.KindSynchronization, syncGuard("guard-x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("y", aspect.KindSynchronization, syncGuard("guard-y")); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, m, "x", aspect.KindSynchronization, syncGuard("guard-x"))
+	mustRegister(t, m, "y", aspect.KindSynchronization, syncGuard("guard-y"))
 	// A passive observational instance shared across domains is the normal
 	// veneer pattern, not interference.
 	veneer := &aspect.Func{
@@ -190,14 +156,10 @@ func TestInterferenceSharedVeneerExempt(t *testing.T) {
 		AspectKind: aspect.KindMetrics,
 		Pre:        func(*aspect.Invocation) aspect.Verdict { return aspect.Resume },
 	}
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		if err := tx.Register("x", aspect.KindMetrics, veneer); err != nil {
-			return err
+	for _, meth := range []string{"x", "y"} {
+		if err := m.Register(meth, aspect.KindMetrics, veneer); err != nil {
+			t.Fatalf("shared observational veneer refused on %s: %v", meth, err)
 		}
-		return tx.Register("y", aspect.KindMetrics, veneer)
-	})
-	if err != nil {
-		t.Fatalf("shared observational veneer refused: %v", err)
 	}
 }
 
@@ -231,13 +193,8 @@ func TestInterferenceCapabilityViolations(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New("comp")
-			if err := m.Register("open", aspect.KindSynchronization, syncGuard("stable-guard")); err != nil {
-				t.Fatal(err)
-			}
-			err := m.StageCanary(10, func(tx *CanaryTx) error {
-				return tx.Register("open", aspect.KindSynchronization, tc.aspect)
-			})
-			report := findingsOf(t, err)
+			mustRegister(t, m, "open", aspect.KindSynchronization, syncGuard("stable-guard"))
+			report := findingsOf(t, m.Register("open", aspect.KindSynchronization, tc.aspect))
 			if !hasFinding(report, InterferenceCapability, "open") {
 				t.Fatalf("missing capability finding:\n%s", report)
 			}
@@ -258,29 +215,19 @@ func TestInterferenceCapabilityViolations(t *testing.T) {
 // method, aspect, so refusal reports are stable across runs.
 func TestInterferenceReportDeterministic(t *testing.T) {
 	m := New("comp")
-	if err := m.Register("a", aspect.KindSynchronization, syncGuard("guard-a")); err != nil {
-		t.Fatal(err)
+	mustRegister(t, m, "a", aspect.KindSynchronization, syncGuard("guard-a"))
+	mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+	// One stateful instance waking a, bound on a, then offered to b after
+	// both domains saw traffic: wake-overlap and shared-guard at once.
+	shared := &aspect.Func{
+		AspectName: "shared-waker",
+		AspectKind: aspect.KindSynchronization,
+		WakeList:   []string{"a"},
 	}
-	if err := m.Register("b", aspect.KindSynchronization, syncGuard("guard-b")); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, m, "a", aspect.KindSynchronization, shared)
 	admitComplete(t, m, "a")
 	admitComplete(t, m, "b")
-	shared := syncGuard("shared-guard")
-	err := m.StageCanary(10, func(tx *CanaryTx) error {
-		if err := tx.Register("b", aspect.KindScheduling, &aspect.Func{
-			AspectName: "cross-waker",
-			AspectKind: aspect.KindScheduling,
-			WakeList:   []string{"a"},
-		}); err != nil {
-			return err
-		}
-		if err := tx.Register("a", aspect.KindSynchronization, shared); err != nil {
-			return err
-		}
-		return tx.Register("b", aspect.KindSynchronization, shared)
-	})
-	report := findingsOf(t, err)
+	report := findingsOf(t, m.Register("b", aspect.KindSynchronization, shared))
 	if len(report.Findings) < 2 {
 		t.Fatalf("want at least 2 findings, got:\n%s", report)
 	}
@@ -289,5 +236,95 @@ func TestInterferenceReportDeterministic(t *testing.T) {
 		if a.Class > b.Class || (a.Class == b.Class && a.Method > b.Method) {
 			t.Errorf("findings not sorted at %d:\n%s", i, report)
 		}
+	}
+}
+
+// TestRegisterInInterference is the registration contract in one table:
+// a refused registration leaves the composition and the domains exactly
+// as they were, a wake-overlap refusal also matches the ErrDomainActive
+// merge failure behind it, and a shared instance is accepted once its wake
+// span merges both methods into one domain.
+func TestRegisterInInterference(t *testing.T) {
+	cases := []struct {
+		name string
+		// inst is the instance under test; setup builds the composition
+		// around it, and the call under test registers it on b.
+		inst  *aspect.Func
+		setup func(t *testing.T, m *Moderator, inst *aspect.Func)
+		class string  // "" means the registration is accepted
+		is    []error // errors.Is targets of the refusal
+	}{
+		{
+			name: "capability",
+			inst: &aspect.Func{AspectName: "nb", AspectKind: aspect.KindSynchronization,
+				NonBlockingFlag: true, AbandonFn: func(*aspect.Invocation) {}},
+			setup: func(t *testing.T, m *Moderator, _ *aspect.Func) {
+				mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+			},
+			class: InterferenceCapability,
+			is:    []error{ErrInterference},
+		},
+		{
+			name: "wake-overlap",
+			inst: &aspect.Func{AspectName: "b-wakes-a", AspectKind: aspect.KindSynchronization,
+				WakeList: []string{"a"}},
+			setup: func(t *testing.T, m *Moderator, _ *aspect.Func) {
+				mustRegister(t, m, "a", aspect.KindSynchronization, syncGuard("guard-a"))
+				mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+				admitComplete(t, m, "a")
+				admitComplete(t, m, "b")
+			},
+			class: InterferenceWakeOverlap,
+			is:    []error{ErrInterference, ErrDomainActive},
+		},
+		{
+			name: "shared-guard",
+			inst: syncGuard("shared"),
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				mustRegister(t, m, "a", aspect.KindSynchronization, inst)
+			},
+			class: InterferenceSharedGuard,
+			is:    []error{ErrInterference},
+		},
+		{
+			name: "shared-instance-merged-by-its-wake-span",
+			inst: &aspect.Func{AspectName: "shared-waker", AspectKind: aspect.KindSynchronization,
+				WakeList: []string{"a"}},
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				mustRegister(t, m, "a", aspect.KindSynchronization, inst)
+				admitComplete(t, m, "a")
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New("comp")
+			tc.setup(t, m, tc.inst)
+			before, domains := m.Describe(), m.Domains()
+			err := m.Register("b", aspect.KindSynchronization, tc.inst)
+			if tc.class == "" {
+				if err != nil {
+					t.Fatalf("registration refused: %v", err)
+				}
+				if reflect.DeepEqual(m.Describe(), before) {
+					t.Error("accepted registration did not change Describe")
+				}
+				return
+			}
+			if report := findingsOf(t, err); !hasFinding(report, tc.class, "b") {
+				t.Errorf("refusal lacks a %s finding for b:\n%s", tc.class, report)
+			}
+			for _, target := range tc.is {
+				if !errors.Is(err, target) {
+					t.Errorf("errors.Is(err, %v) = false: %v", target, err)
+				}
+			}
+			if after := m.Describe(); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused registration changed Describe:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if after := m.Domains(); !reflect.DeepEqual(after, domains) {
+				t.Errorf("refused registration changed the domains: before %v after %v", domains, after)
+			}
+		})
 	}
 }

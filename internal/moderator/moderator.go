@@ -141,9 +141,10 @@ var ErrLayerExists = errors.New("moderator: layer already exists")
 // ErrNoSuchLayer is returned when a named layer is not present.
 var ErrNoSuchLayer = errors.New("moderator: no such layer")
 
-// ErrDomainActive is returned by GroupMethods (and by RegisterIn's
-// automatic grouping) when the requested group would merge two admission
-// domains that have both already seen traffic. Declare groups during
+// ErrDomainActive is returned by GroupMethods (and, inside a wake-overlap
+// *InterferenceError, by RegisterIn's automatic grouping) when the
+// requested group would merge two admission domains that have both
+// already seen traffic. Declare groups during
 // initialization, before the affected methods are invoked concurrently.
 var ErrDomainActive = errors.New("moderator: admission domain already active")
 
@@ -265,12 +266,6 @@ type Admitter interface {
 	Waiting(method string) int
 	Stats() Stats
 	QueueStats() map[string]waitq.Stats
-	Epoch() uint64
-	CanaryInfo() (CanaryInfo, bool)
-	StageCanary(pct int, edit func(*CanaryTx) error) error
-	SetCanaryFraction(pct int) error
-	PromoteCanary() error
-	RollbackCanary() error
 }
 
 var (
@@ -309,11 +304,7 @@ type planLayer struct {
 // union of the aspects' wake targets. Plans are immutable once published;
 // the hot path reaches one with a single snapshot Load and map lookup.
 type compiledPlan struct {
-	method string
-	// epoch is the composition epoch the plan was compiled under: the
-	// stable epoch, or a staged candidate's (canary.go). It tags shadow
-	// divergences and trace output; admission semantics never read it.
-	epoch   uint64
+	method  string
 	entries []planEntry
 	// aspects lists every entry's aspect in admission order. A successful
 	// admission always admits the whole plan, so receipts alias this slice
@@ -353,16 +344,8 @@ type compiledPlan struct {
 // time, plus the per-method compiled plans resolved from those contents.
 // One atomic Load yields a mutually consistent view of everything.
 type compState struct {
-	// epoch numbers this stable composition; it increases monotonically
-	// whenever a staged candidate is promoted (canary.go) and is never
-	// reused after a rollback.
-	epoch  uint64
 	layers []compLayer
 	plans  map[string]*compiledPlan
-	// cand, when non-nil, is the staged candidate epoch: a second layer
-	// set and plan set that serves the canary-routed fraction of traffic
-	// (see planFor in canary.go).
-	cand *canaryState
 }
 
 func (cs *compState) find(name string) *compLayer {
@@ -500,10 +483,6 @@ type Moderator struct {
 	// against the Reference semantics (shadow.go).
 	shadow atomic.Pointer[Shadow]
 
-	// epochSeq issues epoch numbers for staged candidates; guarded by
-	// admin. The stable snapshot's current epoch lives in compState.
-	epochSeq uint64
-
 	// reclaimEra numbers composition retirements: it advances once per
 	// snapshot superseded, and pre-activations pin the era they run under
 	// so retired snapshots can be reclaimed at quiescence (reclaim.go).
@@ -536,9 +515,9 @@ type Moderator struct {
 
 // New creates a moderator for the named component with a single base layer.
 func New(name string, opts ...Option) *Moderator {
-	m := &Moderator{name: name, opts: buildOptions(opts), epochSeq: 1}
+	m := &Moderator{name: name, opts: buildOptions(opts)}
 	b := bank.New()
-	m.comp.Store(&compState{epoch: 1, layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
+	m.comp.Store(&compState{layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
 	m.domains.Store(&domainTable{byMethod: make(map[string]*domain)})
 	return m
 }
@@ -576,7 +555,7 @@ func (m *Moderator) Pressure() int { return int(m.waiters.Load()) }
 // zero-returning method survive only because the frozen benchmark harness
 // (benchmark/workloads.go) still sums these six fields; the next benchmark
 // PR removes both together with the moderator.ring_* layer metrics
-// (ROADMAP item 1).
+// (ROADMAP item 11(a)).
 type RingStats struct {
 	Submitted, Batches, BatchedOps, Parks, FullFallbacks, MutexBypasses uint64
 }
@@ -586,37 +565,28 @@ func (m *Moderator) RingStats() RingStats { return RingStats{} }
 
 // republishLocked rebuilds and publishes the composition snapshot from the
 // layers' current bank contents, compiling one admission plan per guarded
-// method. The stable epoch is preserved; a staged candidate's plans are
-// recompiled too, because a grouping merge may have replaced the domains
-// they bind (candidate layers themselves are frozen at stage time). The
-// admin mutex must be held.
+// method. The admin mutex must be held.
 func (m *Moderator) republishLocked(layers []compLayer) {
 	cur := m.comp.Load()
-	next := &compState{epoch: cur.epoch, layers: make([]compLayer, len(layers))}
+	next := &compState{layers: make([]compLayer, len(layers))}
 	for i, l := range layers {
 		next.layers[i] = compLayer{name: l.name, bank: l.bank, snap: l.bank.Snapshot()}
 	}
-	next.plans = m.compilePlansLocked(next.layers, cur.epoch)
-	if c := cur.cand; c != nil {
-		cand := c.clone()
-		cand.plans = m.compilePlansLocked(cand.layers, cand.epoch)
-		next.cand = cand
-	}
+	next.plans = m.compilePlansLocked(next.layers)
 	m.comp.Store(next)
 	m.retireLocked(cur)
 }
 
 // compilePlansLocked compiles one admission plan per method guarded by the
-// given layer snapshots, tagged with the given epoch. The admin mutex must
-// be held.
-func (m *Moderator) compilePlansLocked(layers []compLayer, epoch uint64) map[string]*compiledPlan {
+// given layer snapshots. The admin mutex must be held.
+func (m *Moderator) compilePlansLocked(layers []compLayer) map[string]*compiledPlan {
 	methods := make(map[string]bool)
 	for i := range layers {
 		layers[i].snap.EachMethod(func(meth string) { methods[meth] = true })
 	}
 	plans := make(map[string]*compiledPlan, len(methods))
 	for meth := range methods {
-		plans[meth] = m.compilePlanLocked(layers, meth, epoch)
+		plans[meth] = m.compilePlanLocked(layers, meth)
 	}
 	return plans
 }
@@ -624,8 +594,8 @@ func (m *Moderator) compilePlansLocked(layers []compLayer, epoch uint64) map[str
 // compilePlanLocked resolves one method's guard stack against the given
 // layer snapshots. The admin mutex must be held (the plan binds the
 // method's admission domain, creating it if needed).
-func (m *Moderator) compilePlanLocked(layers []compLayer, method string, epoch uint64) *compiledPlan {
-	p := &compiledPlan{method: method, epoch: epoch, pure: true}
+func (m *Moderator) compilePlanLocked(layers []compLayer, method string) *compiledPlan {
+	p := &compiledPlan{method: method, pure: true}
 	for _, l := range layers {
 		entries := l.snap.ForMethod(method)
 		if len(entries) == 0 {
@@ -692,9 +662,14 @@ func (m *Moderator) Register(method string, kind aspect.Kind, a aspect.Aspect) e
 // RegisterIn stores an aspect at (method, kind) in the named layer. If the
 // aspect implements aspect.Waker with a non-empty wake list, the method
 // and every wake target are merged into one admission domain (the wake
-// list of a guard is the span of its shared state); the merge fails with
-// ErrDomainActive if it would join two domains that both already saw
-// traffic.
+// list of a guard is the span of its shared state).
+//
+// The interference checker (interference.go) vets the registration first:
+// a NonBlocking declaration that contradicts itself, a wake span joining
+// two domains that both already saw traffic, or a stateful guard instance
+// already bound in another admission domain refuses it with an
+// *InterferenceError. A refused registration changes nothing: no bank
+// entry, no domain merge, no published snapshot.
 func (m *Moderator) RegisterIn(layerName, method string, kind aspect.Kind, a aspect.Aspect) error {
 	m.admin.Lock()
 	defer m.admin.Unlock()
@@ -703,16 +678,15 @@ func (m *Moderator) RegisterIn(layerName, method string, kind aspect.Kind, a asp
 	if l == nil {
 		return fmt.Errorf("moderator %s: register %s/%s in %q: %w", m.name, method, kind, layerName, ErrNoSuchLayer)
 	}
-	if w, ok := a.(aspect.Waker); ok && method != "" {
-		if span := w.Wakes(); len(span) > 0 {
-			group := append([]string{method}, span...)
-			if err := m.groupLocked(group); err != nil {
-				return fmt.Errorf("moderator %s: register %s/%s: %w", m.name, method, kind, err)
-			}
-		}
+	merged, err := m.vetLocked(cs, method, kind, a)
+	if err != nil {
+		return err
 	}
 	if err := l.bank.Register(method, kind, a); err != nil {
 		return fmt.Errorf("moderator %s: %w", m.name, err)
+	}
+	if merged != nil {
+		m.domains.Store(merged)
 	}
 	m.republishLocked(cs.layers)
 	return nil
@@ -800,14 +774,31 @@ func (m *Moderator) GroupMethods(methods ...string) error {
 	return m.groupLocked(methods)
 }
 
-// groupLocked merges the methods' domains. The admin mutex must be held.
+// groupLocked merges the methods' domains and republishes the plans that
+// bind them. The admin mutex must be held.
 func (m *Moderator) groupLocked(methods []string) error {
+	next, err := m.mergeLocked(methods)
+	if err != nil || next == nil {
+		return err
+	}
+	m.domains.Store(next)
+	// Compiled plans bind each method's domain; re-publish so no plan
+	// keeps pointing at a merged-away domain.
+	m.republishLocked(m.comp.Load().layers)
+	return nil
+}
+
+// mergeLocked computes the domain table that puts the methods in one
+// admission domain, without publishing it. It returns nil when they
+// already share one, and wraps ErrDomainActive when two of their domains
+// both already saw traffic. The admin mutex must be held.
+func (m *Moderator) mergeLocked(methods []string) (*domainTable, error) {
 	dt := m.domains.Load()
 	var distinct []*domain
 	seen := make(map[*domain]bool, len(methods))
 	for _, meth := range methods {
 		if meth == "" {
-			return fmt.Errorf("moderator %s: group: empty method name", m.name)
+			return nil, fmt.Errorf("moderator %s: group: empty method name", m.name)
 		}
 		if d := dt.byMethod[meth]; d != nil && !seen[d] {
 			seen[d] = true
@@ -821,7 +812,7 @@ func (m *Moderator) groupLocked(methods []string) error {
 		}
 	}
 	if len(actives) > 1 {
-		return fmt.Errorf("moderator %s: group %v: %d domains already saw traffic: %w",
+		return nil, fmt.Errorf("moderator %s: group %v: %d domains already saw traffic: %w",
 			m.name, methods, len(actives), ErrDomainActive)
 	}
 	var target *domain
@@ -841,19 +832,14 @@ func (m *Moderator) groupLocked(methods []string) error {
 		}
 	}
 	if !changed {
-		return nil
+		return nil, nil
 	}
-	prev := dt.all
 	next := dt.clone()
 	for _, meth := range methods {
 		next.byMethod[meth] = target
 	}
-	next.rebuildAll(prev)
-	m.domains.Store(next)
-	// Compiled plans bind each method's domain; re-publish so no plan
-	// keeps pointing at a merged-away domain.
-	m.republishLocked(m.comp.Load().layers)
-	return nil
+	next.rebuildAll(dt.all)
+	return next, nil
 }
 
 // Domains returns the current method grouping: one sorted slice of method
@@ -1028,11 +1014,9 @@ func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	// Resolve the composition once, from a single atomic snapshot:
 	// in-flight invocations are immune to concurrent re-composition, and
 	// the plan was compiled when the snapshot was published — the hot
-	// path resolves nothing and allocates nothing. With a canary staged,
-	// planFor deterministically routes a fraction of invocations to the
-	// candidate epoch's plans (canary.go).
+	// path resolves nothing and allocates nothing.
 	cs := m.comp.Load()
-	plan := cs.planFor(inv)
+	plan := cs.plans[inv.Method()]
 	tb := m.tracer.Load()
 	sh := m.shadow.Load()
 	if plan == nil {

@@ -1,9 +1,8 @@
 package moderator
 
 // The differential oracle: randomized op schedules (invoke / block / abort
-// / cancel / kick / layer-churn / register-churn / canary-epoch churn —
-// stage, set-fraction, promote, rollback) are replayed in lockstep
-// against BOTH the sharded Moderator and the single-mutex Reference, and
+// / cancel / kick / layer-churn / register-churn) are replayed in
+// lockstep against BOTH the sharded Moderator and the single-mutex Reference, and
 // every observable — admission ledgers (Stats), waiting counts, admitted /
 // parked / outcome sets, guard state, Describe snapshots, and per-invocation
 // hook traces (onion ordering and rollback) — must be identical after every
@@ -41,8 +40,8 @@ package moderator
 // commit through the seqlock guard cell without the domain mutex, while
 // parked waiters anywhere force the same begins onto the mutex path, so
 // every schedule races the optimistic protocol's gates (waiter check,
-// cell acquisition, verdict handoff) against parking, cancellation, layer
-// churn and canary routing — under exact hook-trace comparison with the
+// cell acquisition, verdict handoff) against parking, cancellation and
+// layer churn — under exact hook-trace comparison with the
 // Reference, which never has an optimistic path at all.
 
 import (
@@ -136,7 +135,6 @@ type diffScenario struct {
 
 	raw    *rawAudit
 	veneer *aspect.Func
-	canary *aspect.Func
 
 	trMu   sync.Mutex
 	traces map[int][]string
@@ -201,19 +199,6 @@ func newDiffScenario(t *testing.T, tag string, impl Admitter, cfg diffConfig) *d
 		},
 		Post:     func(inv *aspect.Invocation) { s.trace(inv, "post:veneer-trace") },
 		CancelFn: func(inv *aspect.Invocation) { s.trace(inv, "cancel:veneer-trace") },
-	}
-	// The candidate-only trace aspect: invocations routed to a staged
-	// canary epoch (and, after promote, all invocations) record its
-	// events, so the hook-trace comparison pins canary routing exactly.
-	s.canary = &aspect.Func{
-		AspectName: "canary-trace",
-		AspectKind: aspect.KindMetrics,
-		Pre: func(inv *aspect.Invocation) aspect.Verdict {
-			s.trace(inv, "resume:canary-trace")
-			return aspect.Resume
-		},
-		Post:     func(inv *aspect.Invocation) { s.trace(inv, "post:canary-trace") },
-		CancelFn: func(inv *aspect.Invocation) { s.trace(inv, "cancel:canary-trace") },
 	}
 
 	// alpha and beta share one admission domain but keep independent
@@ -404,10 +389,6 @@ func (s *diffScenario) begin(idx int, method string, flag bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	inv := aspect.NewInvocation(ctx, "diff", method, []any{flag})
 	inv.SetAttr(diffIdxAttr, idx)
-	// A schedule-determined routing identity: canary routing must pick the
-	// same epoch for invocation idx on both implementations (inv.ID() is
-	// process-global and would differ between the two instances).
-	inv.RouteKey = uint64(idx) + 1
 	c := &diffCall{idx: idx, inv: inv, cancel: cancel, done: make(chan diffResult, 1)}
 	s.inflight[idx] = c
 	go func() {
@@ -450,7 +431,6 @@ func (s *diffScenario) cancelParked(idx int) {
 func (s *diffScenario) invokeNow(idx int, method string, args []any) {
 	inv := aspect.NewInvocation(context.Background(), "diff", method, args)
 	inv.SetAttr(diffIdxAttr, idx)
-	inv.RouteKey = uint64(idx) + 1
 	adm, err := s.impl.Preactivation(inv)
 	if err != nil {
 		s.t.Fatalf("%s: invokeNow(%s): %v", s.tag, method, err)
@@ -564,14 +544,6 @@ func compareScenarios(t *testing.T, seed int64, step int, a, b *diffScenario) {
 	if ad, bd := a.impl.Describe(), b.impl.Describe(); !reflect.DeepEqual(ad, bd) {
 		fail("Describe diverges:\nsharded:   %+v\nreference: %+v", ad, bd)
 	}
-	if ae, be := a.impl.Epoch(), b.impl.Epoch(); ae != be {
-		fail("plan epochs diverge: sharded=%d reference=%d", ae, be)
-	}
-	ai, aStaged := a.impl.CanaryInfo()
-	bi, bStaged := b.impl.CanaryInfo()
-	if aStaged != bStaged || !reflect.DeepEqual(ai, bi) {
-		fail("canary state diverges: sharded=%+v(%v) reference=%+v(%v)", ai, aStaged, bi, bStaged)
-	}
 }
 
 const (
@@ -582,7 +554,6 @@ const (
 	opControl // refill (single) / toggle (broadcast)
 	opVeneer  // add or remove the transient veneer layer
 	opOmega   // register or unregister the non-Waker audit on omega
-	opCanary  // stage / set-fraction / promote / rollback a canary epoch
 	opKinds
 )
 
@@ -596,7 +567,7 @@ type diffOp struct {
 func genSchedule(rng *rand.Rand, cfg diffConfig, n int) []diffOp {
 	ops := make([]diffOp, n)
 	for i := range ops {
-		r := rng.Intn(100)
+		r := rng.Intn(93)
 		op := diffOp{sel: rng.Intn(1 << 30), flag: rng.Intn(3) == 0}
 		switch {
 		case r < 36:
@@ -614,10 +585,8 @@ func genSchedule(rng *rand.Rand, cfg diffConfig, n int) []diffOp {
 			op.flag = rng.Intn(2) == 0
 		case r < 90:
 			op.kind = opVeneer
-		case r < 93:
-			op.kind = opOmega
 		default:
-			op.kind = opCanary
+			op.kind = opOmega
 		}
 		ops[i] = op
 	}
@@ -651,10 +620,6 @@ func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*dif
 	ops := genSchedule(rng, cfg, 20+rng.Intn(21))
 	nextIdx := 0
 	veneerOn, omegaOn := false, false
-	canaryGen := 0
-	canaryStaged := false
-	var stageVeneerOn, stageOmegaOn bool
-	canaryPcts := []int{0, 25, 100}
 
 	apply := func(step int, f func(s *diffScenario)) {
 		f(a)
@@ -729,63 +694,6 @@ func runDiffScheduleCfg(t *testing.T, seed int64, mode WakeMode, tweak func(*dif
 				})
 			}
 			omegaOn = !omegaOn
-		case opCanary:
-			if !canaryStaged {
-				// Stage a candidate epoch: the stable composition plus a
-				// candidate-only outermost trace layer, at a deterministic
-				// fraction. The candidate is checker-safe by construction,
-				// so both implementations must accept it.
-				canaryGen++
-				layer := fmt.Sprintf("canary-%d", canaryGen)
-				pct := canaryPcts[op.sel%len(canaryPcts)]
-				stageVeneerOn, stageOmegaOn = veneerOn, omegaOn
-				apply(step, func(s *diffScenario) {
-					err := s.impl.StageCanary(pct, func(tx *CanaryTx) error {
-						if err := tx.AddLayer(layer, Outermost); err != nil {
-							return err
-						}
-						for _, meth := range cfg.veneerMethods {
-							if err := tx.RegisterIn(layer, meth, aspect.KindMetrics, s.canary); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("seed %d: %s: stage canary: %v", seed, s.tag, err)
-					}
-				})
-				canaryStaged = true
-			} else {
-				switch op.sel % 4 {
-				case 0:
-					apply(step, func(s *diffScenario) {
-						if err := s.impl.PromoteCanary(); err != nil {
-							t.Fatalf("seed %d: %s: promote canary: %v", seed, s.tag, err)
-						}
-					})
-					// The promoted composition is the stage-time clone, so
-					// the harness's view of the mutable layers rewinds with
-					// it: churn applied to the stable epoch while the
-					// candidate was staged is gone.
-					veneerOn, omegaOn = stageVeneerOn, stageOmegaOn
-					canaryStaged = false
-				case 1:
-					apply(step, func(s *diffScenario) {
-						if err := s.impl.RollbackCanary(); err != nil {
-							t.Fatalf("seed %d: %s: rollback canary: %v", seed, s.tag, err)
-						}
-					})
-					canaryStaged = false
-				default:
-					pct := canaryPcts[(op.sel/4)%len(canaryPcts)]
-					apply(step, func(s *diffScenario) {
-						if err := s.impl.SetCanaryFraction(pct); err != nil {
-							t.Fatalf("seed %d: %s: set canary fraction: %v", seed, s.tag, err)
-						}
-					})
-				}
-			}
 		}
 	}
 

@@ -3,7 +3,8 @@ package moderator
 // Tests for the optimistic guard-cell admission path (optimistic.go):
 // the happy path and its counters, the tracer gate, the two racy-window
 // regression tests for the PR 2 stranded-caller bug class on the new
-// path, and epoch-based snapshot reclamation (reclaim.go).
+// path, the waiter gate of the pure route, and era-pinned snapshot
+// reclamation (reclaim.go).
 
 import (
 	"context"
@@ -407,5 +408,68 @@ func TestReclaimParkedCallerPins(t *testing.T) {
 	}
 	if got := occupancy(); got != 0 {
 		t.Fatalf("semaphore leaked %d admissions", got)
+	}
+}
+
+// TestWaiterKeepsPureStackOffFastPath pins the fast-path gate for the pure
+// route: a caller parked on one method must force an admission of a pure
+// stack on another method onto the mutex path, whose conservative
+// broadcast is what wakes the parked caller. The waiters counter is
+// moderator-wide, not per-domain.
+func TestWaiterKeepsPureStackOffFastPath(t *testing.T) {
+	m := New("comp")
+	var token atomic.Int64
+	gate := &aspect.Func{
+		AspectName: "token-gate",
+		AspectKind: aspect.KindSynchronization,
+		Pre: func(*aspect.Invocation) aspect.Verdict {
+			if token.Load() == 0 {
+				return aspect.Block
+			}
+			return aspect.Resume
+		},
+	}
+	if err := m.Register("gate", aspect.KindSynchronization, gate); err != nil {
+		t.Fatal(err)
+	}
+	// The whole stack of "pure" declares NonBlocking, so with no waiters
+	// it would take the lock-free fast path and never broadcast.
+	if err := m.Register("pure", aspect.KindMetrics,
+		&aspect.Func{AspectName: "pure-mark", AspectKind: aspect.KindMetrics, NonBlockingFlag: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	parked := make(chan error, 1)
+	go func() {
+		i := aspect.NewInvocation(context.Background(), "comp", "gate", nil)
+		adm, err := m.Preactivation(i)
+		if err == nil {
+			m.Postactivation(i, adm)
+		}
+		parked <- err
+	}()
+	waitWaiting(t, m, "gate", 1)
+
+	// Open the gate WITHOUT waking anyone: only the pure invocation's
+	// completion broadcast can release the parked caller — and only if
+	// the waiters counter pushed it off the fast path.
+	token.Store(1)
+	i := aspect.NewInvocation(context.Background(), "comp", "pure", nil)
+	adm, err := m.Preactivation(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adm.fast {
+		t.Error("pure admission took the fast path with a caller parked")
+	}
+	m.Postactivation(i, adm)
+
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatalf("parked caller failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked caller never woke: the pure completion skipped the wake fan-out")
 	}
 }

@@ -1,12 +1,12 @@
-// Epoch-based reclamation for superseded composition snapshots.
+// Era-pinned reclamation for superseded composition snapshots.
 //
 // Every composition mutation publishes a fresh immutable compState and
 // supersedes the previous one. In-flight invocations may still be running
 // under a superseded snapshot — a pre-activation resolves its plan from
 // one atomic Load and can then park for an arbitrarily long time — so the
 // moderator cannot declare a snapshot quiescent the moment it is replaced.
-// Under layer churn (the canary controller restages candidates, apps
-// register and unregister aspects) that superseded history is exactly the
+// Under layer churn (apps add and remove layers, register and unregister
+// aspects) that superseded history is exactly the
 // kind of unbounded retention a long-lived server cannot afford to track.
 //
 // The scheme is a small quiescent-state-based reclamation:

@@ -30,7 +30,6 @@ type Reference struct {
 	comp      atomic.Pointer[compState]
 	queues    map[qkey]*waitq.Queue
 	ticketSeq uint64 // guarded by mu
-	epochSeq  uint64 // guarded by mu; issues candidate epoch numbers
 
 	admissions  atomic.Uint64
 	blocks      atomic.Uint64
@@ -51,10 +50,9 @@ func NewReference(name string, opts ...Option) *Reference {
 		opts:     buildOptions(opts),
 		queues:   make(map[qkey]*waitq.Queue),
 		domainID: domainSeq.Add(1),
-		epochSeq: 1,
 	}
 	b := bank.New()
-	r.comp.Store(&compState{epoch: 1, layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
+	r.comp.Store(&compState{layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
 	return r
 }
 
@@ -77,13 +75,10 @@ func (r *Reference) Stats() Stats {
 	}
 }
 
-// republishLocked rebuilds and publishes the composition snapshot,
-// carrying the stable epoch and any staged candidate forward (candidate
-// layers are frozen at stage time, so they republish unchanged). r.mu
+// republishLocked rebuilds and publishes the composition snapshot. r.mu
 // must be held.
 func (r *Reference) republishLocked(layers []compLayer) {
-	cur := r.comp.Load()
-	next := &compState{epoch: cur.epoch, cand: cur.cand, layers: make([]compLayer, len(layers))}
+	next := &compState{layers: make([]compLayer, len(layers))}
 	for i, l := range layers {
 		next.layers[i] = compLayer{name: l.name, bank: l.bank, snap: l.bank.Snapshot()}
 	}
@@ -97,7 +92,9 @@ func (r *Reference) Register(method string, kind aspect.Kind, a aspect.Aspect) e
 
 // RegisterIn stores an aspect at (method, kind) in the named layer. The
 // single admission mutex already spans every method, so no grouping is
-// needed or performed.
+// needed or performed, and none of the interference classes the sharded
+// moderator checks for can occur: the differential oracle only registers
+// compositions that checker accepts.
 func (r *Reference) RegisterIn(layerName, method string, kind aspect.Kind, a aspect.Aspect) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -223,10 +220,7 @@ type resolvedLayer struct {
 // Preactivation evaluates preconditions layer by layer under the single
 // admission mutex. See Moderator.Preactivation for the shared semantics.
 func (r *Reference) Preactivation(inv *aspect.Invocation) (*Admission, error) {
-	cs := r.comp.Load()
-	// With a canary staged, the same deterministic route hash as the
-	// sharded moderator selects the candidate layer set (canary.go).
-	layers := cs.routedLayers(inv.Method(), routeKeyOf(inv))
+	layers := r.comp.Load().layers
 	plan := make([]resolvedLayer, 0, len(layers))
 	total := 0
 	for _, l := range layers {

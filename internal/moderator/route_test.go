@@ -52,10 +52,12 @@ func (h *hookLog) snapshot() []string {
 	return append([]string(nil), h.seq...)
 }
 
-// recorded returns an aspect that logs all four hooks and answers its
-// precondition with verdict() (Resume when nil).
+// recorded returns an aspect that logs its hooks and answers its
+// precondition with verdict() (Resume when nil). Only a blocking-capable
+// aspect gets an Abandon hook: a NonBlocking one that declared it would
+// contradict itself, and RegisterIn refuses that.
 func (h *hookLog) recorded(name string, nonBlocking bool, verdict func() aspect.Verdict) *aspect.Func {
-	return &aspect.Func{
+	a := &aspect.Func{
 		AspectName: name, AspectKind: aspect.KindAudit, NonBlockingFlag: nonBlocking,
 		Pre: func(*aspect.Invocation) aspect.Verdict {
 			h.add("pre", name)
@@ -64,10 +66,13 @@ func (h *hookLog) recorded(name string, nonBlocking bool, verdict func() aspect.
 			}
 			return verdict()
 		},
-		Post:      func(*aspect.Invocation) { h.add("post", name) },
-		CancelFn:  func(*aspect.Invocation) { h.add("cancel", name) },
-		AbandonFn: func(*aspect.Invocation) { h.add("abandon", name) },
+		Post:     func(*aspect.Invocation) { h.add("post", name) },
+		CancelFn: func(*aspect.Invocation) { h.add("cancel", name) },
 	}
+	if !nonBlocking {
+		a.AbandonFn = func(*aspect.Invocation) { h.add("abandon", name) }
+	}
+	return a
 }
 
 // TestRoutePureBlockIsContractViolation: on the pure route nothing is held

@@ -93,10 +93,8 @@ func (s ShadowStats) Divergences() uint64 {
 // ShadowDivergence describes one detected divergence for introspection.
 type ShadowDivergence struct {
 	// Class is "verdict", "stack", or "wake".
-	Class    string `json:"class"`
-	Method   string `json:"method"`
-	Epoch    uint64 `json:"epoch"`
-	RouteKey uint64 `json:"route_key,omitempty"`
+	Class  string `json:"class"`
+	Method string `json:"method"`
 	// LiveAdmitted is the live admission outcome of the sample.
 	LiveAdmitted bool `json:"live_admitted"`
 	// Predicted is the replay's outcome ("admit", "abort"); empty for
@@ -112,7 +110,6 @@ type shadowSample struct {
 	plan     *compiledPlan
 	args     []any
 	priority int
-	routeKey uint64
 	admitted bool
 }
 
@@ -270,7 +267,6 @@ func (s *Shadow) observe(cs *compState, plan *compiledPlan, inv *aspect.Invocati
 		cs:       cs,
 		plan:     plan,
 		priority: inv.Priority,
-		routeKey: routeKeyOf(inv),
 		admitted: admitted,
 	}
 	if n := inv.NumArgs(); n > 0 {
@@ -320,9 +316,9 @@ func (s *Shadow) replay(smp shadowSample) {
 	plan := smp.plan
 	method := plan.method
 
-	// Independent re-resolution of the routed layer stack from the very
-	// snapshot the live admission loaded.
-	layers := smp.cs.routedLayers(method, smp.routeKey)
+	// Independent re-resolution of the layer stack from the very snapshot
+	// the live admission loaded.
+	layers := smp.cs.layers
 	var names []string
 	var wakes []string
 	for _, l := range layers {
@@ -344,17 +340,15 @@ func (s *Shadow) replay(smp shadowSample) {
 	if !equalStrings(names, planNames) {
 		s.stackDiv.Add(1)
 		s.record(ShadowDivergence{
-			Class: "stack", Method: method, Epoch: plan.epoch, RouteKey: smp.routeKey,
-			LiveAdmitted: smp.admitted,
-			Detail:       "compiled plan stack " + joinNames(planNames) + " != resolved stack " + joinNames(names),
+			Class: "stack", Method: method, LiveAdmitted: smp.admitted,
+			Detail: "compiled plan stack " + joinNames(planNames) + " != resolved stack " + joinNames(names),
 		})
 	}
 	if !equalStrings(wakes, plan.wakeTargets) {
 		s.wakeDiv.Add(1)
 		s.record(ShadowDivergence{
-			Class: "wake", Method: method, Epoch: plan.epoch, RouteKey: smp.routeKey,
-			LiveAdmitted: smp.admitted,
-			Detail:       "compiled wake union " + joinNames(plan.wakeTargets) + " != recomputed union " + joinNames(wakes),
+			Class: "wake", Method: method, LiveAdmitted: smp.admitted,
+			Detail: "compiled wake union " + joinNames(plan.wakeTargets) + " != recomputed union " + joinNames(wakes),
 		})
 	}
 
@@ -365,10 +359,9 @@ func (s *Shadow) replay(smp shadowSample) {
 	// serialized with live hooks on the same guard state whichever path
 	// admitted them. A predicted admission is immediately
 	// rolled back via the Cancel contract; Postactivation never runs.
-	s.ref.comp.Store(&compState{epoch: plan.epoch, layers: layers})
+	s.ref.comp.Store(&compState{layers: layers})
 	inv := aspect.NewInvocation(s.cancelled, s.m.Name(), method, smp.args)
 	inv.Priority = smp.priority
-	inv.RouteKey = smp.routeKey
 	d := plan.d
 	d.mu.Lock()
 	// The optimistic path runs live guard hooks under the domain's guard
@@ -405,8 +398,7 @@ func (s *Shadow) replay(smp shadowSample) {
 	}
 	s.verdictDiv.Add(1)
 	s.record(ShadowDivergence{
-		Class: "verdict", Method: method, Epoch: plan.epoch, RouteKey: smp.routeKey,
-		LiveAdmitted: smp.admitted, Predicted: predicted,
+		Class: "verdict", Method: method, LiveAdmitted: smp.admitted, Predicted: predicted,
 		Detail: "live admission outcome " + live + ", reference semantics predict " + predicted,
 	})
 }

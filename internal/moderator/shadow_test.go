@@ -76,9 +76,6 @@ func TestShadowDetectsInjectedVerdictFault(t *testing.T) {
 		if d.Class != "verdict" || d.Method != "open" || !d.LiveAdmitted || d.Predicted != "abort" {
 			t.Errorf("unexpected divergence record: %+v", d)
 		}
-		if d.Epoch != 1 {
-			t.Errorf("divergence epoch = %d, want 1", d.Epoch)
-		}
 	}
 }
 

@@ -48,8 +48,6 @@ type DescribeLayer struct {
 // DescribeComponent is one watched source's structural snapshot.
 type DescribeComponent struct {
 	Name    string                 `json:"name"`
-	Epoch   uint64                 `json:"epoch,omitempty"`
-	Canary  *moderator.CanaryInfo  `json:"canary,omitempty"`
 	Layers  []DescribeLayer        `json:"layers"`
 	Domains [][]string             `json:"domains,omitempty"`
 	Stats   moderator.Stats        `json:"stats"`
@@ -85,12 +83,6 @@ func (c *Collector) Describe() DescribeSnapshot {
 		}
 		if ds, ok := s.(domainsSource); ok {
 			comp.Domains = ds.Domains()
-		}
-		if es, ok := s.(epochSource); ok {
-			comp.Epoch = es.Epoch()
-			if info, staged := es.CanaryInfo(); staged {
-				comp.Canary = &info
-			}
 		}
 		parked := make(map[string]int)
 		for q := range comp.Queues {

@@ -81,13 +81,6 @@ type domainsSource interface {
 	Domains() [][]string
 }
 
-// epochSource is optionally implemented by sources with versioned plan
-// epochs and canary staging (both moderator implementations).
-type epochSource interface {
-	Epoch() uint64
-	CanaryInfo() (moderator.CanaryInfo, bool)
-}
-
 // Collector implements moderator.Tracer: it routes lifecycle events into
 // per-domain rings and pre-resolved metric instruments. Trace never
 // blocks (ring writes drop on contention) and never calls back into the

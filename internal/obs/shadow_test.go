@@ -36,11 +36,6 @@ func TestShadowEndToEnd(t *testing.T) {
 	if err := mod.Register("open", aspect.KindSynchronization, faulty); err != nil {
 		t.Fatal(err)
 	}
-	// A staged canary shows up in /describe next to the epoch.
-	err := mod.StageCanary(25, func(tx *moderator.CanaryTx) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	c := NewCollector(WithSampleEvery(1))
 	c.Watch(mod)
@@ -129,11 +124,8 @@ func TestShadowEndToEnd(t *testing.T) {
 		t.Fatalf("/describe components = %d, want 1", len(desc.Components))
 	}
 	comp := desc.Components[0]
-	if comp.Epoch != 1 {
-		t.Errorf("/describe epoch = %d, want 1", comp.Epoch)
-	}
-	if comp.Canary == nil || comp.Canary.CandidateEpoch != 2 || comp.Canary.Percent != 25 {
-		t.Errorf("/describe canary = %+v, want candidate epoch 2 at 25%%", comp.Canary)
+	if len(comp.Layers) != 1 || len(comp.Layers[0].Methods["open"]) != 1 {
+		t.Errorf("/describe layers = %+v, want the base layer guarding open", comp.Layers)
 	}
 }
 

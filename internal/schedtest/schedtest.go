@@ -2,10 +2,10 @@
 // the moderator's randomized differential oracle into an exhaustive one at
 // small bounds: it enumerates EVERY interleaving of a small set of caller
 // and operator threads — optimistic admit, mutex admit, park, wake,
-// cancel, kick, republish, canary stage/promote/rollback — over small
-// guarded plan sets, executing each interleaving against the sharded
-// Moderator and the single-mutex Reference in lockstep and cross-checking
-// every intermediate and terminal state.
+// cancel, kick, republish — over small guarded plan sets, executing each
+// interleaving against the sharded Moderator and the single-mutex
+// Reference in lockstep and cross-checking every intermediate and
+// terminal state.
 //
 // # Why this is sound
 //
@@ -32,12 +32,11 @@
 // After every step (and at every terminal after draining): per-method
 // Waiting counts, the Stats counters, scenario guard-state probes (guard
 // occupancy and per-hook invocation counts, which catch double-evaluated
-// preconditions), the classified outcome of every returned call, Epoch,
-// and the staged-canary view. Guard-hook counts are the load-bearing
-// check for the optimistic path's verdict handoff: re-running a blocked
-// layer's preconditions under the mutex after the optimistic evaluation
-// already ran them would show up as a count divergence from the
-// Reference.
+// preconditions), and the classified outcome of every returned call.
+// Guard-hook counts are the load-bearing check for the optimistic path's
+// verdict handoff: re-running a blocked layer's preconditions under the
+// mutex after the optimistic evaluation already ran them would show up as
+// a count divergence from the Reference.
 package schedtest
 
 import (
@@ -71,14 +70,6 @@ const (
 	// NonBlocking audit aspect for Op.Method in a dedicated churn layer
 	// (creating it), even occurrences remove the layer again.
 	OpChurn
-	// OpCanaryStage stages a canary epoch with Op.Pct percent routed,
-	// editing the candidate through Scenario.Canary.
-	OpCanaryStage
-	// OpCanaryPromote promotes the staged canary; an error (none staged)
-	// is itself a compared observable.
-	OpCanaryPromote
-	// OpCanaryRollback rolls back the staged canary.
-	OpCanaryRollback
 )
 
 func (k OpKind) String() string {
@@ -93,12 +84,6 @@ func (k OpKind) String() string {
 		return "kick"
 	case OpChurn:
 		return "churn"
-	case OpCanaryStage:
-		return "canary-stage"
-	case OpCanaryPromote:
-		return "canary-promote"
-	case OpCanaryRollback:
-		return "canary-rollback"
 	}
 	return fmt.Sprintf("op(%d)", int(k))
 }
@@ -107,7 +92,6 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind   OpKind
 	Method string
-	Pct    int
 }
 
 // Thread is one sequential actor: a caller issuing begin/finish/cancel
@@ -133,9 +117,6 @@ type Scenario struct {
 	Methods []string
 	// Threads are the actors whose interleavings are enumerated.
 	Threads []Thread
-	// Canary edits the candidate composition for OpCanaryStage; nil
-	// stages an unmodified clone.
-	Canary func(tx *moderator.CanaryTx) error
 }
 
 // Stats summarizes one exhaustive exploration.
@@ -191,15 +172,13 @@ type side struct {
 // world is one lockstep replay: both implementations plus per-thread
 // progress.
 type world struct {
-	sc       *Scenario
-	sides    [2]*side // [0] sharded, [1] reference
-	pc       []int    // per-thread program counter
-	routeSeq uint64
-	outcomes map[string]string // "t/op" → classified outcome, compared lazily
+	sc    *Scenario
+	sides [2]*side // [0] sharded, [1] reference
+	pc    []int    // per-thread program counter
 }
 
 func newWorld(sc *Scenario) (*world, error) {
-	w := &world{sc: sc, pc: make([]int, len(sc.Threads)), outcomes: make(map[string]string)}
+	w := &world{sc: sc, pc: make([]int, len(sc.Threads))}
 	sharded := moderator.New("sched", sc.Options...)
 	if sc.ShardedTracer != nil {
 		sharded.SetTracer(sc.ShardedTracer)
@@ -241,11 +220,8 @@ func (w *world) enabled() []int {
 func (w *world) step(t int, schedule []string) error {
 	op := w.sc.Threads[t][w.pc[t]]
 	w.pc[t]++
-	key := fmt.Sprintf("T%d#%d:%s", t, w.pc[t]-1, op.Kind)
 	switch op.Kind {
 	case OpBegin:
-		w.routeSeq++
-		route := w.routeSeq
 		for _, s := range w.sides {
 			if c := s.calls[t]; c != nil && !c.returned() {
 				return fmt.Errorf("schedtest %s: thread %d begins while a call is in flight", w.sc.Name, t)
@@ -253,7 +229,6 @@ func (w *world) step(t int, schedule []string) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			c := &call{cancel: cancel, done: make(chan struct{})}
 			c.inv = aspect.NewInvocation(ctx, "sched", op.Method, nil)
-			c.inv.RouteKey = route // identical canary routing on both sides
 			s.calls[t] = c
 			go func(m moderator.Admitter, c *call) {
 				c.adm, c.err = m.Preactivation(c.inv)
@@ -305,30 +280,6 @@ func (w *world) step(t int, schedule []string) error {
 				return fmt.Errorf("schedtest %s: churn %d: %w", w.sc.Name, s.churn, err)
 			}
 		}
-	case OpCanaryStage:
-		var outs [2]string
-		for i, s := range w.sides {
-			outs[i] = classifyErr(s.m.StageCanary(op.Pct, w.sc.Canary))
-		}
-		if outs[0] != outs[1] {
-			return w.diverge(schedule, fmt.Sprintf("canary stage: sharded=%s reference=%s", outs[0], outs[1]))
-		}
-		w.outcomes[key] = outs[0]
-	case OpCanaryPromote, OpCanaryRollback:
-		var outs [2]string
-		for i, s := range w.sides {
-			var err error
-			if op.Kind == OpCanaryPromote {
-				err = s.m.PromoteCanary()
-			} else {
-				err = s.m.RollbackCanary()
-			}
-			outs[i] = classifyErr(err)
-		}
-		if outs[0] != outs[1] {
-			return w.diverge(schedule, fmt.Sprintf("%s: sharded=%s reference=%s", op.Kind, outs[0], outs[1]))
-		}
-		w.outcomes[key] = outs[0]
 	default:
 		return fmt.Errorf("schedtest %s: unknown op kind %v", w.sc.Name, op.Kind)
 	}
@@ -404,14 +355,6 @@ func (w *world) compare(schedule []string) error {
 			return w.diverge(schedule, fmt.Sprintf("probe[%d]: sharded=%d reference=%d (full: %v vs %v)",
 				i, pa[i], pb[i], pa, pb))
 		}
-	}
-	if ea, eb := a.m.Epoch(), b.m.Epoch(); ea != eb {
-		return w.diverge(schedule, fmt.Sprintf("epoch: sharded=%d reference=%d", ea, eb))
-	}
-	ia, oka := a.m.CanaryInfo()
-	ib, okb := b.m.CanaryInfo()
-	if oka != okb || ia.CandidateEpoch != ib.CandidateEpoch || ia.Percent != ib.Percent {
-		return w.diverge(schedule, fmt.Sprintf("canary: sharded=(%+v,%v) reference=(%+v,%v)", ia, oka, ib, okb))
 	}
 	// Outcomes of returned calls.
 	for t := range w.sc.Threads {

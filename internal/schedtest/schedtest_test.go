@@ -6,10 +6,10 @@ package schedtest
 // single-mutex Reference, with a full observable comparison after every
 // step and at every drained terminal. The sharded side runs with
 // optimistic admission ON (the default), so every interleaving of the
-// optimistic guard-cell protocol with parking, waking, cancellation,
-// recomposition and canary staging is certified against the executable
-// spec; the two MutexTier scenarios rerun with it OFF, enumerating the
-// blocking path alone. A zero-divergence run of these tests IS the
+// optimistic guard-cell protocol with parking, waking, cancellation and
+// recomposition is certified against the executable spec; the two
+// MutexTier scenarios rerun with it OFF, enumerating the blocking path
+// alone. A zero-divergence run of these tests IS the
 // certification artifact for guarded admission.
 
 import (
@@ -133,8 +133,8 @@ func TestExhaustiveCapSemWakeSingle(t *testing.T) {
 // TestExhaustiveRepublishChurn interleaves two semaphore callers with an
 // operator thread that republishes the composition (register/unregister a
 // layer) and kicks the queue — every recomposition point races the
-// optimistic fast path's snapshot load and the epoch-based reclamation of
-// the superseded snapshot.
+// optimistic fast path's snapshot load and the reclamation of the
+// superseded snapshot while callers may be pinned.
 func TestExhaustiveRepublishChurn(t *testing.T) {
 	runScenario(t, Scenario{
 		Name: "republish-churn",
@@ -341,34 +341,4 @@ func TestExplorationMixedArrivalFamilies(t *testing.T) {
 	if os.Parks == 0 && os.Fallbacks == 0 {
 		t.Fatalf("no blocked caller handed off from the seqlock to the mutex path: %+v", os)
 	}
-}
-
-// TestExhaustiveCanaryLifecycle interleaves guarded admissions with the
-// full canary lifecycle: stage (candidate adds an extra audit layer for
-// kappa), promote, rollback (which fails after the promote — the error is
-// itself a compared observable). Each stage/promote retires a snapshot
-// through the epoch-based reclamation path while callers may be pinned.
-func TestExhaustiveCanaryLifecycle(t *testing.T) {
-	runScenario(t, Scenario{
-		Name: "canary-lifecycle",
-		Options: []moderator.Option{
-			moderator.WithWakeMode(moderator.WakeSingle),
-			moderator.WithWakePolicy(waitq.FIFO),
-		},
-		Build:   capSemBuild,
-		Methods: []string{"kappa"},
-		Canary: func(tx *moderator.CanaryTx) error {
-			if err := tx.AddLayer("canary-audit", moderator.Outermost); err != nil {
-				return err
-			}
-			return tx.RegisterIn("canary-audit", "kappa", aspect.KindAudit, &aspect.Func{
-				AspectName: "canary-probe", AspectKind: aspect.KindAudit, NonBlockingFlag: true,
-			})
-		},
-		Threads: []Thread{
-			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpFinish}, {Kind: OpBegin, Method: "kappa"}},
-			{{Kind: OpBegin, Method: "kappa"}, {Kind: OpCancel}, {Kind: OpFinish}},
-			{{Kind: OpCanaryStage, Pct: 100}, {Kind: OpCanaryPromote}, {Kind: OpCanaryRollback}},
-		},
-	})
 }
