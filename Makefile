@@ -13,7 +13,11 @@
 #                      differential-oracle, mutex-tier, optimistic and
 #                      route-equivalence tests and the waitq recycled-
 #                      waiter race, the obs event ring/histogram/churn
-#                      concurrency tests, ten rounds of the amrpc
+#                      concurrency tests, five rounds of the invocation-
+#                      recycling tests (a released record carries no
+#                      token, priority, barrier generation, ctx, args or
+#                      trace id into its next call — in process and over
+#                      amrpc), ten rounds of the amrpc
 #                      line-buffer aliasing, late-reply, frame-writer and
 #                      flush-ledger tests, and three of the amrpc retry,
 #                      re-dial and backoff-schedule tests and of the
@@ -88,6 +92,8 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
+	$(GO) test -race -count=5 -run 'TestRecycledInvocation|TestTraceIDsSoundUnderRecycling' ./internal/apps/ticket/ ./internal/aspects/coord/ ./internal/obs/
+	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken' ./internal/amrpc/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/

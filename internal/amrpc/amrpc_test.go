@@ -157,6 +157,40 @@ func TestSentinelErrorsCrossTheWire(t *testing.T) {
 	}
 }
 
+// TestRecycledInvocationCarriesNoToken is the wire twin of the ticket
+// app's recycling test: the server releases each request's invocation
+// record once the call returns, so on one connection a tokenless request
+// may run on the record a token-bearing one just left. It must still be
+// refused.
+func TestRecycledInvocationCarriesNoToken(t *testing.T) {
+	g, err := ticket.NewGuarded(ticket.GuardedConfig{Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := auth.NewTokenStore()
+	tok := store.Issue("alice", "client")
+	if err := g.EnableAuthentication(store); err != nil {
+		t.Fatal(err)
+	}
+	c := dialClient(t, startServer(t, g.Proxy()))
+	signed := c.Component(ticket.ComponentName, WithToken(tok))
+	anonymous := c.Component(ticket.ComponentName)
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		if _, err := signed.Invoke(ctx, ticket.MethodOpen, "TT-1", "recycled"); err != nil {
+			t.Fatalf("round %d: authenticated open: %v", i, err)
+		}
+		// Fatal before draining: an assign wrongly admitted here has
+		// emptied the buffer, and the authenticated one would park.
+		if _, err := anonymous.Invoke(ctx, ticket.MethodAssign); !errors.Is(err, auth.ErrUnauthenticated) {
+			t.Fatalf("round %d: tokenless assign after a token-bearing request: %v", i, err)
+		}
+		if _, err := signed.Invoke(ctx, ticket.MethodAssign); err != nil {
+			t.Fatalf("round %d: authenticated assign: %v", i, err)
+		}
+	}
+}
+
 func TestPriorityTravels(t *testing.T) {
 	p := proxy.New(moderator.New("svc"))
 	var seen int

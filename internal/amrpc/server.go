@@ -473,6 +473,7 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 		// only after the reply: they stay valid for all of CallRaw, as
 		// RawComponent promises.
 		out, err := h.raw.CallRaw(inv, RawCall{Args: req.Args, Fence: req.Fence}, results.buf)
+		inv.Release()
 		if err != nil {
 			return refusal(req.ID, err)
 		}
@@ -487,6 +488,7 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 		return response{ID: req.ID, Result: out}
 	}
 	result, err := h.c.Call(inv)
+	inv.Release()
 	if err != nil {
 		return refusal(req.ID, err)
 	}

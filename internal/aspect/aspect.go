@@ -109,6 +109,10 @@ var ErrAborted = errors.New("aspect: invocation aborted")
 // incrementing an active counter) must do so before returning Resume, and
 // should implement Canceler to undo that bookkeeping if a later aspect
 // aborts or blocks the same invocation.
+//
+// Every hook receives an invocation that is valid only until its call
+// returns (see Invocation): an aspect keeps values read from it, never the
+// pointer.
 type Aspect interface {
 	// Name identifies the aspect instance for diagnostics and auditing.
 	Name() string

@@ -4,11 +4,17 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
-	"time"
 )
 
+// invocationSeq numbers invocations on demand: ID draws from it on first
+// read, so only a traced or audited call touches this shared counter.
 var invocationSeq atomic.Uint64
+
+// invocationPool recycles records that their creator handed back with
+// Release.
+var invocationPool = sync.Pool{New: func() any { return new(Invocation) }}
 
 // Invocation is the join-point record of one guarded method call. It is
 // created by a component proxy, threaded through the pre-activation phase,
@@ -18,6 +24,14 @@ var invocationSeq atomic.Uint64
 // An Invocation is owned by the calling goroutine; it is not safe for
 // concurrent use. Aspects touch it only from moderator hooks, which the
 // moderator serializes under the component's admission lock.
+//
+// Lifetime: an Invocation is valid only until the call that carries it
+// returns, on every route — the lock-free, optimistic and mutex admission
+// tiers, a parked and woken caller, a call served over amrpc or routed
+// through a cluster node. Whoever created the record may then Release it
+// for reuse by a later call. Aspect hooks, method bodies, effect sinks and
+// tracers therefore keep values read from it (the ID, the method name, an
+// attribute, the args slice, which no one mutates), never the pointer.
 type Invocation struct {
 	ctx       context.Context
 	component string
@@ -28,44 +42,57 @@ type Invocation struct {
 	// use a priority wake policy. Higher values wake first.
 	Priority int
 
-	attrs   map[any]any
-	result  any
-	err     error
-	id      uint64
-	created time.Time
+	attrs  map[any]any
+	result any
+	err    error
+	id     uint64 // 0 until ID is first read
 }
 
 // NewInvocation builds an invocation record for one call of method on the
-// named component. A nil ctx defaults to context.Background().
+// named component. A nil ctx defaults to context.Background(). The record
+// may be a recycled one; it carries nothing of its previous call.
 func NewInvocation(ctx context.Context, component, method string, args []any) *Invocation {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Invocation{
-		ctx:       ctx,
-		component: component,
-		method:    method,
-		args:      args,
-		id:        invocationSeq.Add(1),
-		created:   time.Now(),
-	}
+	inv := invocationPool.Get().(*Invocation)
+	inv.ctx = ctx
+	inv.component = component
+	inv.method = method
+	inv.args = args
+	return inv
+}
+
+// Release clears the record and returns it for reuse by a later
+// NewInvocation. Only the record's creator calls it, once the call that
+// carried the record has returned; the record must not be touched after.
+// The attribute map is emptied in place and kept. A record that is never
+// released is simply garbage.
+func (inv *Invocation) Release() {
+	clear(inv.attrs)
+	*inv = Invocation{attrs: inv.attrs}
+	invocationPool.Put(inv)
 }
 
 // Context returns the caller's context. Moderators honor its cancellation
 // while the invocation is blocked on a wait queue.
 func (inv *Invocation) Context() context.Context { return inv.ctx }
 
-// ID returns a process-unique sequence number for the invocation.
-func (inv *Invocation) ID() uint64 { return inv.id }
+// ID returns a process-unique, non-zero sequence number for the
+// invocation. The number is drawn on first read; successive records that
+// one goroutine reads in turn get increasing numbers.
+func (inv *Invocation) ID() uint64 {
+	if inv.id == 0 {
+		inv.id = invocationSeq.Add(1)
+	}
+	return inv.id
+}
 
 // Component returns the name of the functional component being invoked.
 func (inv *Invocation) Component() string { return inv.component }
 
 // Method returns the participating method name.
 func (inv *Invocation) Method() string { return inv.method }
-
-// Created returns the time the invocation record was built.
-func (inv *Invocation) Created() time.Time { return inv.created }
 
 // Args returns the raw argument list. The slice is shared, not copied.
 func (inv *Invocation) Args() []any { return inv.args }
@@ -205,5 +232,5 @@ func (inv *Invocation) SetErr(err error) { inv.err = err }
 
 // String renders the invocation for diagnostics.
 func (inv *Invocation) String() string {
-	return fmt.Sprintf("%s.%s#%d", inv.component, inv.method, inv.id)
+	return fmt.Sprintf("%s.%s#%d", inv.component, inv.method, inv.ID())
 }

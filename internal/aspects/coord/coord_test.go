@@ -2,12 +2,14 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/aspect"
 	"repro/internal/moderator"
+	"repro/internal/proxy"
 )
 
 func TestNewBarrierValidation(t *testing.T) {
@@ -317,6 +319,49 @@ func TestRendezvousAbandonReleasesSlot(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("side %d never proceeded", i)
+		}
+	}
+}
+
+// TestRecycledInvocationCarriesNoBarrierGeneration checks that a barrier
+// party's generation attribute does not outlive its call. Proxy.Invoke
+// releases each record for reuse; here the body of every released party
+// plants a stale generation on its record — the state a hook that failed
+// to retract would leave — and the next lone party, which may draw that
+// record, must still wait for a partner instead of passing as released.
+func TestRecycledInvocationCarriesNoBarrierGeneration(t *testing.T) {
+	b, err := NewBarrier(2, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := proxy.New(moderator.New("comp"))
+	if err := p.Bind("m", func(inv *aspect.Invocation) (any, error) {
+		inv.SetAttr(generationKey{}, uint64(0))
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Moderator().Register("m", aspect.KindSynchronization, b.Aspect("barrier")); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				_, err := p.Invoke(context.Background(), "m")
+				errs <- err
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: cohort party: %v", round, err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := p.Invoke(ctx, "m")
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: lone party after %d cohorts = %v, want it to wait", round, b.Generation(), err)
 		}
 	}
 }

@@ -9,15 +9,16 @@ import (
 
 // forwardAllocs is what one call entering the plane at a node that does not
 // own its domain may cost the heap, both nodes together.
-const forwardAllocs = 6
+const forwardAllocs = 4
 
 // TestForwardAllocations pins the forward path: the entry node routes the
 // call to the owner over its pooled connection, the owner admits and runs
-// it. What is left outlives the call — the two invocations, the owner's
-// decoded argument, the caller's boxed argument. A Stub and its option
-// closures built per forwarded call come back as four allocations, an
-// in-flight counter allocated per local call as two, the fence carried in
-// an attribute map instead of the raw call as two.
+// it. What is left outlives the call — the owner's decoded argument, the
+// caller's boxed argument. Both nodes release their invocation record once
+// the call returns; a record built per call comes back as two. A Stub and
+// its option closures built per forwarded call come back as four
+// allocations, an in-flight counter allocated per local call as two, the
+// fence carried in an attribute map instead of the raw call as two.
 func TestForwardAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -49,14 +50,16 @@ func TestForwardAllocations(t *testing.T) {
 // relayedForwardAllocs is what one call an external client makes through a
 // node that does not own its domain may cost the heap: client, entry node
 // and owner together.
-const relayedForwardAllocs = 6
+const relayedForwardAllocs = 4
 
 // TestRelayedForwardAllocations pins the relay: an external amrpc client
 // calls the entry node, which passes the call's argument bytes to the owner
 // and the owner's result bytes back without decoding either. What is left
-// is the two invocations and the owner's decoded argument (its list, its
-// string, the boxing). Decoding the argument at the entry as well comes
-// back as three more; a string result decoded there would add two.
+// is the owner's decoded argument (its list, its string, the boxing); both
+// servers release their invocation record once the call returns, and a
+// record built per call comes back as two. Decoding the argument at the
+// entry as well comes back as three more; a string result decoded there
+// would add two.
 func TestRelayedForwardAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -88,7 +91,7 @@ func TestRelayedForwardAllocations(t *testing.T) {
 // replicatedForwardAllocs is forwardAllocs with state sync on: the owner
 // streams each effect to its successor, which may add at most one heap
 // allocation per call to the forward path's.
-const replicatedForwardAllocs = 7
+const replicatedForwardAllocs = 5
 
 // TestReplicatedForwardAllocations is TestForwardAllocations with state
 // sync on. The owner captures each call's effect and streams it to its

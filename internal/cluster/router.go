@@ -87,7 +87,10 @@ func (w *wireCall) encode(res any) error {
 // plane through this node, with the same routing as remote callers. It
 // implements the proxy.Invoker interface.
 func (n *Node) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	return n.route(aspect.NewInvocation(ctx, n.cfg.Component, method, args), nil)
+	inv := aspect.NewInvocation(ctx, n.cfg.Component, method, args)
+	result, err := n.route(inv, nil)
+	inv.Release()
+	return result, err
 }
 
 // serveFenced executes an admission a peer routed here under a fence term.

@@ -17,8 +17,8 @@ package moderator
 //
 // EffectSink implementations MUST NOT block and MUST NOT call back into
 // the moderator: the callback runs on the caller's completion path, before
-// wake fan-out. The invocation is only valid for the duration of the call
-// on the pure and optimistic routes; sinks keep the method name and the
+// wake fan-out. The invocation is valid only until its call returns, on
+// every route (see aspect.Invocation); sinks keep the method name and the
 // args slice (which the caller no longer mutates), never the *Invocation.
 
 import "repro/internal/aspect"
@@ -26,7 +26,8 @@ import "repro/internal/aspect"
 // EffectSink receives completed invocations for effect replication.
 type EffectSink interface {
 	// Effect delivers one successfully completed invocation. It must not
-	// block and must not call back into the moderator that delivered it.
+	// block, must not call back into the moderator that delivered it, and
+	// must not keep inv past its return (see aspect.Invocation).
 	Effect(inv *aspect.Invocation)
 }
 

@@ -126,6 +126,8 @@ type TraceEvent struct {
 
 // Tracer receives admission lifecycle events. See the package notes above
 // for the delivery contract (non-blocking, in-order per domain, sampled).
+// Events carry values only, the invocation by its ID: the record itself is
+// valid only until its call returns (see aspect.Invocation).
 type Tracer interface {
 	// Trace delivers one event. It must not block and must not call back
 	// into the moderator that delivered it.

@@ -33,7 +33,9 @@ type Invoker interface {
 
 // Method is one service of the functional component, bound into the proxy's
 // method table. It receives the invocation for access to arguments and
-// attributes, and returns the service's result.
+// attributes, and returns the service's result. The invocation is valid
+// only until the method returns (see aspect.Invocation): a body keeps the
+// values it reads from it, never the pointer.
 type Method func(inv *aspect.Invocation) (any, error)
 
 // Proxy guards a functional component. Construct with New.
@@ -95,9 +97,10 @@ func (p *Proxy) Methods() []string {
 // Invoke performs one guarded call: it builds the invocation record, runs
 // pre-activation (blocking as the aspects dictate), executes the method
 // body outside the admission lock, and runs post-activation. This is the
-// paper's guarded method of Figure 10.
+// paper's guarded method of Figure 10. The record is released for reuse
+// once the call returns; a panicking body leaves it to the collector.
 func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	return p.Call(aspect.NewInvocation(ctx, p.Name(), method, args))
+	return p.InvokeWithPriority(ctx, 0, method, args...)
 }
 
 // InvokeWithPriority is Invoke with an explicit wait-queue priority for
@@ -105,12 +108,15 @@ func (p *Proxy) Invoke(ctx context.Context, method string, args ...any) (any, er
 func (p *Proxy) InvokeWithPriority(ctx context.Context, priority int, method string, args ...any) (any, error) {
 	inv := aspect.NewInvocation(ctx, p.Name(), method, args)
 	inv.Priority = priority
-	return p.Call(inv)
+	result, err := p.Call(inv)
+	inv.Release()
+	return result, err
 }
 
 // Call performs one guarded call with a caller-constructed invocation,
 // allowing priorities and attributes (credentials, tracing metadata) to be
-// attached beforehand. The invocation must target this component.
+// attached beforehand. The invocation must target this component. The
+// caller owns it: Call never releases it.
 func (p *Proxy) Call(inv *aspect.Invocation) (any, error) {
 	p.mu.RLock()
 	fn, ok := p.methods[inv.Method()]
