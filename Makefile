@@ -41,10 +41,6 @@
 #                      metric for two result files and measures nothing
 #   make obs-smoke   — boot ticketd with -obs, drive load, assert /metrics
 #                      and /trace serve live non-empty data
-#   make shadow-smoke — boot ticketd with -shadow 1 (every admission
-#                      replayed against the reference semantics), drive
-#                      load, assert /shadow reports samples and ZERO
-#                      divergences on the stock ticket application
 #   make cluster-smoke — the 3-node in-process admission-plane soak:
 #                      ≥1000 guarded invocations under chaosnet faults
 #                      with a mid-run partition+heal and an owner kill,
@@ -60,16 +56,14 @@
 #                      under a timeout; any non-zero exit fails (go test
 #                      only compiles them)
 #   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
-#                      shadow-smoke + cluster-smoke + handoff-smoke +
-#                      examples-smoke
+#                      cluster-smoke + handoff-smoke + examples-smoke
 
 GO ?= go
 FUZZTIME ?= 10s
 OBS_SMOKE_DIR := $(or $(TMPDIR),/tmp)/obs-smoke
-SHADOW_SMOKE_DIR := $(or $(TMPDIR),/tmp)/shadow-smoke
 EXAMPLES_SMOKE_DIR := $(or $(TMPDIR),/tmp)/examples-smoke
 
-.PHONY: tier1 lint race fuzz-smoke bench obs-smoke shadow-smoke cluster-smoke handoff-smoke examples-smoke check
+.PHONY: tier1 lint race fuzz-smoke bench obs-smoke cluster-smoke handoff-smoke examples-smoke check
 
 tier1:
 	$(GO) build ./...
@@ -135,32 +129,6 @@ obs-smoke:
 		$(OBS_SMOKE_DIR)/ticketcli obs -url http://127.0.0.1:7942 -view summary | grep -q "sampling" || { echo "obs-smoke: ticketcli obs summary failed"; exit 1; }'
 	@echo "obs-smoke: OK"
 
-# End-to-end shadow-admission smoke: a real ticketd with shadow mode
-# replaying EVERY admission against the reference semantics, a real
-# ticketcli driving load over amrpc, then /shadow must report samples and
-# zero divergences — the differential oracle holding as a production
-# safety net on the stock ticket application.
-shadow-smoke:
-	rm -rf $(SHADOW_SMOKE_DIR) && mkdir -p $(SHADOW_SMOKE_DIR)
-	$(GO) build -o $(SHADOW_SMOKE_DIR)/ticketd ./cmd/ticketd
-	$(GO) build -o $(SHADOW_SMOKE_DIR)/ticketcli ./cmd/ticketcli
-	$(SHADOW_SMOKE_DIR)/ticketd -addr 127.0.0.1:7943 -obs 127.0.0.1:7944 -shadow 1 -audit 0 \
-		> $(SHADOW_SMOKE_DIR)/ticketd.log 2>&1 & echo $$! > $(SHADOW_SMOKE_DIR)/ticketd.pid
-	sh -c 'trap "kill $$(cat $(SHADOW_SMOKE_DIR)/ticketd.pid) 2>/dev/null" EXIT; \
-		for i in $$(seq 1 50); do \
-			$(SHADOW_SMOKE_DIR)/ticketcli -addr 127.0.0.1:7943 open smoke "shadow smoke" >/dev/null 2>&1 && break; \
-			sleep 0.1; \
-		done; \
-		$(SHADOW_SMOKE_DIR)/ticketcli -addr 127.0.0.1:7943 load -n 100 >/dev/null; \
-		sleep 0.3; \
-		curl -sf http://127.0.0.1:7944/shadow > $(SHADOW_SMOKE_DIR)/shadow.json; \
-		grep -q "\"sampled\": *[1-9]" $(SHADOW_SMOKE_DIR)/shadow.json || { echo "shadow-smoke: no sampled admissions in /shadow"; cat $(SHADOW_SMOKE_DIR)/shadow.json; exit 1; }; \
-		grep -q "\"verdict_divergences\": *0" $(SHADOW_SMOKE_DIR)/shadow.json || { echo "shadow-smoke: verdict divergences on the stock app"; cat $(SHADOW_SMOKE_DIR)/shadow.json; exit 1; }; \
-		grep -q "\"stack_divergences\": *0" $(SHADOW_SMOKE_DIR)/shadow.json || { echo "shadow-smoke: stack divergences on the stock app"; cat $(SHADOW_SMOKE_DIR)/shadow.json; exit 1; }; \
-		grep -q "\"wake_divergences\": *0" $(SHADOW_SMOKE_DIR)/shadow.json || { echo "shadow-smoke: wake divergences on the stock app"; cat $(SHADOW_SMOKE_DIR)/shadow.json; exit 1; }; \
-		$(SHADOW_SMOKE_DIR)/ticketcli obs -url http://127.0.0.1:7944 -view shadow | grep -q "\"replayed\"" || { echo "shadow-smoke: ticketcli obs -view shadow failed"; exit 1; }'
-	@echo "shadow-smoke: OK"
-
 # The distributed-admission certification run: a 3-node in-process
 # cluster soak (chaos faults on every data-plane link, one node
 # partitioned and healed mid-run, the owner of a domain killed outright)
@@ -204,4 +172,4 @@ examples-smoke:
 	done
 	@echo "examples-smoke: OK"
 
-check: tier1 lint race fuzz-smoke obs-smoke shadow-smoke cluster-smoke handoff-smoke examples-smoke
+check: tier1 lint race fuzz-smoke obs-smoke cluster-smoke handoff-smoke examples-smoke

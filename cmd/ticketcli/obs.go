@@ -24,7 +24,7 @@ import (
 func runObs(args []string) error {
 	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:7070", "ticketd introspection base URL")
-	view := fs.String("view", "summary", "summary | metrics | trace | describe | shadow | cluster")
+	view := fs.String("view", "summary", "summary | metrics | trace | describe | cluster")
 	n := fs.Int("n", 15, "events to show (summary and trace views)")
 	raw := fs.Bool("raw", false, "print the endpoint body verbatim instead of the rendered view")
 	if err := fs.Parse(args); err != nil {
@@ -37,7 +37,7 @@ func runObs(args []string) error {
 			return clusterView(base)
 		}
 		return printRaw(base + "/cluster")
-	case "metrics", "trace", "describe", "shadow":
+	case "metrics", "trace", "describe":
 		path := "/" + *view
 		if *view == "trace" {
 			path = fmt.Sprintf("/trace?n=%d", *n)
@@ -46,7 +46,7 @@ func runObs(args []string) error {
 	case "summary":
 		return summarize(base, *n)
 	default:
-		return fmt.Errorf("unknown view %q (want summary, metrics, trace, describe, shadow, or cluster)", *view)
+		return fmt.Errorf("unknown view %q (want summary, metrics, trace, describe, or cluster)", *view)
 	}
 }
 
@@ -183,25 +183,6 @@ func summarize(base string, n int) error {
 			s := comp.Queues[q]
 			fmt.Printf("  queue %-28s waits=%d notifies=%d broadcasts=%d cancels=%d\n",
 				q, s.Waits, s.Notifies, s.Broadcasts, s.Cancels)
-		}
-	}
-
-	// Shadow admission, when the server runs it. Absence (older server,
-	// shadow off) is not an error.
-	if body, err := fetch(base + "/shadow"); err == nil {
-		var sd obs.ShadowDump
-		if err := json.Unmarshal(body, &sd); err == nil && len(sd.Components) > 0 {
-			for _, sc := range sd.Components {
-				fmt.Printf("\nshadow %s (1 in %d admissions)\n", sc.Component, sc.SampleEvery)
-				st := sc.Stats
-				fmt.Printf("  sampled %d   replayed %d   agreements %d   inconclusive %d   dropped %d\n",
-					st.Sampled, st.Replayed, st.Agreements, st.Inconclusive, st.Dropped)
-				fmt.Printf("  divergences: verdict=%d stack=%d wake=%d\n",
-					st.VerdictDivergences, st.StackDivergences, st.WakeDivergences)
-				for _, div := range sc.Divergences {
-					fmt.Printf("  !! [%s] %s: %s\n", div.Class, div.Method, div.Detail)
-				}
-			}
 		}
 	}
 

@@ -4,8 +4,7 @@
 //
 //	ticketd -addr :7000 -capacity 16
 //	ticketd -addr :7000 -naming 127.0.0.1:7500 -auth -issue alice:client,bob:agent
-//	ticketd -addr :7000 -obs 127.0.0.1:7070   # /metrics /trace /describe /shadow /cluster
-//	ticketd -addr :7000 -obs 127.0.0.1:7070 -shadow 64   # shadow admission, 1 in 64
+//	ticketd -addr :7000 -obs 127.0.0.1:7070   # /metrics /trace /describe /cluster
 //	ticketd -addr :7000 -naming 127.0.0.1:7500 -cluster-id node-a   # admission-plane replica
 //
 // With -auth, tokens for the principals listed in -issue are printed at
@@ -37,30 +36,28 @@ import (
 	"repro/internal/aspects/auth"
 	"repro/internal/aspects/metrics"
 	"repro/internal/cluster"
-	"repro/internal/compose"
 	"repro/internal/naming"
 	"repro/internal/obs"
 )
 
 // options carries every flag-derived setting into run.
 type options struct {
-	addr        string
-	capacity    int
-	namingAddr  string
-	ttl         time.Duration
-	enableAuth  bool
-	issue       string
-	auditCap    int
-	readTO      time.Duration
-	maxLine     int
-	maxConc     int
-	shedMark    int
-	obsAddr     string
-	obsSample   int
-	obsTrace    int
-	shadowEvery int
-	clusterID   string
-	clusterTTL  time.Duration
+	addr       string
+	capacity   int
+	namingAddr string
+	ttl        time.Duration
+	enableAuth bool
+	issue      string
+	auditCap   int
+	readTO     time.Duration
+	maxLine    int
+	maxConc    int
+	shedMark   int
+	obsAddr    string
+	obsSample  int
+	obsTrace   int
+	clusterID  string
+	clusterTTL time.Duration
 }
 
 func main() {
@@ -77,10 +74,9 @@ func main() {
 	flag.IntVar(&o.maxLine, "max-line", 4*1024*1024, "max request frame size in bytes")
 	flag.IntVar(&o.maxConc, "max-conn-concurrency", 256, "bound on in-flight requests per connection (the worker pool)")
 	flag.IntVar(&o.shedMark, "shed-watermark", 0, "shed requests with CodeOverloaded when the moderator's parked-waiter count reaches this (0 disables)")
-	flag.StringVar(&o.obsAddr, "obs", "", "introspection HTTP address serving /metrics, /trace, /describe, /shadow, /cluster (empty disables)")
+	flag.StringVar(&o.obsAddr, "obs", "", "introspection HTTP address serving /metrics, /trace, /describe, /cluster (empty disables)")
 	flag.IntVar(&o.obsSample, "obs-sample", obs.DefaultSampleEvery, "trace 1 in N admissions in detail (<=1 traces all)")
 	flag.IntVar(&o.obsTrace, "obs-trace", obs.DefaultRingCapacity, "per-domain trace ring capacity")
-	flag.IntVar(&o.shadowEvery, "shadow", 0, "shadow admission: replay 1 in N live admissions against the reference semantics (0 disables)")
 	flag.StringVar(&o.clusterID, "cluster-id", "", "join the distributed admission plane as this node (empty disables; requires -naming)")
 	flag.DurationVar(&o.clusterTTL, "cluster-lease", 3*time.Second, "admission-domain lease TTL in cluster mode")
 	flag.Parse()
@@ -91,7 +87,7 @@ func main() {
 }
 
 func run(o options) error {
-	cfg := ticket.GuardedConfig{Capacity: o.capacity, Metrics: metrics.NewRecorder(), ShadowSampleEvery: o.shadowEvery}
+	cfg := ticket.GuardedConfig{Capacity: o.capacity, Metrics: metrics.NewRecorder()}
 	var collector *obs.Collector
 	if o.obsAddr != "" {
 		collector = obs.NewCollector(obs.WithSampleEvery(o.obsSample), obs.WithRingCapacity(o.obsTrace))
@@ -109,9 +105,6 @@ func run(o options) error {
 	g, err := ticket.NewGuarded(cfg)
 	if err != nil {
 		return err
-	}
-	if sh := g.Shadow(); sh != nil {
-		log.Printf("shadow admission on: replaying 1 in %d admissions against reference semantics", sh.SampleEvery())
 	}
 	if o.enableAuth {
 		store := auth.NewTokenStore()
@@ -136,13 +129,6 @@ func run(o options) error {
 	}
 
 	log.Printf("composition:\n%s", g.Moderator().DescribeString())
-
-	// Verify the composition before accepting traffic.
-	if report := compose.Verify(g.Proxy()); !report.OK() {
-		return fmt.Errorf("composition verification failed:\n%s", report)
-	} else if len(report.Issues) > 0 {
-		log.Printf("composition warnings:\n%s", report)
-	}
 
 	// Serve either standalone (a plain amrpc server) or as one replica of
 	// the distributed admission plane.
@@ -330,12 +316,6 @@ func run(o options) error {
 		st := node.Status()
 		log.Printf("cluster stats: %d local, %d forwarded, %d retries, %d stale refusals, %d takeovers",
 			st.LocalCalls, st.Forwards, st.ForwardRetries, st.StaleRefusals, st.Takeovers)
-	}
-	if sh := g.Shadow(); sh != nil {
-		g.StopShadow()
-		ss := sh.Stats()
-		log.Printf("shadow stats: %d sampled, %d replayed, %d agreements, %d inconclusive, %d divergences",
-			ss.Sampled, ss.Replayed, ss.Agreements, ss.Inconclusive, ss.Divergences())
 	}
 	if cfg.Metrics != nil {
 		fmt.Print(cfg.Metrics.Report())

@@ -176,6 +176,20 @@ func TestGuardedWithSecurity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Authentication evaluates before authorization, on every method.
+	for _, meth := range g.Proxy().Methods() {
+		authn := false
+		for i, a := range g.Moderator().Aspects(meth) {
+			switch a.Kind() {
+			case aspect.KindAuthentication:
+				authn = true
+			case aspect.KindAuthorization:
+				if !authn {
+					t.Errorf("%s: authorization (at %d) evaluates before authentication", meth, i)
+				}
+			}
+		}
+	}
 	p := g.Proxy()
 	ctx := context.Background()
 

@@ -31,7 +31,6 @@ type Guarded struct {
 	component *core.Component
 	venue     *Venue
 	rw        *syncguard.RWLock
-	shadow    *moderator.Shadow
 }
 
 // GuardedConfig configures NewGuarded.
@@ -51,10 +50,6 @@ type GuardedConfig struct {
 	Obs *obs.Collector
 	// ModeratorOptions forwards wake policy/mode to the moderator.
 	ModeratorOptions []moderator.Option
-	// ShadowSampleEvery, when > 0, turns on shadow admission: one live
-	// admission in every N per domain is replayed off the hot path
-	// against the reference semantics (see moderator.Shadow).
-	ShadowSampleEvery int
 }
 
 // NewGuarded assembles the guarded reservation service.
@@ -157,17 +152,7 @@ func NewGuarded(cfg GuardedConfig) (*Guarded, error) {
 		comp.Moderator().SetTracer(cfg.Obs)
 		cfg.Obs.Watch(comp.Moderator())
 	}
-	g := &Guarded{component: comp, venue: v, rw: rw}
-	if cfg.ShadowSampleEvery > 0 {
-		g.shadow = moderator.NewShadow(comp.Moderator(),
-			moderator.WithShadowSampleEvery(cfg.ShadowSampleEvery))
-		g.shadow.Start()
-		comp.Moderator().SetShadow(g.shadow)
-		if cfg.Obs != nil {
-			cfg.Obs.WatchShadow(g.shadow)
-		}
-	}
-	return g, nil
+	return &Guarded{component: comp, venue: v, rw: rw}, nil
 }
 
 // holderFrom resolves the acting holder: the authenticated principal when
@@ -191,16 +176,3 @@ func (g *Guarded) Venue() *Venue { return g.venue }
 
 // RWLock returns the synchronization guard state, for inspection.
 func (g *Guarded) RWLock() *syncguard.RWLock { return g.rw }
-
-// Shadow returns the shadow-admission engine, or nil when shadow mode is
-// off.
-func (g *Guarded) Shadow() *moderator.Shadow { return g.shadow }
-
-// StopShadow detaches and retires the shadow engine (no-op when off).
-func (g *Guarded) StopShadow() {
-	if g.shadow == nil {
-		return
-	}
-	g.Moderator().SetShadow(nil)
-	g.shadow.Stop()
-}

@@ -34,7 +34,6 @@ type Guarded struct {
 	server    *Server
 	buffer    *syncguard.Buffer
 	store     *auth.TokenStore
-	shadow    *moderator.Shadow
 }
 
 // GuardedConfig configures NewGuarded. Capacity is required; the optional
@@ -53,11 +52,6 @@ type GuardedConfig struct {
 	Obs *obs.Collector
 	// ModeratorOptions forwards wake policy/mode to the moderator.
 	ModeratorOptions []moderator.Option
-	// ShadowSampleEvery, when > 0, turns on shadow admission: one live
-	// admission in every N per domain is replayed off the hot path
-	// against the reference semantics, and divergences surface through
-	// the Obs collector (when set) at /shadow and as am_shadow_* series.
-	ShadowSampleEvery int
 }
 
 // NewFactory builds the application's aspect factory — the paper's
@@ -164,17 +158,7 @@ func NewGuarded(cfg GuardedConfig) (*Guarded, error) {
 		comp.Moderator().SetTracer(cfg.Obs)
 		cfg.Obs.Watch(comp.Moderator())
 	}
-	g := &Guarded{component: comp, server: srv, buffer: buf}
-	if cfg.ShadowSampleEvery > 0 {
-		g.shadow = moderator.NewShadow(comp.Moderator(),
-			moderator.WithShadowSampleEvery(cfg.ShadowSampleEvery))
-		g.shadow.Start()
-		comp.Moderator().SetShadow(g.shadow)
-		if cfg.Obs != nil {
-			cfg.Obs.WatchShadow(g.shadow)
-		}
-	}
-	return g, nil
+	return &Guarded{component: comp, server: srv, buffer: buf}, nil
 }
 
 // Proxy returns the guarded entry point.
@@ -189,19 +173,6 @@ func (g *Guarded) Server() *Server { return g.server }
 
 // Buffer returns the synchronization guard state, for inspection.
 func (g *Guarded) Buffer() *syncguard.Buffer { return g.buffer }
-
-// Shadow returns the shadow-admission engine, or nil when shadow mode is
-// off.
-func (g *Guarded) Shadow() *moderator.Shadow { return g.shadow }
-
-// StopShadow detaches and retires the shadow engine (no-op when off).
-func (g *Guarded) StopShadow() {
-	if g.shadow == nil {
-		return
-	}
-	g.Moderator().SetShadow(nil)
-	g.shadow.Stop()
-}
 
 // AuthLayer is the moderator layer name used by EnableAuthentication.
 const AuthLayer = "authentication"

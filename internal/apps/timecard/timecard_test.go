@@ -131,6 +131,20 @@ func call(t *testing.T, g *Guarded, token, method string, args ...any) (any, err
 
 func TestGuardedEndToEnd(t *testing.T) {
 	g, empTok, mgrTok := newGuarded(t)
+	// Authentication evaluates before authorization, on every method.
+	for _, meth := range g.Proxy().Methods() {
+		authn := false
+		for i, a := range g.Moderator().Aspects(meth) {
+			switch a.Kind() {
+			case aspect.KindAuthentication:
+				authn = true
+			case aspect.KindAuthorization:
+				if !authn {
+					t.Errorf("%s: authorization (at %d) evaluates before authentication", meth, i)
+				}
+			}
+		}
+	}
 
 	// Anonymous calls never reach the ledger.
 	if _, err := g.Proxy().Invoke(context.Background(), MethodPunchIn); !errors.Is(err, auth.ErrUnauthenticated) {

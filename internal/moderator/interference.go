@@ -29,11 +29,15 @@ package moderator
 //     registration's own wake-span merge. Its hooks would mutate shared
 //     guard state under two mutexes. Observational aspects (metrics,
 //     audit, authentication) are exempt: sharing a passive instance across
-//     domains is the normal veneer pattern.
+//     domains is the normal veneer pattern. Any instance, of any kind and
+//     in any layer, already bound to the registering method itself is
+//     refused too: its hooks would run twice per call, and a stateful
+//     guard would reserve twice.
 //
 // The Reference needs no checker: under its one mutex every method is one
 // domain, and with no lock-free route a NonBlocking declaration has
-// nothing to subvert.
+// nothing to subvert. The differential oracle only registers compositions
+// this checker accepts, so duplicates never reach it either.
 //
 // The taxonomy follows the "invasive pattern" classification literature:
 // these are exactly the compositions where an independently authored
@@ -109,7 +113,7 @@ func (e *InterferenceError) Unwrap() []error {
 	return []error{ErrInterference, e.cause}
 }
 
-// vetLocked runs the three checks on registering a at (method, kind)
+// vetLocked runs the checks on registering a at (method, kind)
 // against the composition cs. It returns the domain table the
 // registration's wake span merges into — nil when it merges nothing — for
 // the caller to publish once the registration is stored, or an
@@ -138,6 +142,7 @@ func (m *Moderator) vetLocked(cs *compState, method string, kind aspect.Kind, a 
 			merged, dt = next, next
 		}
 	}
+	findings = append(findings, checkDuplicate(cs.plans[method], method, a)...)
 	findings = append(findings, checkSharedGuard(cs.plans, dt, method, kind, a)...)
 	if len(findings) > 0 {
 		sortFindings(findings)
@@ -223,6 +228,24 @@ func checkCapability(method string, a aspect.Aspect) []InterferenceFinding {
 		})
 	}
 	return out
+}
+
+// checkDuplicate flags the instance a when method's plan p already binds
+// it, in any layer and under any kind (class "shared-guard"). A
+// non-comparable instance is skipped, as in checkSharedGuard.
+func checkDuplicate(p *compiledPlan, method string, a aspect.Aspect) []InterferenceFinding {
+	if p == nil || !reflect.TypeOf(a).Comparable() {
+		return nil
+	}
+	for i := range p.entries {
+		if e := &p.entries[i]; e.a == a {
+			return []InterferenceFinding{{
+				Class: InterferenceSharedGuard, Method: method, Aspect: a.Name(),
+				Detail: fmt.Sprintf("instance already bound to this method (layer %q, kind %s): its hooks would run twice per call", e.layer, e.kind),
+			}}
+		}
+	}
+	return nil
 }
 
 // checkSharedGuard flags every other method whose plan already binds the

@@ -37,6 +37,8 @@ import (
 //	              at synchronization kind or declaring wakes, and not
 //	              NonBlocking) and an accepted stateful registration of the
 //	              same instance sits on another method
+//	duplicate:    an accepted registration of the same instance, of any
+//	              kind, already sits on the same method
 func FuzzInterferenceChecker(f *testing.F) {
 	// One known-invasive encoding per class, plus safe shapes.
 	f.Add([]byte{0x0C, 0x02, 0x00})                   // capability: NonBlocking on m0 + wakes m1
@@ -46,6 +48,7 @@ func FuzzInterferenceChecker(f *testing.F) {
 	f.Add([]byte{0x0C, 0x00, 0x02, 0x0D, 0x00, 0x02}) // safe: shared NonBlocking instance, no wakes
 	f.Add([]byte{0x08, 0x01, 0x00})                   // wake-overlap: guard on m2 wakes m0
 	f.Add([]byte{0x08, 0x04, 0x00})                   // safe: guard on m2 wakes only m2
+	f.Add([]byte{0x00, 0x00, 0x03, 0x09, 0x00, 0x03}) // duplicate: one instance twice on m0
 
 	methods := []string{"m0", "m1", "m2"}
 
@@ -102,6 +105,11 @@ func FuzzInterferenceChecker(f *testing.F) {
 			for _, w := range s.instance.WakeList {
 				if w != s.method {
 					return true // wake-overlap: span crosses active domains
+				}
+			}
+			for _, a := range accepted {
+				if a.instance == s.instance && a.method == s.method {
+					return true // duplicate on one method
 				}
 			}
 			if stateful(s) {

@@ -251,8 +251,9 @@ func TestRegisterInInterference(t *testing.T) {
 		// around it, and the call under test registers it on b.
 		inst  *aspect.Func
 		setup func(t *testing.T, m *Moderator, inst *aspect.Func)
-		class string  // "" means the registration is accepted
-		is    []error // errors.Is targets of the refusal
+		kind  aspect.Kind // of the call under test; "" means synchronization
+		class string      // "" means the registration is accepted
+		is    []error     // errors.Is targets of the refusal
 	}{
 		{
 			name: "capability",
@@ -295,13 +296,64 @@ func TestRegisterInInterference(t *testing.T) {
 				admitComplete(t, m, "a")
 			},
 		},
+		{
+			// A stateful guard bound twice on one method would run its
+			// precondition, and reserve, twice per call.
+			name: "duplicate-stateful",
+			inst: syncGuard("dup"),
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				mustRegister(t, m, "b", aspect.KindSynchronization, inst)
+			},
+			class: InterferenceSharedGuard,
+			is:    []error{ErrInterference},
+		},
+		{
+			name: "duplicate-observational",
+			inst: &aspect.Func{AspectName: "dup-audit", AspectKind: aspect.KindAudit},
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				mustRegister(t, m, "b", aspect.KindAudit, inst)
+			},
+			kind:  "audit-again",
+			class: InterferenceSharedGuard,
+			is:    []error{ErrInterference},
+		},
+		{
+			name: "duplicate-in-another-layer",
+			inst: syncGuard("dup"),
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				if err := m.AddLayer("outer", Outermost); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.RegisterIn("outer", "b", aspect.KindSynchronization, inst); err != nil {
+					t.Fatal(err)
+				}
+			},
+			class: InterferenceSharedGuard,
+			is:    []error{ErrInterference},
+		},
+		{
+			// One sync instance on two methods of one grouped domain is
+			// shared guard state, not a duplicate.
+			name: "shared-instance-on-grouped-methods",
+			inst: syncGuard("shared"),
+			setup: func(t *testing.T, m *Moderator, inst *aspect.Func) {
+				mustRegister(t, m, "a", aspect.KindSynchronization, inst)
+				if err := m.GroupMethods("a", "b"); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New("comp")
 			tc.setup(t, m, tc.inst)
 			before, domains := m.Describe(), m.Domains()
-			err := m.Register("b", aspect.KindSynchronization, tc.inst)
+			kind := tc.kind
+			if kind == "" {
+				kind = aspect.KindSynchronization
+			}
+			err := m.Register("b", kind, tc.inst)
 			if tc.class == "" {
 				if err != nil {
 					t.Fatalf("registration refused: %v", err)
@@ -325,6 +377,7 @@ func TestRegisterInInterference(t *testing.T) {
 			if after := m.Domains(); !reflect.DeepEqual(after, domains) {
 				t.Errorf("refused registration changed the domains: before %v after %v", domains, after)
 			}
+			assertPlansMatch(t, m)
 		})
 	}
 }

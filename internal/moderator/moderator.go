@@ -388,8 +388,6 @@ type domain struct {
 
 	// traceTick drives per-domain trace sampling (see trace.go).
 	traceTick atomic.Uint64
-	// shadowTick drives per-domain shadow-admission sampling (shadow.go).
-	shadowTick atomic.Uint64
 
 	_ [64]byte // pad: admission counters vs optimistic-path counters
 
@@ -479,9 +477,6 @@ type Moderator struct {
 	// effects, when set, receives every successful completion at
 	// post-action time — the state-handoff replication hook (effects.go).
 	effects atomic.Pointer[effectBox]
-	// shadow, when set, samples admission outcomes for off-hot-path replay
-	// against the Reference semantics (shadow.go).
-	shadow atomic.Pointer[Shadow]
 
 	// reclaimEra numbers composition retirements: it advances once per
 	// snapshot superseded, and pre-activations pin the era they run under
@@ -524,12 +519,6 @@ func New(name string, opts ...Option) *Moderator {
 
 // Name returns the component name the moderator guards.
 func (m *Moderator) Name() string { return m.name }
-
-// WakePolicy returns the wait queues' wake policy.
-func (m *Moderator) WakePolicy() waitq.Policy { return m.opts.policy }
-
-// WakeMode returns how post-activation releases blocked callers.
-func (m *Moderator) WakeMode() WakeMode { return m.opts.wakeMode }
 
 // Stats returns a snapshot of the moderator's counters, summed across its
 // admission domains.
@@ -666,9 +655,9 @@ func (m *Moderator) Register(method string, kind aspect.Kind, a aspect.Aspect) e
 //
 // The interference checker (interference.go) vets the registration first:
 // a NonBlocking declaration that contradicts itself, a wake span joining
-// two domains that both already saw traffic, or a stateful guard instance
-// already bound in another admission domain refuses it with an
-// *InterferenceError. A refused registration changes nothing: no bank
+// two domains that both already saw traffic, a stateful guard instance
+// already bound in another admission domain, or an instance already bound
+// to this method refuses it with an *InterferenceError. A refused registration changes nothing: no bank
 // entry, no domain merge, no published snapshot.
 func (m *Moderator) RegisterIn(layerName, method string, kind aspect.Kind, a aspect.Aspect) error {
 	m.admin.Lock()
@@ -925,7 +914,7 @@ type LayerInfo struct {
 
 // Describe returns a structural snapshot of the whole composition, layers
 // outermost first — the operator-facing view of the aspect bank that
-// cmd/ticketd logs at startup and the compose package verifies. It reads
+// cmd/ticketd logs at startup. It reads
 // the same atomically-published snapshot as the admission hot path, so it
 // never observes a torn composition during layer churn.
 func (m *Moderator) Describe() []LayerInfo {
@@ -1015,10 +1004,8 @@ func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	// in-flight invocations are immune to concurrent re-composition, and
 	// the plan was compiled when the snapshot was published — the hot
 	// path resolves nothing and allocates nothing.
-	cs := m.comp.Load()
-	plan := cs.plans[inv.Method()]
+	plan := m.comp.Load().plans[inv.Method()]
 	tb := m.tracer.Load()
-	sh := m.shadow.Load()
 	if plan == nil {
 		// No aspects guard this method: admit immediately.
 		d := m.domainFor(inv.Method())
@@ -1217,9 +1204,6 @@ layers:
 				Domain: d.id, Invocation: inv.ID(), Aspects: k,
 				Nanos: time.Since(preStart).Nanoseconds()})
 		}
-		if sh != nil {
-			sh.observe(cs, plan, inv, true)
-		}
 		if r == routeMutex {
 			adm = newAdmission(plan, d, g.detail(), false)
 		} else {
@@ -1237,9 +1221,6 @@ layers:
 			err = fmt.Errorf("moderator %s: %s blocked in layer %s: %w",
 				m.name, inv.Method(), l.name, cause)
 		} else {
-			if sh != nil {
-				sh.observe(cs, plan, inv, false)
-			}
 			err = fmt.Errorf("moderator %s: %s pre-activation (layer %s): %w",
 				m.name, inv.Method(), l.name, cause)
 		}

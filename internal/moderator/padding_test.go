@@ -47,12 +47,12 @@ func TestDomainPaddingAudit(t *testing.T) {
 
 	// The trailing group members must not spill onto the next group's
 	// line either: the last mutex-section field is ticketSeq, the last
-	// stat is shadowTick, the last optimistic counter is optConflicts.
+	// stat is traceTick, the last optimistic counter is optConflicts.
 	if end := unsafe.Offsetof(d.ticketSeq) + unsafe.Sizeof(d.ticketSeq); line(end-1) == line(offCell) {
 		t.Errorf("ticketSeq (ends %d) spills onto the guard cell's line", end)
 	}
-	if end := unsafe.Offsetof(d.shadowTick) + unsafe.Sizeof(d.shadowTick); line(end-1) == line(offOpt) {
-		t.Errorf("shadowTick (ends %d) spills onto the optimistic counters' line", end)
+	if end := unsafe.Offsetof(d.traceTick) + unsafe.Sizeof(d.traceTick); line(end-1) == line(offOpt) {
+		t.Errorf("traceTick (ends %d) spills onto the optimistic counters' line", end)
 	}
 	if end := unsafe.Offsetof(d.optConflicts) + unsafe.Sizeof(d.optConflicts); line(end-1) == line(offPins) {
 		t.Errorf("optConflicts (ends %d) spills onto the pins' line", end)

@@ -8,12 +8,16 @@ package moderator
 // mutation's visibility edge; the stress test races admissions against
 // layer churn under -race and checks, for every invocation that ran
 // inside a mutation-free window, that it saw exactly the published
-// composition of that window.
+// composition of that window. After every mutation, planMismatch
+// re-resolves the published snapshot and checks the compiled plans
+// against it.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +25,59 @@ import (
 
 	"repro/internal/aspect"
 )
+
+// planMismatch re-resolves every method of m's published composition
+// snapshot straight from its layers' bank snapshots and reports the first
+// way the compiled plans disagree: a guarded method with no plan, plan
+// entries (layer and aspect name, in order) that differ from a fresh walk
+// of the layers, or a wake-target list that is not the sorted union of the
+// entries' wake spans. Both sides read one immutable snapshot, so any
+// difference is a plan-compiler defect.
+func planMismatch(m *Moderator) error {
+	cs := m.comp.Load()
+	for _, l := range cs.layers {
+		for _, meth := range l.snap.Methods() {
+			if cs.plans[meth] == nil {
+				return fmt.Errorf("method %q is guarded in layer %q but has no plan", meth, l.name)
+			}
+		}
+	}
+	for meth, p := range cs.plans {
+		var want, got []string
+		wakes := map[string]bool{}
+		for _, l := range cs.layers {
+			for _, e := range l.snap.ForMethod(meth) {
+				want = append(want, l.name+"/"+e.Aspect.Name())
+				for _, w := range wakeSpan(e.Aspect) {
+					wakes[w] = true
+				}
+			}
+		}
+		for _, e := range p.entries {
+			got = append(got, e.layer+"/"+e.a.Name())
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("plan %q entries %v, snapshot resolves %v", meth, got, want)
+		}
+		wantWakes := make([]string, 0, len(wakes))
+		for w := range wakes {
+			wantWakes = append(wantWakes, w)
+		}
+		sort.Strings(wantWakes)
+		if !slices.Equal(p.wakeTargets, wantWakes) {
+			return fmt.Errorf("plan %q wake targets %v, snapshot declares %v", meth, p.wakeTargets, wantWakes)
+		}
+	}
+	return nil
+}
+
+// assertPlansMatch fails the test when planMismatch finds a difference.
+func assertPlansMatch(t *testing.T, m *Moderator) {
+	t.Helper()
+	if err := planMismatch(m); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // markerAspect stamps an invocation attribute from its precondition so a
 // caller can tell whether a given invocation ran it.
@@ -54,12 +111,14 @@ func TestPlanCacheInvalidationOnRegisterUnregister(t *testing.T) {
 	if err := m.Register("m", aspect.KindAudit, markerAspect("mark", true, key{})); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	if inv := admitOnce(t, m, "m"); inv.Attr(key{}) == nil {
 		t.Fatal("registered aspect did not run")
 	}
 	if n, err := m.Unregister(BaseLayer, "m", aspect.KindAudit); err != nil || n != 1 {
 		t.Fatalf("unregister: n=%d err=%v", n, err)
 	}
+	assertPlansMatch(t, m)
 	if inv := admitOnce(t, m, "m"); inv.Attr(key{}) != nil {
 		t.Fatal("stale plan: unregistered aspect still ran")
 	}
@@ -73,12 +132,15 @@ func TestPlanCacheInvalidationOnLayerChurn(t *testing.T) {
 	if err := m.Register("m", aspect.KindAudit, markerAspect("base-mark", true, baseKey{})); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	if err := m.AddLayer("flux", Outermost); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	if err := m.RegisterIn("flux", "m", aspect.KindAudit, markerAspect("flux-mark", false, fluxKey{})); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	inv := admitOnce(t, m, "m")
 	if inv.Attr(baseKey{}) == nil || inv.Attr(fluxKey{}) == nil {
 		t.Fatal("layered plan incomplete")
@@ -86,6 +148,7 @@ func TestPlanCacheInvalidationOnLayerChurn(t *testing.T) {
 	if err := m.RemoveLayer("flux"); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	inv = admitOnce(t, m, "m")
 	if inv.Attr(fluxKey{}) != nil {
 		t.Fatal("stale plan: removed layer's aspect still ran")
@@ -117,12 +180,14 @@ func TestPlanCacheRepointsDomainOnGrouping(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	// The registration above compiled a plan binding a's domain. Merge it
 	// with b's (both untouched, so the merge is legal) — the plan must be
 	// recompiled against the merged domain.
 	if err := m.GroupMethods("b", "a"); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	done := make(chan error, 1)
 	go func() {
 		inv := aspect.NewInvocation(context.Background(), "plan", "a", nil)
@@ -166,6 +231,7 @@ func TestPlanCacheInFlightKeepsSnapshot(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	inv := aspect.NewInvocation(context.Background(), "plan", "m", nil)
 	adm, err := m.Preactivation(inv)
 	if err != nil {
@@ -174,6 +240,7 @@ func TestPlanCacheInFlightKeepsSnapshot(t *testing.T) {
 	if n, err := m.Unregister(BaseLayer, "m", aspect.KindAudit); err != nil || n != 1 {
 		t.Fatalf("unregister: n=%d err=%v", n, err)
 	}
+	assertPlansMatch(t, m)
 	m.Postactivation(inv, adm)
 	if posts.Load() != 1 {
 		t.Fatalf("in-flight receipt lost its postaction: posts=%d", posts.Load())
@@ -197,10 +264,12 @@ func TestPlanCacheChurnRace(t *testing.T) {
 	if err := m.Register("m", aspect.KindAudit, markerAspect("base-mark", true, baseKey{})); err != nil {
 		t.Fatal(err)
 	}
+	assertPlansMatch(t, m)
 	flux := markerAspect("flux-mark", false, fluxKey{})
 
 	var started, completed atomic.Uint64
 	stop := make(chan struct{})
+	mutErr := make(chan error, 1)
 	var mutator sync.WaitGroup
 	mutator.Add(1)
 	go func() {
@@ -220,8 +289,12 @@ func TestPlanCacheChurnRace(t *testing.T) {
 			} else { // even mutation: flux disappears
 				err = m.RemoveLayer("flux")
 			}
+			if err == nil {
+				err = planMismatch(m)
+			}
 			if err != nil {
-				panic(fmt.Sprintf("mutator: %v", err))
+				mutErr <- fmt.Errorf("mutation %d: %w", k, err)
+				return
 			}
 			completed.Add(1)
 		}
@@ -273,6 +346,8 @@ func TestPlanCacheChurnRace(t *testing.T) {
 	close(stop)
 	mutator.Wait()
 	select {
+	case err := <-mutErr:
+		t.Fatal(err)
 	case err := <-errs:
 		t.Fatal(err)
 	default:

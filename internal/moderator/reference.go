@@ -59,12 +59,6 @@ func NewReference(name string, opts ...Option) *Reference {
 // Name returns the component name the moderator guards.
 func (r *Reference) Name() string { return r.name }
 
-// WakePolicy returns the wait queues' wake policy.
-func (r *Reference) WakePolicy() waitq.Policy { return r.opts.policy }
-
-// WakeMode returns how post-activation releases blocked callers.
-func (r *Reference) WakeMode() WakeMode { return r.opts.wakeMode }
-
 // Stats returns a snapshot of the moderator's counters.
 func (r *Reference) Stats() Stats {
 	return Stats{

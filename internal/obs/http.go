@@ -9,7 +9,6 @@ package obs
 //	           kept), with the cumulative drop counter.
 //	/describe  JSON structural snapshot of every watched source: layers,
 //	           per-method aspect stacks, admission domains, stats, queues.
-//	/shadow    JSON shadow-admission stats and recent divergences.
 //	/cluster   JSON ownership view of the distributed admission plane:
 //	           members, domain owners, lease terms, plane counters.
 //
@@ -126,9 +125,6 @@ func NewHTTPHandler(c *Collector) http.Handler {
 	})
 	mux.HandleFunc("/describe", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.Describe())
-	})
-	mux.HandleFunc("/shadow", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, c.ShadowSnapshot())
 	})
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.ClusterSnapshot())

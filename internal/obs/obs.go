@@ -95,7 +95,6 @@ type Collector struct {
 
 	mu       sync.Mutex
 	sources  []Source
-	shadows  []ShadowSource
 	clusters []ClusterSource
 }
 
