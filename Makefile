@@ -23,8 +23,10 @@
 #                      re-dial and backoff-schedule tests and of the
 #                      replication tests: offer atomicity, snapshot
 #                      order, request-line ownership and every handoff
-#                      path, and of the relay's buffer-lifetime and
-#                      retry tests
+#                      path, of the relay's buffer-lifetime and retry
+#                      tests, and of the domain-map tests (an unlisted
+#                      method is served, a split group is refused) and
+#                      the heartbeat wake sweep
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders, the value decoder and
 #                      the replication-offer decoder (each differential
@@ -44,8 +46,11 @@
 #   make cluster-smoke — the 3-node in-process admission-plane soak:
 #                      ≥1000 guarded invocations under chaosnet faults
 #                      with a mid-run partition+heal and an owner kill,
-#                      plus the failover and park-readmission tests and
-#                      the relay's buffer-lifetime and retry tests
+#                      plus the failover and park-readmission tests, the
+#                      relay's buffer-lifetime and retry tests, the
+#                      domain map read from the moderator (an unlisted
+#                      method is served, a split group is refused) and
+#                      the heartbeat wake sweep
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
@@ -91,7 +96,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
-	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep' ./internal/cluster/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -132,13 +137,17 @@ obs-smoke:
 # The distributed-admission certification run: a 3-node in-process
 # cluster soak (chaos faults on every data-plane link, one node
 # partitioned and healed mid-run, the owner of a domain killed outright)
-# plus the deterministic failover and parked-caller re-admission tests,
-# and the relay's: 64 pipelined relayed calls each get their own argument
-# back, and a retried forward re-sends the same argument bytes.
+# plus the deterministic failover and parked-caller re-admission tests;
+# the relay's: 64 pipelined relayed calls each get their own argument
+# back, and a retried forward re-sends the same argument bytes; the
+# domain map the plane reads from the moderator: a method Config.Domains
+# does not list is still leased and served, and a map that splits a
+# moderator group is refused at Start; and the heartbeat wake sweep,
+# which re-admits a caller parked through a change no completion signals.
 # The ledger audit inside demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff

@@ -88,9 +88,8 @@ func clusterView(base string) error {
 			fmt.Printf("  %s domain %-20s owner=%-12s term=%-4d addr=%s\n",
 				marker, d.Domain, d.Owner, d.Term, d.Addr)
 		}
-		fmt.Printf("  local=%d forwarded=%d retries=%d staleRefusals=%d wakes(sent=%d recv=%d) takeovers=%d\n",
-			st.LocalCalls, st.Forwards, st.ForwardRetries, st.StaleRefusals,
-			st.WakesSent, st.WakesReceived, st.Takeovers)
+		fmt.Printf("  local=%d forwarded=%d retries=%d staleRefusals=%d takeovers=%d\n",
+			st.LocalCalls, st.Forwards, st.ForwardRetries, st.StaleRefusals, st.Takeovers)
 		for _, r := range st.Replication {
 			switch {
 			case r.Leading:

@@ -165,23 +165,13 @@ func run(o options) error {
 		if o.namingAddr == "" {
 			return fmt.Errorf("cluster mode (-cluster-id) requires -naming")
 		}
-		// Every ticket method shares the buffer, so they form ONE
-		// admission domain: the owning replica runs all of this
-		// component's guards, everyone else forwards to it. The wake
-		// edges are declared anyway — they are local no-op kicks while
-		// the methods are co-located and become load-bearing the moment
-		// the domain map is ever split.
+		// The ticket methods share the buffer, so the moderator groups
+		// them and the plane admits the group as ONE domain
+		// ("assign+open"): the owning replica runs all of this
+		// component's guards, everyone else forwards to it.
 		node, err = cluster.Start(cluster.Config{
-			ID:    o.clusterID,
-			Local: g.Proxy(),
-			Domains: map[string]string{
-				ticket.MethodOpen:   "ticket",
-				ticket.MethodAssign: "ticket",
-			},
-			WakeEdges: map[string][]string{
-				ticket.MethodOpen:   {ticket.MethodAssign},
-				ticket.MethodAssign: {ticket.MethodOpen},
-			},
+			ID:            o.clusterID,
+			Local:         g.Proxy(),
 			Naming:        o.namingAddr,
 			LeaseTTL:      o.clusterTTL,
 			MemberTTL:     o.clusterTTL,

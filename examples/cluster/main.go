@@ -46,7 +46,7 @@ func (b *board) snapshot(domain string) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var st boardState
-	if domain == "posts" {
+	if domain == "post" {
 		st.Posts = append([]string(nil), b.posts...)
 	} else {
 		st.Tallies = b.tallies
@@ -61,7 +61,7 @@ func (b *board) restore(domain string, data []byte) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if domain == "posts" {
+	if domain == "post" {
 		b.posts = st.Posts
 	} else {
 		b.tallies = st.Tallies
@@ -115,15 +115,14 @@ func main() {
 	defer nsrv.Close()
 	fmt.Printf("naming service on %s\n", nln.Addr())
 
-	// 2. Three replicas of the same guarded component. Each method is its
-	// own admission domain, so the ring splits ownership across nodes.
-	domains := map[string]string{"post": "posts", "tally": "tallies"}
+	// 2. Three replicas of the same guarded component. The moderator
+	// guards each method on its own, so each is its own admission domain
+	// ("post", "tally") and the ring splits ownership across nodes.
 	mkNode := func(id string) (*board, *cluster.Node) {
 		b := &board{}
 		n, err := cluster.Start(cluster.Config{
 			ID:         id,
 			Local:      newBoardProxy(b),
-			Domains:    domains,
 			Naming:     nln.Addr().String(),
 			Idempotent: true,
 			LeaseTTL:   time.Second,
@@ -162,7 +161,7 @@ func main() {
 					owners[d.Domain] = d
 				}
 			}
-			if len(owners) == len(domains) && len(st.Members) == len(nodes) {
+			if len(owners) == len(st.Domains) && len(st.Members) == len(nodes) {
 				return owners
 			}
 			if time.Now().After(deadline) {
@@ -196,16 +195,16 @@ func main() {
 		b.mu.Unlock()
 	}
 
-	// 4. Graceful handoff: retire the owner of "posts". Before the lease
+	// 4. Graceful handoff: retire the owner of "post". Before the lease
 	// moves, the leaving node flushes a state snapshot to its ring
 	// successor and releases with a barrier — the new owner resumes the
 	// board's state, not just the domain's admission.
-	victimID := owners["posts"].Owner
-	oldTerm := owners["posts"].Term
+	victimID := owners["post"].Owner
+	oldTerm := owners["post"].Term
 	var survivors []*cluster.Node
 	for _, n := range nodes {
 		if n.ID() == victimID {
-			fmt.Printf("\nretiring %s (owner of \"posts\" at term %d)...\n", victimID, oldTerm)
+			fmt.Printf("\nretiring %s (owner of \"post\" at term %d)...\n", victimID, oldTerm)
 			n.Close()
 		} else {
 			survivors = append(survivors, n)
@@ -235,11 +234,11 @@ func main() {
 		log.Fatalf("no live owner for %q", domain)
 		return nil, cluster.DomainStatus{}
 	}
-	newOwner, d := ownerOf("posts")
-	fmt.Printf("\"posts\" now owned by %s at term %d (was %s at term %d)\n",
+	newOwner, d := ownerOf("post")
+	fmt.Printf("\"post\" now owned by %s at term %d (was %s at term %d)\n",
 		d.Owner, d.Term, victimID, oldTerm)
 	for _, s := range newOwner.SyncStatus() {
-		if s.Domain == "posts" && s.Restored {
+		if s.Domain == "post" && s.Restored {
 			fmt.Printf("state resumed via snapshot on %s: %d posts survived the graceful handoff\n",
 				d.Owner, postCount(boards[d.Owner]))
 		}
@@ -251,7 +250,7 @@ func main() {
 	// guarded component and serving resumes with the state intact.
 	time.Sleep(300 * time.Millisecond) // let replication acks drain
 	crashID := d.Owner
-	fmt.Printf("\nhard-killing %s mid-run (owner of \"posts\" at term %d)...\n", crashID, d.Term)
+	fmt.Printf("\nhard-killing %s mid-run (owner of \"post\" at term %d)...\n", crashID, d.Term)
 	newOwner.Fail()
 	var remaining []*cluster.Node
 	for _, n := range nodes {
@@ -269,16 +268,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	finalOwner, fd := ownerOf("posts")
+	finalOwner, fd := ownerOf("post")
 	fb := boards[fd.Owner]
 	fb.mu.Lock()
 	surviving := append([]string(nil), fb.posts...)
 	fb.mu.Unlock()
-	fmt.Printf("\"posts\" now owned by %s at term %d — surviving state after the crash:\n", fd.Owner, fd.Term)
+	fmt.Printf("\"post\" now owned by %s at term %d — surviving state after the crash:\n", fd.Owner, fd.Term)
 	fmt.Printf("  %d posts on the new owner (first %q, last %q)\n",
 		len(surviving), surviving[0], surviving[len(surviving)-1])
 	for _, s := range finalOwner.SyncStatus() {
-		if s.Domain != "posts" {
+		if s.Domain != "post" {
 			continue
 		}
 		switch {

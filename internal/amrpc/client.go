@@ -638,8 +638,8 @@ func WithPriority(p int) StubOption {
 }
 
 // WithFenceTerm stamps every invocation from this stub with a
-// domain-ownership lease term. Cluster-internal traffic (forwarded
-// admissions, wake notifications) uses it so a receiver that no longer
+// domain-ownership lease term. Forwarded cluster admissions use it so a
+// receiver that no longer
 // holds the domain's lease at this exact term refuses the call with
 // naming.ErrStaleTerm instead of acting on stale ownership.
 func WithFenceTerm(term uint64) StubOption {

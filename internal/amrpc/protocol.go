@@ -49,7 +49,7 @@ type request struct {
 	// caller has certainly stopped caring.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Fence carries a domain-ownership lease term on cluster-internal
-	// traffic (forwarded admissions, wake notifications). Zero means
+	// traffic (forwarded admissions). Zero means
 	// unfenced; a nonzero fence obliges the receiver to hold the target
 	// domain's lease at exactly this term or refuse with CodeStaleTerm.
 	Fence uint64 `json:"fence,omitempty"`

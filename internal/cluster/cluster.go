@@ -10,12 +10,16 @@
 // granted by the naming service (naming.Store): a node heartbeats its
 // membership registration, acquires the leases the ring assigns to it, and
 // renews them on every beat. Terms are fencing tokens — every forwarded
-// admission and every cross-node wake notification carries the term its
-// sender observed, and the receiver refuses it (naming.ErrStaleTerm)
-// unless it holds that domain's lease at exactly that term. A node also
-// drops ownership locally once a lease's remaining validity falls inside a
-// safety margin, so an owner partitioned away from the naming service
-// stops executing before anyone else can be granted the next term.
+// admission carries the term its sender observed, and the receiver
+// refuses it (naming.ErrStaleTerm) unless it holds that domain's lease at
+// exactly that term. A node also drops ownership locally once a lease's
+// remaining validity falls inside a safety margin, so an owner
+// partitioned away from the naming service stops executing before anyone
+// else can be granted the next term.
+//
+// The domain map is read from the local moderator at Start: each of its
+// method groups is one admission domain, so state shared by guards, and
+// every wake a completion sends, stay on the one node that owns it.
 //
 // Callers see location transparency: any node accepts any method of the
 // component, executes locally when it owns the method's domain, and
@@ -31,7 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,29 +51,22 @@ import (
 
 // Config describes one cluster node.
 type Config struct {
-	// ID is the node's unique cluster identity (required).
+	// ID is the node's unique cluster identity (required). Its member
+	// entry in the naming service is "cluster/member/<ID>"; its lease
+	// holder id is the ID itself.
 	ID string
-	// Component is the public component name served by every node
-	// (default: the local proxy's name).
-	Component string
-	// Local is the node's own guarded component (required).
+	// Local is the node's own guarded component (required). Every node
+	// serves it under its name, and the plane reads its domain map from
+	// it at Start: each moderator group of the bound methods is one
+	// admission domain, named by its sorted methods joined with "+".
 	Local *proxy.Proxy
-	// Domains maps method names to admission-domain names. Methods of one
-	// moderator group must map to the same domain so grouped admission
-	// stays on one owner. Unlisted methods default to their own name.
+	// Domains optionally renames or coarsens the derived domains: a
+	// listed method is admitted in the named domain, an unlisted one in
+	// its group's derived domain. Start refuses a map that splits a
+	// moderator group (a *SplitGroupError).
 	Domains map[string]string
-	// WakeEdges lists, per method, the methods whose parked callers must
-	// be woken after the method completes — the cross-node extension of
-	// the moderator's wake lists. Wakes targeting locally owned domains
-	// are delivered in-process; the rest travel as idempotent, term-fenced
-	// amrpc notifications to the owning node.
-	WakeEdges map[string][]string
 	// Naming is the address of the naming service (required).
 	Naming string
-	// Prefix namespaces this cluster's membership entries in the naming
-	// service (default "cluster"). The member entry for a node is
-	// "<Prefix>/member/<ID>", its lease holder id is the node ID.
-	Prefix string
 	// Idempotent declares the component's methods safe to re-forward when
 	// a forwarding attempt dies mid-flight (transport failure with the
 	// outcome unknown). Off by default: non-idempotent traffic surfaces
@@ -77,41 +76,25 @@ type Config struct {
 
 	// MemberTTL bounds how long a dead node stays in the membership
 	// (default 1200ms). LeaseTTL bounds how long its domains stay owned
-	// (default 1200ms); failover latency is roughly LeaseTTL. Heartbeat
-	// is the renewal period (default LeaseTTL/4). OwnershipMargin is the
-	// safety margin before local lease expiry at which a node stops
-	// considering itself owner (default LeaseTTL/4).
-	MemberTTL       time.Duration
-	LeaseTTL        time.Duration
-	Heartbeat       time.Duration
-	OwnershipMargin time.Duration
+	// (default 1200ms); failover latency is roughly LeaseTTL, and a node
+	// stops considering itself owner a quarter of a LeaseTTL before its
+	// local lease expiry. Heartbeat is the renewal period (default
+	// LeaseTTL/4).
+	MemberTTL time.Duration
+	LeaseTTL  time.Duration
+	Heartbeat time.Duration
 
-	// RouteAttempts bounds how many ownership-resolution rounds one call
-	// may burn before giving up (default 25; at the defaults the router's
-	// backoff pauses sum to at least 1.6s, more than a LeaseTTL, so the
-	// rounds span a failover window).
-	RouteAttempts int
-
-	// Snapshot, Restore, and Apply are the replicated-state-handoff hooks.
+	// Snapshot and Restore are the replicated-state-handoff hooks.
 	// Snapshot serializes one domain's functional state; Restore installs
-	// a snapshot received from the previous owner; Apply re-applies one
-	// replicated effect during catch-up. All are optional: without
-	// Snapshot/Restore the plane replicates the effect log only, and
-	// without Apply catch-up replays entries through the local guarded
-	// component (full admission — install Apply when guards could block a
-	// replayed call).
+	// a snapshot received from the previous owner. Both are optional:
+	// without them the plane replicates the effect log only. Catch-up
+	// replays the log through the local guarded component, with full
+	// admission.
 	Snapshot func(domain string) ([]byte, error)
 	Restore  func(domain string, data []byte) error
-	Apply    func(domain, method string, args []any) error
 	// DisableStateSync turns replicated state handoff off entirely: no
 	// effect capture, no streaming, takeovers resume moderation only.
 	DisableStateSync bool
-	// SyncCapacity / SyncBatch / SyncInterval tune the replication stream
-	// (defaults: 8192-entry per-domain log, 256 entries per offer, 25ms
-	// idle pacing).
-	SyncCapacity int
-	SyncBatch    int
-	SyncInterval time.Duration
 
 	// DialConn overrides the data-plane dialer for node-to-node traffic —
 	// the chaosnet hook. The control-plane connection to the naming
@@ -126,6 +109,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// memberPrefix namespaces the membership entries in the naming service.
+const memberPrefix = "cluster/member/"
+
+// routeAttempts bounds how many ownership-resolution rounds one call may
+// burn before giving up. At the default lease the router's backoff
+// pauses sum to at least 1.6s, more than a LeaseTTL, so the rounds span
+// a failover window.
+const routeAttempts = 25
+
 func (cfg *Config) withDefaults() error {
 	if cfg.ID == "" {
 		return fmt.Errorf("cluster: config: empty node ID")
@@ -136,12 +128,6 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Naming == "" {
 		return fmt.Errorf("cluster: config: empty naming address")
 	}
-	if cfg.Component == "" {
-		cfg.Component = cfg.Local.Name()
-	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "cluster"
-	}
 	if cfg.MemberTTL <= 0 {
 		cfg.MemberTTL = 1200 * time.Millisecond
 	}
@@ -151,16 +137,57 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = cfg.LeaseTTL / 4
 	}
-	if cfg.OwnershipMargin <= 0 {
-		cfg.OwnershipMargin = cfg.LeaseTTL / 4
-	}
-	if cfg.RouteAttempts <= 0 {
-		cfg.RouteAttempts = 25
-	}
 	if cfg.DialConn == nil {
 		cfg.DialConn = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	return nil
+}
+
+// SplitGroupError is Start's refusal of a Config.Domains map that puts
+// methods of one moderator group in different domains: each domain's
+// owner would guard part of state the group's guards share.
+type SplitGroupError struct {
+	Group   []string // the moderator group, sorted
+	Domains [2]string
+}
+
+func (e *SplitGroupError) Error() string {
+	return fmt.Sprintf("cluster: config: Domains splits moderator group [%s] across domains %q and %q",
+		strings.Join(e.Group, " "), e.Domains[0], e.Domains[1])
+}
+
+// deriveDomains maps every bound method of the local component to its
+// admission domain: its moderator group's, renamed or coarsened by
+// cfg.Domains.
+func deriveDomains(cfg *Config) (map[string]string, error) {
+	groupOf := make(map[string][]string)
+	for _, g := range cfg.Local.Moderator().Domains() {
+		for _, m := range g {
+			groupOf[m] = g
+		}
+	}
+	out := make(map[string]string)
+	for _, m := range cfg.Local.Methods() {
+		g, ok := groupOf[m]
+		if !ok {
+			g = []string{m} // not yet seen by the moderator: its own group
+		}
+		derived := strings.Join(g, "+")
+		domainFor := func(member string) string {
+			if d, ok := cfg.Domains[member]; ok {
+				return d
+			}
+			return derived
+		}
+		d := domainFor(g[0])
+		for _, member := range g[1:] {
+			if other := domainFor(member); other != d {
+				return nil, &SplitGroupError{Group: g, Domains: [2]string{d, other}}
+			}
+		}
+		out[m] = d
+	}
+	return out, nil
 }
 
 // ownedDomain is one domain this node currently owns.
@@ -182,11 +209,14 @@ type route struct {
 
 // Node is one member of the distributed admission plane.
 type Node struct {
-	cfg    Config
-	server *amrpc.Server
-	ln     net.Listener
-	addr   string
-	sync   *statesync.Manager // nil when DisableStateSync
+	cfg       Config
+	component string            // the public component name: the local proxy's
+	domains   map[string]string // bound method -> admission domain, derived at Start
+	domainSet []string          // the distinct domains, sorted
+	server    *amrpc.Server
+	ln        net.Listener
+	addr      string
+	sync      *statesync.Manager // nil when DisableStateSync
 
 	mu      sync.Mutex
 	nc      *naming.Client // control-plane connection (redialed on error)
@@ -210,17 +240,20 @@ type Node struct {
 	forwards       atomic.Uint64
 	forwardRetries atomic.Uint64
 	staleRefusals  atomic.Uint64
-	wakesSent      atomic.Uint64
-	wakesReceived  atomic.Uint64
 	takeovers      atomic.Uint64 // acquisitions at term > 1: domains inherited from a previous owner
 }
 
-// Start launches a node: it listens on addr (host:port, may be ":0"),
-// registers itself with the naming service, and begins the ownership
-// heartbeat. The first beat runs synchronously so a freshly started node
-// is routable immediately.
+// Start launches a node: it derives the domain map from the local
+// component, listens on addr (host:port, may be ":0"), registers itself
+// with the naming service, and begins the ownership heartbeat. The first
+// beat runs synchronously so a freshly started node is routable
+// immediately.
 func Start(cfg Config, addr string) (*Node, error) {
 	if err := cfg.withDefaults(); err != nil {
+		return nil, err
+	}
+	domains, err := deriveDomains(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -229,6 +262,9 @@ func Start(cfg Config, addr string) (*Node, error) {
 	}
 	n := &Node{
 		cfg:       cfg,
+		component: cfg.Local.Name(),
+		domains:   domains,
+		domainSet: distinctSorted(domains),
 		server:    amrpc.NewServer(cfg.ServerOptions...),
 		ln:        ln,
 		addr:      ln.Addr().String(),
@@ -260,9 +296,6 @@ func Start(cfg Config, addr string) (*Node, error) {
 			Node:      cfg.ID,
 			Transport: &syncTransport{n: n},
 			Snapshot:  cfg.Snapshot,
-			Capacity:  cfg.SyncCapacity,
-			Batch:     cfg.SyncBatch,
-			Interval:  cfg.SyncInterval,
 			Logf:      cfg.Logf,
 		})
 		if err != nil {
@@ -362,7 +395,7 @@ func (n *Node) doClose() {
 	n.wg.Wait()
 }
 
-func (n *Node) memberKey() string { return n.cfg.Prefix + "/member/" + n.cfg.ID }
+func (n *Node) memberKey() string { return memberPrefix + n.cfg.ID }
 
 func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
@@ -452,10 +485,9 @@ func (n *Node) beat() error {
 	}
 
 	memberAddrs := make(map[string]string, len(members))
-	prefix := n.cfg.Prefix + "/member/"
 	for _, e := range members {
-		if len(e.Name) > len(prefix) && e.Name[:len(prefix)] == prefix {
-			memberAddrs[e.Name[len(prefix):]] = e.Addr
+		if id, ok := strings.CutPrefix(e.Name, memberPrefix); ok && id != "" {
+			memberAddrs[id] = e.Addr
 		}
 	}
 	ids := make([]string, 0, len(memberAddrs))
@@ -471,38 +503,35 @@ func (n *Node) beat() error {
 	return nil
 }
 
-// wakeSweep re-kicks every method whose domain this node owns. Cross-node
-// wake notifications are at-least-once but can still be lost to a
-// partition, or to a failover racing a completion; Kick is idempotent, so
-// periodically re-evaluating owned wait queues makes wakes self-healing —
-// a caller parked through a partition (or re-admitted on a new owner that
-// missed the original notification) is released on the first beat after
-// the wake's precondition becomes true.
+// wakeSweep re-kicks every bound method whose domain this node owns. A
+// completion wakes its own domain's waiters in the moderator, and every
+// wake span lies inside one domain, so no wake ever has to cross nodes.
+// Guard state can still change outside a local completion — a catch-up
+// replay, a Restore, state external to the component — and Kick is
+// idempotent, so re-evaluating owned wait queues every beat releases a
+// caller parked through such a change at worst one heartbeat after its
+// precondition becomes true.
 func (n *Node) wakeSweep() {
-	for method := range n.cfg.Domains {
-		if _, ok := n.owns(n.domainOf(method)); ok {
+	for method, domain := range n.domains {
+		if _, ok := n.owns(domain); ok {
 			n.cfg.Local.Moderator().Kick(method)
 		}
 	}
 }
 
-// domainSet returns the distinct admission domains of the configuration.
-func (n *Node) domainSet() []string {
-	seen := make(map[string]struct{}, len(n.cfg.Domains))
-	for _, d := range n.cfg.Domains {
-		seen[d] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
+// distinctSorted returns the distinct values of m, sorted.
+func distinctSorted(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for _, d := range m {
 		out = append(out, d)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // reconcileOwnership aligns this node's leases with the ring's verdicts.
 func (n *Node) reconcileOwnership(ring *naming.Ring) {
-	for _, domain := range n.domainSet() {
+	for _, domain := range n.domainSet {
 		want, ok := ring.Owner(domain)
 		n.mu.Lock()
 		cur, held := n.owned[domain]
@@ -623,18 +652,20 @@ func (n *Node) refreshRoutes(leases []naming.DomainLease, memberAddrs map[string
 	}
 }
 
-// domainOf maps a method to its admission domain.
+// domainOf maps a method to its admission domain. A method the local
+// component does not bind keeps its own name, which no node leases.
 func (n *Node) domainOf(method string) string {
-	if d, ok := n.cfg.Domains[method]; ok {
+	if d, ok := n.domains[method]; ok {
 		return d
 	}
 	return method
 }
 
 // owns reports whether this node currently owns domain, and at which term.
-// Ownership is asserted conservatively: the lease must have at least
-// OwnershipMargin of locally tracked validity left, so a node cut off from
-// the naming service stops executing before the next term can be granted.
+// Ownership is asserted conservatively: the lease must have at least a
+// quarter of LeaseTTL of locally tracked validity left, so a node cut off
+// from the naming service stops executing before the next term can be
+// granted.
 func (n *Node) owns(domain string) (uint64, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -642,7 +673,7 @@ func (n *Node) owns(domain string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if !time.Now().Before(o.localExpiry.Add(-n.cfg.OwnershipMargin)) {
+	if !time.Now().Before(o.localExpiry.Add(-n.cfg.LeaseTTL / 4)) {
 		return 0, false
 	}
 	return o.term, true
@@ -679,21 +710,19 @@ func (n *Node) Status() Status {
 	st := Status{
 		Node:      n.cfg.ID,
 		Addr:      n.addr,
-		Component: n.cfg.Component,
+		Component: n.component,
 		Members:   members,
 
 		LocalCalls:     n.localCalls.Load(),
 		Forwards:       n.forwards.Load(),
 		ForwardRetries: n.forwardRetries.Load(),
 		StaleRefusals:  n.staleRefusals.Load(),
-		WakesSent:      n.wakesSent.Load(),
-		WakesReceived:  n.wakesReceived.Load(),
 		Takeovers:      n.takeovers.Load(),
 	}
 	if n.sync != nil {
 		st.Replication = n.sync.Status()
 	}
-	for _, domain := range n.domainSet() {
+	for _, domain := range n.domainSet {
 		ds := DomainStatus{Domain: domain}
 		if term, ok := owned[domain]; ok {
 			ds.Owner, ds.Term, ds.Local, ds.Addr = n.cfg.ID, term, true, n.addr

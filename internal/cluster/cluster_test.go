@@ -342,8 +342,8 @@ func TestClusterOwnershipAndForwarding(t *testing.T) {
 	}
 }
 
-// TestRouteBackoffSpansLease pins the claim on Config.RouteAttempts: at the
-// defaults, even the shortest draw of every pause the router takes between
+// TestRouteBackoffSpansLease pins the claim on routeAttempts: at the
+// default lease, even the shortest draw of every pause the router takes between
 // its rounds sums to more than a lease, so a call that arrives as an owner
 // dies outlasts the dead owner's lease instead of failing.
 func TestRouteBackoffSpansLease(t *testing.T) {
@@ -353,7 +353,7 @@ func TestRouteBackoffSpansLease(t *testing.T) {
 	}
 	var floor time.Duration
 	d := routeBackoffBase
-	for n := 1; n < cfg.RouteAttempts; n++ {
+	for n := 1; n < routeAttempts; n++ {
 		// The pause before attempt n is drawn from [d/2, d].
 		for k := 0; k < 1000; k++ {
 			if p := amrpc.Backoff(routeBackoffBase, routeBackoffMax, n); p < d/2 {
@@ -365,9 +365,9 @@ func TestRouteBackoffSpansLease(t *testing.T) {
 	}
 	if floor <= cfg.LeaseTTL {
 		t.Fatalf("%d routing rounds pause at least %v in total, not more than the %v lease",
-			cfg.RouteAttempts, floor, cfg.LeaseTTL)
+			routeAttempts, floor, cfg.LeaseTTL)
 	}
-	t.Logf("%d routing rounds pause at least %v in total; lease %v", cfg.RouteAttempts, floor, cfg.LeaseTTL)
+	t.Logf("%d routing rounds pause at least %v in total; lease %v", routeAttempts, floor, cfg.LeaseTTL)
 }
 
 func TestClusterAbortPropagatesAsApplicationError(t *testing.T) {

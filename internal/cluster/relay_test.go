@@ -55,7 +55,7 @@ func startRelayRig(t testing.TB, mutate func(*Config)) *relayRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	r.stub = c.Component(r.entry.cfg.Component)
+	r.stub = c.Component(r.entry.component)
 	return r
 }
 
@@ -301,7 +301,7 @@ func TestRelayPipelinedCallsKeepTheirArguments(t *testing.T) {
 		open()
 		_ = client.Close()
 	})
-	stub := client.Component(r.entry.cfg.Component)
+	stub := client.Component(r.entry.component)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -26,7 +26,7 @@ import (
 type front struct{ n *Node }
 
 // Name implements amrpc.Component.
-func (f *front) Name() string { return f.n.cfg.Component }
+func (f *front) Name() string { return f.n.component }
 
 // Call implements amrpc.Component: an in-process caller's invocation,
 // routed as Node.Invoke routes it.
@@ -87,7 +87,7 @@ func (w *wireCall) encode(res any) error {
 // plane through this node, with the same routing as remote callers. It
 // implements the proxy.Invoker interface.
 func (n *Node) Invoke(ctx context.Context, method string, args ...any) (any, error) {
-	inv := aspect.NewInvocation(ctx, n.cfg.Component, method, args)
+	inv := aspect.NewInvocation(ctx, n.component, method, args)
 	result, err := n.route(inv, nil)
 	inv.Release()
 	return result, err
@@ -109,12 +109,12 @@ func (n *Node) serveFenced(inv *aspect.Invocation, fence uint64) (any, error) {
 	return n.localCall(inv)
 }
 
-// localCall executes the invocation on the local guarded component and, on
-// success, propagates the method's cross-node wake edges. The in-flight
-// counter brackets the admission so a graceful release can drain before
-// flushing its final state handoff; the ownership re-check after
-// registering closes the race with a concurrent release — an admission
-// that slips past it is either counted (and drained) or refused here.
+// localCall executes the invocation on the local guarded component. The
+// in-flight counter brackets the admission so a graceful release can
+// drain before flushing its final state handoff; the ownership re-check
+// after registering closes the race with a concurrent release — an
+// admission that slips past it is either counted (and drained) or
+// refused here.
 func (n *Node) localCall(inv *aspect.Invocation) (any, error) {
 	domain := n.domainOf(inv.Method())
 	c := n.inflightFor(domain)
@@ -125,13 +125,7 @@ func (n *Node) localCall(inv *aspect.Invocation) (any, error) {
 			n.cfg.ID, domain, naming.ErrStaleTerm)
 	}
 	n.localCalls.Add(1)
-	res, err := n.cfg.Local.Call(inv)
-	if err == nil {
-		if targets := n.cfg.WakeEdges[inv.Method()]; len(targets) > 0 {
-			n.propagateWakes(inv.Context(), targets)
-		}
-	}
-	return res, err
+	return n.cfg.Local.Call(inv)
 }
 
 // The router's pause before routing attempt n is
@@ -153,7 +147,7 @@ func (n *Node) route(inv *aspect.Invocation, w *wireCall) (any, error) {
 	method := inv.Method()
 	domain := n.domainOf(method)
 	var lastErr error
-	for attempt := 0; attempt < n.cfg.RouteAttempts; attempt++ {
+	for attempt := 0; attempt < routeAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -233,7 +227,7 @@ func (n *Node) route(inv *aspect.Invocation, w *wireCall) (any, error) {
 		lastErr = fmt.Errorf("cluster: no owner for domain %s", domain)
 	}
 	return nil, fmt.Errorf("cluster %s: routing %s.%s failed after %d attempts: %w",
-		n.cfg.ID, n.cfg.Component, method, n.cfg.RouteAttempts, lastErr)
+		n.cfg.ID, n.component, method, routeAttempts, lastErr)
 }
 
 // routeFor returns the cached route for domain, consulting the naming
@@ -263,7 +257,7 @@ func (n *Node) routeFor(domain string, force bool) (route, error) {
 		var e naming.Entry
 		err := n.namingDo(func(nc *naming.Client) error {
 			var err error
-			e, err = nc.Lookup(n.cfg.Prefix + "/member/" + lease.Holder)
+			e, err = nc.Lookup(memberPrefix + lease.Holder)
 			return err
 		})
 		if err != nil {
@@ -306,7 +300,7 @@ func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation, w *
 		if n.cfg.Idempotent {
 			opts = append(opts, amrpc.WithIdempotent())
 		}
-		return p.client.Component(n.cfg.Component, opts...)
+		return p.client.Component(n.component, opts...)
 	})
 	if w == nil {
 		return stub.Invoke(ctx, inv.Method(), inv.Args()...)
@@ -401,57 +395,5 @@ func (n *Node) dropPeer(addr string) {
 	n.mu.Unlock()
 	if ok {
 		_ = p.client.Close()
-	}
-}
-
-// propagateWakes delivers post-completion wakes to the owners of the
-// target methods' domains. Locally owned targets are kicked in-process;
-// remote ones travel as idempotent, term-fenced notifications — duplicated
-// delivery is harmless (Kick is idempotent) and a stale-term refusal is
-// retried against the refreshed owner so a wake is not lost to a failover
-// racing the completion.
-func (n *Node) propagateWakes(ctx context.Context, targets []string) {
-	for _, target := range targets {
-		domain := n.domainOf(target)
-		if _, ok := n.owns(domain); ok {
-			n.cfg.Local.Moderator().Kick(target)
-			n.wakesSent.Add(1)
-			continue
-		}
-		for attempt := 0; attempt < 3; attempt++ {
-			r, err := n.routeFor(domain, attempt > 0)
-			if err != nil {
-				continue
-			}
-			if r.holder == n.cfg.ID {
-				n.cfg.Local.Moderator().Kick(target)
-				n.wakesSent.Add(1)
-				break
-			}
-			p, err := n.peerFor(r.addr)
-			if err != nil {
-				continue
-			}
-			stub := p.stub(stubKey{control: r.holder, term: r.term}, func() *amrpc.Stub {
-				return p.client.Component(controlName(r.holder), amrpc.WithFenceTerm(r.term), amrpc.WithIdempotent())
-			})
-			wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-			_, err = stub.Invoke(wctx, "wake", target)
-			cancel()
-			if err == nil {
-				n.wakesSent.Add(1)
-				break
-			}
-			if errors.Is(err, naming.ErrStaleTerm) {
-				n.invalidateRoute(domain, r)
-				continue
-			}
-			if errors.Is(err, amrpc.ErrTransport) {
-				n.dropPeer(r.addr)
-				n.invalidateRoute(domain, r)
-				continue
-			}
-			break
-		}
 	}
 }

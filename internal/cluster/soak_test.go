@@ -236,7 +236,6 @@ func TestClusterFailoverReadmitsParkedCallers(t *testing.T) {
 			ID:         id,
 			Local:      newWakeApp(t, store),
 			Domains:    map[string]string{"signal": "sig", "wait": waitDomain},
-			WakeEdges:  map[string][]string{"signal": {"wait"}},
 			Naming:     namingAddr,
 			Idempotent: true,
 			MemberTTL:  900 * time.Millisecond,

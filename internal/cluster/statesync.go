@@ -127,7 +127,7 @@ func (n *Node) syncSuccessors(ring *naming.Ring) {
 		return
 	}
 	rest := ring.Without(n.cfg.ID)
-	for _, domain := range n.domainSet() {
+	for _, domain := range n.domainSet {
 		if _, ok := n.owns(domain); !ok {
 			continue
 		}
@@ -202,7 +202,7 @@ func (n *Node) catchUp(domain string, lease naming.DomainLease) {
 			if restored && e.Seq <= st.SnapSeq {
 				continue
 			}
-			if err := n.applyEffect(domain, e); err != nil {
+			if err := n.applyEffect(e); err != nil {
 				n.logf("cluster %s: catch-up %s: replay seq %d (%s): %v", n.cfg.ID, domain, e.Seq, e.Method, err)
 				gaps++
 				continue
@@ -233,18 +233,15 @@ func (n *Node) catchUp(domain string, lease naming.DomainLease) {
 	}
 }
 
-// applyEffect re-applies one replicated effect during catch-up. With no
-// Apply hook configured, the entry is replayed through the local guarded
-// component — full admission, so guards and grouped invariants hold, and
-// the completion is re-captured into the new term's log. Applications
-// whose guards can block replayed calls should install Apply.
-func (n *Node) applyEffect(domain string, e statesync.Entry) error {
-	if n.cfg.Apply != nil {
-		return n.cfg.Apply(domain, e.Method, e.Args)
-	}
+// applyEffect re-applies one replicated effect during catch-up by
+// replaying it through the local guarded component — full admission, so
+// guards and grouped invariants hold, and the completion is re-captured
+// into the new term's log. A replay its guards park longer than the
+// bound is counted as a gap by the caller.
+func (n *Node) applyEffect(e statesync.Entry) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, err := n.cfg.Local.Call(aspect.NewInvocation(ctx, n.cfg.Component, e.Method, e.Args))
+	_, err := n.cfg.Local.Call(aspect.NewInvocation(ctx, n.component, e.Method, e.Args))
 	return err
 }
 

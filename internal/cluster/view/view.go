@@ -21,8 +21,6 @@ type Status struct {
 	Forwards       uint64 `json:"forwards"`
 	ForwardRetries uint64 `json:"forward_retries"`
 	StaleRefusals  uint64 `json:"stale_refusals"`
-	WakesSent      uint64 `json:"wakes_sent"`
-	WakesReceived  uint64 `json:"wakes_received"`
 	Takeovers      uint64 `json:"takeovers"`
 }
 

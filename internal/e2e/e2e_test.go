@@ -7,7 +7,9 @@ package e2e_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +18,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster/view"
+	"repro/internal/naming"
+	"repro/internal/obs"
 )
 
 // buildBinaries compiles the three commands once per test run.
@@ -201,5 +207,113 @@ func TestDistributedDeployment(t *testing.T) {
 	}
 	if !strings.Contains(out, "moved 200 tickets") {
 		t.Fatalf("load output:\n%s", out)
+	}
+}
+
+// clusterStatus fetches one ticketd's own cluster view from its obs
+// endpoint.
+func clusterStatus(t *testing.T, obsAddr string) (view.Status, bool) {
+	t.Helper()
+	resp, err := http.Get("http://" + obsAddr + "/cluster")
+	if err != nil {
+		return view.Status{}, false
+	}
+	defer resp.Body.Close()
+	var dump obs.ClusterDump
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil || len(dump.Nodes) != 1 {
+		return view.Status{}, false
+	}
+	return dump.Nodes[0], true
+}
+
+// localOwner reports whether st shows its node owning domain.
+func localOwner(st view.Status, domain string) bool {
+	for _, d := range st.Domains {
+		if d.Domain == domain {
+			return d.Local
+		}
+	}
+	return false
+}
+
+// TestClusterDeployment runs ticketd in cluster mode: two replicas
+// against one naming service, the ticket methods in the one domain the
+// plane derives from the moderator, and a client whose calls enter
+// through the replica that does not own it.
+func TestClusterDeployment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	namingd, ticketd, ticketcli := buildBinaries(t)
+	const domain = "assign+open" // the ticket app's one moderator group
+
+	// Start the replica the two-member ring designates as owner first,
+	// so the other registers the component name last: a client resolving
+	// it through the naming service reaches the non-owner.
+	ownerID, otherID := "node-a", "node-b"
+	if id, _ := naming.NewRing(0, ownerID, otherID).Owner(domain); id != ownerID {
+		ownerID, otherID = otherID, ownerID
+	}
+	namingAddr := freePort(t)
+	startDaemon(t, namingd, "-addr", namingAddr)
+	waitListening(t, namingAddr)
+	replica := func(id string) (obsAddr string) {
+		addr, obsAddr := freePort(t), freePort(t)
+		startDaemon(t, ticketd, "-addr", addr, "-naming", namingAddr, "-ttl", "60s",
+			"-cluster-id", id, "-cluster-lease", "1s", "-obs", obsAddr, "-audit", "0")
+		waitListening(t, addr)
+		waitListening(t, obsAddr)
+		return obsAddr
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(15 * time.Second); !ok(); time.Sleep(50 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	ownerObs := replica(ownerID)
+	waitFor(ownerID+" to own "+domain, func() bool {
+		st, ok := clusterStatus(t, ownerObs)
+		return ok && localOwner(st, domain)
+	})
+	otherObs := replica(otherID)
+	converged := func() bool {
+		owners := 0
+		for _, addr := range []string{ownerObs, otherObs} {
+			st, ok := clusterStatus(t, addr)
+			if !ok || len(st.Members) != 2 || len(st.Domains) != 1 {
+				return false
+			}
+			if localOwner(st, domain) {
+				owners++
+			}
+			if st.Domains[0].Owner != ownerID {
+				return false
+			}
+		}
+		return owners == 1
+	}
+	waitFor("both replicas to agree on one owner of "+domain, converged)
+
+	out, err := run(t, ticketcli, "-naming", namingAddr, "open", "TT-1", "printer on fire")
+	if err != nil || !strings.Contains(out, "opened TT-1") {
+		t.Fatalf("open: %v\n%s", err, out)
+	}
+	out, err = run(t, ticketcli, "-naming", namingAddr, "assign")
+	if err != nil || !strings.Contains(out, "assigned TT-1") {
+		t.Fatalf("assign: %v\n%s", err, out)
+	}
+
+	st, ok := clusterStatus(t, otherObs)
+	if !ok {
+		t.Fatal("non-owner's /cluster unreadable")
+	}
+	if st.Forwards != 2 || st.LocalCalls != 0 {
+		t.Fatalf("non-owner %s: forwards=%d local=%d, want both calls forwarded", otherID, st.Forwards, st.LocalCalls)
+	}
+	if !converged() {
+		t.Fatalf("after the calls, %s no longer has exactly one owner, %s", domain, ownerID)
 	}
 }

@@ -833,8 +833,10 @@ func (m *Moderator) mergeLocked(methods []string) (*domainTable, error) {
 
 // Domains returns the current method grouping: one sorted slice of method
 // names per admission domain, ordered by each group's first method. Only
-// methods the moderator has seen (via invocation, grouping, or Waker
-// registration) appear.
+// methods the moderator has seen (via registration, invocation or
+// grouping) appear; a method it has not seen is in no group yet. The
+// cluster plane reads this table at Start as its domain map, so a group
+// formed after that is not seen by the plane.
 func (m *Moderator) Domains() [][]string {
 	dt := m.domains.Load()
 	byDomain := make(map[*domain][]string, len(dt.all))

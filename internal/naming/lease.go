@@ -11,8 +11,7 @@ import (
 // a cluster node may execute a domain's admissions only while it holds the
 // domain's lease, and every granted lease carries a term number that is
 // monotone across the domain's whole history. Terms are the fencing tokens
-// of cross-node traffic — a forwarded call or wake notification labeled
-// with term T is honored only by a node that holds the lease at exactly
+// of cross-node traffic — a forwarded call labeled with term T is honored only by a node that holds the lease at exactly
 // term T, so effects from an owner that lost its lease (and anything
 // routed on a stale view of ownership) are refused rather than applied.
 //

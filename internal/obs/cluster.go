@@ -51,8 +51,6 @@ func collectCluster(s ClusterSource, emit EmitFunc) {
 	emit("am_cluster_forwards_total", "Invocations transparently forwarded to a domain's owner.", []Label{node}, float64(st.Forwards))
 	emit("am_cluster_forward_retries_total", "Routing retries (stale views, failover windows, dead peers).", []Label{node}, float64(st.ForwardRetries))
 	emit("am_cluster_stale_refusals_total", "Fenced requests refused for a stale or foreign lease term.", []Label{node}, float64(st.StaleRefusals))
-	emit("am_cluster_wakes_sent_total", "Cross-node wake notifications sent after completions.", []Label{node}, float64(st.WakesSent))
-	emit("am_cluster_wakes_received_total", "Cross-node wake notifications accepted and kicked.", []Label{node}, float64(st.WakesReceived))
 	emit("am_cluster_takeovers_total", "Domains inherited from a previous owner (term > 1 acquisitions).", []Label{node}, float64(st.Takeovers))
 	for _, r := range st.Replication {
 		labels := []Label{node, L("domain", r.Domain)}

@@ -36,8 +36,6 @@ func TestClusterEndpointAndMetrics(t *testing.T) {
 		Forwards:       4,
 		ForwardRetries: 2,
 		StaleRefusals:  1,
-		WakesSent:      5,
-		WakesReceived:  6,
 		Takeovers:      1,
 		Replication: []cluster.SyncStatus{
 			{Domain: "alpha", Leading: true, Term: 3, Successor: "n2", Lag: 2, Streamed: 8, SnapshotsSent: 1},
@@ -77,7 +75,7 @@ func TestClusterEndpointAndMetrics(t *testing.T) {
 		`am_cluster_forwards_total{node="n1"} 4`,
 		`am_cluster_stale_refusals_total{node="n1"} 1`,
 		`am_cluster_takeovers_total{node="n1"} 1`,
-		`am_cluster_wakes_received_total{node="n1"} 6`,
+		`am_cluster_local_calls_total{node="n1"} 10`,
 		`am_cluster_sync_lag{domain="alpha",node="n1"} 2`,
 		`am_cluster_sync_streamed_total{domain="alpha",node="n1"} 8`,
 		`am_cluster_sync_snapshots_sent_total{domain="alpha",node="n1"} 1`,
