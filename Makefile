@@ -11,7 +11,10 @@
 #   make race        — full suite under the race detector, plus a focused
 #                      double-count pass over the sharded-moderator stress,
 #                      differential-oracle, mutex-tier, optimistic and
-#                      route-equivalence tests and the waitq recycled-
+#                      route-equivalence tests, the composition write path
+#                      (plan-cache invalidation and churn, untorn Describe,
+#                      receipts across RemoveLayer, superseded snapshots
+#                      collected) and the waitq recycled-
 #                      waiter race, the obs event ring/histogram/churn
 #                      concurrency tests, five rounds of the invocation-
 #                      recycling tests (a released record carries no
@@ -89,7 +92,7 @@ lint:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
+	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestPlanCache|TestDescribeNeverTearsDuringChurn|TestAdmissionReceiptSurvivesRemoveLayer|TestSupersededSnapshotsAreCollected|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocation|TestTraceIDsSoundUnderRecycling' ./internal/apps/ticket/ ./internal/aspects/coord/ ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken' ./internal/amrpc/

@@ -15,9 +15,9 @@
 // Precondition, Postaction, and Cancel for all aspects of one admission
 // domain — one participating method, or one explicitly declared method
 // group — are executed under mutual exclusion: either the domain's
-// admission lock, or (for uncontended admissions on an
-// optimistic-eligible plan) the domain's guard cell, which every
-// guard-state access — locked or optimistic — holds. The two are never
+// admission lock, or (for uncontended admissions of a guarded plan) the
+// domain's guard cell, which every guard-state access — locked or
+// optimistic — holds. The two are never
 // held by different hook invocations at once, so aspect implementations
 // need no internal locking for state that is only touched from those
 // hooks, provided every method the state spans belongs to the same

@@ -117,12 +117,9 @@ func (e *InterferenceError) Unwrap() []error {
 // against the composition cs. It returns the domain table the
 // registration's wake span merges into — nil when it merges nothing — for
 // the caller to publish once the registration is stored, or an
-// *InterferenceError. Nothing is published here. The admin mutex must be
-// held.
+// *InterferenceError. Nothing is published here. The registration has
+// passed validateRegistration. The admin mutex must be held.
 func (m *Moderator) vetLocked(cs *compState, method string, kind aspect.Kind, a aspect.Aspect) (*domainTable, error) {
-	if method == "" || a == nil {
-		return nil, nil // the bank refuses both
-	}
 	findings := checkCapability(method, a)
 	dt := m.domains.Load()
 	var merged *domainTable

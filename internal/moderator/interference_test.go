@@ -240,8 +240,8 @@ func TestInterferenceReportDeterministic(t *testing.T) {
 }
 
 // TestRegisterInInterference is the registration contract in one table:
-// a refused registration leaves the composition and the domains exactly
-// as they were, a wake-overlap refusal also matches the ErrDomainActive
+// a refused registration publishes no snapshot and leaves the composition
+// and the domains exactly as they were, a wake-overlap refusal also matches the ErrDomainActive
 // merge failure behind it, and a shared instance is accepted once its wake
 // span merges both methods into one domain.
 func TestRegisterInInterference(t *testing.T) {
@@ -348,7 +348,7 @@ func TestRegisterInInterference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New("comp")
 			tc.setup(t, m, tc.inst)
-			before, domains := m.Describe(), m.Domains()
+			before, domains, snap := m.Describe(), m.Domains(), m.comp.Load()
 			kind := tc.kind
 			if kind == "" {
 				kind = aspect.KindSynchronization
@@ -361,10 +361,14 @@ func TestRegisterInInterference(t *testing.T) {
 				if reflect.DeepEqual(m.Describe(), before) {
 					t.Error("accepted registration did not change Describe")
 				}
+				assertPlansMatch(t, m)
 				return
 			}
 			if report := findingsOf(t, err); !hasFinding(report, tc.class, "b") {
 				t.Errorf("refusal lacks a %s finding for b:\n%s", tc.class, report)
+			}
+			if m.comp.Load() != snap {
+				t.Error("refused registration published a snapshot")
 			}
 			for _, target := range tc.is {
 				if !errors.Is(err, target) {
@@ -379,5 +383,33 @@ func TestRegisterInInterference(t *testing.T) {
 			}
 			assertPlansMatch(t, m)
 		})
+	}
+}
+
+// TestRegisterValidation: an empty method, an empty kind or a nil aspect is
+// refused before the interference checker runs — a plain error, not an
+// ErrInterference — and the refusal publishes no snapshot.
+func TestRegisterValidation(t *testing.T) {
+	m := New("comp")
+	mustRegister(t, m, "b", aspect.KindSynchronization, syncGuard("guard-b"))
+	before, domains, snap := m.Describe(), m.Domains(), m.comp.Load()
+	for name, register := range map[string]func() error{
+		"empty method": func() error { return m.Register("", aspect.KindSynchronization, syncGuard("g")) },
+		"empty kind":   func() error { return m.Register("b", "", syncGuard("g")) },
+		"nil aspect":   func() error { return m.Register("b", aspect.KindSynchronization, nil) },
+	} {
+		err := register()
+		if err == nil || errors.Is(err, ErrInterference) {
+			t.Errorf("%s: err = %v, want a plain refusal", name, err)
+		}
+		if m.comp.Load() != snap {
+			t.Errorf("%s: refused registration published a snapshot", name)
+		}
+	}
+	if after := m.Describe(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused registrations changed Describe:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if after := m.Domains(); !reflect.DeepEqual(after, domains) {
+		t.Errorf("refused registrations changed the domains: before %v after %v", domains, after)
 	}
 }

@@ -60,25 +60,29 @@
 //
 // # Snapshot memory model
 //
-// Composition state — the layer list together with every layer's bank
-// contents — is published as one immutable snapshot behind an
-// atomic.Pointer. Mutations (AddLayer, RemoveLayer, RegisterIn,
-// Unregister) run under a small admin mutex, rebuild the snapshot, and
-// Store it; the Store happens-before any Load that observes it, so a
-// reader sees either the whole mutation or none of it. Preactivation
-// resolves its plan from one Load (in-flight invocations are immune to
-// concurrent re-composition), and Describe reads the very same snapshot —
-// it can never observe a layer without the registrations that
-// happened-before a later mutation it does observe (no torn reads during
-// layer churn). Postactivation does not consult the current composition at
-// all: it runs the postactions of the Admission receipt, i.e. the aspects
-// captured at pre-activation time, so receipts stay valid across a
-// concurrent RemoveLayer.
+// Composition state — the layer list together with every layer's aspect
+// bank and the admission plans compiled from them — is one immutable value
+// published behind an atomic.Pointer. Mutations (AddLayer, RemoveLayer,
+// RegisterIn, Unregister, GroupMethods) run under a small admin mutex,
+// build the next value from the current one, and Store it; the Store
+// happens-before any Load that observes it, so a reader sees either the
+// whole mutation or none of it. Preactivation resolves its plan from one
+// Load (in-flight invocations are immune to concurrent re-composition),
+// and Describe reads the very same snapshot — it can never observe a layer
+// without the registrations that happened-before a later mutation it does
+// observe (no torn reads during layer churn). Postactivation does not
+// consult the current composition at all: it runs the postactions of the
+// Admission receipt, i.e. the aspects captured at pre-activation time, so
+// receipts stay valid across a concurrent RemoveLayer. The moderator keeps
+// no reference to a superseded snapshot: the garbage collector frees it
+// once the last reader that loaded it returns.
 package moderator
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,7 +90,6 @@ import (
 	"time"
 
 	"repro/internal/aspect"
-	"repro/internal/bank"
 	"repro/internal/waitq"
 )
 
@@ -206,11 +209,10 @@ type Admission struct {
 	// traced pins the pre-activation sampling decision so one invocation
 	// is traced (or not) consistently across both phases.
 	traced bool
-	// fast records that pre-activation ran on the lock-free path, making
-	// post-activation eligible for it too (subject to its own re-check).
-	fast bool
-	// shared marks the plan's immutable fast-path receipt (see
-	// compiledPlan.sharedAdm). Shared receipts are never zeroed or pooled.
+	// shared marks the plan's immutable receipt, returned by every
+	// lock-free admission (see compiledPlan.sharedAdm). It makes
+	// post-activation eligible for a lock-free route too (subject to its
+	// own re-check). Shared receipts are never zeroed or pooled.
 	shared bool
 }
 
@@ -218,13 +220,12 @@ type Admission struct {
 // are never pooled (their admitted slice is built per invocation).
 var admissionPool = sync.Pool{New: func() any { return new(Admission) }}
 
-func newAdmission(plan *compiledPlan, d *domain, traced, fast bool) *Admission {
+func newAdmission(plan *compiledPlan, d *domain, traced bool) *Admission {
 	adm := admissionPool.Get().(*Admission)
 	adm.admitted = plan.aspects
 	adm.plan = plan
 	adm.d = d
 	adm.traced = traced
-	adm.fast = fast
 	return adm
 }
 
@@ -273,13 +274,71 @@ var (
 	_ Admitter = (*Reference)(nil)
 )
 
-// compLayer is one layer of the published composition snapshot: the
-// mutable bank (touched only under the admin mutex) together with the
-// bank contents as of the snapshot's publication.
+// compLayer is one layer of the published composition snapshot.
 type compLayer struct {
-	name string
-	bank *bank.Bank
-	snap *bank.Snapshot
+	name    string
+	aspects bank
+}
+
+// bank is one layer's aspect bank — the paper's two-dimensional (method ×
+// kind) registry (Figure 9): per participating method, the aspects in
+// registration order, which fixes evaluation order within the layer. A
+// bank is immutable once published; with and without build the next one.
+// Entry slices are shared between successive banks and never written in
+// place.
+type bank map[string][]bankEntry
+
+// bankEntry is one cell occupant: an aspect at coordinates (method, kind).
+type bankEntry struct {
+	kind aspect.Kind
+	a    aspect.Aspect
+}
+
+// with returns a copy of b with a appended at (method, kind).
+func (b bank) with(method string, kind aspect.Kind, a aspect.Aspect) bank {
+	next := make(bank, len(b)+1)
+	maps.Copy(next, b)
+	es := b[method]
+	next[method] = append(es[:len(es):len(es)], bankEntry{kind: kind, a: a})
+	return next
+}
+
+// without returns a copy of b with every aspect at (method, kind) removed,
+// and how many were removed; b itself when there were none. A method
+// whose last aspect goes leaves the bank.
+func (b bank) without(method string, kind aspect.Kind) (bank, int) {
+	var keep []bankEntry
+	for _, e := range b[method] {
+		if e.kind != kind {
+			keep = append(keep, e)
+		}
+	}
+	removed := len(b[method]) - len(keep)
+	if removed == 0 {
+		return b, 0
+	}
+	next := maps.Clone(b)
+	if len(keep) == 0 {
+		delete(next, method)
+	} else {
+		next[method] = keep
+	}
+	return next, removed
+}
+
+// validateRegistration refuses a registration no bank cell can hold: an
+// empty method, an invalid kind, or a nil aspect.
+func validateRegistration(component, method string, kind aspect.Kind, a aspect.Aspect) error {
+	if method == "" {
+		return fmt.Errorf("moderator %s: register %q/%q: empty method", component, method, kind)
+	}
+	if err := kind.Validate(); err != nil {
+		return fmt.Errorf("moderator %s: register %q: %w", component, method, err)
+	}
+	if a == nil {
+		return fmt.Errorf("moderator %s: register %s/%s: nil aspect", component, method, kind)
+	}
+	return nil
 }
 
 // planEntry is one aspect of a compiled plan, with the layer and bank
@@ -303,6 +362,12 @@ type planLayer struct {
 // carry, the method's admission domain, the pure classification, and the
 // union of the aspects' wake targets. Plans are immutable once published;
 // the hot path reaches one with a single snapshot Load and map lookup.
+//
+// Every wake target of a plan lives in the plan's domain d: RegisterIn
+// merges each wake span into the registering method's domain or refuses
+// the registration, and merges move whole domains, so nothing splits the
+// span later. That is why an impure plan may always try the guard cell
+// and why post-activation wakes its targets under d's mutex alone.
 type compiledPlan struct {
 	method  string
 	entries []planEntry
@@ -319,42 +384,54 @@ type compiledPlan struct {
 	// never park a caller and touches no cross-invocation guard state, so
 	// the lock-free fast path may run it.
 	pure bool
-	// optimistic means the (impure) stack is eligible for the optimistic
-	// guard-cell path: its guard state is confined to its own domain's
-	// cell, i.e. every declared wake target maps to the plan's domain.
-	// Auto-grouping makes that the common case; a plan whose wake span
-	// crosses domains conservatively keeps the mutex path.
-	optimistic bool
 	// wakeTargets is the sorted, deduplicated union of the entries'
 	// non-empty Waker lists; targeted is true when any entry declared one.
 	// Precomputing the union is sound because Wakes() lists are static
 	// declarations of guard-state span, not per-invocation decisions.
 	wakeTargets []string
 	targeted    bool
-	// sharedAdm is the one receipt every fast-path admission of a pure
-	// plan returns. A fast-path receipt carries no per-invocation state —
-	// every field is determined by the plan — so all concurrent admissions
-	// can share this immutable instance and the fast path never touches
-	// the receipt pool. Nil for impure plans.
+	// sharedAdm is the one receipt every lock-free admission of the plan
+	// returns. A lock-free receipt carries no per-invocation state — every
+	// field is determined by the plan (lock-free admissions only run with
+	// no tracer installed, so traced is always false) — so all concurrent
+	// admissions can share this immutable instance and the lock-free
+	// routes never touch the receipt pool.
 	sharedAdm *Admission
 }
 
 // compState is the immutable composition snapshot: the layer list,
-// outermost first, with each layer's bank contents fixed at publication
-// time, plus the per-method compiled plans resolved from those contents.
-// One atomic Load yields a mutually consistent view of everything.
+// outermost first, each with its bank, plus the per-method compiled plans
+// resolved from those banks (nil in a Reference). One atomic Load yields a
+// mutually consistent view of everything.
 type compState struct {
 	layers []compLayer
 	plans  map[string]*compiledPlan
 }
 
-func (cs *compState) find(name string) *compLayer {
-	for i := range cs.layers {
-		if cs.layers[i].name == name {
-			return &cs.layers[i]
-		}
+// layer returns the index of the named layer, or -1.
+func (cs *compState) layer(name string) int {
+	return slices.IndexFunc(cs.layers, func(l compLayer) bool { return l.name == name })
+}
+
+// withBank returns a copy of the layer list with layer i's bank replaced.
+func (cs *compState) withBank(i int, b bank) []compLayer {
+	layers := slices.Clone(cs.layers)
+	layers[i].aspects = b
+	return layers
+}
+
+// withLayer returns a copy of the layer list with a new, empty layer
+// added at pos.
+func (cs *compState) withLayer(name string, pos Position) []compLayer {
+	if pos == Innermost {
+		return append(slices.Clone(cs.layers), compLayer{name: name})
 	}
-	return nil
+	return append([]compLayer{{name: name}}, cs.layers...)
+}
+
+// withoutLayer returns a copy of the layer list without the named layer.
+func (cs *compState) withoutLayer(name string) []compLayer {
+	return slices.DeleteFunc(slices.Clone(cs.layers), func(l compLayer) bool { return l.name == name })
 }
 
 // domain is one admission domain: the mutex, wait queues, sticky-ticket
@@ -363,8 +440,8 @@ func (cs *compState) find(name string) *compLayer {
 // hot synchronization words of one domain do not false-share with each
 // other: the mutex (spun on by the parking path), the guard cell (spun on
 // by the optimistic path), the admission counters (written on every
-// admission), and the reclamation pins (written on every pre-activation)
-// each get their own line. padding_test.go audits the offsets.
+// admission), and the optimistic-path counters each get their own line.
+// padding_test.go audits the offsets.
 type domain struct {
 	id        uint64
 	mu        sync.Mutex
@@ -398,14 +475,7 @@ type domain struct {
 	optFallbacks atomic.Uint64
 	optConflicts atomic.Uint64
 
-	_ [64]byte // pad: optimistic counters vs reclamation pins
-
-	// pins count in-flight pre-activations by reclamation era slot
-	// (era % reclaimSlots); a retired composition snapshot is reclaimed
-	// only once its era's slot is quiescent in every domain (reclaim.go).
-	pins [reclaimSlots]atomic.Int64
-
-	_ [64]byte // pad: pins vs the next heap object (likely another domain's mutex word)
+	_ [64]byte // pad: optimistic counters vs the next heap object (likely another domain's mutex word)
 }
 
 func newDomain() *domain {
@@ -478,15 +548,6 @@ type Moderator struct {
 	// post-action time — the state-handoff replication hook (effects.go).
 	effects atomic.Pointer[effectBox]
 
-	// reclaimEra numbers composition retirements: it advances once per
-	// snapshot superseded, and pre-activations pin the era they run under
-	// so retired snapshots can be reclaimed at quiescence (reclaim.go).
-	reclaimEra atomic.Uint64
-	// retired holds superseded snapshots awaiting quiescence, and
-	// reclaimed counts snapshots already released; both guarded by admin.
-	retired   []retiredComp
-	reclaimed uint64
-
 	// admitHook, when set, is a test-only instrumentation hook called at
 	// the optimistic paths' racy windows (see optimistic.go). Reading it
 	// costs the hot path one atomic load and a branch, the same gate
@@ -511,8 +572,7 @@ type Moderator struct {
 // New creates a moderator for the named component with a single base layer.
 func New(name string, opts ...Option) *Moderator {
 	m := &Moderator{name: name, opts: buildOptions(opts)}
-	b := bank.New()
-	m.comp.Store(&compState{layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
+	m.comp.Store(&compState{layers: []compLayer{{name: BaseLayer}}})
 	m.domains.Store(&domainTable{byMethod: make(map[string]*domain)})
 	return m
 }
@@ -552,26 +612,22 @@ type RingStats struct {
 // RingStats always returns the zero value; see the type.
 func (m *Moderator) RingStats() RingStats { return RingStats{} }
 
-// republishLocked rebuilds and publishes the composition snapshot from the
-// layers' current bank contents, compiling one admission plan per guarded
-// method. The admin mutex must be held.
-func (m *Moderator) republishLocked(layers []compLayer) {
-	cur := m.comp.Load()
-	next := &compState{layers: make([]compLayer, len(layers))}
-	for i, l := range layers {
-		next.layers[i] = compLayer{name: l.name, bank: l.bank, snap: l.bank.Snapshot()}
-	}
-	next.plans = m.compilePlansLocked(next.layers)
-	m.comp.Store(next)
-	m.retireLocked(cur)
+// publishLocked publishes the layer list as the next composition
+// snapshot, compiling one admission plan per guarded method. The list and
+// its banks are never written again: the next mutation copies them. The
+// admin mutex must be held.
+func (m *Moderator) publishLocked(layers []compLayer) {
+	m.comp.Store(&compState{layers: layers, plans: m.compilePlansLocked(layers)})
 }
 
 // compilePlansLocked compiles one admission plan per method guarded by the
-// given layer snapshots. The admin mutex must be held.
+// given layers. The admin mutex must be held.
 func (m *Moderator) compilePlansLocked(layers []compLayer) map[string]*compiledPlan {
 	methods := make(map[string]bool)
-	for i := range layers {
-		layers[i].snap.EachMethod(func(meth string) { methods[meth] = true })
+	for _, l := range layers {
+		for meth := range l.aspects {
+			methods[meth] = true
+		}
 	}
 	plans := make(map[string]*compiledPlan, len(methods))
 	for meth := range methods {
@@ -581,23 +637,23 @@ func (m *Moderator) compilePlansLocked(layers []compLayer) map[string]*compiledP
 }
 
 // compilePlanLocked resolves one method's guard stack against the given
-// layer snapshots. The admin mutex must be held (the plan binds the
-// method's admission domain, creating it if needed).
+// layers. The admin mutex must be held (the plan binds the method's
+// admission domain, creating it if needed).
 func (m *Moderator) compilePlanLocked(layers []compLayer, method string) *compiledPlan {
 	p := &compiledPlan{method: method, pure: true}
 	for _, l := range layers {
-		entries := l.snap.ForMethod(method)
+		entries := l.aspects[method]
 		if len(entries) == 0 {
 			continue
 		}
 		lo := len(p.entries)
 		for _, e := range entries {
-			p.entries = append(p.entries, planEntry{layer: l.name, kind: e.Kind, a: e.Aspect})
-			p.aspects = append(p.aspects, e.Aspect)
-			if nb, ok := e.Aspect.(aspect.NonBlocking); !ok || !nb.NonBlocking() {
+			p.entries = append(p.entries, planEntry{layer: l.name, kind: e.kind, a: e.a})
+			p.aspects = append(p.aspects, e.a)
+			if nb, ok := e.a.(aspect.NonBlocking); !ok || !nb.NonBlocking() {
 				p.pure = false
 			}
-			if w, ok := e.Aspect.(aspect.Waker); ok {
+			if w, ok := e.a.(aspect.Waker); ok {
 				for _, t := range w.Wakes() {
 					if !containsString(p.wakeTargets, t) {
 						p.wakeTargets = append(p.wakeTargets, t)
@@ -607,29 +663,10 @@ func (m *Moderator) compilePlanLocked(layers []compLayer, method string) *compil
 		}
 		p.layers = append(p.layers, planLayer{name: l.name, lo: lo, hi: len(p.entries)})
 	}
-	sort.Strings(p.wakeTargets) // deterministic cross-domain wake order
+	sort.Strings(p.wakeTargets) // deterministic wake order
 	p.targeted = len(p.wakeTargets) > 0
 	p.d = m.domainForLocked(method)
-	if !p.pure && len(p.entries) > 0 {
-		p.optimistic = true
-		if p.targeted {
-			dt := m.domains.Load()
-			for _, t := range p.wakeTargets {
-				if dt.byMethod[t] != p.d {
-					p.optimistic = false
-					break
-				}
-			}
-		}
-	}
-	// Both fast paths commit with a shared receipt: a fast-path admission
-	// carries no per-invocation state (optimistic admissions only run with
-	// no tracer installed, so traced is always false), so one immutable
-	// receipt per plan serves every concurrent fast-path admission and the
-	// fast paths never touch the receipt pool.
-	if (p.pure || p.optimistic) && len(p.entries) > 0 {
-		p.sharedAdm = &Admission{admitted: p.aspects, plan: p, d: p.d, fast: true, shared: true}
-	}
+	p.sharedAdm = &Admission{admitted: p.aspects, plan: p, d: p.d, shared: true}
 	return p
 }
 
@@ -653,31 +690,33 @@ func (m *Moderator) Register(method string, kind aspect.Kind, a aspect.Aspect) e
 // and every wake target are merged into one admission domain (the wake
 // list of a guard is the span of its shared state).
 //
-// The interference checker (interference.go) vets the registration first:
+// An empty method, an invalid kind or a nil aspect is refused outright.
+// The interference checker (interference.go) then vets the registration:
 // a NonBlocking declaration that contradicts itself, a wake span joining
 // two domains that both already saw traffic, a stateful guard instance
 // already bound in another admission domain, or an instance already bound
-// to this method refuses it with an *InterferenceError. A refused registration changes nothing: no bank
-// entry, no domain merge, no published snapshot.
+// to this method refuses it with an *InterferenceError. A refused
+// registration changes nothing: no bank entry, no domain merge, no
+// published snapshot.
 func (m *Moderator) RegisterIn(layerName, method string, kind aspect.Kind, a aspect.Aspect) error {
+	if err := validateRegistration(m.name, method, kind, a); err != nil {
+		return err
+	}
 	m.admin.Lock()
 	defer m.admin.Unlock()
 	cs := m.comp.Load()
-	l := cs.find(layerName)
-	if l == nil {
+	i := cs.layer(layerName)
+	if i < 0 {
 		return fmt.Errorf("moderator %s: register %s/%s in %q: %w", m.name, method, kind, layerName, ErrNoSuchLayer)
 	}
 	merged, err := m.vetLocked(cs, method, kind, a)
 	if err != nil {
 		return err
 	}
-	if err := l.bank.Register(method, kind, a); err != nil {
-		return fmt.Errorf("moderator %s: %w", m.name, err)
-	}
 	if merged != nil {
 		m.domains.Store(merged)
 	}
-	m.republishLocked(cs.layers)
+	m.publishLocked(cs.withBank(i, cs.layers[i].aspects.with(method, kind, a)))
 	return nil
 }
 
@@ -688,13 +727,13 @@ func (m *Moderator) Unregister(layerName, method string, kind aspect.Kind) (int,
 	m.admin.Lock()
 	defer m.admin.Unlock()
 	cs := m.comp.Load()
-	l := cs.find(layerName)
-	if l == nil {
+	i := cs.layer(layerName)
+	if i < 0 {
 		return 0, fmt.Errorf("moderator %s: unregister from %q: %w", m.name, layerName, ErrNoSuchLayer)
 	}
-	n := l.bank.Unregister(method, kind)
+	b, n := cs.layers[i].aspects.without(method, kind)
 	if n > 0 {
-		m.republishLocked(cs.layers)
+		m.publishLocked(cs.withBank(i, b))
 	}
 	return n, nil
 }
@@ -711,21 +750,11 @@ func (m *Moderator) AddLayer(name string, pos Position) error {
 	}
 	m.admin.Lock()
 	defer m.admin.Unlock()
-	old := m.comp.Load()
-	if old.find(name) != nil {
+	cs := m.comp.Load()
+	if cs.layer(name) >= 0 {
 		return fmt.Errorf("moderator %s: add layer %q: %w", m.name, name, ErrLayerExists)
 	}
-	b := bank.New()
-	nl := compLayer{name: name, bank: b, snap: b.Snapshot()}
-	layers := make([]compLayer, 0, len(old.layers)+1)
-	if pos == Innermost {
-		layers = append(layers, old.layers...)
-		layers = append(layers, nl)
-	} else {
-		layers = append(layers, nl)
-		layers = append(layers, old.layers...)
-	}
-	m.republishLocked(layers)
+	m.publishLocked(cs.withLayer(name, pos))
 	return nil
 }
 
@@ -735,17 +764,11 @@ func (m *Moderator) AddLayer(name string, pos Position) error {
 func (m *Moderator) RemoveLayer(name string) error {
 	m.admin.Lock()
 	defer m.admin.Unlock()
-	old := m.comp.Load()
-	if old.find(name) == nil {
+	cs := m.comp.Load()
+	if cs.layer(name) < 0 {
 		return fmt.Errorf("moderator %s: remove layer %q: %w", m.name, name, ErrNoSuchLayer)
 	}
-	layers := make([]compLayer, 0, len(old.layers)-1)
-	for _, l := range old.layers {
-		if l.name != name {
-			layers = append(layers, l)
-		}
-	}
-	m.republishLocked(layers)
+	m.publishLocked(cs.withoutLayer(name))
 	return nil
 }
 
@@ -772,15 +795,19 @@ func (m *Moderator) groupLocked(methods []string) error {
 	}
 	m.domains.Store(next)
 	// Compiled plans bind each method's domain; re-publish so no plan
-	// keeps pointing at a merged-away domain.
-	m.republishLocked(m.comp.Load().layers)
+	// keeps pointing at a merged-away domain. The layers themselves are
+	// unchanged, so the next snapshot shares them.
+	m.publishLocked(m.comp.Load().layers)
 	return nil
 }
 
 // mergeLocked computes the domain table that puts the methods in one
-// admission domain, without publishing it. It returns nil when they
-// already share one, and wraps ErrDomainActive when two of their domains
-// both already saw traffic. The admin mutex must be held.
+// admission domain, without publishing it. Domains merge whole: every
+// method of a merged domain moves with the methods named, so a group
+// formed earlier (a wake span, a GroupMethods call) is never split. It
+// returns nil when the methods already share one domain, and wraps
+// ErrDomainActive when two of their domains both already saw traffic. The
+// admin mutex must be held.
 func (m *Moderator) mergeLocked(methods []string) (*domainTable, error) {
 	dt := m.domains.Load()
 	var distinct []*domain
@@ -824,6 +851,11 @@ func (m *Moderator) mergeLocked(methods []string) (*domainTable, error) {
 		return nil, nil
 	}
 	next := dt.clone()
+	for meth, d := range dt.byMethod {
+		if seen[d] {
+			next.byMethod[meth] = target
+		}
+	}
 	for _, meth := range methods {
 		next.byMethod[meth] = target
 	}
@@ -892,10 +924,14 @@ func (m *Moderator) Layers() []string {
 // in precondition evaluation order (outermost layer first, registration
 // order within a layer).
 func (m *Moderator) Aspects(method string) []aspect.Aspect {
+	return composedAspects(m.comp.Load(), method)
+}
+
+func composedAspects(cs *compState, method string) []aspect.Aspect {
 	var out []aspect.Aspect
-	for _, l := range m.comp.Load().layers {
-		for _, e := range l.snap.ForMethod(method) {
-			out = append(out, e.Aspect)
+	for _, l := range cs.layers {
+		for _, e := range l.aspects[method] {
+			out = append(out, e.a)
 		}
 	}
 	return out
@@ -931,12 +967,11 @@ func (m *Moderator) DescribeString() string {
 func describeComp(cs *compState) []LayerInfo {
 	out := make([]LayerInfo, 0, len(cs.layers))
 	for _, l := range cs.layers {
-		info := LayerInfo{Name: l.name, Methods: make(map[string][]AspectInfo, 4)}
-		for _, method := range l.snap.Methods() {
-			entries := l.snap.ForMethod(method)
+		info := LayerInfo{Name: l.name, Methods: make(map[string][]AspectInfo, len(l.aspects))}
+		for method, entries := range l.aspects {
 			aspects := make([]AspectInfo, 0, len(entries))
 			for _, e := range entries {
-				aspects = append(aspects, AspectInfo{Name: e.Aspect.Name(), Kind: e.Kind})
+				aspects = append(aspects, AspectInfo{Name: e.a.Name(), Kind: e.kind})
 			}
 			info.Methods[method] = aspects
 		}
@@ -1020,13 +1055,6 @@ func (m *Moderator) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 		return nil, nil
 	}
 	d := plan.d
-
-	// Pin the current reclamation era for the duration of the evaluation
-	// (including any parks): a retired composition snapshot is only
-	// declared reclaimed once its era's pin slot is quiescent in every
-	// domain (reclaim.go).
-	slot := &d.pins[m.reclaimEra.Load()%reclaimSlots]
-	slot.Add(1)
 
 	g := tb.gate(&d.traceTick)
 	var preStart time.Time
@@ -1207,7 +1235,7 @@ layers:
 				Nanos: time.Since(preStart).Nanoseconds()})
 		}
 		if r == routeMutex {
-			adm = newAdmission(plan, d, g.detail(), false)
+			adm = newAdmission(plan, d, g.detail())
 		} else {
 			// A lock-free admission carries no per-invocation state:
 			// every one of them shares the plan's immutable receipt.
@@ -1230,7 +1258,6 @@ layers:
 	if r == routeMutex {
 		d.mu.Unlock()
 	}
-	slot.Add(-1)
 	return adm, err
 }
 
@@ -1244,9 +1271,10 @@ layers:
 //
 // Postactions run under the invoked method's admission domain, on the same
 // three routes as pre-activation (a receipt admitted lock-free may complete
-// lock-free, subject to acquire's own re-check). On the mutex route, wake
-// targets inside the domain are notified while the domain mutex is still
-// held; targets in other domains are notified afterwards, one domain at a
+// lock-free, subject to acquire's own re-check). On the mutex route, the
+// plan's wake targets — all in the invoked method's domain (see
+// compiledPlan) — are notified while the domain mutex is still held; a
+// plan that declares no targets wakes every domain afterwards, one at a
 // time, so no two domain mutexes are ever held together. A lock-free
 // completion skips the fan-out: it read waiters == 0 with its hooks' whole
 // lock set held, so nobody is parked and there is nobody to wake.
@@ -1279,7 +1307,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		postStart = time.Now()
 	}
 
-	r := m.acquire(plan, d, adm.fast && tb == nil, hookOptimisticPost)
+	r := m.acquire(plan, d, adm.shared && tb == nil, hookOptimisticPost)
 	// Reverse admission order realizes the onion: the innermost layer's
 	// last-admitted aspect acts first, the outermost layer's first aspect
 	// acts last (paper Figure 14).
@@ -1312,7 +1340,6 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		// the wake fan-out, so it stays ordered with the domain's stream.
 		completeEvent(g.t, m.name, inv, d.id, time.Since(postStart).Nanoseconds())
 	}
-	dt := m.domains.Load()
 	releaseAdmission(adm)
 	// Only a NON-empty wake list counts as targeting: a passive aspect
 	// (metrics, audit) that merely happens to implement Waker with no
@@ -1321,25 +1348,10 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	// guard's parked callers. The union of the plan's wake lists was
 	// precomputed (sorted, deduplicated) at publish time.
 	if plan.targeted {
-		foreignFrom := -1
-		for i, meth := range plan.wakeTargets {
-			if dt.byMethod[meth] == d {
-				wakeMethodLocked(d, meth, m.opts.wakeMode)
-			} else if foreignFrom < 0 {
-				foreignFrom = i
-			}
+		for _, meth := range plan.wakeTargets {
+			wakeMethodLocked(d, meth, m.opts.wakeMode)
 		}
 		d.mu.Unlock()
-		if foreignFrom < 0 {
-			return
-		}
-		for _, meth := range plan.wakeTargets[foreignFrom:] {
-			if od := dt.byMethod[meth]; od != nil && od != d {
-				od.mu.Lock()
-				wakeMethodLocked(od, meth, m.opts.wakeMode)
-				od.mu.Unlock()
-			}
-		}
 		return
 	}
 	// No aspect declared wake targets: conservatively wake everything —
@@ -1349,7 +1361,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		wakeQueueLocked(q, m.opts.wakeMode)
 	}
 	d.mu.Unlock()
-	for _, od := range dt.all {
+	for _, od := range m.domains.Load().all {
 		if od == d {
 			continue
 		}

@@ -140,6 +140,40 @@ func TestWithinLayerOrdering(t *testing.T) {
 	}
 }
 
+func TestRegistrationOrderPreserved(t *testing.T) {
+	// Registration order holds across kinds, not grouped by kind: a and c
+	// share a bank cell, b sits between them. Preconditions run in that
+	// order, postactions in reverse, and Describe lists it.
+	m := New("comp")
+	tr := &trace{}
+	for _, n := range []string{"a", "b", "c"} {
+		kind := aspect.Kind("k-1")
+		if n == "b" {
+			kind = "k-2"
+		}
+		if err := m.Register("m", kind, tracer(tr, n, kind, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var described []string
+	for _, a := range m.Describe()[0].Methods["m"] {
+		described = append(described, a.Name)
+	}
+	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(described, want) {
+		t.Errorf("Describe order = %v, want %v", described, want)
+	}
+	i := inv("m")
+	adm, err := m.Preactivation(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Postactivation(i, adm)
+	want := []string{"a.pre:resume", "b.pre:resume", "c.pre:resume", "c.post", "b.post", "a.post"}
+	if got := tr.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("trace = %v, want %v", got, want)
+	}
+}
+
 func TestAbortUnwindsAdmittedAspects(t *testing.T) {
 	m := New("comp")
 	tr := &trace{}
@@ -517,6 +551,44 @@ func TestUnregisterStopsGuarding(t *testing.T) {
 		t.Fatalf("after unregister: %v", err)
 	}
 	m.Postactivation(i, adm)
+}
+
+func TestUnregister(t *testing.T) {
+	// Unregister empties one (method, kind) cell and reports how many
+	// aspects it held; the method's other cells keep guarding it.
+	m := New("comp")
+	denies := aspect.New("deny", "k", func(*aspect.Invocation) aspect.Verdict { return aspect.Abort }, nil)
+	for _, a := range []aspect.Aspect{denies, aspect.New("also-k", "k", nil, nil), aspect.New("other", "k2", nil, nil)} {
+		if err := m.Register("m", a.Kind(), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Preactivation(inv("m")); err == nil {
+		t.Fatal("expected abort while registered")
+	}
+	n, err := m.Unregister(BaseLayer, "m", "k")
+	if err != nil || n != 2 {
+		t.Fatalf("unregister = %d, %v; want 2 removed", n, err)
+	}
+	if n, err := m.Unregister(BaseLayer, "m", "k"); err != nil || n != 0 {
+		t.Fatalf("repeat unregister = %d, %v; want 0 removed", n, err)
+	}
+	i := inv("m")
+	adm, err := m.Preactivation(i)
+	if err != nil {
+		t.Fatalf("after unregister: %v", err)
+	}
+	if adm.Len() != 1 {
+		t.Errorf("admitted %d aspects, want only the k2 one", adm.Len())
+	}
+	m.Postactivation(i, adm)
+	// Removing the method's last aspect drops the method from the bank.
+	if n, err := m.Unregister(BaseLayer, "m", "k2"); err != nil || n != 1 {
+		t.Fatalf("unregister k2 = %d, %v; want 1 removed", n, err)
+	}
+	if methods := m.Describe()[0].Methods; len(methods) != 0 {
+		t.Errorf("Describe after the last unregister = %v, want no methods", methods)
+	}
 }
 
 func TestAspectsEvaluationOrderAccessor(t *testing.T) {

@@ -20,9 +20,10 @@
 // moderator-wide (a parked caller's wake-up must stay ordered with
 // completions, which the mutex route's fan-out provides). Every condition
 // that sends a guarded call to the mutex: tracer installed, m.waiters != 0
-// at the gate, plan not cell-eligible (wake span crosses domains), cell
-// tryLock lost (Conflicts), waiters appeared before the cell was won
-// (Fallbacks), or a Block verdict under the cell (Parks, the upgrade below).
+// at the gate, cell tryLock lost (Conflicts), waiters appeared before the
+// cell was won (Fallbacks), or a Block verdict under the cell (Parks, the
+// upgrade below). Every guarded plan may try the cell: its guard state,
+// wake targets included, lies in its own domain (see compiledPlan).
 //
 // The guardCell is a versioned spin-lock word (sequence counter; odd =
 // held) that serializes every guard-state access — preconditions,
@@ -123,20 +124,18 @@ func (m *Moderator) acquire(plan *compiledPlan, d *domain, lockFree bool, p admi
 		if plan.pure {
 			return routePure
 		}
-		if plan.optimistic {
-			m.callAdmitHook(p, d)
-			if !d.cell.tryLock() {
-				d.optConflicts.Add(1)
-			} else if m.waiters.Load() != 0 {
-				// Re-check under the cell: a caller that decided to park
-				// after the outer gate must increment m.waiters while
-				// holding the cell before it can reach the parked state,
-				// so this read is authoritative.
-				d.cell.unlock()
-				d.optFallbacks.Add(1)
-			} else {
-				return routeCell
-			}
+		m.callAdmitHook(p, d)
+		if !d.cell.tryLock() {
+			d.optConflicts.Add(1)
+		} else if m.waiters.Load() != 0 {
+			// Re-check under the cell: a caller that decided to park
+			// after the outer gate must increment m.waiters while
+			// holding the cell before it can reach the parked state, so
+			// this read is authoritative.
+			d.cell.unlock()
+			d.optFallbacks.Add(1)
+		} else {
+			return routeCell
 		}
 	}
 	d.mu.Lock()

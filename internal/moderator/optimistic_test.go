@@ -3,8 +3,7 @@ package moderator
 // Tests for the optimistic guard-cell admission path (optimistic.go):
 // the happy path and its counters, the tracer gate, the two racy-window
 // regression tests for the PR 2 stranded-caller bug class on the new
-// path, the waiter gate of the pure route, and era-pinned snapshot
-// reclamation (reclaim.go).
+// path, and the waiter gate of the pure route.
 
 import (
 	"context"
@@ -77,7 +76,7 @@ func TestOptimisticGuardedAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if adm == nil || !adm.shared || !adm.fast {
+		if adm == nil || !adm.shared {
 			t.Fatalf("round %d: want the plan's shared fast receipt, got %+v", i, adm)
 		}
 		m.Postactivation(inv, adm)
@@ -326,91 +325,6 @@ func TestOptimisticCancelWhileParked(t *testing.T) {
 	}
 }
 
-func TestReclaimChurnDrains(t *testing.T) {
-	m := New("reclaim")
-	occupancy := optSemStack(t, m)
-	inv := aspect.NewInvocation(context.Background(), "reclaim", "m", nil)
-	const churns = 10
-	for i := 0; i < churns; i++ {
-		if err := m.RegisterIn(BaseLayer, "m", aspect.KindMetrics, &aspect.Func{
-			AspectName: "churn", AspectKind: aspect.KindMetrics, NonBlockingFlag: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		adm, err := m.Preactivation(inv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Postactivation(inv, adm)
-		if _, err := m.Unregister(BaseLayer, "m", aspect.KindMetrics); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs := m.TryReclaim()
-	if rs.Pending != 0 {
-		t.Fatalf("quiescent moderator still holds %d retired snapshots: %+v", rs.Pending, rs)
-	}
-	if rs.Era < 2*churns || rs.Reclaimed != rs.Retired {
-		t.Fatalf("reclaim stats = %+v, want era >= %d and everything reclaimed", rs, 2*churns)
-	}
-	if got := occupancy(); got != 0 {
-		t.Fatalf("semaphore leaked %d admissions", got)
-	}
-}
-
-// TestReclaimParkedCallerPins: a caller parked mid-pre-activation holds
-// its era pin, so the snapshot it admitted under survives republication
-// until the caller returns; afterwards the retired list drains to empty.
-func TestReclaimParkedCallerPins(t *testing.T) {
-	m := New("reclaim")
-	occupancy := optSemStack(t, m)
-
-	invA := aspect.NewInvocation(context.Background(), "reclaim", "m", nil)
-	admA, err := m.Preactivation(invA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { // parks under the current snapshot, pinning its era
-		inv := aspect.NewInvocation(context.Background(), "reclaim", "m", nil)
-		adm, err := m.Preactivation(inv)
-		if err == nil {
-			m.Postactivation(inv, adm)
-		}
-		done <- err
-	}()
-	waitWaiting(t, m, "m", 1)
-
-	if err := m.RegisterIn(BaseLayer, "m", aspect.KindMetrics, &aspect.Func{
-		AspectName: "churn", AspectKind: aspect.KindMetrics, NonBlockingFlag: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rs := m.TryReclaim()
-	if rs.Pending == 0 {
-		t.Fatalf("retired snapshot reclaimed while a parked caller pins its era: %+v", rs)
-	}
-
-	m.Postactivation(invA, admA)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rs = m.TryReclaim()
-		if rs.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retired snapshots never drained: %+v", rs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := occupancy(); got != 0 {
-		t.Fatalf("semaphore leaked %d admissions", got)
-	}
-}
-
 // TestWaiterKeepsPureStackOffFastPath pins the fast-path gate for the pure
 // route: a caller parked on one method must force an admission of a pure
 // stack on another method onto the mutex path, whose conservative
@@ -459,7 +373,7 @@ func TestWaiterKeepsPureStackOffFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adm.fast {
+	if adm.shared {
 		t.Error("pure admission took the fast path with a caller parked")
 	}
 	m.Postactivation(i, adm)

@@ -2,8 +2,8 @@ package moderator
 
 // False-sharing audit for the admission hot structures. The domain struct
 // groups its synchronization words into cache-line-padded sections — the
-// parking mutex, the optimistic guard cell, the admission counters, the
-// optimistic-path counters, and the reclamation pins — because on a
+// parking mutex, the optimistic guard cell, the admission counters and the
+// optimistic-path counters — because on a
 // multi-socket box a spinning guardCell.tryLock and a mutex futex word on
 // the same line would ping-pong it between cores on every admission. The
 // audit pins the layout with unsafe.Offsetof so an innocent field
@@ -24,7 +24,6 @@ func TestDomainPaddingAudit(t *testing.T) {
 	offCell := unsafe.Offsetof(d.cell)
 	offAdm := unsafe.Offsetof(d.admissions)
 	offOpt := unsafe.Offsetof(d.optAdmits)
-	offPins := unsafe.Offsetof(d.pins)
 
 	groups := []struct {
 		name string
@@ -34,7 +33,6 @@ func TestDomainPaddingAudit(t *testing.T) {
 		{"cell", offCell},
 		{"admissions", offAdm},
 		{"optAdmits", offOpt},
-		{"pins", offPins},
 	}
 	for i := 0; i < len(groups); i++ {
 		for j := i + 1; j < len(groups); j++ {
@@ -47,15 +45,17 @@ func TestDomainPaddingAudit(t *testing.T) {
 
 	// The trailing group members must not spill onto the next group's
 	// line either: the last mutex-section field is ticketSeq, the last
-	// stat is traceTick, the last optimistic counter is optConflicts.
+	// stat is traceTick. The last optimistic counter, optConflicts, must
+	// be followed by a full line of pad, so it shares no line with the
+	// next heap object (likely another domain's mutex word).
 	if end := unsafe.Offsetof(d.ticketSeq) + unsafe.Sizeof(d.ticketSeq); line(end-1) == line(offCell) {
 		t.Errorf("ticketSeq (ends %d) spills onto the guard cell's line", end)
 	}
 	if end := unsafe.Offsetof(d.traceTick) + unsafe.Sizeof(d.traceTick); line(end-1) == line(offOpt) {
 		t.Errorf("traceTick (ends %d) spills onto the optimistic counters' line", end)
 	}
-	if end := unsafe.Offsetof(d.optConflicts) + unsafe.Sizeof(d.optConflicts); line(end-1) == line(offPins) {
-		t.Errorf("optConflicts (ends %d) spills onto the pins' line", end)
+	if end := unsafe.Offsetof(d.optConflicts) + unsafe.Sizeof(d.optConflicts); unsafe.Sizeof(d)-end < cacheLine {
+		t.Errorf("only %d bytes of trailing pad after optConflicts (ends %d), want >= %d", unsafe.Sizeof(d)-end, end, cacheLine)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestModeratorWaitersPadding(t *testing.T) {
 		sz   uintptr
 	}{
 		{"admitHook", unsafe.Offsetof(m.admitHook), unsafe.Sizeof(m.admitHook)},
-		{"reclaimEra", unsafe.Offsetof(m.reclaimEra), unsafe.Sizeof(m.reclaimEra)},
+		{"effects", unsafe.Offsetof(m.effects), unsafe.Sizeof(m.effects)},
 		{"comp", unsafe.Offsetof(m.comp), unsafe.Sizeof(m.comp)},
 		{"domains", unsafe.Offsetof(m.domains), unsafe.Sizeof(m.domains)},
 	} {

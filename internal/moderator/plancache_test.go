@@ -1,7 +1,7 @@
 package moderator
 
 // Compiled-plan cache invalidation. Plans are resolved at publish time
-// (republishLocked), so every composition mutation — RegisterIn,
+// (publishLocked), so every composition mutation — RegisterIn,
 // Unregister, AddLayer, RemoveLayer, GroupMethods — must atomically
 // replace the plan a NEW invocation resolves, while in-flight invocations
 // keep the snapshot they loaded. The deterministic tests below pin each
@@ -27,28 +27,40 @@ import (
 )
 
 // planMismatch re-resolves every method of m's published composition
-// snapshot straight from its layers' bank snapshots and reports the first
-// way the compiled plans disagree: a guarded method with no plan, plan
-// entries (layer and aspect name, in order) that differ from a fresh walk
-// of the layers, or a wake-target list that is not the sorted union of the
+// snapshot straight from its layers' banks and reports the first way the
+// compiled plans disagree: a guarded method with no plan, plan entries
+// (layer and aspect name, in order) that differ from a fresh walk of the
+// layers, or a wake-target list that is not the sorted union of the
 // entries' wake spans. Both sides read one immutable snapshot, so any
-// difference is a plan-compiler defect.
+// difference is a plan-compiler defect. It also checks the invariant
+// post-activation's wake fan-out relies on: every plan's method and every
+// one of its wake targets map to the plan's domain in the current domain
+// table.
 func planMismatch(m *Moderator) error {
 	cs := m.comp.Load()
+	dt := m.domains.Load()
 	for _, l := range cs.layers {
-		for _, meth := range l.snap.Methods() {
+		for meth := range l.aspects {
 			if cs.plans[meth] == nil {
 				return fmt.Errorf("method %q is guarded in layer %q but has no plan", meth, l.name)
 			}
 		}
 	}
 	for meth, p := range cs.plans {
+		if dt.byMethod[meth] != p.d {
+			return fmt.Errorf("plan %q is bound to a domain the domain table no longer maps it to", meth)
+		}
+		for _, w := range p.wakeTargets {
+			if dt.byMethod[w] != p.d {
+				return fmt.Errorf("plan %q wakes %q outside its admission domain", meth, w)
+			}
+		}
 		var want, got []string
 		wakes := map[string]bool{}
 		for _, l := range cs.layers {
-			for _, e := range l.snap.ForMethod(meth) {
-				want = append(want, l.name+"/"+e.Aspect.Name())
-				for _, w := range wakeSpan(e.Aspect) {
+			for _, e := range l.aspects[meth] {
+				want = append(want, l.name+"/"+e.a.Name())
+				for _, w := range wakeSpan(e.a) {
 					wakes[w] = true
 				}
 			}
@@ -213,6 +225,34 @@ func TestPlanCacheRepointsDomainOnGrouping(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stale plan domain: kicked caller stayed parked")
+	}
+}
+
+// TestGroupingMovesWholeDomains: a merge moves every method of the merged
+// domains, not just the methods it names. Otherwise grouping one method of
+// a wake span into another, already active domain would split the span —
+// the guard's hooks would touch one guard state under two domain mutexes,
+// and its completions would wake a method outside their domain.
+func TestGroupingMovesWholeDomains(t *testing.T) {
+	t.Parallel()
+	for _, merge := range []func(m *Moderator) error{
+		func(m *Moderator) error { return m.GroupMethods("p", "c") },
+		func(m *Moderator) error {
+			return m.Register("c", aspect.KindSynchronization, &aspect.Func{
+				AspectName: "c-wakes-p", AspectKind: aspect.KindSynchronization, WakeList: []string{"p"}})
+		},
+	} {
+		m := New("plan")
+		mustRegister(t, m, "p", aspect.KindSynchronization, &aspect.Func{
+			AspectName: "p-wakes-q", AspectKind: aspect.KindSynchronization, WakeList: []string{"q"}})
+		admitComplete(t, m, "c") // c's domain is active, so it absorbs p's
+		if err := merge(m); err != nil {
+			t.Fatal(err)
+		}
+		assertPlansMatch(t, m)
+		if got, want := m.Domains(), [][]string{{"c", "p", "q"}}; !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("domains = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/aspect"
-	"repro/internal/bank"
 	"repro/internal/waitq"
 )
 
@@ -51,8 +50,7 @@ func NewReference(name string, opts ...Option) *Reference {
 		queues:   make(map[qkey]*waitq.Queue),
 		domainID: domainSeq.Add(1),
 	}
-	b := bank.New()
-	r.comp.Store(&compState{layers: []compLayer{{name: BaseLayer, bank: b, snap: b.Snapshot()}}})
+	r.comp.Store(&compState{layers: []compLayer{{name: BaseLayer}}})
 	return r
 }
 
@@ -69,16 +67,6 @@ func (r *Reference) Stats() Stats {
 	}
 }
 
-// republishLocked rebuilds and publishes the composition snapshot. r.mu
-// must be held.
-func (r *Reference) republishLocked(layers []compLayer) {
-	next := &compState{layers: make([]compLayer, len(layers))}
-	for i, l := range layers {
-		next.layers[i] = compLayer{name: l.name, bank: l.bank, snap: l.bank.Snapshot()}
-	}
-	r.comp.Store(next)
-}
-
 // Register stores an aspect at (method, kind) in the base layer.
 func (r *Reference) Register(method string, kind aspect.Kind, a aspect.Aspect) error {
 	return r.RegisterIn(BaseLayer, method, kind, a)
@@ -90,17 +78,17 @@ func (r *Reference) Register(method string, kind aspect.Kind, a aspect.Aspect) e
 // moderator checks for can occur: the differential oracle only registers
 // compositions that checker accepts.
 func (r *Reference) RegisterIn(layerName, method string, kind aspect.Kind, a aspect.Aspect) error {
+	if err := validateRegistration(r.name, method, kind, a); err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cs := r.comp.Load()
-	l := cs.find(layerName)
-	if l == nil {
+	i := cs.layer(layerName)
+	if i < 0 {
 		return fmt.Errorf("moderator %s: register %s/%s in %q: %w", r.name, method, kind, layerName, ErrNoSuchLayer)
 	}
-	if err := l.bank.Register(method, kind, a); err != nil {
-		return fmt.Errorf("moderator %s: %w", r.name, err)
-	}
-	r.republishLocked(cs.layers)
+	r.comp.Store(&compState{layers: cs.withBank(i, cs.layers[i].aspects.with(method, kind, a))})
 	return nil
 }
 
@@ -109,13 +97,13 @@ func (r *Reference) Unregister(layerName, method string, kind aspect.Kind) (int,
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cs := r.comp.Load()
-	l := cs.find(layerName)
-	if l == nil {
+	i := cs.layer(layerName)
+	if i < 0 {
 		return 0, fmt.Errorf("moderator %s: unregister from %q: %w", r.name, layerName, ErrNoSuchLayer)
 	}
-	n := l.bank.Unregister(method, kind)
+	b, n := cs.layers[i].aspects.without(method, kind)
 	if n > 0 {
-		r.republishLocked(cs.layers)
+		r.comp.Store(&compState{layers: cs.withBank(i, b)})
 	}
 	return n, nil
 }
@@ -127,21 +115,11 @@ func (r *Reference) AddLayer(name string, pos Position) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.comp.Load()
-	if old.find(name) != nil {
+	cs := r.comp.Load()
+	if cs.layer(name) >= 0 {
 		return fmt.Errorf("moderator %s: add layer %q: %w", r.name, name, ErrLayerExists)
 	}
-	b := bank.New()
-	nl := compLayer{name: name, bank: b, snap: b.Snapshot()}
-	layers := make([]compLayer, 0, len(old.layers)+1)
-	if pos == Innermost {
-		layers = append(layers, old.layers...)
-		layers = append(layers, nl)
-	} else {
-		layers = append(layers, nl)
-		layers = append(layers, old.layers...)
-	}
-	r.republishLocked(layers)
+	r.comp.Store(&compState{layers: cs.withLayer(name, pos)})
 	return nil
 }
 
@@ -150,17 +128,11 @@ func (r *Reference) AddLayer(name string, pos Position) error {
 func (r *Reference) RemoveLayer(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.comp.Load()
-	if old.find(name) == nil {
+	cs := r.comp.Load()
+	if cs.layer(name) < 0 {
 		return fmt.Errorf("moderator %s: remove layer %q: %w", r.name, name, ErrNoSuchLayer)
 	}
-	layers := make([]compLayer, 0, len(old.layers)-1)
-	for _, l := range old.layers {
-		if l.name != name {
-			layers = append(layers, l)
-		}
-	}
-	r.republishLocked(layers)
+	r.comp.Store(&compState{layers: cs.withoutLayer(name)})
 	return nil
 }
 
@@ -182,13 +154,7 @@ func (r *Reference) Layers() []string {
 
 // Aspects returns the aspects that would guard the given method right now.
 func (r *Reference) Aspects(method string) []aspect.Aspect {
-	var out []aspect.Aspect
-	for _, l := range r.comp.Load().layers {
-		for _, e := range l.snap.ForMethod(method) {
-			out = append(out, e.Aspect)
-		}
-	}
-	return out
+	return composedAspects(r.comp.Load(), method)
 }
 
 // Describe returns a structural snapshot of the whole composition, read
@@ -208,7 +174,7 @@ func (r *Reference) DescribeString() string {
 // resolution of the pre-sharding moderator.
 type resolvedLayer struct {
 	name    string
-	entries []bank.Entry
+	entries []bankEntry
 }
 
 // Preactivation evaluates preconditions layer by layer under the single
@@ -218,7 +184,7 @@ func (r *Reference) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 	plan := make([]resolvedLayer, 0, len(layers))
 	total := 0
 	for _, l := range layers {
-		entries := l.snap.ForMethod(inv.Method())
+		entries := l.aspects[inv.Method()]
 		if len(entries) > 0 {
 			plan = append(plan, resolvedLayer{name: l.name, entries: entries})
 			total += len(entries)
@@ -255,21 +221,21 @@ func (r *Reference) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 				if g.detail() {
 					hook0 = time.Now()
 				}
-				v := e.Aspect.Precondition(inv)
+				v := e.a.Precondition(inv)
 				if g.detail() {
 					g.t.Trace(TraceEvent{Op: TraceVerdict, Component: r.name, Method: inv.Method(),
-						Domain: r.domainID, Layer: l.name, Aspect: e.Aspect.Name(), Kind: e.Kind,
+						Domain: r.domainID, Layer: l.name, Aspect: e.a.Name(), Kind: e.kind,
 						Verdict: v, Invocation: inv.ID(), Nanos: time.Since(hook0).Nanoseconds()})
 				}
 				if v == aspect.Resume {
-					admitted = append(admitted, e.Aspect)
+					admitted = append(admitted, e.a)
 					continue
 				}
 				switch v {
 				case aspect.Block:
 					blocked = true
-					blockedKind = e.Kind
-					blockedBy = e.Aspect
+					blockedKind = e.kind
+					blockedBy = e.a
 				case aspect.Abort:
 					abortErr = inv.Err()
 					if abortErr == nil {
@@ -277,7 +243,7 @@ func (r *Reference) Preactivation(inv *aspect.Invocation) (*Admission, error) {
 					}
 				default:
 					abortErr = fmt.Errorf("moderator %s: aspect %q returned invalid verdict %v: %w",
-						r.name, e.Aspect.Name(), v, aspect.ErrAborted)
+						r.name, e.a.Name(), v, aspect.ErrAborted)
 				}
 				break
 			}

@@ -2,12 +2,15 @@ package moderator
 
 // Tests for the snapshot memory model: Describe must read the same
 // atomically-published composition snapshot as the admission hot path (no
-// torn view during layer churn), and Admission receipts must stay valid
-// across a concurrent RemoveLayer.
+// torn view during layer churn), Admission receipts must stay valid
+// across a concurrent RemoveLayer, and a superseded snapshot must be left
+// to the garbage collector.
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,6 +160,61 @@ func TestAdmissionReceiptSurvivesRemoveLayer(t *testing.T) {
 				t.Fatalf("events = %v, want [pre post]", events)
 			}
 		})
+	}
+}
+
+// TestSupersededSnapshotsAreCollected: the moderator keeps no reference to
+// a composition snapshot once a mutation supersedes it, so the garbage
+// collector frees every one — even while a caller stays parked through
+// all the churn. A parked caller holds the compiled plan it admits under,
+// not the snapshot it loaded.
+func TestSupersededSnapshotsAreCollected(t *testing.T) {
+	m := New("gc")
+	optSemStack(t, m)
+	holder := aspect.NewInvocation(context.Background(), "gc", "m", nil)
+	held, err := m.Preactivation(holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { // parks on the full semaphore until holder completes
+		inv := aspect.NewInvocation(context.Background(), "gc", "m", nil)
+		adm, err := m.Preactivation(inv)
+		if err == nil {
+			m.Postactivation(inv, adm)
+		}
+		done <- err
+	}()
+	waitWaiting(t, m, "m", 1)
+
+	const churns = 300
+	var freed atomic.Int64
+	churn := &aspect.Func{AspectName: "churn", AspectKind: aspect.KindMetrics, NonBlockingFlag: true}
+	for i := 0; i < churns; i++ {
+		runtime.SetFinalizer(m.comp.Load(), func(*compState) { freed.Add(1) })
+		var err error
+		if i%2 == 0 {
+			err = m.Register("other", aspect.KindMetrics, churn)
+		} else {
+			_, err = m.Unregister(BaseLayer, "other", aspect.KindMetrics)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < churns-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d superseded snapshots collected while a caller stayed parked",
+				freed.Load(), churns)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+
+	m.Postactivation(holder, held)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
