@@ -14,9 +14,12 @@
 #                      route-equivalence tests, the composition write path
 #                      (plan-cache invalidation and churn, untorn Describe,
 #                      receipts across RemoveLayer, superseded snapshots
-#                      collected) and the waitq recycled-
-#                      waiter race, the obs event ring/histogram/churn
-#                      concurrency tests, five rounds of the invocation-
+#                      collected), the wake fan-out over a domain's queue
+#                      list, the waitq recycled-waiter race and the waitq
+#                      wake-order tests (each under a context that cannot
+#                      be cancelled and one that can), the obs event
+#                      ring/histogram/churn concurrency tests, five
+#                      rounds of the invocation-
 #                      recycling tests (a released record carries no
 #                      token, priority, barrier generation, ctx, args or
 #                      trace id into its next call — in process and over
@@ -92,7 +95,7 @@ lint:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestPlanCache|TestDescribeNeverTearsDuringChurn|TestAdmissionReceiptSurvivesRemoveLayer|TestSupersededSnapshotsAreCollected|TestCancelRaceRecycledWaiterCarriesNoToken' ./internal/moderator/ ./internal/waitq/
+	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestPlanCache|TestDescribeNeverTearsDuringChurn|TestAdmissionReceiptSurvivesRemoveLayer|TestSupersededSnapshotsAreCollected|TestWakeFanOut|TestCancelRaceRecycledWaiterCarriesNoToken|TestFIFOOrder|TestLIFOOrder|TestPriorityOrderWithFIFOTieBreak|TestBroadcastWakesAll' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestHistogramMergeRace|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocation|TestTraceIDsSoundUnderRecycling' ./internal/apps/ticket/ ./internal/aspects/coord/ ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken' ./internal/amrpc/

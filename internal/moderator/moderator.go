@@ -181,11 +181,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-type qkey struct {
-	method string
-	kind   aspect.Kind
-}
-
 // Admission is the receipt of a successful pre-activation: the aspects
 // admitted, in admission order. The caller passes it back to
 // Postactivation so the exact composition the invocation was admitted
@@ -445,8 +440,8 @@ func (cs *compState) withoutLayer(name string) []compLayer {
 type domain struct {
 	id        uint64
 	mu        sync.Mutex
-	queues    map[qkey]*waitq.Queue // guarded by mu
-	ticketSeq uint64                // guarded by mu
+	queues    queueList // guarded by mu
+	ticketSeq uint64    // guarded by mu
 
 	_ [64]byte // pad: mutex word vs guard cell
 
@@ -478,8 +473,65 @@ type domain struct {
 	_ [64]byte // pad: optimistic counters vs the next heap object (likely another domain's mutex word)
 }
 
+// queueList is a domain's wait queues in creation order, one per (method,
+// kind of the blocking aspect); the domain's mutex guards it. A domain
+// holds a handful of queues, so every reader walks the list: a lookup
+// compares a few strings instead of hashing a key, and a wake fan-out
+// visits the queues in a fixed order instead of starting a map iterator.
+type queueList []domainQueue
+
+type domainQueue struct {
+	method string
+	kind   aspect.Kind
+	q      *waitq.Queue
+}
+
+// find returns the queue of method and kind, or nil.
+func (l queueList) find(method string, kind aspect.Kind) *waitq.Queue {
+	for _, e := range l {
+		if e.method == method && e.kind == kind {
+			return e.q
+		}
+	}
+	return nil
+}
+
+// wake wakes the queues of one method.
+func (l queueList) wake(method string, mode WakeMode) {
+	for _, e := range l {
+		if e.method == method {
+			wakeQueueLocked(e.q, mode)
+		}
+	}
+}
+
+// wakeAll wakes every queue.
+func (l queueList) wakeAll(mode WakeMode) {
+	for _, e := range l {
+		wakeQueueLocked(e.q, mode)
+	}
+}
+
+// waiting counts the callers parked on the queues of one method.
+func (l queueList) waiting(method string) int {
+	n := 0
+	for _, e := range l {
+		if e.method == method {
+			n += e.q.Len()
+		}
+	}
+	return n
+}
+
+// stats adds each queue's counters to out, keyed by "method/kind".
+func (l queueList) stats(out map[string]waitq.Stats) {
+	for _, e := range l {
+		out[e.method+"/"+string(e.kind)] = e.q.Stats()
+	}
+}
+
 func newDomain() *domain {
-	return &domain{id: domainSeq.Add(1), queues: make(map[qkey]*waitq.Queue)}
+	return &domain{id: domainSeq.Add(1)}
 }
 
 // active reports whether the domain has ever admitted, parked, aborted, or
@@ -1349,7 +1401,7 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	// precomputed (sorted, deduplicated) at publish time.
 	if plan.targeted {
 		for _, meth := range plan.wakeTargets {
-			wakeMethodLocked(d, meth, m.opts.wakeMode)
+			d.queues.wake(meth, m.opts.wakeMode)
 		}
 		d.mu.Unlock()
 		return
@@ -1357,32 +1409,31 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	// No aspect declared wake targets: conservatively wake everything —
 	// every queue of every domain, preserving the single-mutex
 	// moderator's contract for aspects that never list their wakes.
-	for _, q := range d.queues {
-		wakeQueueLocked(q, m.opts.wakeMode)
-	}
+	d.queues.wakeAll(m.opts.wakeMode)
 	d.mu.Unlock()
 	for _, od := range m.domains.Load().all {
 		if od == d {
 			continue
 		}
 		od.mu.Lock()
-		for _, q := range od.queues {
-			wakeQueueLocked(q, m.opts.wakeMode)
-		}
+		od.queues.wakeAll(m.opts.wakeMode)
 		od.mu.Unlock()
 	}
 }
 
-// Kick wakes every caller blocked on the given method. External event
-// sources (timers refilling a rate limiter, a circuit breaker half-opening)
-// use it to re-trigger guard evaluation without a method completion.
+// Kick wakes the callers blocked on the given method, as a completion
+// that targets it would: every caller of each of the method's queues
+// under WakeBroadcast, one caller per queue under WakeSingle. External
+// event sources (timers refilling a rate limiter, a circuit breaker
+// half-opening) use it to re-trigger guard evaluation without a method
+// completion.
 func (m *Moderator) Kick(method string) {
 	d := m.domains.Load().byMethod[method]
 	if d == nil {
 		return // method never seen: nothing can be parked on it
 	}
 	d.mu.Lock()
-	wakeMethodLocked(d, method, m.opts.wakeMode)
+	d.queues.wake(method, m.opts.wakeMode)
 	d.mu.Unlock()
 }
 
@@ -1394,13 +1445,7 @@ func (m *Moderator) Waiting(method string) int {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for k, q := range d.queues {
-		if k.method == method {
-			n += q.Len()
-		}
-	}
-	return n
+	return d.queues.waiting(method)
 }
 
 // QueueStats returns per-queue counters keyed by "method/kind", across all
@@ -1410,22 +1455,10 @@ func (m *Moderator) QueueStats() map[string]waitq.Stats {
 	out := make(map[string]waitq.Stats)
 	for _, d := range dt.all {
 		d.mu.Lock()
-		for k, q := range d.queues {
-			out[k.method+"/"+string(k.kind)] = q.Stats()
-		}
+		d.queues.stats(out)
 		d.mu.Unlock()
 	}
 	return out
-}
-
-// wakeMethodLocked wakes the queues of one method. The domain's mutex must
-// be held.
-func wakeMethodLocked(d *domain, method string, mode WakeMode) {
-	for k, q := range d.queues {
-		if k.method == method {
-			wakeQueueLocked(q, mode)
-		}
-	}
 }
 
 func wakeQueueLocked(q *waitq.Queue, mode WakeMode) {
@@ -1442,12 +1475,11 @@ func wakeQueueLocked(q *waitq.Queue, mode WakeMode) {
 // OpenAuthenticationQueue). The queue is bound to its domain's mutex. The
 // domain's mutex must be held.
 func (m *Moderator) queueLocked(d *domain, method string, kind aspect.Kind) *waitq.Queue {
-	k := qkey{method: method, kind: kind}
-	q, ok := d.queues[k]
-	if !ok {
-		q = waitq.New(method+"/"+string(kind), m.opts.policy, &d.mu)
-		d.queues[k] = q
+	if q := d.queues.find(method, kind); q != nil {
+		return q
 	}
+	q := waitq.New(method+"/"+string(kind), m.opts.policy, &d.mu)
+	d.queues = append(d.queues, domainQueue{method: method, kind: kind, q: q})
 	return q
 }
 

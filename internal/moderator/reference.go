@@ -378,7 +378,9 @@ func (r *Reference) Postactivation(inv *aspect.Invocation, adm *Admission) {
 	}
 }
 
-// Kick wakes every caller blocked on the given method.
+// Kick wakes the callers blocked on the given method: every caller of each
+// of the method's queues under WakeBroadcast, one caller per queue under
+// WakeSingle.
 func (r *Reference) Kick(method string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -415,6 +417,11 @@ func (r *Reference) wakeMethodLocked(method string) {
 			wakeQueueLocked(q, r.opts.wakeMode)
 		}
 	}
+}
+
+type qkey struct {
+	method string
+	kind   aspect.Kind
 }
 
 func (r *Reference) queueLocked(method string, kind aspect.Kind) *waitq.Queue {

@@ -315,3 +315,159 @@ func TestWakeModeGroupedProducerConsumer(t *testing.T) {
 		}
 	}
 }
+
+// TestWakeFanOutReachesEveryQueueOfItsTargets: a domain keeps one queue per
+// (method, kind of the blocking aspect), and a completion's fan-out walks
+// them. One group {a, b, wake-a, wake-any}: a has a caller parked under a
+// synchronization guard and one under a scheduling guard, b has one. A
+// completion whose plan wakes only a must wake both of a's queues and none
+// of b's; a completion whose plan declares no targets must wake every
+// queue, including b's scheduling queue, first created after the earlier
+// completion. The parked callers' gates are opened before each
+// completion, so a queue that was woken shows as an admitted caller, and
+// one that was not as a caller still parked.
+func TestWakeFanOutReachesEveryQueueOfItsTargets(t *testing.T) {
+	modes := []struct {
+		name string
+		mode WakeMode
+	}{
+		{"broadcast", WakeBroadcast},
+		{"single", WakeSingle},
+	}
+	for _, impl := range wakeImpls {
+		for _, tc := range modes {
+			t.Run(impl.name+"/"+tc.name, func(t *testing.T) {
+				m := impl.mk(WithWakeMode(tc.mode))
+				if err := m.GroupMethods("a", "b", "wake-a", "wake-any"); err != nil {
+					t.Fatal(err)
+				}
+				// open[k] lets through the callers whose argument is k; it
+				// is read and written under the group's admission lock.
+				open := map[string]bool{}
+				gate := func(method string, kind aspect.Kind) {
+					key := method + "/" + string(kind)
+					if err := m.Register(method, kind, &aspect.Func{
+						AspectName: key + "-gate",
+						AspectKind: kind,
+						Pre: func(inv *aspect.Invocation) aspect.Verdict {
+							if inv.Arg(0) == key && !open[key] {
+								return aspect.Block
+							}
+							return aspect.Resume
+						},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gate("a", aspect.KindSynchronization)
+				gate("a", aspect.KindScheduling)
+				gate("b", aspect.KindSynchronization)
+				gate("b", aspect.KindScheduling)
+				if err := m.Register("wake-a", aspect.KindSynchronization, &aspect.Func{
+					AspectName: "wakes-a", AspectKind: aspect.KindSynchronization, WakeList: []string{"a"},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Register("wake-any", aspect.KindSynchronization, &aspect.Func{
+					AspectName: "wakes-nothing-declared", AspectKind: aspect.KindSynchronization,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if sm, ok := m.(*Moderator); ok {
+					if groups := sm.Domains(); len(groups) != 1 {
+						t.Fatalf("domains = %v, want one group", groups)
+					}
+				}
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				admitted := make(chan string, 4)
+				park := func(method, key string) {
+					go func() {
+						inv := aspect.NewInvocation(ctx, "wp", method, []any{key})
+						if _, err := m.Preactivation(inv); err == nil {
+							admitted <- key
+						}
+					}()
+				}
+				complete := func(method string) {
+					inv := aspect.NewInvocation(context.Background(), "wp", method, nil)
+					adm, err := m.Preactivation(inv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Postactivation(inv, adm)
+				}
+				openGates := func(keys ...string) {
+					mu := admissionLock(m, "a")
+					mu.Lock()
+					for _, k := range keys {
+						open[k] = true
+					}
+					mu.Unlock()
+				}
+				// wakes reads the wake-ups each queue has been sent; the
+				// fan-out runs inside Postactivation, so it is exact once
+				// Postactivation returns.
+				wakes := func() map[string]uint64 {
+					out := map[string]uint64{}
+					for k, s := range m.QueueStats() {
+						out[k] = s.Notifies + s.Broadcasts
+					}
+					return out
+				}
+				expectAdmitted := func(keys ...string) {
+					t.Helper()
+					want := map[string]bool{}
+					for _, k := range keys {
+						want[k] = true
+					}
+					for range keys {
+						select {
+						case k := <-admitted:
+							if !want[k] {
+								t.Fatalf("caller %q admitted, want only %v", k, keys)
+							}
+							delete(want, k)
+						case <-time.After(5 * time.Second):
+							t.Fatalf("callers %v never admitted", want)
+						}
+					}
+				}
+
+				park("a", "a/synchronization")
+				waitWaiting(t, m, "a", 1)
+				park("a", "a/scheduling")
+				park("b", "b/synchronization")
+				waitWaiting(t, m, "a", 2) // one caller under each kind
+				waitWaiting(t, m, "b", 1)
+
+				openGates("a/synchronization", "a/scheduling", "b/synchronization")
+				complete("wake-a")
+				if got := wakes(); got["a/synchronization"] != 1 || got["a/scheduling"] != 1 || got["b/synchronization"] != 0 {
+					t.Fatalf("after a completion that targets a, wake-ups per queue = %v; want 1 on each of a's queues, 0 on b's", got)
+				}
+				expectAdmitted("a/synchronization", "a/scheduling")
+				waitWaiting(t, m, "a", 0)
+				select {
+				case k := <-admitted:
+					t.Fatalf("caller %q admitted; the completion targeted only a", k)
+				case <-time.After(20 * time.Millisecond):
+				}
+				if n := m.Waiting("b"); n != 1 {
+					t.Fatalf("Waiting(b) = %d, want 1", n)
+				}
+
+				park("b", "b/scheduling") // its queue is created now
+				waitWaiting(t, m, "b", 2)
+				openGates("b/scheduling")
+				complete("wake-any")
+				if got := wakes(); got["b/synchronization"] != 1 || got["b/scheduling"] != 1 {
+					t.Fatalf("after a completion with no declared targets, wake-ups per queue = %v; want 1 on each of b's queues", got)
+				}
+				expectAdmitted("b/synchronization", "b/scheduling")
+				waitWaiting(t, m, "b", 0)
+			})
+		}
+	}
+}

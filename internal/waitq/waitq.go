@@ -149,6 +149,14 @@ func (q *Queue) Wait(ctx context.Context, priority int, ticket uint64) error {
 	q.waits.Add(1)
 
 	q.mu.Unlock()
+	if ctx.Done() == nil {
+		// The context can never be cancelled, so the wake token is the
+		// only way out: receive it without a select.
+		<-w.ch
+		q.mu.Lock()
+		waiterPool.Put(w)
+		return nil
+	}
 	select {
 	case <-w.ch:
 		q.mu.Lock()

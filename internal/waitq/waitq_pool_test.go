@@ -34,46 +34,58 @@ func spinForLen(t *testing.T, q *Queue, mu *sync.Mutex, n int) {
 
 // TestParkAllocatesNothing pins the waiter pool: one park + notify round
 // trip, repeated, allocates nothing once the pool and the queue's slice are
-// warm.
+// warm — on both wait paths: a context with no Done channel (Background,
+// and a value-only child of it) parks on a plain receive, a cancellable
+// one selects on the wake token and ctx.Done().
 func TestParkAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	var mu sync.Mutex
-	q := New("q", FIFO, &mu)
-	ctx := context.Background()
-	var parks, stop atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		mu.Lock()
-		defer mu.Unlock()
-		for stop.Load() == 0 {
-			if err := q.Wait(ctx, 0, 1); err != nil {
-				t.Errorf("wait: %v", err)
-				return
+	type ctxKey struct{}
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []parkContext{
+		{"background", context.Background()},
+		{"value", context.WithValue(context.Background(), ctxKey{}, 1)},
+		{"cancellable", cancellable},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			q := New("q", FIFO, &mu)
+			var parks, stop atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				mu.Lock()
+				defer mu.Unlock()
+				for stop.Load() == 0 {
+					if err := q.Wait(c.ctx, 0, 1); err != nil {
+						t.Errorf("wait: %v", err)
+						return
+					}
+					parks.Add(1)
+				}
+			}()
+			roundTrip := func() {
+				want := parks.Load() + 1
+				for woke := false; parks.Load() < want; runtime.Gosched() {
+					mu.Lock()
+					if !woke && q.Len() == 1 {
+						q.Notify()
+						woke = true
+					}
+					mu.Unlock()
+				}
 			}
-			parks.Add(1)
-		}
-	}()
-	roundTrip := func() {
-		want := parks.Load() + 1
-		for woke := false; parks.Load() < want; runtime.Gosched() {
-			mu.Lock()
-			if !woke && q.Len() == 1 {
-				q.Notify()
-				woke = true
+			roundTrip() // warm the pool and the waiters slice
+			if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+				t.Errorf("park + notify round trip allocates %.2f times, want 0", avg)
 			}
-			mu.Unlock()
-		}
+			stop.Store(1)
+			roundTrip()
+			<-done
+		})
 	}
-	roundTrip() // warm the pool and the waiters slice
-	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
-		t.Errorf("park + notify round trip allocates %.2f times, want 0", avg)
-	}
-	stop.Store(1)
-	roundTrip()
-	<-done
 }
 
 // TestCancelRaceRecycledWaiterCarriesNoToken re-runs the notify-vs-cancel

@@ -48,6 +48,22 @@ func waitForLen(t *testing.T, q *Queue, mu *sync.Mutex, n int) {
 	}
 }
 
+// parkContext is a context a wait is tested under, with its subtest name.
+type parkContext struct {
+	name string
+	ctx  context.Context
+}
+
+// parkContexts returns one context that can never be cancelled, under
+// which Wait receives its wake token alone, and one that can, under which
+// Wait selects on the token and ctx.Done(). Wake order must not depend on
+// which of the two a caller parked under.
+func parkContexts(t *testing.T) []parkContext {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return []parkContext{{"background", context.Background()}, {"cancellable", ctx}}
+}
+
 func TestPolicyString(t *testing.T) {
 	cases := map[Policy]string{FIFO: "fifo", LIFO: "lifo", Priority: "priority", Policy(9): "policy(9)"}
 	for p, want := range cases {
@@ -96,108 +112,124 @@ func TestNotifyOnEmptyQueueIsNoop(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	var mu sync.Mutex
-	q := New("q", FIFO, &mu)
-	var dones []<-chan error
-	for i := 0; i < 3; i++ {
-		dones = append(dones, startWaiter(q, &mu, context.Background(), 0))
-		waitForLen(t, q, &mu, i+1)
-	}
-	// Wake one at a time; FIFO must release in arrival order.
-	for i := 0; i < 3; i++ {
-		mu.Lock()
-		q.Notify()
-		mu.Unlock()
-		select {
-		case err := <-dones[i]:
-			if err != nil {
-				t.Fatalf("waiter %d: %v", i, err)
+	for _, c := range parkContexts(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			q := New("q", FIFO, &mu)
+			var dones []<-chan error
+			for i := 0; i < 3; i++ {
+				dones = append(dones, startWaiter(q, &mu, c.ctx, 0))
+				waitForLen(t, q, &mu, i+1)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter %d not woken in FIFO order", i)
-		}
-		// Later waiters must still be parked.
-		for j := i + 1; j < 3; j++ {
-			select {
-			case <-dones[j]:
-				t.Fatalf("waiter %d woke before its turn", j)
-			default:
+			// Wake one at a time; FIFO must release in arrival order.
+			for i := 0; i < 3; i++ {
+				mu.Lock()
+				q.Notify()
+				mu.Unlock()
+				select {
+				case err := <-dones[i]:
+					if err != nil {
+						t.Fatalf("waiter %d: %v", i, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("waiter %d not woken in FIFO order", i)
+				}
+				// Later waiters must still be parked.
+				for j := i + 1; j < 3; j++ {
+					select {
+					case <-dones[j]:
+						t.Fatalf("waiter %d woke before its turn", j)
+					default:
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestLIFOOrder(t *testing.T) {
-	var mu sync.Mutex
-	q := New("q", LIFO, &mu)
-	var dones []<-chan error
-	for i := 0; i < 3; i++ {
-		dones = append(dones, startWaiter(q, &mu, context.Background(), 0))
-		waitForLen(t, q, &mu, i+1)
-	}
-	for i := 2; i >= 0; i-- {
-		mu.Lock()
-		q.Notify()
-		mu.Unlock()
-		select {
-		case err := <-dones[i]:
-			if err != nil {
-				t.Fatalf("waiter %d: %v", i, err)
+	for _, c := range parkContexts(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			q := New("q", LIFO, &mu)
+			var dones []<-chan error
+			for i := 0; i < 3; i++ {
+				dones = append(dones, startWaiter(q, &mu, c.ctx, 0))
+				waitForLen(t, q, &mu, i+1)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter %d not woken in LIFO order", i)
-		}
+			for i := 2; i >= 0; i-- {
+				mu.Lock()
+				q.Notify()
+				mu.Unlock()
+				select {
+				case err := <-dones[i]:
+					if err != nil {
+						t.Fatalf("waiter %d: %v", i, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("waiter %d not woken in LIFO order", i)
+				}
+			}
+		})
 	}
 }
 
 func TestPriorityOrderWithFIFOTieBreak(t *testing.T) {
-	var mu sync.Mutex
-	q := New("q", Priority, &mu)
-	// Arrival order: prio 1, prio 5 (a), prio 5 (b), prio 3.
-	prios := []int{1, 5, 5, 3}
-	var dones []<-chan error
-	for i, p := range prios {
-		dones = append(dones, startWaiter(q, &mu, context.Background(), p))
-		waitForLen(t, q, &mu, i+1)
-	}
-	// Expected wake order: index 1 (prio5 first-arrived), 2 (prio5), 3 (prio3), 0 (prio1).
-	order := []int{1, 2, 3, 0}
-	for _, idx := range order {
-		mu.Lock()
-		q.Notify()
-		mu.Unlock()
-		select {
-		case err := <-dones[idx]:
-			if err != nil {
-				t.Fatalf("waiter %d: %v", idx, err)
+	for _, c := range parkContexts(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			q := New("q", Priority, &mu)
+			// Arrival order: prio 1, prio 5 (a), prio 5 (b), prio 3.
+			prios := []int{1, 5, 5, 3}
+			var dones []<-chan error
+			for i, p := range prios {
+				dones = append(dones, startWaiter(q, &mu, c.ctx, p))
+				waitForLen(t, q, &mu, i+1)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter %d not woken in priority order", idx)
-		}
+			// Expected wake order: index 1 (prio5 first-arrived), 2 (prio5), 3 (prio3), 0 (prio1).
+			order := []int{1, 2, 3, 0}
+			for _, idx := range order {
+				mu.Lock()
+				q.Notify()
+				mu.Unlock()
+				select {
+				case err := <-dones[idx]:
+					if err != nil {
+						t.Fatalf("waiter %d: %v", idx, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("waiter %d not woken in priority order", idx)
+				}
+			}
+		})
 	}
 }
 
 func TestBroadcastWakesAll(t *testing.T) {
-	var mu sync.Mutex
-	q := New("q", FIFO, &mu)
-	var dones []<-chan error
-	for i := 0; i < 5; i++ {
-		dones = append(dones, startWaiter(q, &mu, context.Background(), 0))
-	}
-	waitForLen(t, q, &mu, 5)
-	mu.Lock()
-	q.Broadcast()
-	if q.Len() != 0 {
-		t.Errorf("queue not drained after broadcast: %d", q.Len())
-	}
-	mu.Unlock()
-	for i, d := range dones {
-		if err := <-d; err != nil {
-			t.Errorf("waiter %d: %v", i, err)
-		}
-	}
-	if s := q.Stats(); s.Broadcasts != 1 || s.Waits != 5 {
-		t.Errorf("stats = %+v", s)
+	for _, c := range parkContexts(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			q := New("q", FIFO, &mu)
+			var dones []<-chan error
+			for i := 0; i < 5; i++ {
+				dones = append(dones, startWaiter(q, &mu, c.ctx, 0))
+			}
+			waitForLen(t, q, &mu, 5)
+			mu.Lock()
+			q.Broadcast()
+			if q.Len() != 0 {
+				t.Errorf("queue not drained after broadcast: %d", q.Len())
+			}
+			mu.Unlock()
+			for i, d := range dones {
+				if err := <-d; err != nil {
+					t.Errorf("waiter %d: %v", i, err)
+				}
+			}
+			if s := q.Stats(); s.Broadcasts != 1 || s.Waits != 5 {
+				t.Errorf("stats = %+v", s)
+			}
+		})
 	}
 }
 
