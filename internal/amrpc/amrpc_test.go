@@ -128,9 +128,35 @@ func TestUnknownComponentAndMethod(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != CodeNoComponent {
 		t.Fatalf("ghost component: %v", err)
 	}
+	if !errors.Is(err, ErrNoSuchComponent) {
+		t.Fatalf("ghost component must map to ErrNoSuchComponent: %v", err)
+	}
 	_, err = c.Component("svc").Invoke(context.Background(), "ghost")
 	if !errors.Is(err, proxy.ErrNoSuchMethod) {
 		t.Fatalf("ghost method must map to ErrNoSuchMethod: %v", err)
+	}
+}
+
+// TestWireCodesRoundTrip holds every row of the wire-code table in both
+// directions: the server codes an error wrapping the row's sentinel with
+// the row's code, and a RemoteError carrying the code matches the
+// sentinel again.
+func TestWireCodesRoundTrip(t *testing.T) {
+	for _, row := range wireCodes {
+		if got := codeFor(fmt.Errorf("x: %w", row.err)); got != row.code {
+			t.Errorf("codeFor(wrapped %v) = %q, want %q", row.err, got, row.code)
+		}
+		if !errors.Is(&RemoteError{Code: row.code}, row.err) {
+			t.Errorf("RemoteError{Code: %q} does not match %v", row.code, row.err)
+		}
+	}
+	// An abort that wraps a concern's sentinel is coded by the concern.
+	both := fmt.Errorf("%w: %w", aspect.ErrAborted, auth.ErrPermissionDenied)
+	if got := codeFor(both); got != CodeDenied {
+		t.Errorf("codeFor(aborted + permission denied) = %q, want %q", got, CodeDenied)
+	}
+	if got := codeFor(errors.New("boom")); got != CodeInternal {
+		t.Errorf("codeFor(unmapped) = %q, want %q", got, CodeInternal)
 	}
 }
 

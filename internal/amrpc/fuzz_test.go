@@ -414,7 +414,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte(`{"id":2,"err":"denied","code":"permission-denied"}`))
 	f.Add([]byte(`{"id":3,"err":"gone","code":"no-such-code"}`))
 	for _, s := range awkward {
-		line, err := refSealResponse(&response{ID: 9, Result: refRaw(f, []any{s})[0], Err: s, Code: CodeShed})
+		line, err := refSealResponse(&response{ID: 9, Result: refRaw(f, []any{s})[0], Err: s, Code: CodeCircuitOpen})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -457,12 +457,16 @@ func FuzzDecodeResponse(f *testing.F) {
 			return
 		}
 		remote := &RemoteError{Code: got.Code, Msg: got.Err}
-		if sentinel, ok := codeToSentinel[got.Code]; ok {
-			if !errors.Is(remote, sentinel) {
-				t.Fatalf("code %q did not rehydrate: errors.Is(%v, %v) = false",
-					got.Code, remote, sentinel)
+		for _, c := range wireCodes {
+			if c.code == got.Code {
+				if !errors.Is(remote, c.err) {
+					t.Fatalf("code %q did not rehydrate: errors.Is(%v, %v) = false",
+						got.Code, remote, c.err)
+				}
+				return
 			}
-		} else if remote.Unwrap() != nil {
+		}
+		if remote.Unwrap() != nil {
 			t.Fatalf("unknown code %q unwrapped to %v, want nil", got.Code, remote.Unwrap())
 		}
 	})

@@ -31,7 +31,6 @@ import (
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
 	"repro/internal/aspects/fault"
-	"repro/internal/aspects/sched"
 	"repro/internal/naming"
 	"repro/internal/proxy"
 )
@@ -80,9 +79,7 @@ const (
 	CodeAborted         = "aborted"
 	CodeUnauthenticated = "unauthenticated"
 	CodeDenied          = "permission-denied"
-	CodeShed            = "shed"
 	CodeCircuitOpen     = "circuit-open"
-	CodeBulkheadFull    = "bulkhead-full"
 	CodeNoMethod        = "no-method"
 	CodeNoComponent     = "no-component"
 	CodeCancelled       = "cancelled"
@@ -125,55 +122,41 @@ func (e *RemoteError) Error() string {
 
 // Unwrap maps the code back to the local sentinel.
 func (e *RemoteError) Unwrap() error {
-	if s, ok := codeToSentinel[e.Code]; ok {
-		return s
+	for _, c := range wireCodes {
+		if c.code == e.Code {
+			return c.err
+		}
 	}
 	return nil
 }
 
-var codeToSentinel = map[string]error{
-	CodeAborted:         aspect.ErrAborted,
-	CodeUnauthenticated: auth.ErrUnauthenticated,
-	CodeDenied:          auth.ErrPermissionDenied,
-	CodeShed:            sched.ErrShed,
-	CodeCircuitOpen:     fault.ErrCircuitOpen,
-	CodeBulkheadFull:    fault.ErrBulkheadFull,
-	CodeNoMethod:        proxy.ErrNoSuchMethod,
-	CodeCancelled:       context.Canceled,
-	CodeDeadline:        context.DeadlineExceeded,
-	CodeStaleTerm:       naming.ErrStaleTerm,
-	CodeOverloaded:      ErrOverloaded,
-	CodeBadRequest:      ErrBadRequest,
+// wireCodes is the one mapping between wire codes and the sentinels they
+// stand for, in both directions. codeFor takes the first row whose
+// sentinel the error wraps, so aspect.ErrAborted comes last: an abort that
+// wraps a concern's sentinel is coded by the concern.
+var wireCodes = []struct {
+	code string
+	err  error
+}{
+	{CodeUnauthenticated, auth.ErrUnauthenticated},
+	{CodeDenied, auth.ErrPermissionDenied},
+	{CodeCircuitOpen, fault.ErrCircuitOpen},
+	{CodeNoMethod, proxy.ErrNoSuchMethod},
+	{CodeNoComponent, ErrNoSuchComponent},
+	{CodeCancelled, context.Canceled},
+	{CodeDeadline, context.DeadlineExceeded},
+	{CodeStaleTerm, naming.ErrStaleTerm},
+	{CodeOverloaded, ErrOverloaded},
+	{CodeBadRequest, ErrBadRequest},
+	{CodeAborted, aspect.ErrAborted},
 }
 
 // codeFor classifies a server-side error for the wire.
 func codeFor(err error) string {
-	switch {
-	case errors.Is(err, auth.ErrUnauthenticated):
-		return CodeUnauthenticated
-	case errors.Is(err, auth.ErrPermissionDenied):
-		return CodeDenied
-	case errors.Is(err, sched.ErrShed):
-		return CodeShed
-	case errors.Is(err, fault.ErrCircuitOpen):
-		return CodeCircuitOpen
-	case errors.Is(err, fault.ErrBulkheadFull):
-		return CodeBulkheadFull
-	case errors.Is(err, proxy.ErrNoSuchMethod):
-		return CodeNoMethod
-	case errors.Is(err, context.Canceled):
-		return CodeCancelled
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeDeadline
-	case errors.Is(err, naming.ErrStaleTerm):
-		return CodeStaleTerm
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
-	case errors.Is(err, aspect.ErrAborted):
-		return CodeAborted
-	default:
-		return CodeInternal
+	for _, c := range wireCodes {
+		if errors.Is(err, c.err) {
+			return c.code
+		}
 	}
+	return CodeInternal
 }

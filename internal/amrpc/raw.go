@@ -153,14 +153,6 @@ func (s *Scanner) Peek() byte {
 	return s.p.peek()
 }
 
-// Null consumes the value at the cursor and reports true if it is null.
-func (s *Scanner) Null() bool {
-	if s.Peek() != 'n' {
-		return false
-	}
-	return s.p.skipLiteral("null")
-}
-
 // Object enters the object at the cursor; Member then walks its members.
 func (s *Scanner) Object() bool { return s.open('{') }
 
@@ -267,13 +259,6 @@ func (s *Scanner) Value() []byte {
 		return nil
 	}
 	return s.p.b[start:s.p.i:s.p.i]
-}
-
-// Skip validates and passes over one value of any type.
-func (s *Scanner) Skip() {
-	if !s.p.bad {
-		s.p.skipValue(s.depth)
-	}
 }
 
 // Err reports why the walk stopped early; nil while it has not.

@@ -262,15 +262,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("amrpc: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
-
 // Close stops accepting, closes every live connection, and waits for
 // handlers to drain.
 func (s *Server) Close() {

@@ -95,9 +95,6 @@ func (s *Server) Assign() (Ticket, error) {
 // Size returns the number of buffered tickets.
 func (s *Server) Size() int { return int(s.size.Load()) }
 
-// Capacity returns the buffer capacity.
-func (s *Server) Capacity() int { return len(s.ring) }
-
 // Opened returns the total number of tickets ever opened.
 func (s *Server) Opened() uint64 { return s.opened.Load() }
 

@@ -64,11 +64,6 @@ func (v Verdict) String() string {
 	}
 }
 
-// Valid reports whether v is one of the three defined verdicts.
-func (v Verdict) Valid() bool {
-	return v == Resume || v == Block || v == Abort
-}
-
 // Kind identifies the concern dimension an aspect belongs to. Together with
 // the participating method name it forms the coordinates of the aspect bank:
 // the two-dimensional (method x kind) composition structure of the paper.

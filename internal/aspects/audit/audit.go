@@ -175,11 +175,3 @@ func (t *Trail) Drops() uint64 {
 	defer t.mu.Unlock()
 	return t.drops
 }
-
-// Reset clears the retained events (the total sequence keeps counting).
-func (t *Trail) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.next = 0
-	t.filled = false
-}

@@ -142,22 +142,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr, err := NewTrail(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tr.Aspect("audit")
-	a.Precondition(inv("open"))
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Errorf("len after reset = %d", tr.Len())
-	}
-	if tr.Seq() != 1 {
-		t.Errorf("seq must survive reset: %d", tr.Seq())
-	}
-}
-
 func TestSinkReceivesJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	tr, err := NewTrail(4, WithSink(&buf), WithClock(fixedClock()))

@@ -198,67 +198,3 @@ func Authorizer(name string, acl ACL) aspect.Aspect {
 		},
 	}
 }
-
-// SessionLimiter bounds the number of concurrently admitted invocations per
-// principal, blocking (not aborting) excess callers — an authentication-
-// kind guard that exercises the paper's authentication wait queues
-// (Figure 17).
-type SessionLimiter struct {
-	perPrincipal int
-	active       map[string]int
-	methods      []string
-}
-
-// NewSessionLimiter creates a session limiter.
-func NewSessionLimiter(perPrincipal int, methods ...string) (*SessionLimiter, error) {
-	if perPrincipal <= 0 {
-		return nil, fmt.Errorf("auth: session limit %d must be positive", perPrincipal)
-	}
-	return &SessionLimiter{
-		perPrincipal: perPrincipal,
-		active:       make(map[string]int, 16),
-		methods:      methods,
-	}, nil
-}
-
-type sessionKey struct{}
-
-// Aspect returns the guard enforcing the session limit. It must run after
-// an Authenticator in the same or an outer layer; unauthenticated
-// invocations abort.
-func (sl *SessionLimiter) Aspect(name string) aspect.Aspect {
-	release := func(inv *aspect.Invocation) {
-		nm, _ := inv.Attr(sessionKey{}).(string)
-		inv.DeleteAttr(sessionKey{})
-		if n := sl.active[nm]; n <= 1 {
-			delete(sl.active, nm)
-		} else {
-			sl.active[nm] = n - 1
-		}
-	}
-	return &aspect.Func{
-		AspectName: name,
-		AspectKind: aspect.KindAuthentication,
-		Pre: func(inv *aspect.Invocation) aspect.Verdict {
-			p := PrincipalOf(inv)
-			if p == nil {
-				inv.SetErr(fmt.Errorf("auth: %s.%s: session limit requires authentication: %w",
-					inv.Component(), inv.Method(), ErrUnauthenticated))
-				return aspect.Abort
-			}
-			if sl.active[p.Name] >= sl.perPrincipal {
-				return aspect.Block
-			}
-			sl.active[p.Name]++
-			inv.SetAttr(sessionKey{}, p.Name)
-			return aspect.Resume
-		},
-		Post:     release,
-		CancelFn: release,
-		WakeList: sl.methods,
-	}
-}
-
-// Active returns a principal's admitted-session count (diagnostics; call
-// only under the admission lock).
-func (sl *SessionLimiter) Active(principal string) int { return sl.active[principal] }

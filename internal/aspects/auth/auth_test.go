@@ -190,58 +190,6 @@ func TestAuthorizerFlow(t *testing.T) {
 	}
 }
 
-func TestSessionLimiterValidation(t *testing.T) {
-	if _, err := NewSessionLimiter(0); err == nil {
-		t.Error("limit 0 must error")
-	}
-}
-
-func TestSessionLimiterPerPrincipal(t *testing.T) {
-	sl, err := NewSessionLimiter(2, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := sl.Aspect("sessions")
-	alice := &Principal{Name: "alice"}
-	bob := &Principal{Name: "bob"}
-
-	mk := func(p *Principal) *aspect.Invocation {
-		i := inv("m")
-		WithPrincipal(i, p)
-		return i
-	}
-	a1, a2, a3 := mk(alice), mk(alice), mk(alice)
-	if a.Precondition(a1) != aspect.Resume || a.Precondition(a2) != aspect.Resume {
-		t.Fatal("first two sessions must admit")
-	}
-	if a.Precondition(a3) != aspect.Block {
-		t.Fatal("third session must block")
-	}
-	if a.Precondition(mk(bob)) != aspect.Resume {
-		t.Fatal("bob must have his own quota")
-	}
-	if sl.Active("alice") != 2 || sl.Active("bob") != 1 {
-		t.Fatalf("active = %d/%d", sl.Active("alice"), sl.Active("bob"))
-	}
-	a.Postaction(a1)
-	if sl.Active("alice") != 1 {
-		t.Fatal("completion must release the session")
-	}
-	// Cancel releases too.
-	a.(aspect.Canceler).Cancel(a2)
-	if sl.Active("alice") != 0 {
-		t.Fatal("cancel must release the session")
-	}
-	// Unauthenticated invocations abort.
-	un := inv("m")
-	if a.Precondition(un) != aspect.Abort {
-		t.Fatal("unauthenticated must abort")
-	}
-	if !errors.Is(un.Err(), ErrUnauthenticated) {
-		t.Errorf("err = %v", un.Err())
-	}
-}
-
 func TestTokenStoreConcurrent(t *testing.T) {
 	var s TokenStore
 	var wg sync.WaitGroup

@@ -1,10 +1,10 @@
-// Package fault provides the fault-tolerance concerns of the framework —
-// one of the interaction properties the paper names in Section 1 — as
-// guard aspects, evaluated by the moderator like any other concern:
-// CircuitBreaker sheds calls to a failing component and Bulkhead bounds
-// in-flight work. Retrying a remote call over a flaky transport is the
-// amrpc client's policy (amrpc.RetryPolicy), since only the transport
-// knows which failures left the call unexecuted.
+// Package fault provides the fault-tolerance concern of the framework —
+// one of the interaction properties the paper names in Section 1 — as a
+// guard aspect, evaluated by the moderator like any other concern:
+// CircuitBreaker sheds calls to a failing component. Retrying a remote
+// call over a flaky transport is the amrpc client's policy
+// (amrpc.RetryPolicy), since only the transport knows which failures left
+// the call unexecuted.
 package fault
 
 import (
@@ -17,9 +17,6 @@ import (
 
 // ErrCircuitOpen is recorded on invocations shed by an open circuit breaker.
 var ErrCircuitOpen = errors.New("fault: circuit open")
-
-// ErrBulkheadFull is recorded on invocations shed by a full bulkhead.
-var ErrBulkheadFull = errors.New("fault: bulkhead full")
 
 // breakerState is the classic three-state circuit machine.
 type breakerState int
@@ -153,41 +150,3 @@ func (cb *CircuitBreaker) trip() {
 	cb.failures = 0
 	cb.openedAt = cb.now()
 }
-
-// Bulkhead bounds in-flight invocations, shedding the excess with
-// ErrBulkheadFull — load isolation that fails fast instead of queueing.
-type Bulkhead struct {
-	limit int
-	inUse int
-}
-
-// NewBulkhead creates a bulkhead admitting at most limit concurrent calls.
-func NewBulkhead(limit int) (*Bulkhead, error) {
-	if limit <= 0 {
-		return nil, fmt.Errorf("fault: bulkhead limit %d must be positive", limit)
-	}
-	return &Bulkhead{limit: limit}, nil
-}
-
-// Aspect returns the bulkhead's guard aspect.
-func (b *Bulkhead) Aspect(name string) aspect.Aspect {
-	return &aspect.Func{
-		AspectName: name,
-		AspectKind: aspect.KindFaultTolerance,
-		Pre: func(inv *aspect.Invocation) aspect.Verdict {
-			if b.inUse >= b.limit {
-				inv.SetErr(fmt.Errorf("fault: %s.%s: %w",
-					inv.Component(), inv.Method(), ErrBulkheadFull))
-				return aspect.Abort
-			}
-			b.inUse++
-			return aspect.Resume
-		},
-		Post:     func(*aspect.Invocation) { b.inUse-- },
-		CancelFn: func(*aspect.Invocation) { b.inUse-- },
-	}
-}
-
-// InUse returns the number of admitted invocations (diagnostics; call only
-// under the admission lock).
-func (b *Bulkhead) InUse() int { return b.inUse }

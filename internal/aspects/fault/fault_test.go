@@ -134,38 +134,6 @@ func TestCircuitBreakerSingleProbe(t *testing.T) {
 	}
 }
 
-func TestBulkheadValidation(t *testing.T) {
-	if _, err := NewBulkhead(0); err == nil {
-		t.Error("limit 0 must error")
-	}
-}
-
-func TestBulkheadShedsExcess(t *testing.T) {
-	b, err := NewBulkhead(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := b.Aspect("bulkhead")
-	i1, i2 := inv("m"), inv("m")
-	if a.Precondition(i1) != aspect.Resume || a.Precondition(i2) != aspect.Resume {
-		t.Fatal("under limit must admit")
-	}
-	i3 := inv("m")
-	if a.Precondition(i3) != aspect.Abort {
-		t.Fatal("over limit must shed")
-	}
-	if !errors.Is(i3.Err(), ErrBulkheadFull) {
-		t.Errorf("err = %v", i3.Err())
-	}
-	a.Postaction(i1)
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("freed slot must admit")
-	}
-	if b.InUse() != 2 {
-		t.Fatalf("inUse = %d", b.InUse())
-	}
-}
-
 // flakyComponent fails the first n invocations of each method.
 type flakyComponent struct {
 	failures int

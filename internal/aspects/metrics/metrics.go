@@ -180,13 +180,6 @@ func (r *Recorder) Keys() []string {
 	return out
 }
 
-// Reset clears all statistics.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stats = make(map[string]*MethodStats, 8)
-}
-
 // Report renders a plain-text table of the collected statistics.
 func (r *Recorder) Report() string {
 	snap := r.Snapshot()

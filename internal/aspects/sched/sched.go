@@ -1,200 +1,21 @@
-// Package sched provides the scheduling aspects of the framework: admission
-// controllers that decide *when* and *in what order* invocations proceed —
-// concurrency ceilings, token-bucket rate limiting, per-client fair-share
-// quotas, and priority classification. Scheduling is one of the interaction
-// properties the paper names alongside synchronization (Section 1).
+// Package sched provides the scheduling aspects of the framework:
+// admission controllers that decide *when* invocations proceed. FairShare
+// caps each client's outstanding invocations; the order in which parked
+// callers are admitted is the moderator's wake policy (waitq.FIFO, LIFO or
+// Priority, chosen with moderator.WithWakePolicy). Scheduling is one of the
+// interaction properties the paper names alongside synchronization
+// (Section 1).
 //
-// Like all guard aspects, these run under the moderator's admission lock
-// and need no internal locking, with the exception of the rate limiter's
-// optional refill pump, which runs on its own goroutine and communicates
-// through the moderator's Kick.
+// Like all guard aspects, FairShare runs under the moderator's admission
+// lock and needs no internal locking.
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/aspect"
 )
-
-// ErrShed is recorded on invocations rejected by a limiter in shed mode.
-var ErrShed = errors.New("sched: request shed")
-
-// Ceiling limits the number of concurrently admitted invocations across a
-// set of methods — a scheduling-kind semaphore.
-type Ceiling struct {
-	inUse   int
-	limit   int
-	methods []string
-}
-
-// NewCeiling creates a concurrency ceiling guard.
-func NewCeiling(limit int, methods ...string) (*Ceiling, error) {
-	if limit <= 0 {
-		return nil, fmt.Errorf("sched: ceiling limit %d must be positive", limit)
-	}
-	return &Ceiling{limit: limit, methods: methods}, nil
-}
-
-// Aspect returns the guard enforcing the ceiling.
-func (c *Ceiling) Aspect(name string) aspect.Aspect {
-	return &aspect.Func{
-		AspectName: name,
-		AspectKind: aspect.KindScheduling,
-		Pre: func(*aspect.Invocation) aspect.Verdict {
-			if c.inUse >= c.limit {
-				return aspect.Block
-			}
-			c.inUse++
-			return aspect.Resume
-		},
-		Post:     func(*aspect.Invocation) { c.inUse-- },
-		CancelFn: func(*aspect.Invocation) { c.inUse-- },
-		WakeList: c.methods,
-	}
-}
-
-// InUse returns the number of admitted invocations (diagnostics; call only
-// under the admission lock).
-func (c *Ceiling) InUse() int { return c.inUse }
-
-// LimiterMode selects what a RateLimiter does when no token is available.
-type LimiterMode int
-
-const (
-	// Shed aborts the invocation with ErrShed.
-	Shed LimiterMode = iota + 1
-	// Wait blocks the caller until tokens refill. Blocked callers are
-	// only re-evaluated on a wake-up, so pair Wait mode with Pump (or
-	// call the moderator's Kick from your own timer).
-	Wait
-)
-
-// RateLimiter is a token-bucket admission aspect: invocations consume one
-// token each; tokens refill at Rate per second up to Burst.
-type RateLimiter struct {
-	rate   float64
-	burst  float64
-	mode   LimiterMode
-	now    func() time.Time
-	tokens float64
-	last   time.Time
-
-	methods []string
-}
-
-// RateLimiterConfig configures NewRateLimiter.
-type RateLimiterConfig struct {
-	// Rate is the sustained admission rate in tokens per second.
-	Rate float64
-	// Burst is the bucket capacity (defaults to Rate if zero).
-	Burst float64
-	// Mode selects shedding or waiting (default Shed).
-	Mode LimiterMode
-	// Now overrides the clock (tests).
-	Now func() time.Time
-	// Methods is the wake list for Wait mode.
-	Methods []string
-}
-
-// NewRateLimiter creates a token-bucket limiter. The bucket starts full.
-func NewRateLimiter(cfg RateLimiterConfig) (*RateLimiter, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("sched: rate %v must be positive", cfg.Rate)
-	}
-	burst := cfg.Burst
-	if burst == 0 {
-		burst = cfg.Rate
-	}
-	if burst <= 0 {
-		return nil, fmt.Errorf("sched: burst %v must be positive", burst)
-	}
-	mode := cfg.Mode
-	if mode == 0 {
-		mode = Shed
-	}
-	if mode != Shed && mode != Wait {
-		return nil, fmt.Errorf("sched: invalid limiter mode %d", mode)
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	rl := &RateLimiter{
-		rate:    cfg.Rate,
-		burst:   burst,
-		mode:    mode,
-		now:     now,
-		tokens:  burst,
-		methods: cfg.Methods,
-	}
-	rl.last = now()
-	return rl, nil
-}
-
-// refill advances the bucket to the current time.
-func (rl *RateLimiter) refill() {
-	t := rl.now()
-	elapsed := t.Sub(rl.last).Seconds()
-	if elapsed <= 0 {
-		return
-	}
-	rl.last = t
-	rl.tokens += elapsed * rl.rate
-	if rl.tokens > rl.burst {
-		rl.tokens = rl.burst
-	}
-}
-
-// Aspect returns the admission aspect of the limiter.
-func (rl *RateLimiter) Aspect(name string) aspect.Aspect {
-	return &aspect.Func{
-		AspectName: name,
-		AspectKind: aspect.KindScheduling,
-		Pre: func(inv *aspect.Invocation) aspect.Verdict {
-			rl.refill()
-			if rl.tokens >= 1 {
-				rl.tokens--
-				return aspect.Resume
-			}
-			if rl.mode == Wait {
-				return aspect.Block
-			}
-			inv.SetErr(fmt.Errorf("sched: %s: %w", inv.Method(), ErrShed))
-			return aspect.Abort
-		},
-		WakeList: rl.methods,
-	}
-}
-
-// Tokens returns the current token count after a refill (diagnostics; call
-// only under the admission lock).
-func (rl *RateLimiter) Tokens() float64 {
-	rl.refill()
-	return rl.tokens
-}
-
-// Pump periodically kicks the given wake function (typically the
-// moderator's Kick bound to the limited methods) so that Wait-mode callers
-// re-evaluate as tokens refill. It blocks until ctx is cancelled; run it on
-// a dedicated goroutine owned by the caller.
-func (rl *RateLimiter) Pump(ctx context.Context, interval time.Duration, kick func()) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			kick()
-		}
-	}
-}
 
 // FairShare caps the number of outstanding invocations per client so that
 // no client monopolizes a component. The client identity is derived from
@@ -261,18 +82,3 @@ func (fs *FairShare) Aspect(name string) aspect.Aspect {
 // Outstanding returns a client's in-flight count (diagnostics; call only
 // under the admission lock).
 func (fs *FairShare) Outstanding(client string) int { return fs.outstanding[client] }
-
-// Classifier returns a priority-classification aspect: it sets the
-// invocation's wait-queue priority from the supplied function before any
-// later aspect can block the call, so priority wake policies see it. It
-// never blocks or aborts.
-func Classifier(name string, prioritize func(inv *aspect.Invocation) int) aspect.Aspect {
-	return &aspect.Func{
-		AspectName: name,
-		AspectKind: aspect.KindScheduling,
-		Pre: func(inv *aspect.Invocation) aspect.Verdict {
-			inv.Priority = prioritize(inv)
-			return aspect.Resume
-		},
-	}
-}

@@ -2,168 +2,18 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/aspect"
+	"repro/internal/aspects/syncguard"
 	"repro/internal/moderator"
 	"repro/internal/waitq"
 )
 
 func inv(method string) *aspect.Invocation {
 	return aspect.NewInvocation(context.Background(), "comp", method, nil)
-}
-
-func TestCeilingValidation(t *testing.T) {
-	if _, err := NewCeiling(0); err == nil {
-		t.Error("limit 0 must error")
-	}
-	if _, err := NewCeiling(-3); err == nil {
-		t.Error("negative limit must error")
-	}
-}
-
-func TestCeilingAdmission(t *testing.T) {
-	c, err := NewCeiling(2, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := c.Aspect("ceiling")
-	i1, i2 := inv("m"), inv("m")
-	if a.Precondition(i1) != aspect.Resume || a.Precondition(i2) != aspect.Resume {
-		t.Fatal("two admissions must pass")
-	}
-	if a.Precondition(inv("m")) != aspect.Block {
-		t.Fatal("third must block")
-	}
-	if c.InUse() != 2 {
-		t.Fatalf("inUse = %d", c.InUse())
-	}
-	a.Postaction(i1)
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("released capacity must admit")
-	}
-	// Cancel also releases.
-	a.(aspect.Canceler).Cancel(i2)
-	if c.InUse() != 1 {
-		t.Fatalf("inUse after cancel = %d", c.InUse())
-	}
-}
-
-func TestRateLimiterValidation(t *testing.T) {
-	if _, err := NewRateLimiter(RateLimiterConfig{Rate: 0}); err == nil {
-		t.Error("rate 0 must error")
-	}
-	if _, err := NewRateLimiter(RateLimiterConfig{Rate: 1, Burst: -1}); err == nil {
-		t.Error("negative burst must error")
-	}
-	if _, err := NewRateLimiter(RateLimiterConfig{Rate: 1, Mode: LimiterMode(9)}); err == nil {
-		t.Error("invalid mode must error")
-	}
-}
-
-func TestRateLimiterShedMode(t *testing.T) {
-	now := time.Unix(1000, 0)
-	rl, err := NewRateLimiter(RateLimiterConfig{
-		Rate:  1, // 1 token/sec
-		Burst: 2,
-		Mode:  Shed,
-		Now:   func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rl.Aspect("limiter")
-	// Bucket starts full at burst=2.
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("first token")
-	}
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("second token")
-	}
-	i := inv("m")
-	if a.Precondition(i) != aspect.Abort {
-		t.Fatal("empty bucket must shed")
-	}
-	if !errors.Is(i.Err(), ErrShed) {
-		t.Fatalf("err = %v", i.Err())
-	}
-	// Advance 1.5s: 1.5 tokens refill.
-	now = now.Add(1500 * time.Millisecond)
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("refilled token must admit")
-	}
-	if a.Precondition(inv("m")) != aspect.Abort {
-		t.Fatal("only one token should have been usable")
-	}
-	// Refill is capped at burst.
-	now = now.Add(time.Hour)
-	if got := rl.Tokens(); got != 2 {
-		t.Fatalf("tokens = %v, want capped at 2", got)
-	}
-}
-
-func TestRateLimiterWaitModeBlocks(t *testing.T) {
-	now := time.Unix(1000, 0)
-	rl, err := NewRateLimiter(RateLimiterConfig{
-		Rate:    1,
-		Burst:   1,
-		Mode:    Wait,
-		Now:     func() time.Time { return now },
-		Methods: []string{"m"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rl.Aspect("limiter")
-	if a.Precondition(inv("m")) != aspect.Resume {
-		t.Fatal("first token")
-	}
-	if a.Precondition(inv("m")) != aspect.Block {
-		t.Fatal("empty bucket must block in wait mode")
-	}
-	if w := a.(aspect.Waker).Wakes(); len(w) != 1 || w[0] != "m" {
-		t.Errorf("wakes = %v", w)
-	}
-}
-
-func TestRateLimiterWaitModeWithPump(t *testing.T) {
-	// Real-clock integration: 1 burst, high refill rate; a blocked second
-	// call must be admitted once the pump kicks the moderator.
-	rl, err := NewRateLimiter(RateLimiterConfig{
-		Rate:    200, // fast refill keeps the test quick
-		Burst:   1,
-		Mode:    Wait,
-		Methods: []string{"m"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := moderator.New("comp")
-	if err := mod.Register("m", aspect.KindScheduling, rl.Aspect("limiter")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var pump sync.WaitGroup
-	pump.Add(1)
-	go func() {
-		defer pump.Done()
-		rl.Pump(ctx, time.Millisecond, func() { mod.Kick("m") })
-	}()
-
-	for k := 0; k < 3; k++ {
-		i := inv("m")
-		adm, err := mod.Preactivation(i)
-		if err != nil {
-			t.Fatalf("call %d: %v", k, err)
-		}
-		mod.Postactivation(i, adm)
-	}
-	cancel()
-	pump.Wait()
 }
 
 func TestFairShareValidation(t *testing.T) {
@@ -215,31 +65,17 @@ func TestFairSharePerClientLimit(t *testing.T) {
 	}
 }
 
-func TestClassifierSetsPriority(t *testing.T) {
-	a := Classifier("prio", func(i *aspect.Invocation) int {
-		n, _ := i.ArgInt(0)
-		return n * 10
-	})
-	i := aspect.NewInvocation(context.Background(), "comp", "m", []any{3})
-	if a.Precondition(i) != aspect.Resume {
-		t.Fatal("classifier must always resume")
-	}
-	if i.Priority != 30 {
-		t.Errorf("priority = %d, want 30", i.Priority)
-	}
-}
-
 func TestPriorityAdmissionUnderLoad(t *testing.T) {
-	// E6 semantics: a ceiling of 1 with priority policy must admit a
-	// high-priority waiter before low-priority ones.
-	c, err := NewCeiling(1, "m")
+	// E6 semantics: a held capacity-1 semaphore with priority policy must
+	// admit a high-priority waiter before low-priority ones.
+	c, err := syncguard.NewSemaphore(1, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mod := moderator.New("comp",
 		moderator.WithWakePolicy(waitq.Priority),
 		moderator.WithWakeMode(moderator.WakeSingle))
-	if err := mod.Register("m", aspect.KindScheduling, c.Aspect("ceiling")); err != nil {
+	if err := mod.Register("m", aspect.KindScheduling, c.Aspect("semaphore")); err != nil {
 		t.Fatal(err)
 	}
 	holder := inv("m")

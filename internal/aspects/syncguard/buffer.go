@@ -16,12 +16,10 @@ import (
 // their hooks mutate this shared state under a single lock even on the
 // sharded moderator.
 //
-// In exclusive mode (the default, matching the paper's ActiveOpen == 0 /
-// ActiveAssign == 0 guards) at most one producer and one consumer execute
-// at a time. In concurrent mode several producers (and consumers) may be
-// admitted simultaneously, in which case the functional component must
-// tolerate concurrent body execution; admission still never overfills or
-// underflows the buffer, because slots are reserved at admission time.
+// At most one producer and one consumer execute at a time, matching the
+// paper's ActiveOpen == 0 / ActiveAssign == 0 guards. A producer reserves
+// its slot at admission and commits it at post-activation, so a consumer
+// never claims an item whose producer has not completed.
 //
 // Note: the paper's Figure 7 listing increments the item counter inside
 // precondition() and bumps ActiveAssign where ActiveOpen is meant (an
@@ -33,8 +31,6 @@ type Buffer struct {
 	producer string // producer method name (the paper's "open")
 	consumer string // consumer method name (the paper's "assign")
 
-	exclusive bool
-
 	count    int // committed items in the buffer
 	reserved int // slots reserved by admitted, not-yet-completed producers
 	claimed  int // items claimed by admitted, not-yet-completed consumers
@@ -43,19 +39,9 @@ type Buffer struct {
 	activeConsumers int
 }
 
-// BufferOption configures NewBuffer.
-type BufferOption func(*Buffer)
-
-// WithConcurrentAccess lifts the one-producer/one-consumer-at-a-time
-// restriction. The guarded component must then be safe under concurrent
-// invocation of its bodies.
-func WithConcurrentAccess() BufferOption {
-	return func(b *Buffer) { b.exclusive = false }
-}
-
 // NewBuffer creates bounded-buffer guard state for a buffer of the given
 // capacity, with the named producer and consumer methods.
-func NewBuffer(capacity int, producerMethod, consumerMethod string, opts ...BufferOption) (*Buffer, error) {
+func NewBuffer(capacity int, producerMethod, consumerMethod string) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("syncguard: buffer capacity %d must be positive", capacity)
 	}
@@ -65,16 +51,11 @@ func NewBuffer(capacity int, producerMethod, consumerMethod string, opts ...Buff
 	if producerMethod == consumerMethod {
 		return nil, fmt.Errorf("syncguard: producer and consumer method are both %q", producerMethod)
 	}
-	b := &Buffer{
-		capacity:  capacity,
-		producer:  producerMethod,
-		consumer:  consumerMethod,
-		exclusive: true,
-	}
-	for _, opt := range opts {
-		opt(b)
-	}
-	return b, nil
+	return &Buffer{
+		capacity: capacity,
+		producer: producerMethod,
+		consumer: consumerMethod,
+	}, nil
 }
 
 // ProducerAspect returns the synchronization aspect guarding the producer
@@ -82,7 +63,7 @@ func NewBuffer(capacity int, producerMethod, consumerMethod string, opts ...Buff
 func (b *Buffer) ProducerAspect() aspect.Aspect {
 	g, err := NewGuard(b.producer+"-sync", GuardSpec{
 		Ready: func(*aspect.Invocation) bool {
-			if b.exclusive && b.activeProducers > 0 {
+			if b.activeProducers > 0 {
 				return false
 			}
 			return b.count+b.reserved < b.capacity
@@ -105,7 +86,7 @@ func (b *Buffer) ProducerAspect() aspect.Aspect {
 func (b *Buffer) ConsumerAspect() aspect.Aspect {
 	g, err := NewGuard(b.consumer+"-sync", GuardSpec{
 		Ready: func(*aspect.Invocation) bool {
-			if b.exclusive && b.activeConsumers > 0 {
+			if b.activeConsumers > 0 {
 				return false
 			}
 			return b.count-b.claimed > 0
@@ -166,9 +147,6 @@ func (c *bufferConsumer) Cancel(*aspect.Invocation) {
 // the admission lock or when the component is quiescent).
 func (b *Buffer) Count() int { return b.count }
 
-// Capacity returns the buffer capacity.
-func (b *Buffer) Capacity() int { return b.capacity }
-
 // CheckInvariants validates the guard-state invariants, returning a
 // descriptive error on violation. Tests call it between operations.
 func (b *Buffer) CheckInvariants() error {
@@ -187,7 +165,7 @@ func (b *Buffer) CheckInvariants() error {
 		return fmt.Errorf("syncguard: claimed %d > count %d", b.claimed, b.count)
 	case b.activeProducers < 0 || b.activeConsumers < 0:
 		return fmt.Errorf("syncguard: negative active counters %d/%d", b.activeProducers, b.activeConsumers)
-	case b.exclusive && (b.activeProducers > 1 || b.activeConsumers > 1):
+	case b.activeProducers > 1 || b.activeConsumers > 1:
 		return fmt.Errorf("syncguard: exclusivity violated: %d producers, %d consumers", b.activeProducers, b.activeConsumers)
 	}
 	return nil

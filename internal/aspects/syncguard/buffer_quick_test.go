@@ -16,18 +16,17 @@ type bufferModel struct {
 	// outstanding admissions, not yet completed or cancelled
 	prodPending []*aspect.Invocation
 	consPending []*aspect.Invocation
-	exclusive   bool
 }
 
 func (m *bufferModel) producerAdmissible() bool {
-	if m.exclusive && len(m.prodPending) > 0 {
+	if len(m.prodPending) > 0 {
 		return false
 	}
 	return m.committed+len(m.prodPending) < m.capacity
 }
 
 func (m *bufferModel) consumerAdmissible() bool {
-	if m.exclusive && len(m.consPending) > 0 {
+	if len(m.consPending) > 0 {
 		return false
 	}
 	return m.committed-len(m.consPending) > 0
@@ -38,18 +37,14 @@ func (m *bufferModel) consumerAdmissible() bool {
 // matches an independent model, (b) the guard invariants hold, and (c) the
 // committed count tracks the model.
 func TestBufferMatchesModelProperty(t *testing.T) {
-	run := func(ops []uint8, capRaw uint8, exclusive bool) error {
+	run := func(ops []uint8, capRaw uint8) error {
 		capacity := int(capRaw%5) + 1
-		var buildOpts []BufferOption
-		if !exclusive {
-			buildOpts = append(buildOpts, WithConcurrentAccess())
-		}
-		b, err := NewBuffer(capacity, "open", "assign", buildOpts...)
+		b, err := NewBuffer(capacity, "open", "assign")
 		if err != nil {
 			return err
 		}
 		prod, cons := b.ProducerAspect(), b.ConsumerAspect()
-		model := &bufferModel{capacity: capacity, exclusive: exclusive}
+		model := &bufferModel{capacity: capacity}
 
 		for step, op := range ops {
 			switch op % 6 {
@@ -110,8 +105,8 @@ func TestBufferMatchesModelProperty(t *testing.T) {
 		return nil
 	}
 
-	f := func(ops []uint8, capRaw uint8, exclusive bool) bool {
-		if err := run(ops, capRaw, exclusive); err != nil {
+	f := func(ops []uint8, capRaw uint8) bool {
+		if err := run(ops, capRaw); err != nil {
 			t.Logf("sequence failed: %v", err)
 			return false
 		}

@@ -198,19 +198,32 @@ func TestBufferProducerConsumerProtocol(t *testing.T) {
 }
 
 func TestBufferCapacityRespectedViaReservation(t *testing.T) {
-	b, err := NewBuffer(1, "open", "assign", WithConcurrentAccess())
+	b, err := NewBuffer(1, "open", "assign")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := b.ProducerAspect()
+	prod, cons := b.ProducerAspect(), b.ConsumerAspect()
 	p1 := inv("open")
 	if prod.Precondition(p1) != aspect.Resume {
 		t.Fatal("first produce must admit")
 	}
-	// Even in concurrent mode, a second producer must block: the single
-	// slot is reserved although not yet committed.
+	// The single slot is reserved but not committed: no second producer,
+	// and no consumer either.
 	if prod.Precondition(inv("open")) != aspect.Block {
 		t.Fatal("reservation must prevent overfill")
+	}
+	if cons.Precondition(inv("assign")) != aspect.Block {
+		t.Fatal("a reserved slot must not be consumable before its producer commits")
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	prod.Postaction(p1)
+	if prod.Precondition(inv("open")) != aspect.Block {
+		t.Fatal("a committed item must keep the full buffer closed to producers")
+	}
+	if cons.Precondition(inv("assign")) != aspect.Resume {
+		t.Fatal("a committed item must admit a consumer")
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)

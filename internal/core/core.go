@@ -21,8 +21,8 @@
 //	_, err = p.Invoke(ctx, "open", ticket)
 //
 // New concerns are composed later — without touching functional code — by
-// adding moderator layers (see Component.AddConcernLayer), reproducing the
-// paper's authentication extension of Figures 13-18.
+// adding moderator layers (Moderator.AddLayer and RegisterIn), reproducing
+// the paper's authentication extension of Figures 13-18.
 package core
 
 import (
@@ -36,11 +36,9 @@ import (
 )
 
 // Component is a fully assembled guarded component: the proxy plus its
-// moderator and the factory it was initialized from.
+// moderator.
 type Component struct {
-	proxy   *proxy.Proxy
-	factory factory.Factory
-	target  any
+	proxy *proxy.Proxy
 }
 
 // Proxy returns the component's guarded entry point.
@@ -48,36 +46,6 @@ func (c *Component) Proxy() *proxy.Proxy { return c.proxy }
 
 // Moderator returns the component's aspect moderator.
 func (c *Component) Moderator() *moderator.Moderator { return c.proxy.Moderator() }
-
-// AddConcernLayer introduces a new concern as a moderator layer and
-// populates it from the component's factory: for each listed method, the
-// factory creates an aspect of the given kind and the moderator registers
-// it in the new layer. This is the paper's dynamic adaptability scenario —
-// the ExtendedTicketServerProxy of Figure 13 distilled into one call.
-func (c *Component) AddConcernLayer(layerName string, pos moderator.Position, kind aspect.Kind, methods ...string) error {
-	if c.factory == nil {
-		return fmt.Errorf("core: component %s: no factory configured", c.proxy.Name())
-	}
-	mod := c.Moderator()
-	if err := mod.AddLayer(layerName, pos); err != nil {
-		return err
-	}
-	for _, m := range methods {
-		a, err := c.factory.Create(m, kind, c.target)
-		if err != nil {
-			return fmt.Errorf("core: component %s: layer %s: %w", c.proxy.Name(), layerName, err)
-		}
-		if err := mod.RegisterIn(layerName, m, kind, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RemoveConcernLayer removes a previously added concern layer.
-func (c *Component) RemoveConcernLayer(layerName string) error {
-	return c.Moderator().RemoveLayer(layerName)
-}
 
 // Builder accumulates the declaration of a guarded component and assembles
 // it in Build. Declarations are validated at Build time, so call sites may
@@ -122,8 +90,7 @@ type useDecl struct {
 // BuilderOption configures a Builder.
 type BuilderOption func(*Builder)
 
-// WithFactory sets the aspect factory consulted by Guard declarations and
-// later AddConcernLayer calls.
+// WithFactory sets the aspect factory consulted by Guard declarations.
 func WithFactory(f factory.Factory) BuilderOption {
 	return func(b *Builder) { b.factory = f }
 }
@@ -251,5 +218,5 @@ func (b *Builder) Build() (*Component, error) {
 			return nil, err
 		}
 	}
-	return &Component{proxy: p, factory: b.factory, target: b.target}, nil
+	return &Component{proxy: p}, nil
 }

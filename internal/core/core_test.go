@@ -163,77 +163,6 @@ func TestBuildErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestAddConcernLayerAdaptabilityScenario(t *testing.T) {
-	// Figures 13-18: a running component gains authentication without any
-	// change to functional code; the new concern wraps the old.
-	tf := newTestFactory(t)
-	b := NewComponent("ticket", WithFactory(tf))
-	b.Bind("open", body(nil))
-	b.Bind("assign", body(nil))
-	b.Guard("open", aspect.KindSynchronization)
-	b.Guard("assign", aspect.KindSynchronization)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before: one aspect per method.
-	if got := len(c.Moderator().Aspects("open")); got != 1 {
-		t.Fatalf("aspects before = %d", got)
-	}
-
-	if err := c.AddConcernLayer("authentication", moderator.Outermost,
-		aspect.KindAuthentication, "open", "assign"); err != nil {
-		t.Fatal(err)
-	}
-	aspects := c.Moderator().Aspects("open")
-	if len(aspects) != 2 {
-		t.Fatalf("aspects after = %d, want 2", len(aspects))
-	}
-	if aspects[0].Kind() != aspect.KindAuthentication || aspects[1].Kind() != aspect.KindSynchronization {
-		t.Errorf("onion order wrong: %v then %v", aspects[0].Kind(), aspects[1].Kind())
-	}
-	wantLayers := []string{"authentication", moderator.BaseLayer}
-	if got := c.Moderator().Layers(); !reflect.DeepEqual(got, wantLayers) {
-		t.Errorf("layers = %v, want %v", got, wantLayers)
-	}
-
-	// And remove it again.
-	if err := c.RemoveConcernLayer("authentication"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(c.Moderator().Aspects("open")); got != 1 {
-		t.Errorf("aspects after removal = %d, want 1", got)
-	}
-}
-
-func TestAddConcernLayerWithoutFactory(t *testing.T) {
-	b := NewComponent("c")
-	b.Bind("m", body(nil))
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddConcernLayer("auth", moderator.Outermost, aspect.KindAuthentication, "m"); err == nil {
-		t.Fatal("AddConcernLayer without factory must error")
-	}
-}
-
-func TestAddConcernLayerDuplicate(t *testing.T) {
-	tf := newTestFactory(t)
-	b := NewComponent("c", WithFactory(tf))
-	b.Bind("m", body(nil))
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddConcernLayer("auth", moderator.Outermost, aspect.KindAuthentication, "m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddConcernLayer("auth", moderator.Outermost, aspect.KindAuthentication, "m"); !errors.Is(err, moderator.ErrLayerExists) {
-		t.Errorf("duplicate layer: %v", err)
-	}
-}
-
 func TestWithModeratorOptionsForwarded(t *testing.T) {
 	b := NewComponent("c", WithModeratorOptions(moderator.WithWakeMode(moderator.WakeSingle)))
 	b.Bind("m", body(nil))

@@ -2,14 +2,11 @@ package core_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/aspect"
-	"repro/internal/aspects/auth"
 	"repro/internal/aspects/syncguard"
 	"repro/internal/core"
-	"repro/internal/moderator"
 )
 
 // Example assembles the smallest guarded component: one method, one
@@ -33,55 +30,4 @@ func Example() {
 	result, err := comp.Proxy().Invoke(context.Background(), "inc")
 	fmt.Println(result, err)
 	// Output: 1 <nil>
-}
-
-// ExampleComponent_AddConcernLayer reproduces the paper's adaptability
-// scenario: an authentication concern layered onto a running component.
-func ExampleComponent_AddConcernLayer() {
-	store := auth.NewTokenStore()
-	token := store.Issue("alice", "client")
-
-	// The factory knows how to create authentication aspects on demand.
-	factory := authFactory{store: store}
-	b := core.NewComponent("greeter", core.WithFactory(factory))
-	b.Bind("greet", func(inv *aspect.Invocation) (any, error) {
-		p := auth.PrincipalOf(inv)
-		if p == nil {
-			return "hello, anonymous", nil
-		}
-		return "hello, " + p.Name, nil
-	})
-	comp, _ := b.Build()
-	p := comp.Proxy()
-
-	before, _ := p.Invoke(context.Background(), "greet")
-	fmt.Println(before)
-
-	// Compose authentication at runtime; anonymous calls now abort.
-	_ = comp.AddConcernLayer("security", moderator.Outermost,
-		aspect.KindAuthentication, "greet")
-	_, err := p.Invoke(context.Background(), "greet")
-	fmt.Println(errors.Is(err, auth.ErrUnauthenticated))
-
-	// Authenticated calls carry a token on the invocation.
-	inv := aspect.NewInvocation(context.Background(), p.Name(), "greet", nil)
-	auth.WithToken(inv, token)
-	after, _ := p.Call(inv)
-	fmt.Println(after)
-	// Output:
-	// hello, anonymous
-	// true
-	// hello, alice
-}
-
-// authFactory creates authentication aspects for any method.
-type authFactory struct {
-	store *auth.TokenStore
-}
-
-func (f authFactory) Create(method string, kind aspect.Kind, _ any) (aspect.Aspect, error) {
-	if kind != aspect.KindAuthentication {
-		return nil, fmt.Errorf("no constructor for %s", kind)
-	}
-	return auth.Authenticator("authn-"+method, f.store), nil
 }

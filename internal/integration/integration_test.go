@@ -23,7 +23,6 @@ import (
 	"repro/internal/aspects/auth"
 	"repro/internal/aspects/fault"
 	"repro/internal/aspects/metrics"
-	"repro/internal/aspects/sched"
 	"repro/internal/moderator"
 	"repro/internal/naming"
 )
@@ -416,37 +415,5 @@ func TestFaultToleranceComposition(t *testing.T) {
 	}
 	if n := mod.Stats().Admissions; n != 4 {
 		t.Fatalf("admissions = %d, want 4: the two failures and the two successes, no shed call", n)
-	}
-}
-
-// TestSchedulingComposition: a rate limiter in shed mode composed over the
-// ticket component rejects the burst overflow with ErrShed end to end.
-func TestSchedulingComposition(t *testing.T) {
-	now := time.Unix(2000, 0)
-	rl, err := sched.NewRateLimiter(sched.RateLimiterConfig{
-		Rate:  1,
-		Burst: 2,
-		Mode:  sched.Shed,
-		Now:   func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ticket.NewGuarded(ticket.GuardedConfig{Capacity: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Moderator().Register(ticket.MethodOpen, aspect.KindScheduling, rl.Aspect("limiter")); err != nil {
-		t.Fatal(err)
-	}
-	p := g.Proxy()
-	ctx := context.Background()
-	for k := 0; k < 2; k++ {
-		if _, err := p.Invoke(ctx, ticket.MethodOpen, fmt.Sprintf("t%d", k), "s"); err != nil {
-			t.Fatalf("burst call %d: %v", k, err)
-		}
-	}
-	if _, err := p.Invoke(ctx, ticket.MethodOpen, "t-over", "s"); !errors.Is(err, sched.ErrShed) {
-		t.Fatalf("over-burst call: %v", err)
 	}
 }

@@ -1424,9 +1424,8 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 // Kick wakes the callers blocked on the given method, as a completion
 // that targets it would: every caller of each of the method's queues
 // under WakeBroadcast, one caller per queue under WakeSingle. External
-// event sources (timers refilling a rate limiter, a circuit breaker
-// half-opening) use it to re-trigger guard evaluation without a method
-// completion.
+// event sources (a timer, a circuit breaker half-opening) use it to
+// re-trigger guard evaluation without a method completion.
 func (m *Moderator) Kick(method string) {
 	d := m.domains.Load().byMethod[method]
 	if d == nil {

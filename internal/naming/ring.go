@@ -108,20 +108,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Has reports whether member is on the ring.
-func (r *Ring) Has(member string) bool {
-	if r == nil {
-		return false
-	}
-	i := sort.SearchStrings(r.members, member)
-	return i < len(r.members) && r.members[i] == member
-}
-
-// With returns a new ring that also contains member.
-func (r *Ring) With(member string) *Ring {
-	return NewRing(r.replicas, append(r.Members(), member)...)
-}
-
 // Without returns a new ring with member removed.
 func (r *Ring) Without(member string) *Ring {
 	kept := make([]string, 0, len(r.members))

@@ -15,7 +15,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -38,17 +37,11 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -63,7 +56,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 const HistBuckets = 40
 
 // Histogram is a log₂-bucketed latency histogram. All mutating and
-// reading operations are atomic per field; concurrent Observe, Merge, and
+// reading operations are atomic per field; concurrent Observe and
 // Snapshot are race-clean (a Snapshot taken during writes may be torn
 // across fields — counts are each exact, but sum/count may momentarily
 // disagree; totals converge once writers quiesce).
@@ -88,18 +81,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Merge adds o's observations into h. Both histograms may be concurrently
-// observed into while merging.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
-
 // HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Count   uint64
@@ -116,34 +97,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	return s
-}
-
-// Mean returns the mean observed value, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (0..1) from
-// the bucket boundaries.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range s.Buckets {
-		cum += n
-		if cum >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(HistBuckets - 1)
 }
 
 // bucketUpper is the inclusive upper bound of bucket i.

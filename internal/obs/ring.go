@@ -131,10 +131,3 @@ func (r *Ring) Snapshot() []Event {
 
 // Drops returns how many events were discarded due to reader contention.
 func (r *Ring) Drops() uint64 { return r.drops.Load() }
-
-// Len returns the number of buffered events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
