@@ -35,7 +35,9 @@
 #                      path, of the relay's buffer-lifetime and retry
 #                      tests, and of the domain-map tests (an unlisted
 #                      method is served, a split group is refused) and
-#                      the heartbeat wake sweep
+#                      the heartbeat wake sweep, and ten of the
+#                      membership-event tests (join, leave, route
+#                      announcements sent and received, nudge bounds)
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders, the value decoder and
 #                      the replication-offer decoder (each differential
@@ -58,8 +60,14 @@
 #                      plus the failover and park-readmission tests, the
 #                      relay's buffer-lifetime and retry tests, the
 #                      domain map read from the moderator (an unlisted
-#                      method is served, a split group is refused) and
-#                      the heartbeat wake sweep
+#                      method is served, a split group is refused), the
+#                      heartbeat wake sweep, and the membership events
+#                      that move ownership without a tick: a join and a
+#                      graceful leave each converge within 2 s under a
+#                      15 s heartbeat, a member an acquirer's route
+#                      announcement missed is sent it, and nudges are
+#                      bounded (none in a converged cluster, a burst
+#                      coalesced into at most two beats)
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
@@ -106,6 +114,7 @@ race:
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
 	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded' ./internal/cluster/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -156,7 +165,7 @@ obs-smoke:
 # The ledger audit inside demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff

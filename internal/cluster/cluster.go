@@ -32,6 +32,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -236,6 +237,17 @@ type Node struct {
 
 	hbPaused atomic.Bool // test hook: freeze the heartbeat to simulate a wedged node
 
+	// kick is the nudge: a peer's "beat" call sends on it to run a beat
+	// now. Its one slot coalesces a burst into at most one extra beat.
+	kick chan struct{}
+	// nudging holds, under mu, the members a nudge is in flight to; true
+	// asks for one more once it returns. nudgeIdle is signalled, under
+	// mu, whenever a member leaves it.
+	nudging   map[string]bool
+	nudgeIdle sync.Cond
+	nudges    atomic.Uint64 // nudges sent (tests)
+	beats     atomic.Uint64 // beats run (tests)
+
 	localCalls     atomic.Uint64
 	forwards       atomic.Uint64
 	forwardRetries atomic.Uint64
@@ -274,7 +286,10 @@ func Start(cfg Config, addr string) (*Node, error) {
 		peers:     make(map[string]*peer, 4),
 		closeDone: make(chan struct{}),
 		stop:      make(chan struct{}),
+		kick:      make(chan struct{}, 1),
+		nudging:   make(map[string]bool, 4),
 	}
+	n.nudgeIdle.L = &n.mu
 	if err := n.server.RegisterComponent(&front{n: n}); err != nil {
 		_ = ln.Close()
 		return nil, err
@@ -314,6 +329,19 @@ func Start(cfg Config, addr string) (*Node, error) {
 		n.Close()
 		return nil, fmt.Errorf("cluster: node %s: initial heartbeat: %w", cfg.ID, err)
 	}
+	// A join moves ownership: nudge every other member, so an owner the
+	// ring now moves a domain away from releases it at once.
+	n.mu.Lock()
+	others := make(map[string]string, len(n.members))
+	for id, addr := range n.members {
+		if id != cfg.ID {
+			others[id] = addr
+		}
+	}
+	n.mu.Unlock()
+	for id, addr := range others {
+		n.nudge(id, addr)
+	}
 	n.wg.Add(1)
 	go n.heartbeatLoop()
 	return n, nil
@@ -348,9 +376,11 @@ func (n *Node) doClose() {
 	for d, o := range n.owned {
 		owned[d] = o.term
 	}
+	members := make(map[string]string, len(n.members))
 	memberIDs := make([]string, 0, len(n.members))
-	for id := range n.members {
+	for id, addr := range n.members {
 		if id != n.cfg.ID {
+			members[id] = addr
 			memberIDs = append(memberIDs, id)
 		}
 	}
@@ -358,23 +388,37 @@ func (n *Node) doClose() {
 
 	// Graceful handover: for each owned domain, stop admitting, drain,
 	// flush the effect log (plus snapshot) to the domain's next owner, and
-	// release with a barrier — so survivors converge with state on the
-	// beat after next instead of waiting out TTLs. The pooled clients and
-	// the server stay up through this phase; the flush rides them.
+	// release with a barrier — so survivors converge with state instead of
+	// waiting out TTLs. The pooled clients and the server stay up through
+	// this phase; the flush rides them.
 	succRing := naming.NewRing(0, memberIDs...)
+	succs := make(map[string]bool, len(owned))
 	for d, term := range owned {
 		n.mu.Lock()
 		delete(n.owned, d)
 		n.mu.Unlock()
 		succ, _ := succRing.Owner(d)
 		n.handoffRelease(d, term, succ)
+		if succ != "" {
+			succs[succ] = true
+		}
 	}
 	_ = n.namingDo(func(nc *naming.Client) error {
 		_, _ = nc.Unregister(n.memberKey())
 		return nil
 	})
+	// Nudge each new owner only now: woken before the unregister, it
+	// could read a membership that still lists this node and leave the
+	// domain to it. The nudges ride the pooled clients, so they must be
+	// sent before those close.
+	for succ := range succs {
+		n.nudge(succ, members[succ])
+	}
 
 	n.mu.Lock()
+	for len(n.nudging) > 0 {
+		n.nudgeIdle.Wait()
+	}
 	n.closed = true
 	peers := n.peers
 	n.peers = map[string]*peer{}
@@ -447,6 +491,8 @@ func isTransportErr(err error) bool {
 		!errors.Is(err, naming.ErrStaleTerm)
 }
 
+// heartbeatLoop beats on every tick and on every nudge. A paused node
+// ignores both, so a nudge cannot revive a node Fail has frozen.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.Heartbeat)
@@ -456,17 +502,81 @@ func (n *Node) heartbeatLoop() {
 		case <-n.stop:
 			return
 		case <-t.C:
-			if n.hbPaused.Load() {
-				continue
-			}
-			_ = n.beat()
+		case <-n.kick:
 		}
+		if n.hbPaused.Load() {
+			continue
+		}
+		_ = n.beat()
 	}
+}
+
+// nudge asks member id, at addr, to beat now, without waiting for it. At
+// most one nudge per member is in flight; one asked for meanwhile is sent
+// when it returns, so a nudge sent after a release is never absorbed by
+// one sent before it.
+func (n *Node) nudge(id, addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
+	if _, busy := n.nudging[id]; busy {
+		n.nudging[id] = true
+		return
+	}
+	n.nudging[id] = false
+	n.wg.Add(1)
+	go n.sendNudges(id, addr)
+}
+
+func (n *Node) sendNudges(id, addr string) {
+	defer n.wg.Done()
+	for again := true; again; {
+		n.nudges.Add(1)
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Heartbeat)
+		_, err := n.controlCall(ctx, id, addr, "beat")
+		cancel()
+		if err != nil {
+			n.logf("cluster %s: nudge %s: %v", n.cfg.ID, id, err)
+		}
+		n.mu.Lock()
+		if again = n.nudging[id]; again {
+			n.nudging[id] = false
+		} else {
+			delete(n.nudging, id)
+			n.nudgeIdle.Broadcast()
+		}
+		n.mu.Unlock()
+	}
+}
+
+// announce tells every member in to that this node holds domain at term:
+// in parallel, waiting at most a heartbeat. A member that misses it
+// learns the route from its next beat's listing.
+func (n *Node) announce(to map[string]string, domain string, term uint64) {
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Heartbeat)
+	defer cancel()
+	var wg sync.WaitGroup
+	for id, addr := range to {
+		if id == n.cfg.ID {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := n.controlCall(ctx, id, addr, "route", domain, n.cfg.ID, n.addr, term); err != nil {
+				n.logf("cluster %s: announce %s at term %d to %s: %v", n.cfg.ID, domain, term, id, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // beat is one heartbeat round: renew membership, read the fleet, derive
 // the ring, reconcile lease ownership, refresh the routing cache.
 func (n *Node) beat() error {
+	n.beats.Add(1)
 	var members []naming.Entry
 	var leases []naming.DomainLease
 	err := n.namingDo(func(nc *naming.Client) error {
@@ -483,6 +593,7 @@ func (n *Node) beat() error {
 	if err != nil {
 		return err
 	}
+	listedAt := time.Now()
 
 	memberAddrs := make(map[string]string, len(members))
 	for _, e := range members {
@@ -495,10 +606,27 @@ func (n *Node) beat() error {
 		ids = append(ids, id)
 	}
 	ring := naming.NewRing(0, ids...)
+	// A member this node has not listed before may have missed the
+	// announcements of the domains it owns.
+	joined := make(map[string]string)
+	n.mu.Lock()
+	for id, addr := range memberAddrs {
+		if _, known := n.members[id]; !known {
+			joined[id] = addr
+		}
+	}
+	n.mu.Unlock()
 
-	n.reconcileOwnership(ring)
+	n.reconcileOwnership(ring, leases, memberAddrs)
 	n.syncSuccessors(ring)
-	n.refreshRoutes(leases, memberAddrs)
+	if len(joined) > 0 {
+		for _, domain := range n.domainSet {
+			if term, ok := n.owns(domain); ok {
+				n.announce(joined, domain, term)
+			}
+		}
+	}
+	n.refreshRoutes(leases, memberAddrs, listedAt)
 	n.wakeSweep()
 	return nil
 }
@@ -529,8 +657,11 @@ func distinctSorted(m map[string]string) []string {
 	return slices.Compact(out)
 }
 
-// reconcileOwnership aligns this node's leases with the ring's verdicts.
-func (n *Node) reconcileOwnership(ring *naming.Ring) {
+// reconcileOwnership aligns this node's leases with the ring's verdicts,
+// given the beat's lease listing and member addresses. Each step it takes
+// that another node must follow up wakes that node: a release nudges the
+// new owner, an acquire the lease's holder blocks nudges the holder.
+func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease, memberAddrs map[string]string) {
 	for _, domain := range n.domainSet {
 		want, ok := ring.Owner(domain)
 		n.mu.Lock()
@@ -582,9 +713,13 @@ func (n *Node) reconcileOwnership(ring *naming.Ring) {
 			n.mu.Unlock()
 			n.handoffRelease(domain, curTerm, want)
 			n.logf("cluster %s: released %s (ring reassigned to %s)", n.cfg.ID, domain, want)
+			if addr, ok := memberAddrs[want]; ok {
+				n.nudge(want, addr)
+			}
 		case ok && want == n.cfg.ID:
-			// Newly ours: acquire. ErrLeaseHeld means the previous owner's
-			// lease has not expired yet; we pick it up on a later beat.
+			// Newly ours: acquire. ErrLeaseHeld means the previous owner
+			// has not released yet: nudge it, and pick the lease up when
+			// its release nudges us back, or on a later beat.
 			n.mu.Lock()
 			closing := n.closing
 			n.mu.Unlock()
@@ -598,6 +733,13 @@ func (n *Node) reconcileOwnership(ring *naming.Ring) {
 				lease, err = nc.AcquireLease(domain, n.cfg.ID, n.cfg.LeaseTTL)
 				return err
 			})
+			if errors.Is(err, naming.ErrLeaseHeld) {
+				if i := slices.IndexFunc(leases, func(l naming.DomainLease) bool { return l.Domain == domain }); i >= 0 {
+					if addr, ok := memberAddrs[leases[i].Holder]; ok {
+						n.nudge(leases[i].Holder, addr)
+					}
+				}
+			}
 			if err != nil {
 				continue
 			}
@@ -625,6 +767,10 @@ func (n *Node) reconcileOwnership(ring *naming.Ring) {
 					n.catchUp(domain, lease)
 				}
 			}
+			// Route before serve: every member learns the new route before
+			// this node admits under it, so no caller keeps forwarding under
+			// the previous holder's term once the domain is served here.
+			n.announce(memberAddrs, domain, lease.Term)
 			n.mu.Lock()
 			n.owned[domain] = &ownedDomain{term: lease.Term, localExpiry: stamp.Add(n.cfg.LeaseTTL)}
 			n.mu.Unlock()
@@ -636,20 +782,41 @@ func (n *Node) reconcileOwnership(ring *naming.Ring) {
 	}
 }
 
-// refreshRoutes rebuilds the routing cache from the lease listing.
-func (n *Node) refreshRoutes(leases []naming.DomainLease, memberAddrs map[string]string) {
+// refreshRoutes publishes the beat's membership and rebuilds the routing
+// cache from its lease listing, read at listedAt. A cached route can be
+// newer than the listing: announced by an acquirer, or looked up, while
+// the beat ran. Terms only grow, so a cached route at a higher term than
+// the listing's is kept, and so is one learned after the listing was
+// read for a domain the listing shows free.
+func (n *Node) refreshRoutes(leases []naming.DomainLease, memberAddrs map[string]string, listedAt time.Time) {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.members = memberAddrs
-	n.routes = make(map[string]route, len(leases))
+	routes := make(map[string]route, len(leases))
 	for _, l := range leases {
 		addr, ok := memberAddrs[l.Holder]
 		if !ok {
 			continue // holder no longer in the membership; let lookups refetch
 		}
-		n.routes[l.Domain] = route{holder: l.Holder, term: l.Term, addr: addr, fetchedAt: now}
+		routes[l.Domain] = route{holder: l.Holder, term: l.Term, addr: addr, fetchedAt: now}
 	}
+	for d, cur := range n.routes {
+		if r, ok := routes[d]; ok && cur.term > r.term || !ok && cur.fetchedAt.After(listedAt) {
+			routes[d] = cur
+		}
+	}
+	n.routes = routes
+}
+
+// learnRoute caches r for domain unless the cache holds a higher term, and
+// returns the route cached. Callers hold n.mu.
+func (n *Node) learnRoute(domain string, r route) route {
+	if cur, ok := n.routes[domain]; ok && cur.term > r.term {
+		return cur
+	}
+	n.routes[domain] = r
+	return r
 }
 
 // domainOf maps a method to its admission domain. A method the local

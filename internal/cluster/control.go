@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/amrpc"
 	"repro/internal/aspect"
@@ -11,8 +12,9 @@ import (
 )
 
 // controlName is the per-node control component: cluster-internal
-// endpoints (replication offers, status introspection) kept off the public
-// component name so application traffic and plane traffic cannot collide.
+// endpoints (replication offers, nudges, route announcements, status
+// introspection) kept off the public component name so application
+// traffic and plane traffic cannot collide.
 func controlName(nodeID string) string { return "_cluster/" + nodeID }
 
 // control hosts this node's cluster-internal endpoints. The server hands it
@@ -34,6 +36,16 @@ func (c *control) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte
 	switch inv.Method() {
 	case "sync-offer":
 		return c.syncOffer(call, dst)
+	case "beat":
+		// A nudge: run a beat now. It only queues one, coalesced with any
+		// already queued, so the reply never waits on a beat or a peer.
+		select {
+		case c.n.kick <- struct{}{}:
+		default:
+		}
+		return amrpc.AppendValue(dst, true)
+	case "route":
+		return c.route(call, dst)
 	case "status":
 		return amrpc.AppendValue(dst, c.n.Status())
 	default:
@@ -63,4 +75,30 @@ func (c *control) syncOffer(call amrpc.RawCall, dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	return strconv.AppendUint(dst, ack.Acked, 10), nil
+}
+
+// route is the announcement endpoint: an acquirer names itself the
+// holder of a domain at a term before it serves the domain. The route is
+// cached unless the cache already holds a higher term.
+func (c *control) route(call amrpc.RawCall, dst []byte) ([]byte, error) {
+	args, err := amrpc.DecodeArgs(call.Args)
+	if err != nil {
+		return dst, err
+	}
+	var domain, holder, addr string
+	var term float64
+	if len(args) == 4 {
+		domain, _ = args[0].(string)
+		holder, _ = args[1].(string)
+		addr, _ = args[2].(string)
+		term, _ = args[3].(float64)
+	}
+	if domain == "" || holder == "" || addr == "" || term < 1 {
+		return dst, fmt.Errorf("cluster control %s: route: %w: want domain, holder, address and term, got %v",
+			c.n.cfg.ID, amrpc.ErrBadRequest, args)
+	}
+	c.n.mu.Lock()
+	c.n.learnRoute(domain, route{holder: holder, term: uint64(term), addr: addr, fetchedAt: time.Now()})
+	c.n.mu.Unlock()
+	return amrpc.AppendValue(dst, true)
 }

@@ -265,9 +265,8 @@ func (n *Node) routeFor(domain string, force bool) (route, error) {
 		}
 		addr = e.Addr
 	}
-	fresh := route{holder: lease.Holder, term: lease.Term, addr: addr, fetchedAt: time.Now()}
 	n.mu.Lock()
-	n.routes[domain] = fresh
+	fresh := n.learnRoute(domain, route{holder: lease.Holder, term: lease.Term, addr: addr, fetchedAt: time.Now()})
 	n.mu.Unlock()
 	return fresh, nil
 }
@@ -308,6 +307,25 @@ func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation, w *
 	out, err := stub.InvokeRaw(ctx, inv.Method(), w.args, w.out)
 	w.out = out
 	return nil, err
+}
+
+// controlCall calls method on the control component of member id, at
+// addr, over the pooled data-plane connection to it — so plane traffic
+// meets the same faults as forwarded admissions. Every control endpoint
+// is idempotent, so the stub retries transport failures within ctx.
+func (n *Node) controlCall(ctx context.Context, id, addr, method string, args ...any) (any, error) {
+	p, err := n.peerFor(addr)
+	if err != nil {
+		return nil, err
+	}
+	stub := p.stub(stubKey{control: id}, func() *amrpc.Stub {
+		return p.client.Component(controlName(id), amrpc.WithIdempotent())
+	})
+	res, err := stub.Invoke(ctx, method, args...)
+	if errors.Is(err, amrpc.ErrTransport) {
+		n.dropPeer(addr)
+	}
+	return res, err
 }
 
 // peer is the pooled data-plane connection to one node, with the stubs the

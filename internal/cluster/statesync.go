@@ -23,7 +23,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -58,22 +57,12 @@ func (t *syncTransport) Offer(ctx context.Context, succ string, o statesync.Offe
 		return statesync.Ack{}, fmt.Errorf("cluster %s: sync successor %s not in membership: %w",
 			n.cfg.ID, succ, amrpc.ErrTransport)
 	}
-	p, err := n.peerFor(addr)
-	if err != nil {
-		return statesync.Ack{}, err
-	}
 	// Idempotent by construction: the receiver drops duplicate sequence
 	// numbers, so a retried offer cannot double-apply. The offer appends
 	// its own wire form to the call's frame (it is an amrpc.Appender),
 	// once, however often the call is retried.
-	stub := p.stub(stubKey{control: succ}, func() *amrpc.Stub {
-		return p.client.Component(controlName(succ), amrpc.WithIdempotent())
-	})
-	res, err := stub.Invoke(ctx, "sync-offer", o)
+	res, err := n.controlCall(ctx, succ, addr, "sync-offer", o)
 	if err != nil {
-		if errors.Is(err, amrpc.ErrTransport) {
-			n.dropPeer(addr)
-		}
 		return statesync.Ack{}, err
 	}
 	ack, err := ackFromReply(res)
