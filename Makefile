@@ -29,7 +29,10 @@
 #                      amrpc), ten rounds of the amrpc
 #                      line-buffer aliasing, late-reply, frame-writer and
 #                      flush-ledger tests, and three of the amrpc retry,
-#                      re-dial and backoff-schedule tests and of the
+#                      re-dial and backoff-schedule tests, of the wire-code
+#                      round trip (a self-coded error goes out under its
+#                      own code), of the naming client re-dialing across
+#                      a server restart, and of the
 #                      replication tests: offer atomicity, snapshot
 #                      order, request-line ownership and every handoff
 #                      path, of the relay's buffer-lifetime and retry
@@ -67,7 +70,9 @@
 #                      15 s heartbeat, a member an acquirer's route
 #                      announcement missed is sent it, and nudges are
 #                      bounded (none in a converged cluster, a burst
-#                      coalesced into at most two beats)
+#                      coalesced into at most two beats), and a node riding
+#                      out a naming-service restart (its next beat re-dials,
+#                      nothing is re-acquired)
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
@@ -111,7 +116,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestRecycledInvocation|TestTraceIDsSoundUnderRecycling' ./internal/apps/ticket/ ./internal/aspects/coord/ ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken' ./internal/amrpc/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
-	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff' ./internal/amrpc/
+	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
 	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded' ./internal/cluster/
@@ -161,11 +166,12 @@ obs-smoke:
 # domain map the plane reads from the moderator: a method Config.Domains
 # does not list is still leased and served, and a map that splits a
 # moderator group is refused at Start; and the heartbeat wake sweep,
-# which re-admits a caller parked through a change no completion signals.
-# The ledger audit inside demands zero lost and zero forged effects.
+# which re-admits a caller parked through a change no completion signals;
+# and a naming-service restart every node rides out within two beats,
+# keeping each owned domain at its term. The ledger audit inside demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterRidesOutNamingRestart'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff

@@ -158,7 +158,44 @@ func TestWireCodesRoundTrip(t *testing.T) {
 	if got := codeFor(errors.New("boom")); got != CodeInternal {
 		t.Errorf("codeFor(unmapped) = %q, want %q", got, CodeInternal)
 	}
+
+	// An error that carries its own code goes out under it, bare or
+	// wrapped in an abort, and matches itself again at the client; an
+	// error with neither its own code nor a row is still internal.
+	p := proxy.New(moderator.New("coded"))
+	for method, err := range map[string]error{
+		"bare":     errSelfCoded,
+		"aborted":  fmt.Errorf("%w: %w", aspect.ErrAborted, errSelfCoded),
+		"unmapped": errors.New("boom"),
+	} {
+		if err := p.Bind(method, func(*aspect.Invocation) (any, error) { return nil, err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stub := dialClient(t, startServer(t, p)).Component("coded")
+	for method, want := range map[string]string{"bare": selfCode, "aborted": selfCode, "unmapped": CodeInternal} {
+		_, err := stub.Invoke(context.Background(), method)
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != want {
+			t.Errorf("%s: err = %v, want code %q", method, err, want)
+		}
+		if coded := want == selfCode; errors.Is(err, errSelfCoded) != coded {
+			t.Errorf("%s: errors.Is(%v, the self-coded sentinel) = %v, want %v", method, err, !coded, coded)
+		}
+	}
 }
+
+// selfCoded is a sentinel that names its own wire code, as the sentinels
+// of a package amrpc does not import do.
+type selfCoded string
+
+const (
+	selfCode     = "self-coded"
+	errSelfCoded = selfCoded("amrpc test: self-coded sentinel")
+)
+
+func (e selfCoded) Error() string    { return string(e) }
+func (e selfCoded) WireCode() string { return selfCode }
 
 func TestSentinelErrorsCrossTheWire(t *testing.T) {
 	// An auth-guarded component: remote anonymous calls must surface

@@ -31,7 +31,6 @@ import (
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
 	"repro/internal/aspects/fault"
-	"repro/internal/naming"
 	"repro/internal/proxy"
 )
 
@@ -50,7 +49,8 @@ type request struct {
 	// Fence carries a domain-ownership lease term on cluster-internal
 	// traffic (forwarded admissions). Zero means
 	// unfenced; a nonzero fence obliges the receiver to hold the target
-	// domain's lease at exactly this term or refuse with CodeStaleTerm.
+	// domain's lease at exactly this term or refuse with the naming
+	// service's stale-term error.
 	Fence uint64 `json:"fence,omitempty"`
 	// Sum is an optional CRC-32 (IEEE) of the frame as it reads without
 	// this member. A zero Sum means "unsigned" (foreign or legacy peers); a
@@ -74,7 +74,9 @@ type response struct {
 	Sum uint32 `json:"sum,omitempty"`
 }
 
-// Error codes carried on the wire so sentinel errors survive the boundary.
+// Error codes carried on the wire so sentinel errors survive the boundary:
+// the table's codes for the sentinels of the packages amrpc imports, and
+// whatever code an error carries itself (wireCoder).
 const (
 	CodeAborted         = "aborted"
 	CodeUnauthenticated = "unauthenticated"
@@ -86,7 +88,6 @@ const (
 	CodeDeadline        = "deadline"
 	CodeBadRequest      = "bad-request"
 	CodeInternal        = "internal"
-	CodeStaleTerm       = "stale-term"
 	// CodeOverloaded marks a request the server refused before admission:
 	// either its connection's work queue was full, or the admission-aware
 	// shed policy judged the target domain too deep to park another
@@ -105,8 +106,9 @@ var ErrOverloaded = errors.New("amrpc: server overloaded")
 var ErrBadRequest = errors.New("amrpc: bad request")
 
 // RemoteError is an application error transported over the RPC boundary.
-// It unwraps to the framework sentinel matching its code, so errors.Is
-// works transparently for remote callers.
+// It unwraps to the framework sentinel matching its code, and matches any
+// error carrying its code itself, so errors.Is works transparently for
+// remote callers.
 type RemoteError struct {
 	Code string
 	Msg  string
@@ -130,6 +132,18 @@ func (e *RemoteError) Unwrap() error {
 	return nil
 }
 
+// Is reports whether target carries e's code itself: a sentinel of a
+// package amrpc does not import matches the refusal it was sent as.
+func (e *RemoteError) Is(target error) bool {
+	c, ok := target.(wireCoder)
+	return ok && c.WireCode() == e.Code
+}
+
+// A wireCoder is an error that names its own wire code. A package whose
+// sentinels cross the wire gives them a WireCode method instead of a row
+// in wireCodes, so amrpc need not import it.
+type wireCoder interface{ WireCode() string }
+
 // wireCodes is the one mapping between wire codes and the sentinels they
 // stand for, in both directions. codeFor takes the first row whose
 // sentinel the error wraps, so aspect.ErrAborted comes last: an abort that
@@ -145,14 +159,18 @@ var wireCodes = []struct {
 	{CodeNoComponent, ErrNoSuchComponent},
 	{CodeCancelled, context.Canceled},
 	{CodeDeadline, context.DeadlineExceeded},
-	{CodeStaleTerm, naming.ErrStaleTerm},
 	{CodeOverloaded, ErrOverloaded},
 	{CodeBadRequest, ErrBadRequest},
 	{CodeAborted, aspect.ErrAborted},
 }
 
-// codeFor classifies a server-side error for the wire.
+// codeFor classifies a server-side error for the wire: by the code the
+// error carries itself, else by the first table row it wraps.
 func codeFor(err error) string {
+	var c wireCoder
+	if errors.As(err, &c) {
+		return c.WireCode()
+	}
 	for _, c := range wireCodes {
 		if errors.Is(err, c.err) {
 			return c.code

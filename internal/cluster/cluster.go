@@ -218,9 +218,9 @@ type Node struct {
 	ln        net.Listener
 	addr      string
 	sync      *statesync.Manager // nil when DisableStateSync
+	nc        *naming.Client     // dialed once in Start; re-dials itself after a break
 
 	mu      sync.Mutex
-	nc      *naming.Client // control-plane connection (redialed on error)
 	owned   map[string]*ownedDomain
 	routes  map[string]route
 	members map[string]string // member id -> addr, from the last beat
@@ -272,6 +272,16 @@ func Start(cfg Config, addr string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
+	nc, err := naming.DialClient(cfg.Naming)
+	if err != nil {
+		_ = ln.Close()
+		return nil, fmt.Errorf("cluster: node %s: %w", cfg.ID, err)
+	}
+	fail := func(err error) (*Node, error) {
+		_ = ln.Close()
+		_ = nc.Close()
+		return nil, err
+	}
 	n := &Node{
 		cfg:       cfg,
 		component: cfg.Local.Name(),
@@ -280,6 +290,7 @@ func Start(cfg Config, addr string) (*Node, error) {
 		server:    amrpc.NewServer(cfg.ServerOptions...),
 		ln:        ln,
 		addr:      ln.Addr().String(),
+		nc:        nc,
 		owned:     make(map[string]*ownedDomain, 4),
 		routes:    make(map[string]route, 4),
 		members:   make(map[string]string, 4),
@@ -291,12 +302,10 @@ func Start(cfg Config, addr string) (*Node, error) {
 	}
 	n.nudgeIdle.L = &n.mu
 	if err := n.server.RegisterComponent(&front{n: n}); err != nil {
-		_ = ln.Close()
-		return nil, err
+		return fail(err)
 	}
 	if err := n.server.RegisterComponent(&control{n: n}); err != nil {
-		_ = ln.Close()
-		return nil, err
+		return fail(err)
 	}
 	if !cfg.DisableStateSync {
 		if (cfg.Snapshot == nil) != (cfg.Restore == nil) {
@@ -314,8 +323,7 @@ func Start(cfg Config, addr string) (*Node, error) {
 			Logf:      cfg.Logf,
 		})
 		if err != nil {
-			_ = ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		n.sync = mgr
 		cfg.Local.Moderator().SetEffectSink(&effectSink{n: n})
@@ -403,10 +411,7 @@ func (n *Node) doClose() {
 			succs[succ] = true
 		}
 	}
-	_ = n.namingDo(func(nc *naming.Client) error {
-		_, _ = nc.Unregister(n.memberKey())
-		return nil
-	})
+	_, _ = n.nc.Unregister(n.memberKey())
 	// Nudge each new owner only now: woken before the unregister, it
 	// could read a membership that still lists this node and leave the
 	// domain to it. The nudges ride the pooled clients, so they must be
@@ -422,11 +427,10 @@ func (n *Node) doClose() {
 	n.closed = true
 	peers := n.peers
 	n.peers = map[string]*peer{}
-	if n.nc != nil {
-		_ = n.nc.Close()
-		n.nc = nil
-	}
 	n.mu.Unlock()
+	// The field stays set: a call racing the close fails on the closed
+	// client instead of finding no client.
+	_ = n.nc.Close()
 
 	if n.sync != nil {
 		n.cfg.Local.Moderator().SetEffectSink(nil)
@@ -445,50 +449,6 @@ func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
 		n.cfg.Logf(format, args...)
 	}
-}
-
-// namingDo runs f against the shared control-plane client, redialing once
-// when the connection has died.
-func (n *Node) namingDo(f func(*naming.Client) error) error {
-	n.mu.Lock()
-	nc := n.nc
-	n.mu.Unlock()
-	if nc != nil {
-		if err := f(nc); err == nil || !isTransportErr(err) {
-			return err
-		}
-		n.mu.Lock()
-		if n.nc == nc {
-			_ = nc.Close()
-			n.nc = nil
-		}
-		n.mu.Unlock()
-	}
-	fresh, err := naming.DialClient(n.cfg.Naming)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		_ = fresh.Close()
-		return fmt.Errorf("cluster: node %s closed", n.cfg.ID)
-	}
-	if n.nc != nil {
-		_ = n.nc.Close()
-	}
-	n.nc = fresh
-	n.mu.Unlock()
-	return f(fresh)
-}
-
-// isTransportErr classifies naming-client failures that warrant a redial:
-// anything that is not a coded application refusal (the rehydrated naming
-// sentinels) is assumed to be a dead connection.
-func isTransportErr(err error) bool {
-	return !errors.Is(err, naming.ErrNotFound) &&
-		!errors.Is(err, naming.ErrLeaseHeld) &&
-		!errors.Is(err, naming.ErrStaleTerm)
 }
 
 // heartbeatLoop beats on every tick and on every nudge. A paused node
@@ -577,19 +537,14 @@ func (n *Node) announce(to map[string]string, domain string, term uint64) {
 // the ring, reconcile lease ownership, refresh the routing cache.
 func (n *Node) beat() error {
 	n.beats.Add(1)
-	var members []naming.Entry
-	var leases []naming.DomainLease
-	err := n.namingDo(func(nc *naming.Client) error {
-		if err := nc.Register(n.memberKey(), n.addr, n.cfg.MemberTTL); err != nil {
-			return err
-		}
-		var err error
-		if members, err = nc.List(); err != nil {
-			return err
-		}
-		leases, err = nc.ListLeases()
+	if err := n.nc.Register(n.memberKey(), n.addr, n.cfg.MemberTTL); err != nil {
 		return err
-	})
+	}
+	members, err := n.nc.List()
+	if err != nil {
+		return err
+	}
+	leases, err := n.nc.ListLeases()
 	if err != nil {
 		return err
 	}
@@ -685,10 +640,7 @@ func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease
 			// not extended, so the safety margin still stops execution if
 			// the naming service stays unreachable.
 			stamp := time.Now()
-			err := n.namingDo(func(nc *naming.Client) error {
-				_, err := nc.RenewLease(domain, n.cfg.ID, curTerm, n.cfg.LeaseTTL)
-				return err
-			})
+			_, err := n.nc.RenewLease(domain, n.cfg.ID, curTerm, n.cfg.LeaseTTL)
 			n.mu.Lock()
 			if o, still := n.owned[domain]; still && o.term == curTerm {
 				if err == nil {
@@ -727,12 +679,7 @@ func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease
 				continue
 			}
 			stamp := time.Now()
-			var lease naming.DomainLease
-			err := n.namingDo(func(nc *naming.Client) error {
-				var err error
-				lease, err = nc.AcquireLease(domain, n.cfg.ID, n.cfg.LeaseTTL)
-				return err
-			})
+			lease, err := n.nc.AcquireLease(domain, n.cfg.ID, n.cfg.LeaseTTL)
 			if errors.Is(err, naming.ErrLeaseHeld) {
 				if i := slices.IndexFunc(leases, func(l naming.DomainLease) bool { return l.Domain == domain }); i >= 0 {
 					if addr, ok := memberAddrs[leases[i].Holder]; ok {

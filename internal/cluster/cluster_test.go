@@ -21,14 +21,22 @@ import (
 // startNaming runs an in-process naming server on an ephemeral port.
 func startNaming(t testing.TB) string {
 	t.Helper()
-	srv := naming.NewServer(nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	_, addr := serveNaming(t, nil, "127.0.0.1:0")
+	return addr
+}
+
+// serveNaming serves store (a fresh one if nil) on addr until the test
+// ends, and returns the server and the address it listens on.
+func serveNaming(t testing.TB, store *naming.Store, addr string) (*naming.Server, string) {
+	t.Helper()
+	srv := naming.NewServer(store)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(srv.Close)
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 // ledgerBackend is one node's effect store: an idempotent set-insert per
@@ -451,5 +459,66 @@ func TestClusterFencing(t *testing.T) {
 	}
 	if owner.Status().StaleRefusals <= before {
 		t.Fatal("stale refusal not counted")
+	}
+}
+
+// TestClusterRidesOutNamingRestart pins that a node's naming connection
+// survives the naming service going away and coming back: served again
+// on the same address with the same Store, every node's beat succeeds
+// within two beats, and every owned domain keeps its owner, its term and
+// its ownership record, so nothing is re-acquired. The first beat may
+// meet the dead connection; the client re-dials on the next.
+func TestClusterRidesOutNamingRestart(t *testing.T) {
+	store := naming.NewStore()
+	srv, namingAddr := serveNaming(t, store, "127.0.0.1:0")
+	var nodes []*Node
+	for _, id := range []string{"r1", "r2", "r3"} {
+		_, n := startLedgerNode(t, id, namingAddr, slowTicks)
+		nodes = append(nodes, n)
+	}
+	owners := waitOwnership(t, nodes...)
+	before := make(map[string]*ownedDomain)
+	for d, n := range owners {
+		n.mu.Lock()
+		before[d] = n.owned[d]
+		n.mu.Unlock()
+	}
+	var takeovers uint64
+	for _, n := range nodes {
+		takeovers += n.takeovers.Load()
+	}
+
+	srv.Close()
+	serveNaming(t, store, namingAddr)
+	for _, n := range nodes {
+		if err := n.beat(); err != nil {
+			if err := n.beat(); err != nil {
+				t.Fatalf("%s: second beat after the naming restart: %v", n.ID(), err)
+			}
+		}
+	}
+	for d, n := range owners {
+		n.mu.Lock()
+		o := n.owned[d]
+		n.mu.Unlock()
+		if o != before[d] {
+			t.Fatalf("%s re-acquired %s: ownership record %+v, was %+v", n.ID(), d, o, before[d])
+		}
+		if l, err := store.LookupLease(d); err != nil || l.Holder != n.ID() || l.Term != before[d].term {
+			t.Fatalf("lease on %s after the restart = %+v, %v; want %s at term %d", d, l, err, n.ID(), before[d].term)
+		}
+	}
+	var after uint64
+	for _, n := range nodes {
+		after += n.takeovers.Load()
+	}
+	if after != takeovers {
+		t.Fatalf("takeovers %d -> %d across the naming restart", takeovers, after)
+	}
+	ctx := context.Background()
+	for i, n := range nodes {
+		if _, err := n.Invoke(ctx, "alpha-put", fmt.Sprintf("a-r-%d", i)); err != nil {
+			t.Fatalf("put through %s after the restart: %v", n.ID(), err)
+		}
 	}
 }

@@ -293,8 +293,9 @@ func TestClusterNudgesBounded(t *testing.T) {
 	ctl := c.Component(controlName(n.ID()))
 	ctx := context.Background()
 	beats := n.beats.Load()
-	// Holding the node's mutex parks its first nudged beat before it reads
-	// the naming service, so every later nudge arrives while a beat runs.
+	// Holding the node's mutex parks its first nudged beat once it has
+	// read the naming service, so every later nudge arrives while a beat
+	// runs.
 	n.mu.Lock()
 	for i := 0; i < 100; i++ {
 		if _, err := ctl.Invoke(ctx, "beat"); err != nil {

@@ -239,12 +239,7 @@ func (n *Node) routeFor(domain string, force bool) (route, error) {
 	if ok && !force && time.Since(r.fetchedAt) < n.cfg.LeaseTTL {
 		return r, nil
 	}
-	var lease naming.DomainLease
-	err := n.namingDo(func(nc *naming.Client) error {
-		var err error
-		lease, err = nc.LookupLease(domain)
-		return err
-	})
+	lease, err := n.nc.LookupLease(domain)
 	if err != nil {
 		return route{}, err
 	}
@@ -254,12 +249,7 @@ func (n *Node) routeFor(domain string, force bool) (route, error) {
 	n.mu.Unlock()
 	if !ok {
 		// The holder is not in our membership view yet; resolve directly.
-		var e naming.Entry
-		err := n.namingDo(func(nc *naming.Client) error {
-			var err error
-			e, err = nc.Lookup(memberPrefix + lease.Holder)
-			return err
-		})
+		e, err := n.nc.Lookup(memberPrefix + lease.Holder)
 		if err != nil {
 			return route{}, err
 		}

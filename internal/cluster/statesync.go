@@ -150,15 +150,10 @@ func (n *Node) handoffRelease(domain string, term uint64, succ string) {
 		}
 		n.sync.Release(domain)
 	}
-	_ = n.namingDo(func(nc *naming.Client) error {
-		if barrier {
-			if err := nc.ReleaseLeaseWithBarrier(domain, n.cfg.ID, term, seq); err == nil {
-				return nil
-			}
-		}
-		_, _ = nc.ReleaseLease(domain, n.cfg.ID, term)
-		return nil
-	})
+	if barrier && n.nc.ReleaseLeaseWithBarrier(domain, n.cfg.ID, term, seq) == nil {
+		return
+	}
+	_, _ = n.nc.ReleaseLease(domain, n.cfg.ID, term)
 }
 
 // catchUp resumes domain's replicated state on this node after an acquire

@@ -76,9 +76,11 @@ func waitListening(t *testing.T, addr string) {
 // daemon starts a long-running process and arranges SIGTERM + wait on
 // cleanup. Its stdout is captured for later inspection.
 type daemon struct {
-	cmd    *exec.Cmd
-	stdout strings.Builder
-	mu     sync.Mutex
+	cmd      *exec.Cmd
+	stdout   strings.Builder
+	mu       sync.Mutex
+	readerWg sync.WaitGroup
+	stopOnce sync.Once
 }
 
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
@@ -92,10 +94,9 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	if err := d.cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", bin, err)
 	}
-	var readerWg sync.WaitGroup
-	readerWg.Add(1)
+	d.readerWg.Add(1)
 	go func() {
-		defer readerWg.Done()
+		defer d.readerWg.Done()
 		scanner := bufio.NewScanner(stdout)
 		for scanner.Scan() {
 			d.mu.Lock()
@@ -103,10 +104,18 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			d.mu.Unlock()
 		}
 	}()
-	t.Cleanup(func() {
+	t.Cleanup(d.stop)
+	return d
+}
+
+// stop sends SIGTERM, killing the process if it has not exited 10 s later,
+// and waits for it and its output.
+func (d *daemon) stop() {
+	d.stopOnce.Do(func() {
 		_ = d.cmd.Process.Signal(syscall.SIGTERM)
 		done := make(chan struct{})
 		go func() {
+			d.readerWg.Wait() // Wait closes stdout: read all of it first
 			_ = d.cmd.Wait()
 			close(done)
 		}()
@@ -116,9 +125,7 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			_ = d.cmd.Process.Kill()
 			<-done
 		}
-		readerWg.Wait()
 	})
-	return d
 }
 
 func (d *daemon) output() string {
@@ -207,6 +214,44 @@ func TestDistributedDeployment(t *testing.T) {
 	}
 	if !strings.Contains(out, "moved 200 tickets") {
 		t.Fatalf("load output:\n%s", out)
+	}
+}
+
+// TestNamingRestartRediscovers pins that a ticketd stays discoverable
+// across a namingd restart: the restarted service starts empty, and
+// ticketd's next lease renewal re-dials it and registers the component
+// again, so within two renew periods (-ttl/3 each) a client resolving the
+// name through the new namingd completes a call.
+func TestNamingRestartRediscovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	namingd, ticketd, ticketcli := buildBinaries(t)
+	namingAddr, ticketAddr := freePort(t), freePort(t)
+	const ttl = 3 * time.Second
+
+	nd := startDaemon(t, namingd, "-addr", namingAddr)
+	waitListening(t, namingAddr)
+	startDaemon(t, ticketd, "-addr", ticketAddr, "-naming", namingAddr,
+		"-ttl", ttl.String(), "-capacity", "8", "-audit", "0")
+	waitListening(t, ticketAddr)
+	if out, err := run(t, ticketcli, "-naming", namingAddr, "open", "TT-1", "before"); err != nil {
+		t.Fatalf("open before the restart: %v\n%s", err, out)
+	}
+
+	nd.stop()
+	startDaemon(t, namingd, "-addr", namingAddr)
+	waitListening(t, namingAddr)
+	deadline := time.Now().Add(2 * ttl / 3)
+	for {
+		out, err := run(t, ticketcli, "-naming", namingAddr, "open", "TT-2", "after")
+		if err == nil && strings.Contains(out, "opened TT-2") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ticketd not discoverable %v after the namingd restart: %v\n%s", 2*ttl/3, err, out)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 

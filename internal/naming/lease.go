@@ -1,7 +1,6 @@
 package naming
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -27,11 +26,11 @@ import (
 //     continues the sequence.
 
 // ErrLeaseHeld is returned when a domain lease is live under another holder.
-var ErrLeaseHeld = errors.New("naming: lease held")
+var ErrLeaseHeld error = &codedError{"naming: lease held", "lease-held"}
 
 // ErrStaleTerm is returned when a lease operation (or a fenced remote
 // effect) presents a term that is no longer the domain's live term.
-var ErrStaleTerm = errors.New("naming: stale lease term")
+var ErrStaleTerm error = &codedError{"naming: stale lease term", "stale-term"}
 
 // DomainLease is one domain-ownership grant. Barrier, when present on a
 // grant, is the snapshot barrier the previous holder left at release: the

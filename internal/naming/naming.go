@@ -1,7 +1,7 @@
 // Package naming provides the location-transparency substrate of the
 // framework (one of the interaction requirements of the paper's Section
 // 2): a lease-based name registry mapping component names to network
-// endpoints, usable in-process (Store) or over TCP (Server / Client).
+// endpoints, usable in-process (Store) or over amrpc (Server / Client).
 //
 // Components register themselves with a time-to-live; clients look them up
 // by name and dial the returned endpoint with the amrpc client. Expired
@@ -10,7 +10,6 @@
 package naming
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -18,7 +17,17 @@ import (
 )
 
 // ErrNotFound is returned when no live registration exists for a name.
-var ErrNotFound = errors.New("naming: not found")
+var ErrNotFound error = &codedError{"naming: not found", "not-found"}
+
+// codedError is a sentinel that carries its own amrpc wire code: a refusal
+// wrapping it crosses the wire under that code, and errors.Is matches the
+// refusal the client receives against the sentinel again.
+type codedError struct{ msg, code string }
+
+func (e *codedError) Error() string { return e.msg }
+
+// WireCode is the code amrpc sends a refusal wrapping e under.
+func (e *codedError) WireCode() string { return e.code }
 
 // DefaultTTL is used when a registration does not specify a lease.
 const DefaultTTL = 30 * time.Second

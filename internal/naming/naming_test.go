@@ -120,8 +120,15 @@ func TestDefaultTTLApplied(t *testing.T) {
 // startNamingServer spins a TCP naming server and returns its address.
 func startNamingServer(t *testing.T, store *Store) string {
 	t.Helper()
+	return startNamingServerAt(t, store, "127.0.0.1:0")
+}
+
+// startNamingServerAt serves store on addr until the test ends and returns
+// the address it listens on.
+func startNamingServerAt(t *testing.T, store *Store, addr string) string {
+	t.Helper()
 	srv := NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +179,41 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 	if err := c.Register("", "x", 0); err == nil {
 		t.Error("server-side validation must surface")
+	}
+}
+
+// TestClientSurvivesServerRestart pins that a client outlives a restart
+// of its server: served again on the same address with the same Store,
+// the client's next calls re-dial and see what the Store holds. Only the
+// first call may fail, having met the dead connection.
+func TestClientSurvivesServerRestart(t *testing.T) {
+	store := NewStore()
+	first := NewServer(store)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	go func() { _ = first.Serve(ln) }()
+	c, err := DialClient(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Register("svc", "h:1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	first.Close()
+	startNamingServerAt(t, store, addr)
+	_, _ = c.Lookup("svc")
+	for i := 0; i < 5; i++ {
+		if e, err := c.Lookup("svc"); err != nil || e.Addr != "h:1" {
+			t.Fatalf("call %d after the restart: %+v, %v", i+2, e, err)
+		}
+	}
+	if err := c.Register("svc", "h:2", time.Minute); err != nil {
+		t.Fatalf("register after the restart: %v", err)
 	}
 }
 

@@ -1,92 +1,97 @@
 package naming
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
+
+	"repro/internal/amrpc"
+	"repro/internal/aspect"
+	"repro/internal/proxy"
 )
 
-// wire operations of the naming protocol (newline-delimited JSON).
-const (
-	opRegister       = "register"
-	opLookup         = "lookup"
-	opUnregister     = "unregister"
-	opList           = "list"
-	opAcquireLease   = "acquire-lease"
-	opRenewLease     = "renew-lease"
-	opReleaseLease   = "release-lease"
-	opReleaseBarrier = "release-lease-barrier"
-	opLookupLease    = "lookup-lease"
-	opListLeases     = "list-leases"
-)
+// componentName is the amrpc component a Server hosts its Store under.
+const componentName = "naming"
 
-// error codes carried in wireResponse.Code so clients can rehydrate the
-// package sentinels across the wire.
-const (
-	codeNotFound  = "not-found"
-	codeLeaseHeld = "lease-held"
-	codeStaleTerm = "stale-term"
-)
-
-type wireRequest struct {
-	Op     string `json:"op"`
-	Name   string `json:"name,omitempty"` // entry name or lease domain
-	Addr   string `json:"addr,omitempty"`
-	Holder string `json:"holder,omitempty"`
-	Term   uint64 `json:"term,omitempty"`
-	Seq    uint64 `json:"seq,omitempty"` // snapshot-barrier sequence (release-lease-barrier)
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
+// operands is the one argument of every naming call: the operation's
+// operands as one JSON object, the ones it does not take left out. Terms,
+// sequence numbers and TTLs travel as integers and are decoded as such, so
+// none takes a float64 detour.
+type operands struct {
+	Name   string        `json:"name,omitempty"` // entry name or lease domain
+	Addr   string        `json:"addr,omitempty"`
+	Holder string        `json:"holder,omitempty"`
+	Term   uint64        `json:"term,omitempty"`
+	Seq    uint64        `json:"seq,omitempty"` // snapshot-barrier sequence
+	TTL    time.Duration `json:"ttl,omitempty"`
 }
 
-type wireResponse struct {
-	OK      bool          `json:"ok"`
-	Err     string        `json:"err,omitempty"`
-	Code    string        `json:"code,omitempty"`
-	Entry   *Entry        `json:"entry,omitempty"`
-	Entries []Entry       `json:"entries,omitempty"`
-	Lease   *DomainLease  `json:"lease,omitempty"`
-	Leases  []DomainLease `json:"leases,omitempty"`
+// operations maps each method of the naming component to the Store
+// operation it runs; the value returned is the call's result.
+var operations = map[string]func(s *Store, o *operands) (any, error){
+	"register": func(s *Store, o *operands) (any, error) {
+		return nil, s.Register(o.Name, o.Addr, o.TTL)
+	},
+	"lookup":     func(s *Store, o *operands) (any, error) { return s.Lookup(o.Name) },
+	"unregister": func(s *Store, o *operands) (any, error) { return s.Unregister(o.Name), nil },
+	"list":       func(s *Store, o *operands) (any, error) { return s.List(), nil },
+	"acquire-lease": func(s *Store, o *operands) (any, error) {
+		return s.AcquireLease(o.Name, o.Holder, o.TTL)
+	},
+	"renew-lease": func(s *Store, o *operands) (any, error) {
+		return s.RenewLease(o.Name, o.Holder, o.Term, o.TTL)
+	},
+	"release-lease": func(s *Store, o *operands) (any, error) {
+		return s.ReleaseLease(o.Name, o.Holder, o.Term), nil
+	},
+	"release-lease-barrier": func(s *Store, o *operands) (any, error) {
+		return nil, s.ReleaseLeaseWithBarrier(o.Name, o.Holder, o.Term, o.Seq)
+	},
+	"lookup-lease": func(s *Store, o *operands) (any, error) { return s.LookupLease(o.Name) },
+	"list-leases":  func(s *Store, o *operands) (any, error) { return s.Leases(), nil },
 }
 
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return codeNotFound
-	case errors.Is(err, ErrLeaseHeld):
-		return codeLeaseHeld
-	case errors.Is(err, ErrStaleTerm):
-		return codeStaleTerm
+// service is a Store as an amrpc component. The server hands it every
+// call in wire form; a refusal goes out under the wire code its sentinel
+// carries.
+type service struct{ store *Store }
+
+// Name implements amrpc.Component.
+func (service) Name() string { return componentName }
+
+// Call implements amrpc.Component. The server reaches the component
+// through CallRaw only.
+func (service) Call(inv *aspect.Invocation) (any, error) {
+	return nil, fmt.Errorf("naming: %s is served in wire form only", inv.Method())
+}
+
+// CallRaw implements amrpc.RawComponent.
+func (s service) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) ([]byte, error) {
+	op, ok := operations[inv.Method()]
+	if !ok {
+		return dst, fmt.Errorf("%w: naming.%s", proxy.ErrNoSuchMethod, inv.Method())
 	}
-	return ""
-}
-
-// rehydrate converts a coded wire error back into one wrapping the matching
-// package sentinel, so errors.Is works on the client side of the protocol.
-func rehydrate(resp wireResponse) error {
-	switch resp.Code {
-	case codeNotFound:
-		return fmt.Errorf("%w: %s", ErrNotFound, resp.Err)
-	case codeLeaseHeld:
-		return fmt.Errorf("%w: %s", ErrLeaseHeld, resp.Err)
-	case codeStaleTerm:
-		return fmt.Errorf("%w: %s", ErrStaleTerm, resp.Err)
+	if len(call.Args) != 1 {
+		return dst, fmt.Errorf("%w: naming.%s takes 1 argument, got %d", amrpc.ErrBadRequest, inv.Method(), len(call.Args))
 	}
-	return errors.New(resp.Err)
+	var o operands
+	if err := json.Unmarshal(call.Args[0], &o); err != nil {
+		return dst, fmt.Errorf("%w: naming.%s: %w", amrpc.ErrBadRequest, inv.Method(), err)
+	}
+	v, err := op(s.store, &o)
+	if err != nil {
+		return dst, err
+	}
+	return amrpc.AppendValue(dst, v)
 }
 
-// Server exposes a Store over TCP.
+// Server exposes a Store over TCP: an amrpc server hosting the one
+// component "naming".
 type Server struct {
+	rpc   *amrpc.Server
 	store *Store
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	wg        sync.WaitGroup
 }
 
 // NewServer wraps a store (a fresh one if nil).
@@ -94,287 +99,109 @@ func NewServer(store *Store) *Server {
 	if store == nil {
 		store = NewStore()
 	}
-	return &Server{
-		store:     store,
-		listeners: make(map[net.Listener]struct{}, 1),
-		conns:     make(map[net.Conn]struct{}, 16),
-	}
+	rpc := amrpc.NewServer()
+	_ = rpc.RegisterComponent(service{store}) // the only component of a fresh server
+	return &Server{rpc: rpc, store: store}
 }
 
 // Store returns the underlying registry.
 func (s *Server) Store() *Store { return s.store }
 
-// Serve accepts connections until Close. It blocks; run it on a goroutine
-// you own.
-func (s *Server) Serve(ln net.Listener) error {
-	// Serve owns ln from here on (like net/http): it is closed when Serve
-	// returns, so a Close racing with Serve's startup cannot leak an open
-	// listener that nobody accepts from.
-	defer func() { _ = ln.Close() }()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("naming: server closed")
-	}
-	s.listeners[ln] = struct{}{}
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			delete(s.listeners, ln)
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("naming: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
+// Serve accepts connections on ln until Close. It blocks; run it on a
+// goroutine you own.
+func (s *Server) Serve(ln net.Listener) error { return s.rpc.Serve(ln) }
 
 // Close stops the server and drains its handlers.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	for ln := range s.listeners {
-		_ = ln.Close()
-	}
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.rpc.Close() }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	enc := json.NewEncoder(conn)
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 16*1024), 1024*1024)
-	for scanner.Scan() {
-		var req wireRequest
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
-			_ = enc.Encode(wireResponse{Err: "malformed request: " + err.Error()})
-			continue
-		}
-		_ = enc.Encode(s.handle(&req))
-	}
-}
-
-func (s *Server) handle(req *wireRequest) wireResponse {
-	switch req.Op {
-	case opRegister:
-		if err := s.store.Register(req.Name, req.Addr, time.Duration(req.TTLMS)*time.Millisecond); err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{OK: true}
-	case opLookup:
-		e, err := s.store.Lookup(req.Name)
-		if err != nil {
-			return wireResponse{Err: err.Error(), Code: codeFor(err)}
-		}
-		return wireResponse{OK: true, Entry: &e}
-	case opUnregister:
-		return wireResponse{OK: s.store.Unregister(req.Name)}
-	case opList:
-		return wireResponse{OK: true, Entries: s.store.List()}
-	case opAcquireLease:
-		l, err := s.store.AcquireLease(req.Name, req.Holder, time.Duration(req.TTLMS)*time.Millisecond)
-		if err != nil {
-			return wireResponse{Err: err.Error(), Code: codeFor(err)}
-		}
-		return wireResponse{OK: true, Lease: &l}
-	case opRenewLease:
-		l, err := s.store.RenewLease(req.Name, req.Holder, req.Term, time.Duration(req.TTLMS)*time.Millisecond)
-		if err != nil {
-			return wireResponse{Err: err.Error(), Code: codeFor(err)}
-		}
-		return wireResponse{OK: true, Lease: &l}
-	case opReleaseLease:
-		return wireResponse{OK: s.store.ReleaseLease(req.Name, req.Holder, req.Term)}
-	case opReleaseBarrier:
-		if err := s.store.ReleaseLeaseWithBarrier(req.Name, req.Holder, req.Term, req.Seq); err != nil {
-			return wireResponse{Err: err.Error(), Code: codeFor(err)}
-		}
-		return wireResponse{OK: true}
-	case opLookupLease:
-		l, err := s.store.LookupLease(req.Name)
-		if err != nil {
-			return wireResponse{Err: err.Error(), Code: codeFor(err)}
-		}
-		return wireResponse{OK: true, Lease: &l}
-	case opListLeases:
-		return wireResponse{OK: true, Leases: s.store.Leases()}
-	default:
-		return wireResponse{Err: fmt.Sprintf("naming: unknown op %q", req.Op)}
-	}
-}
-
-// Client talks to a naming server over one connection. Safe for concurrent
-// use (requests are serialized).
+// Client talks to a naming server over one amrpc connection, which it
+// re-dials on the next call once the connection breaks. Safe for
+// concurrent use.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	rpc  *amrpc.Client
+	stub *amrpc.Stub
 }
 
 // DialClient connects to a naming server.
 func DialClient(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	rpc, err := amrpc.Dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("naming: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("naming: %w", err)
 	}
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(conn),
-	}, nil
+	return &Client{rpc: rpc, stub: rpc.Component(componentName)}, nil
 }
 
 // Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.rpc.Close() }
 
-func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return wireResponse{}, fmt.Errorf("naming: send %s: %w", req.Op, err)
+// call runs method on the server with the operands o and decodes its
+// result into out, or drops it when out is nil.
+func (c *Client) call(method string, o operands, out any) error {
+	arg, _ := json.Marshal(o) // a struct of strings and integers always encodes
+	res, err := c.stub.InvokeRaw(context.Background(), method, []json.RawMessage{arg}, nil)
+	if err != nil || out == nil {
+		return err
 	}
-	var resp wireResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return wireResponse{}, fmt.Errorf("naming: recv %s: %w", req.Op, err)
-	}
-	return resp, nil
+	return json.Unmarshal(res, out)
 }
 
 // Register binds name to addr with the given lease.
 func (c *Client) Register(name, addr string, ttl time.Duration) error {
-	resp, err := c.roundTrip(wireRequest{Op: opRegister, Name: name, Addr: addr, TTLMS: ttl.Milliseconds()})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return errors.New(resp.Err)
-	}
-	return nil
+	return c.call("register", operands{Name: name, Addr: addr, TTL: ttl}, nil)
 }
 
 // Lookup resolves a name to its registered endpoint.
-func (c *Client) Lookup(name string) (Entry, error) {
-	resp, err := c.roundTrip(wireRequest{Op: opLookup, Name: name})
-	if err != nil {
-		return Entry{}, err
-	}
-	if !resp.OK || resp.Entry == nil {
-		return Entry{}, fmt.Errorf("%w: %s (%s)", ErrNotFound, name, resp.Err)
-	}
-	return *resp.Entry, nil
+func (c *Client) Lookup(name string) (e Entry, err error) {
+	err = c.call("lookup", operands{Name: name}, &e)
+	return e, err
 }
 
 // AcquireLease grants (or extends, for the live holder) the domain lease.
-func (c *Client) AcquireLease(domain, holder string, ttl time.Duration) (DomainLease, error) {
-	return c.leaseOp(wireRequest{Op: opAcquireLease, Name: domain, Holder: holder, TTLMS: ttl.Milliseconds()})
+func (c *Client) AcquireLease(domain, holder string, ttl time.Duration) (l DomainLease, err error) {
+	err = c.call("acquire-lease", operands{Name: domain, Holder: holder, TTL: ttl}, &l)
+	return l, err
 }
 
 // RenewLease extends the lease for the exact live (holder, term) pair;
 // anything else — including renew-after-expiry — fails with ErrStaleTerm.
-func (c *Client) RenewLease(domain, holder string, term uint64, ttl time.Duration) (DomainLease, error) {
-	return c.leaseOp(wireRequest{Op: opRenewLease, Name: domain, Holder: holder, Term: term, TTLMS: ttl.Milliseconds()})
+func (c *Client) RenewLease(domain, holder string, term uint64, ttl time.Duration) (l DomainLease, err error) {
+	err = c.call("renew-lease", operands{Name: domain, Holder: holder, Term: term, TTL: ttl}, &l)
+	return l, err
 }
 
 // ReleaseLease gives up a live lease, reporting whether one was released.
-func (c *Client) ReleaseLease(domain, holder string, term uint64) (bool, error) {
-	resp, err := c.roundTrip(wireRequest{Op: opReleaseLease, Name: domain, Holder: holder, Term: term})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+func (c *Client) ReleaseLease(domain, holder string, term uint64) (released bool, err error) {
+	err = c.call("release-lease", operands{Name: domain, Holder: holder, Term: term}, &released)
+	return released, err
 }
 
 // ReleaseLeaseWithBarrier gives up a live lease leaving a snapshot
 // barrier at seq for the next grant; a stale (holder, term) pair is
 // refused with ErrStaleTerm.
 func (c *Client) ReleaseLeaseWithBarrier(domain, holder string, term, seq uint64) error {
-	resp, err := c.roundTrip(wireRequest{Op: opReleaseBarrier, Name: domain, Holder: holder, Term: term, Seq: seq})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return rehydrate(resp)
-	}
-	return nil
+	return c.call("release-lease-barrier", operands{Name: domain, Holder: holder, Term: term, Seq: seq}, nil)
 }
 
 // LookupLease returns the live lease on domain, or ErrNotFound.
-func (c *Client) LookupLease(domain string) (DomainLease, error) {
-	return c.leaseOp(wireRequest{Op: opLookupLease, Name: domain})
+func (c *Client) LookupLease(domain string) (l DomainLease, err error) {
+	err = c.call("lookup-lease", operands{Name: domain}, &l)
+	return l, err
 }
 
 // ListLeases returns all live domain leases.
-func (c *Client) ListLeases() ([]DomainLease, error) {
-	resp, err := c.roundTrip(wireRequest{Op: opListLeases})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, rehydrate(resp)
-	}
-	return resp.Leases, nil
-}
-
-func (c *Client) leaseOp(req wireRequest) (DomainLease, error) {
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return DomainLease{}, err
-	}
-	if !resp.OK || resp.Lease == nil {
-		return DomainLease{}, rehydrate(resp)
-	}
-	return *resp.Lease, nil
+func (c *Client) ListLeases() (leases []DomainLease, err error) {
+	err = c.call("list-leases", operands{}, &leases)
+	return leases, err
 }
 
 // Unregister removes a binding, reporting whether it existed.
-func (c *Client) Unregister(name string) (bool, error) {
-	resp, err := c.roundTrip(wireRequest{Op: opUnregister, Name: name})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+func (c *Client) Unregister(name string) (existed bool, err error) {
+	err = c.call("unregister", operands{Name: name}, &existed)
+	return existed, err
 }
 
 // List returns all live registrations.
-func (c *Client) List() ([]Entry, error) {
-	resp, err := c.roundTrip(wireRequest{Op: opList})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Entries, nil
+func (c *Client) List() (entries []Entry, err error) {
+	err = c.call("list", operands{}, &entries)
+	return entries, err
 }
