@@ -30,15 +30,19 @@
 #                      line-buffer aliasing, late-reply, frame-writer and
 #                      flush-ledger tests, and three of the amrpc retry,
 #                      re-dial and backoff-schedule tests, of the wire-code
-#                      round trip (a self-coded error goes out under its
-#                      own code), of the naming client re-dialing across
+#                      round trip (a self-coded error, the circuit
+#                      breaker's among them, goes out under its own
+#                      code), of the naming client re-dialing across
 #                      a server restart, and of the
 #                      replication tests: offer atomicity, snapshot
 #                      order, request-line ownership and every handoff
 #                      path, of the relay's buffer-lifetime and retry
 #                      tests, and of the domain-map tests (an unlisted
 #                      method is served, a split group is refused) and
-#                      the heartbeat wake sweep, and ten of the
+#                      the heartbeat wake sweep and the replication
+#                      layer (every completion route captured once, the
+#                      layer composed innermost and removed by Close,
+#                      log order equal to execution order), and ten of the
 #                      membership-event tests (join, leave, route
 #                      announcements sent and received, nudge bounds)
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
@@ -70,9 +74,13 @@
 #                      15 s heartbeat, a member an acquirer's route
 #                      announcement missed is sent it, and nudges are
 #                      bounded (none in a converged cluster, a burst
-#                      coalesced into at most two beats), and a node riding
+#                      coalesced into at most two beats), a node riding
 #                      out a naming-service restart (its next beat re-dials,
-#                      nothing is re-acquired)
+#                      nothing is re-acquired), and the replication layer:
+#                      every completion route captured exactly once, the
+#                      layer shown innermost by Describe and removed by
+#                      Close, and a serialized domain's replayed log equal
+#                      to its execution order as a sequence
 #   make handoff-smoke — the deterministic state-handoff certification:
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
@@ -118,7 +126,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
-	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded' ./internal/cluster/
 
 bench:
@@ -167,11 +175,15 @@ obs-smoke:
 # does not list is still leased and served, and a map that splits a
 # moderator group is refused at Start; and the heartbeat wake sweep,
 # which re-admits a caller parked through a change no completion signals;
-# and a naming-service restart every node rides out within two beats,
-# keeping each owned domain at its term. The ledger audit inside demands zero lost and zero forged effects.
+# a naming-service restart every node rides out within two beats,
+# keeping each owned domain at its term; and the replication layer the
+# node composes: each completion route captured once, the layer innermost
+# in Describe and gone after Close, and a successor replaying a serialized
+# domain's log in the order the owner ran it. The ledger audit inside
+# demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterRidesOutNamingRestart'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterRidesOutNamingRestart|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff

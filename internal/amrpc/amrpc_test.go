@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps/ticket"
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
+	"repro/internal/aspects/fault"
 	"repro/internal/moderator"
 	"repro/internal/proxy"
 )
@@ -161,26 +162,36 @@ func TestWireCodesRoundTrip(t *testing.T) {
 
 	// An error that carries its own code goes out under it, bare or
 	// wrapped in an abort, and matches itself again at the client; an
-	// error with neither its own code nor a row is still internal.
+	// error with neither its own code nor a row is still internal. The
+	// circuit breaker's sentinel is one such error.
+	cases := map[string]struct {
+		err      error
+		code     string
+		sentinel error // nil: the error matches no coded sentinel
+	}{
+		"bare":            {errSelfCoded, selfCode, errSelfCoded},
+		"aborted":         {fmt.Errorf("%w: %w", aspect.ErrAborted, errSelfCoded), selfCode, errSelfCoded},
+		"circuit-bare":    {fault.ErrCircuitOpen, "circuit-open", fault.ErrCircuitOpen},
+		"circuit-aborted": {fmt.Errorf("%w: %w", aspect.ErrAborted, fault.ErrCircuitOpen), "circuit-open", fault.ErrCircuitOpen},
+		"unmapped":        {errors.New("boom"), CodeInternal, nil},
+	}
 	p := proxy.New(moderator.New("coded"))
-	for method, err := range map[string]error{
-		"bare":     errSelfCoded,
-		"aborted":  fmt.Errorf("%w: %w", aspect.ErrAborted, errSelfCoded),
-		"unmapped": errors.New("boom"),
-	} {
-		if err := p.Bind(method, func(*aspect.Invocation) (any, error) { return nil, err }); err != nil {
+	for method, c := range cases {
+		if err := p.Bind(method, func(*aspect.Invocation) (any, error) { return nil, c.err }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stub := dialClient(t, startServer(t, p)).Component("coded")
-	for method, want := range map[string]string{"bare": selfCode, "aborted": selfCode, "unmapped": CodeInternal} {
+	for method, c := range cases {
 		_, err := stub.Invoke(context.Background(), method)
 		var re *RemoteError
-		if !errors.As(err, &re) || re.Code != want {
-			t.Errorf("%s: err = %v, want code %q", method, err, want)
+		if !errors.As(err, &re) || re.Code != c.code {
+			t.Errorf("%s: err = %v, want code %q", method, err, c.code)
 		}
-		if coded := want == selfCode; errors.Is(err, errSelfCoded) != coded {
-			t.Errorf("%s: errors.Is(%v, the self-coded sentinel) = %v, want %v", method, err, !coded, coded)
+		for _, s := range []error{errSelfCoded, fault.ErrCircuitOpen} {
+			if want := s == c.sentinel; errors.Is(err, s) != want {
+				t.Errorf("%s: errors.Is(%v, %v) = %v, want %v", method, err, s, !want, want)
+			}
 		}
 	}
 }

@@ -414,7 +414,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte(`{"id":2,"err":"denied","code":"permission-denied"}`))
 	f.Add([]byte(`{"id":3,"err":"gone","code":"no-such-code"}`))
 	for _, s := range awkward {
-		line, err := refSealResponse(&response{ID: 9, Result: refRaw(f, []any{s})[0], Err: s, Code: CodeCircuitOpen})
+		line, err := refSealResponse(&response{ID: 9, Result: refRaw(f, []any{s})[0], Err: s, Code: "circuit-open"})
 		if err != nil {
 			f.Fatal(err)
 		}

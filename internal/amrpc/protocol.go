@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/aspect"
 	"repro/internal/aspects/auth"
-	"repro/internal/aspects/fault"
 	"repro/internal/proxy"
 )
 
@@ -81,7 +80,6 @@ const (
 	CodeAborted         = "aborted"
 	CodeUnauthenticated = "unauthenticated"
 	CodeDenied          = "permission-denied"
-	CodeCircuitOpen     = "circuit-open"
 	CodeNoMethod        = "no-method"
 	CodeNoComponent     = "no-component"
 	CodeCancelled       = "cancelled"
@@ -154,7 +152,6 @@ var wireCodes = []struct {
 }{
 	{CodeUnauthenticated, auth.ErrUnauthenticated},
 	{CodeDenied, auth.ErrPermissionDenied},
-	{CodeCircuitOpen, fault.ErrCircuitOpen},
 	{CodeNoMethod, proxy.ErrNoSuchMethod},
 	{CodeNoComponent, ErrNoSuchComponent},
 	{CodeCancelled, context.Canceled},

@@ -8,15 +8,24 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/aspect"
 )
 
-// ErrCircuitOpen is recorded on invocations shed by an open circuit breaker.
-var ErrCircuitOpen = errors.New("fault: circuit open")
+// ErrCircuitOpen is recorded on invocations shed by an open circuit
+// breaker. It carries its own amrpc wire code, so a remote caller's
+// errors.Is matches the refusal it receives against it again.
+var ErrCircuitOpen error = &codedError{"fault: circuit open", "circuit-open"}
+
+// codedError is a sentinel that carries its own amrpc wire code.
+type codedError struct{ msg, code string }
+
+func (e *codedError) Error() string { return e.msg }
+
+// WireCode is the code amrpc sends a refusal wrapping e under.
+func (e *codedError) WireCode() string { return e.code }
 
 // breakerState is the classic three-state circuit machine.
 type breakerState int

@@ -257,9 +257,10 @@ type Node struct {
 
 // Start launches a node: it derives the domain map from the local
 // component, listens on addr (host:port, may be ":0"), registers itself
-// with the naming service, and begins the ownership heartbeat. The first
-// beat runs synchronously so a freshly started node is routable
-// immediately.
+// with the naming service, and begins the ownership heartbeat. With state
+// sync on it composes the replication layer on the local moderator
+// (statesync.go). The first beat runs synchronously so a freshly started
+// node is routable immediately.
 func Start(cfg Config, addr string) (*Node, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -326,7 +327,10 @@ func Start(cfg Config, addr string) (*Node, error) {
 			return fail(err)
 		}
 		n.sync = mgr
-		cfg.Local.Moderator().SetEffectSink(&effectSink{n: n})
+		if err := n.composeReplication(); err != nil {
+			mgr.Close()
+			return fail(fmt.Errorf("cluster: node %s: replication layer: %w", cfg.ID, err))
+		}
 	}
 	n.wg.Add(1)
 	go func() {
@@ -363,10 +367,11 @@ func (n *Node) ID() string { return n.cfg.ID }
 
 // Close stops the heartbeat, hands each owned domain's replicated state
 // to its successor, releases the leases (with snapshot barriers) and the
-// membership entry, and tears down the server and every pooled
-// connection. In-flight handlers (including parked callers) are cancelled
-// by the server's connection teardown — their callers re-admit through
-// the next owner, which resumes the handed-over state before serving.
+// membership entry, removes the replication layer, and tears down the
+// server and every pooled connection. In-flight handlers (including
+// parked callers) are cancelled by the server's connection teardown —
+// their callers re-admit through the next owner, which resumes the
+// handed-over state before serving.
 func (n *Node) Close() {
 	n.closeOnce.Do(n.doClose)
 	<-n.closeDone
@@ -433,7 +438,9 @@ func (n *Node) doClose() {
 	_ = n.nc.Close()
 
 	if n.sync != nil {
-		n.cfg.Local.Moderator().SetEffectSink(nil)
+		// A receipt admitted before the removal still runs its capture; a
+		// Capture on the closed manager is harmless.
+		_ = n.cfg.Local.Moderator().RemoveLayer(replicationLayer)
 		n.sync.Close()
 	}
 	n.server.Close()

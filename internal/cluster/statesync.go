@@ -30,17 +30,47 @@ import (
 	"repro/internal/amrpc"
 	"repro/internal/aspect"
 	"repro/internal/cluster/view"
+	"repro/internal/moderator"
 	"repro/internal/naming"
 	"repro/internal/statesync"
 )
 
-// effectSink is the moderator completion hook: one atomic load on the hot
-// path when replication is off, one ring append when it is on. Capture
-// no-ops for domains this node does not lead.
-type effectSink struct{ n *Node }
+// replicationLayer is the local moderator's innermost layer while state
+// sync is on. Postactions run innermost first, so the capture runs right
+// after the body, before any other concern's postaction, and under the
+// domain's lock on the routes that take one: a serialized domain's log
+// order is its execution order.
+const replicationLayer = "replication"
 
-func (s *effectSink) Effect(inv *aspect.Invocation) {
-	s.n.sync.Capture(s.n.domainOf(inv.Method()), inv.Method(), inv.Args())
+// composeReplication adds the replication layer: one passive aspect per
+// bound method, whose postaction appends a successful completion to the
+// method's domain log. Capture no-ops for domains this node does not lead.
+// The aspect declares no wake list, so the plans' wake targets are
+// unchanged.
+func (n *Node) composeReplication() error {
+	mod := n.cfg.Local.Moderator()
+	if err := mod.AddLayer(replicationLayer, moderator.Innermost); err != nil {
+		return err
+	}
+	kind := aspect.Kind(replicationLayer)
+	for method, domain := range n.domains {
+		capture := &aspect.Func{
+			AspectName:      "capture",
+			AspectKind:      kind,
+			NonBlockingFlag: true,
+			Post: func(inv *aspect.Invocation) {
+				// A failed body left no effect to replicate.
+				if inv.Err() == nil {
+					n.sync.Capture(domain, method, inv.Args())
+				}
+			},
+		}
+		if err := mod.RegisterIn(replicationLayer, method, kind, capture); err != nil {
+			_ = mod.RemoveLayer(replicationLayer)
+			return err
+		}
+	}
+	return nil
 }
 
 // syncTransport ships replication offers over the node's pooled amrpc

@@ -9,15 +9,22 @@ import (
 	"repro/internal/aspect"
 )
 
-// recordingSink collects the (method, first-arg) pairs of every effect.
+// An effect sink is a passive aspect in an innermost layer whose
+// postaction records every successful completion: the shape the cluster's
+// replication capture takes. These tests hold the moderator to what such
+// a sink relies on, without a cluster around it.
+
+// recordingSink collects the method of every captured effect, and the
+// order in which the sink and the other postactions ran.
 type recordingSink struct {
-	mu  sync.Mutex
-	got []string
+	mu    sync.Mutex
+	got   []string
+	posts []string
 }
 
-func (s *recordingSink) Effect(inv *aspect.Invocation) {
+func (s *recordingSink) post(name string) {
 	s.mu.Lock()
-	s.got = append(s.got, inv.Method())
+	s.posts = append(s.posts, name)
 	s.mu.Unlock()
 }
 
@@ -25,6 +32,35 @@ func (s *recordingSink) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.got)
+}
+
+func (s *recordingSink) postOrder() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.posts...)
+}
+
+// attachEffectSink composes sink as the innermost layer "effects" on
+// method m.
+func attachEffectSink(t *testing.T, m *Moderator, method string, sink *recordingSink) {
+	t.Helper()
+	if err := m.AddLayer("effects", Innermost); err != nil {
+		t.Fatal(err)
+	}
+	kind := aspect.Kind("effects")
+	if err := m.RegisterIn("effects", method, kind, &aspect.Func{
+		AspectName: "sink", AspectKind: kind, NonBlockingFlag: true,
+		Post: func(inv *aspect.Invocation) {
+			sink.post("sink")
+			if inv.Err() == nil {
+				sink.mu.Lock()
+				sink.got = append(sink.got, inv.Method())
+				sink.mu.Unlock()
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func admitEffect(t *testing.T, m *Moderator, method string, bodyErr error) {
@@ -38,42 +74,60 @@ func admitEffect(t *testing.T, m *Moderator, method string, bodyErr error) {
 	m.Postactivation(inv, adm)
 }
 
-// TestEffectSinkFiresOnEveryCompletionRoute pins the capture hook's
-// placement: the sink fires at the top of Postactivation, before any
-// completion route branches off — pure fast path, optimistic guarded
-// path, and mutex path completions all replicate alike.
+// TestEffectSinkFiresOnEveryCompletionRoute pins the sink's placement: an
+// innermost layer's postaction runs once per completion, before any other
+// concern's postaction, on the pure fast path, on the mutex path, and for
+// a method with no aspects of its own; it sees a failed body's error, and
+// removing the layer detaches it.
 func TestEffectSinkFiresOnEveryCompletionRoute(t *testing.T) {
-	// Pure stack: the lock-free fast path.
-	pure := New("fx")
-	if err := pure.Register("m", aspect.KindAudit, &aspect.Func{
-		AspectName: "audit", AspectKind: aspect.KindAudit, NonBlockingFlag: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Guarded stack forced onto the mutex path.
-	mux := forceMutexRoute(New("fx"))
-	if err := mux.Register("m", aspect.KindSynchronization, &aspect.Func{
-		AspectName: "sem", AspectKind: aspect.KindSynchronization,
-		Pre:  func(*aspect.Invocation) aspect.Verdict { return aspect.Resume },
-		Post: func(*aspect.Invocation) {},
-	}); err != nil {
-		t.Fatal(err)
+	routes := map[string]func(*recordingSink) *Moderator{
+		// Pure stack: the lock-free fast path.
+		"pure": func(s *recordingSink) *Moderator {
+			m := New("fx")
+			if err := m.Register("m", aspect.KindAudit, &aspect.Func{
+				AspectName: "audit", AspectKind: aspect.KindAudit, NonBlockingFlag: true,
+				Post: func(*aspect.Invocation) { s.post("audit") },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+		// Guarded stack forced onto the mutex path.
+		"mutex": func(s *recordingSink) *Moderator {
+			m := forceMutexRoute(New("fx"))
+			if err := m.Register("m", aspect.KindSynchronization, &aspect.Func{
+				AspectName: "sem", AspectKind: aspect.KindSynchronization,
+				Pre:  func(*aspect.Invocation) aspect.Verdict { return aspect.Resume },
+				Post: func(*aspect.Invocation) { s.post("sem") },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+		// No aspect of its own: the sink is the method's whole plan.
+		"bare": func(*recordingSink) *Moderator { return New("fx") },
 	}
 
-	for name, m := range map[string]*Moderator{"pure": pure, "mutex": mux} {
+	for name, build := range routes {
 		sink := &recordingSink{}
-		m.SetEffectSink(sink)
+		m := build(sink)
+		attachEffectSink(t, m, "m", sink)
 		admitEffect(t, m, "m", nil)
 		if sink.count() != 1 {
 			t.Fatalf("%s route: sink fired %d times, want 1", name, sink.count())
 		}
-		// Errored bodies are not effects: nothing replicates.
+		if order := sink.postOrder(); order[0] != "sink" {
+			t.Fatalf("%s route: postactions ran %v, want the sink first", name, order)
+		}
+		// Errored bodies are not effects: nothing is recorded.
 		admitEffect(t, m, "m", errors.New("body failed"))
 		if sink.count() != 1 {
-			t.Fatalf("%s route: errored completion replicated", name)
+			t.Fatalf("%s route: errored completion recorded", name)
 		}
-		// Detached sink: the hot path is back to one nil-check.
-		m.SetEffectSink(nil)
+		// Detached sink: the layer is gone, and so is the capture.
+		if err := m.RemoveLayer("effects"); err != nil {
+			t.Fatal(err)
+		}
 		admitEffect(t, m, "m", nil)
 		if sink.count() != 1 {
 			t.Fatalf("%s route: detached sink still fired", name)
@@ -87,7 +141,7 @@ func TestEffectSinkOptimisticRoute(t *testing.T) {
 	m := New("fx")
 	occupancy := optSemStack(t, m)
 	sink := &recordingSink{}
-	m.SetEffectSink(sink)
+	attachEffectSink(t, m, "m", sink)
 	const n = 50
 	for i := 0; i < n; i++ {
 		admitEffect(t, m, "m", nil)

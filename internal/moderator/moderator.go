@@ -596,9 +596,6 @@ type Moderator struct {
 	comp    atomic.Pointer[compState]
 	domains atomic.Pointer[domainTable]
 	tracer  atomic.Pointer[tracerBox]
-	// effects, when set, receives every successful completion at
-	// post-action time — the state-handoff replication hook (effects.go).
-	effects atomic.Pointer[effectBox]
 
 	// admitHook, when set, is a test-only instrumentation hook called at
 	// the optimistic paths' racy windows (see optimistic.go). Reading it
@@ -1338,11 +1335,6 @@ func (m *Moderator) Postactivation(inv *aspect.Invocation, adm *Admission) {
 		d = m.domainFor(inv.Method())
 	}
 	d.completions.Add(1)
-	// The effect sink fires before any completion route branches off, so
-	// pure, cell, and mutex receipts all replicate alike.
-	if eb := m.effects.Load(); eb != nil && inv.Err() == nil {
-		eb.s.Effect(inv)
-	}
 	tb := m.tracer.Load()
 	if adm.Len() == 0 {
 		releaseAdmission(adm)

@@ -74,7 +74,6 @@ func TestModeratorWaitersPadding(t *testing.T) {
 		sz   uintptr
 	}{
 		{"admitHook", unsafe.Offsetof(m.admitHook), unsafe.Sizeof(m.admitHook)},
-		{"effects", unsafe.Offsetof(m.effects), unsafe.Sizeof(m.effects)},
 		{"comp", unsafe.Offsetof(m.comp), unsafe.Sizeof(m.comp)},
 		{"domains", unsafe.Offsetof(m.domains), unsafe.Sizeof(m.domains)},
 	} {

@@ -1,6 +1,7 @@
 package moderator
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -55,23 +56,24 @@ func abRound(t *testing.T, m Admitter, inv *aspect.Invocation, n int) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 
-// abMinRounds interleaves short rounds of the two variants and returns
-// each one's fastest round. A round is shorter than a GC period or a
-// scheduler quantum, so some rounds are clean and the minimum finds them.
-func abMinRounds(t *testing.T, fast, slow Admitter) (fastNs, slowNs float64) {
+// abPairRatios interleaves short rounds of the two variants and returns
+// the slow/fast ratio of each adjacent pair of rounds, sorted. A round is
+// shorter than a GC period or a scheduler quantum, and the two rounds of a
+// pair run back to back, so a load spike from elsewhere on the host slows
+// both sides of a pair alike or spoils only a few pairs; the median pair
+// reads the mechanism, not the host's load.
+func abPairRatios(t *testing.T, fast, slow Admitter) []float64 {
 	t.Helper()
 	inv := aspect.NewInvocation(nil, "ab", "m", nil)
 	abRound(t, fast, inv, abWarmup)
 	abRound(t, slow, inv, abWarmup)
-	for r := 0; r < abRounds; r++ {
-		if ns := abRound(t, fast, inv, abOps); r == 0 || ns < fastNs {
-			fastNs = ns
-		}
-		if ns := abRound(t, slow, inv, abOps); r == 0 || ns < slowNs {
-			slowNs = ns
-		}
+	ratios := make([]float64, abRounds)
+	for r := range ratios {
+		fastNs := abRound(t, fast, inv, abOps)
+		ratios[r] = abRound(t, slow, inv, abOps) / fastNs
 	}
-	return fastNs, slowNs
+	sort.Float64s(ratios)
+	return ratios
 }
 
 func TestTiersAB(t *testing.T) {
@@ -112,9 +114,9 @@ func TestTiersAB(t *testing.T) {
 		{"optimistic vs mutex", optOn, optOff},
 		{"sharded vs reference", optOn, reference},
 	} {
-		fastNs, slowNs := abMinRounds(t, c.fast, c.slow)
-		ratio := slowNs / fastNs
-		t.Logf("%s: %.1f ns vs %.1f ns = %.2fx", c.name, fastNs, slowNs, ratio)
+		ratios := abPairRatios(t, c.fast, c.slow)
+		ratio := ratios[len(ratios)/2]
+		t.Logf("%s: median pair %.2fx; pairs, sorted: %.2f", c.name, ratio, ratios)
 		if ratio < abMinRatio {
 			t.Errorf("%s: %.2fx, want >= %.2fx", c.name, ratio, abMinRatio)
 		}

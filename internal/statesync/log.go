@@ -5,11 +5,12 @@
 // The design follows the plane's existing fencing discipline end to end:
 //
 //   - Every owned domain has an append-only effect log. Entries are
-//     appended at post-action time (the moderator's completion hook) and
-//     stamped with the owner's lease term, a per-domain sequence number,
-//     and the completed method + arguments. Appends are lock-free — one
-//     atomic fetch-add assigns the sequence, one atomic store publishes
-//     the slot — so the capture hook adds no lock to the admission path.
+//     appended at post-action time (by the replication aspect the cluster
+//     composes) and stamped with the owner's lease term, a per-domain
+//     sequence number, and the completed method + arguments. Appends are
+//     lock-free — one atomic fetch-add assigns the sequence, one atomic
+//     store publishes the slot — so capture adds no lock to the admission
+//     path.
 //   - A per-node streamer asynchronously ships pending entries to the
 //     domain's ring successor over the plane's control endpoints, and the
 //     successor acknowledges a high-water mark; acknowledged entries are
@@ -49,7 +50,7 @@ type Entry struct {
 }
 
 // Log is one domain's effect log: a fixed-capacity MPSC ring. Any number
-// of completion hooks may Append concurrently; a single streamer reads
+// of capturing postactions may Append concurrently; a single streamer reads
 // contiguous published entries and advances the acknowledged mark. A slot
 // is reused only after its entry has been acknowledged, so the reader
 // never observes a torn entry. The entries sit in one array, apart from

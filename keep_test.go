@@ -64,15 +64,13 @@ var keepAllowlist = map[string]keepEntry{
 	"aspect.Invocation.ArgInt":                 {experiment, "E5: TestStickyTicketPreservesFIFOAcrossReparks identifies each parked caller through it"},
 	"aspect.Invocation.NumArgs":                {testObserver, "TestRawArgumentsAndEncodedValues: a raw call reaches its component with no decoded arguments"},
 	"aspect.Invocation.Result":                 {paperFigure, "Fig. 10: TestGuardedInvokeRunsPhasesAroundBody, where postactivation reads the body's result"},
+	"aspect.KindFaultTolerance":                {experiment, "E8: the kind the circuit breaker registers under"},
 	"aspects/audit.Trail.Drops":                {testObserver, "TestSinkFailureCountsDrops: a failing sink never fails the audited call"},
 	"aspects/audit.Trail.Len":                  {testObserver, "TestRingEviction: the trail retains a bounded ring of events"},
 	"aspects/audit.Trail.Seq":                  {testObserver, "TestConcurrentRecording: every audited event is numbered once under concurrent callers"},
 	"aspects/audit.WithClock":                  {clockSeam, "audit timestamps"},
 	"aspects/auth.TokenStore.Len":              {testObserver, "TestTokenStoreLifecycle: Issue and Revoke add and remove live tokens"},
 	"aspects/coord.Barrier.Arrived":            {testObserver, "TestBarrierManyCohortsConcurrent: the barrier releases whole cohorts (E11)"},
-	"aspects/fault.CircuitBreaker.Aspect":      {experiment, "E8: BenchmarkE8FaultBreakerHealthy and BenchmarkE8FaultBreakerOpenShed"},
-	"aspects/fault.CircuitBreaker.State":       {experiment, "E8: TestCircuitBreakerTripAndRecovery asserts the breaker's states"},
-	"aspects/fault.NewCircuitBreaker":          {experiment, "E8: the fault-tolerance concern's live aspect"},
 	"aspects/metrics.Recorder.Keys":            {testObserver, "TestAspectReuseAcrossApplications: one recorder composes onto every application (E10)"},
 	"aspects/metrics.WithClock":                {clockSeam, "metrics latency timing"},
 	"aspects/sched.FairShare.Outstanding":      {testObserver, "TestFairSharePerClientLimit: the per-client cap apps/auction composes"},
@@ -111,6 +109,7 @@ var keepAllowlist = map[string]keepEntry{
 var keepPackages = map[string]keepEntry{
 	"apps/reservation":   {experiment, "E10: one aspect set reused across the four applications"},
 	"apps/timecard":      {experiment, "E10: one aspect set reused across the four applications"},
+	"aspects/fault":      {experiment, "E8: the circuit breaker, the fault-tolerance concern"},
 	"baseline/decorator": {experiment, "E1: the decorator-chain baseline"},
 	"baseline/tangled":   {experiment, "E1: the hand-woven monitor baseline"},
 	"chaosnet":           {experiment, "E17: the fault injector under the cluster chaos soak"},
