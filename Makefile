@@ -24,11 +24,12 @@
 #                      ring and churn concurrency tests, five
 #                      rounds of the invocation-
 #                      recycling tests (a released record carries no
-#                      token, priority, barrier generation, ctx, args or
-#                      trace id into its next call — in process and over
-#                      amrpc), ten rounds of the amrpc
-#                      line-buffer aliasing, late-reply, frame-writer and
-#                      flush-ledger tests, and three of the amrpc retry,
+#                      token, priority, barrier generation, ctx, args,
+#                      wire-form args or their shared copy, or trace id
+#                      into its next call — in process and over amrpc),
+#                      ten rounds of the amrpc line-buffer aliasing (a
+#                      kept argument string among them), late-reply,
+#                      frame-writer and flush-ledger tests, and three of the amrpc retry,
 #                      re-dial and backoff-schedule tests, of the wire-code
 #                      round trip (a self-coded error, the circuit
 #                      breaker's among them, goes out under its own
@@ -46,7 +47,9 @@
 #                      membership-event tests (join, leave, route
 #                      announcements sent and received, nudge bounds)
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
-#                      wire encoders and decoders, the value decoder and
+#                      wire encoders and decoders, the value decoder, the
+#                      wire-form arguments (every accessor differential
+#                      against the decoded list) and
 #                      the replication-offer decoder (each differential
 #                      against encoding/json), the cluster relay
 #                      (differential against decoding at the entry), the
@@ -90,15 +93,19 @@
 #   make examples-smoke — build every examples/* program and run each
 #                      under a timeout; any non-zero exit fails (go test
 #                      only compiles them)
+#   make cpu-matrix  — the packages whose tests take the same time at any
+#                      core count, run at GOMAXPROCS 1, 2 and 4, so their
+#                      verdicts cannot depend on the host's
 #   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
-#                      cluster-smoke + handoff-smoke + examples-smoke
+#                      cluster-smoke + handoff-smoke + examples-smoke +
+#                      cpu-matrix
 
 GO ?= go
 FUZZTIME ?= 10s
 OBS_SMOKE_DIR := $(or $(TMPDIR),/tmp)/obs-smoke
 EXAMPLES_SMOKE_DIR := $(or $(TMPDIR),/tmp)/examples-smoke
 
-.PHONY: tier1 lint race fuzz-smoke bench obs-smoke cluster-smoke handoff-smoke examples-smoke check
+.PHONY: tier1 lint race fuzz-smoke bench obs-smoke cluster-smoke handoff-smoke examples-smoke cpu-matrix check
 
 tier1:
 	$(GO) build ./...
@@ -122,8 +129,8 @@ race:
 	$(GO) test -race -count=2 -short -run 'TestModeratorStress|TestDifferential|TestWakeMode|TestMutexTier|TestOptimistic|TestRoute|TestPlanCache|TestDescribeNeverTearsDuringChurn|TestAdmissionReceiptSurvivesRemoveLayer|TestSupersededSnapshotsAreCollected|TestWakeFanOut|TestCancelRaceRecycledWaiterCarriesNoToken|TestFIFOOrder|TestLIFOOrder|TestPriorityOrderWithFIFOTieBreak|TestBroadcastWakesAll' ./internal/moderator/ ./internal/waitq/
 	$(GO) test -race -count=2 -run 'TestObsUnderLayerChurn|TestRingNeverBlocks' ./internal/obs/
 	$(GO) test -race -count=5 -run 'TestRecycledInvocation|TestTraceIDsSoundUnderRecycling' ./internal/apps/ticket/ ./internal/aspects/coord/ ./internal/obs/
-	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken' ./internal/amrpc/
-	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
+	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken|TestRecycledInvocationCarriesNoWireArgs' ./internal/amrpc/
+	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestKeptArgStringDoesNotAliasRequestLine|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
 	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
@@ -138,6 +145,7 @@ fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzWireArgs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statesync -run '^$$' -fuzz '^FuzzDecodeOffer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRelayArgs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)
@@ -217,4 +225,9 @@ examples-smoke:
 	done
 	@echo "examples-smoke: OK"
 
-check: tier1 lint race fuzz-smoke obs-smoke cluster-smoke handoff-smoke examples-smoke
+# moderator and cluster join once their tests stop scaling with the core
+# count (ROADMAP items 18 and 1a).
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/amrpc/ ./internal/waitq/ ./internal/statesync/ ./internal/schedtest/
+
+check: tier1 lint race fuzz-smoke obs-smoke cluster-smoke handoff-smoke examples-smoke cpu-matrix

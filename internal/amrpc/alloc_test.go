@@ -9,14 +9,17 @@ import (
 
 // callPairAllocs is what one remote open+assign pair of the guarded ticket
 // service may cost the heap, client and server together.
-const callPairAllocs = 11
+const callPairAllocs = 7
 
 // TestCallAllocations pins the allocations of one open+assign pair over
-// loopback. What is left is what outlives the call: the decoded arguments
-// and result, the ticket the body returns. The server releases each
-// invocation record once its call returns, so a record built per call
-// comes back as two. Nothing per frame — no line or result copy, no name,
-// no reply channel — may come back.
+// loopback. What is left is what outlives the call: the one copy of open's
+// argument bytes both its strings are cut from, the decoded result, the
+// ticket the body returns. The server hands the arguments to the body in
+// wire form; decoding them into a list first, as DecodeArgs does, comes
+// back as four more (the list, and a copy and a box per string). The
+// server releases each invocation record once its call returns, so a
+// record built per call comes back as two. Nothing per frame — no line or
+// result copy, no name, no reply channel — may come back.
 func TestCallAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")

@@ -203,13 +203,19 @@ func (e *valueEncoder) addArgs(raws []json.RawMessage, args []any) ([]json.RawMe
 // alive.
 func decodeValue(raw []byte) (any, error) {
 	d := valueDecoder{frameParser: frameParser{b: raw}}
+	return d.decode()
+}
+
+// decode is decodeValue over d's bytes; strings that can share src are cut
+// from it when it is already set to a copy of them.
+func (d *valueDecoder) decode() (any, error) {
 	d.space()
 	v := d.value(0)
 	d.space()
 	switch {
 	case d.err != nil:
 		return nil, d.err
-	case d.bad || d.i != len(raw):
+	case d.bad || d.i != len(d.b):
 		return nil, errMalformed
 	}
 	return v, nil
@@ -535,8 +541,9 @@ func appendSum(dst []byte, start int) []byte {
 // The component and method names come from names where it holds them,
 // instead of being copied out of line. The raw args reuse the backing
 // array of req.Args, so a reader decoding frame after frame into one
-// request does not allocate it again.
-func decodeRequestInterned(line []byte, req *request, names *nameCache) error {
+// request does not allocate it again. huge reports a number in the args
+// beyond float64's range: a frame may carry one, DecodeArgs refuses it.
+func decodeRequestInterned(line []byte, req *request, names *nameCache) (huge bool, err error) {
 	args := req.Args[:0]
 	*req = request{}
 	p := frameParser{b: line}
@@ -549,7 +556,9 @@ func decodeRequestInterned(line []byte, req *request, names *nameCache) error {
 		case "method":
 			req.Method = p.name(names.method)
 		case "args":
+			p.floats, p.huge = true, false
 			req.Args = p.rawArray(args)
+			p.floats, huge = false, p.huge
 		case "token":
 			req.Token = p.str()
 		case "priority":
@@ -564,7 +573,7 @@ func decodeRequestInterned(line []byte, req *request, names *nameCache) error {
 			p.unknown(requestMembers)
 		}
 	}
-	return p.finish(req.Sum)
+	return huge, p.finish(req.Sum)
 }
 
 // decodeResponse is decodeRequestInterned for the return path. Result
@@ -613,7 +622,8 @@ type frameParser struct {
 	i      int
 	bad    bool
 	plain  bool // the string skipString last scanned is printable ASCII with no escape
-	floats bool // skipNumber also refuses a number outside float64's range
+	floats bool // skipNumber also checks that a number is within float64's range
+	huge   bool // a number it checked was not
 
 	started bool   // the opening brace has been consumed
 	key     []byte // the current member's name, unquoted
@@ -969,7 +979,7 @@ func (p *frameParser) skipNumber() bool {
 		}
 	}
 	if p.floats && !fitsFloat(p.b[start:p.i]) {
-		return p.fail()
+		p.huge = true
 	}
 	return true
 }

@@ -48,7 +48,8 @@ func refSealResponse(resp *response) ([]byte, error) {
 func decodeRequest(line []byte, req *request) error {
 	var none atomic.Pointer[map[string]hosted]
 	none.Store(&map[string]hosted{})
-	return decodeRequestInterned(line, req, &nameCache{table: &none, methods: make(map[string]string)})
+	_, err := decodeRequestInterned(line, req, &nameCache{table: &none, methods: make(map[string]string)})
+	return err
 }
 
 // encodeArgs is valueEncoder as a caller with no buffer to reuse would use
@@ -619,7 +620,7 @@ func TestCodecAllocations(t *testing.T) {
 	line := appendRequest(nil, req)
 	var dec request
 	if n := testing.AllocsPerRun(200, func() {
-		if err := decodeRequestInterned(line, &dec, &names); err != nil {
+		if _, err := decodeRequestInterned(line, &dec, &names); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

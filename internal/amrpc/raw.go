@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/aspect"
@@ -25,12 +26,18 @@ import (
 type RawCall struct {
 	Args  []json.RawMessage
 	Fence uint64
+	wire  *wireArgs // the server worker's reader, which Bind sets on inv
 }
+
+// Bind hands the call's arguments to inv as the server hands a Component's
+// (see wireArgs): decoded only when inv reads them, and only while CallRaw
+// runs.
+func (c RawCall) Bind(inv *aspect.Invocation) { c.wire.bind(inv, c.Args) }
 
 // A RawComponent is a Component the server calls in wire form. Every
 // request addressing it goes to CallRaw instead of Call, its arguments
 // undecoded and its invocation holding none; the component decodes what it
-// needs (DecodeArgs, Scanner) and appends exactly one JSON value, its
+// needs (DecodeArgs, Scanner, Bind) and appends exactly one JSON value, its
 // result, to dst, the server's result buffer. The server sends those bytes
 // verbatim once it has checked they are one JSON value a frame can carry on
 // one line, as it checks an Appender's.
@@ -52,6 +59,80 @@ func DecodeArgs(raw []json.RawMessage) ([]any, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// wireArgs, one per server worker, is a served call's arguments as its
+// frame carried them, the aspect.ArgReader of its invocation. Each is
+// decoded when read, as DecodeArgs decodes it (the connection's reader
+// refuses a call it would refuse), except that every string is cut from
+// one copy of all the arguments' bytes: one allocation per call, and
+// nothing read aliases the request line, recycled once the reply is sent.
+type wireArgs struct {
+	aspect.WireArgs
+	raw  []json.RawMessage
+	src  string // the arguments' bytes end to end; "" until a string is read
+	offs []int  // where each argument starts in src
+}
+
+// bind makes raw inv's arguments.
+func (w *wireArgs) bind(inv *aspect.Invocation, raw []json.RawMessage) {
+	w.raw, w.src = raw, ""
+	inv.SetArgReader(w)
+}
+
+// reset drops the call's arguments and the copy of them. The offsets'
+// array serves the next call, unless a call with many arguments grew it.
+func (w *wireArgs) reset() {
+	if cap(w.offs) > maxRecycled/8 {
+		w.offs = nil
+	}
+	*w = wireArgs{offs: w.offs}
+}
+
+// Arity implements aspect.ArgReader.
+func (w *wireArgs) Arity() int { return len(w.raw) }
+
+// Decode implements aspect.ArgReader.
+func (w *wireArgs) Decode(i int) any {
+	if i < 0 || i >= len(w.raw) {
+		return nil
+	}
+	d := valueDecoder{frameParser: frameParser{b: w.raw[i]}}
+	if bytes.IndexByte(w.raw[i], '"') >= 0 {
+		d.src = w.source(i)
+	}
+	v, _ := d.decode() // the server refused every argument that fails
+	return v
+}
+
+// DecodeString implements aspect.ArgReader.
+func (w *wireArgs) DecodeString(i int) (string, bool) {
+	if i < 0 || i >= len(w.raw) || w.raw[i][0] != '"' {
+		return "", false
+	}
+	d := valueDecoder{frameParser: frameParser{b: w.raw[i]}, src: w.source(i)}
+	return d.str(), true
+}
+
+// source returns argument i's bytes within the copy strings are cut from,
+// making the copy, and the offsets that find each argument in it, at the
+// first call.
+func (w *wireArgs) source(i int) string {
+	if w.src == "" {
+		n := 0
+		w.offs = w.offs[:0]
+		for _, r := range w.raw {
+			w.offs = append(w.offs, n)
+			n += len(r)
+		}
+		var b strings.Builder
+		b.Grow(n)
+		for _, r := range w.raw {
+			b.Write(r)
+		}
+		w.src = b.String()
+	}
+	return w.src[w.offs[i] : w.offs[i]+len(w.raw[i])]
 }
 
 // An Appender is an argument (or result) that writes its own JSON encoding:
@@ -252,10 +333,11 @@ func (s *Scanner) Value() []byte {
 		return nil
 	}
 	start := s.p.i
-	s.p.floats = true
+	s.p.floats, s.p.huge = true, false
 	ok := s.p.skipValue(s.depth)
 	s.p.floats = false
-	if !ok {
+	if !ok || s.p.huge {
+		s.p.fail()
 		return nil
 	}
 	return s.p.b[start:s.p.i:s.p.i]

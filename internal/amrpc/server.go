@@ -342,8 +342,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		go func() {
 			defer workers.Done()
 			var results valueEncoder
+			var args wireArgs
 			for in := range workCh {
-				resp := s.handle(ctx, &in.req, &results)
+				resp := s.handle(ctx, &in.req, &results, &args)
+				args.reset() // the call's line and copy are not kept past it
 				if resp.Err != "" {
 					s.stats.errorReplies.Add(1)
 				}
@@ -368,7 +370,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		in := inbounds.Get().(*inbound)
 		in.line = append(in.line[:0], scanner.Bytes()...)
 		req := &in.req
-		if err := decodeRequestInterned(in.line, req, &names); err != nil {
+		huge, err := decodeRequestInterned(in.line, req, &names)
+		if err != nil {
 			in.recycle()
 			if errors.Is(err, errChecksum) {
 				// A corrupted frame: nothing in it — including its ID — can
@@ -382,6 +385,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.stats.requests.Add(1)
+		if huge { // refused before any aspect runs, as DecodeArgs refuses it
+			_, err := DecodeArgs(req.Args)
+			resp := refusal(req.ID, err)
+			s.stats.errorReplies.Add(1)
+			reply(&resp, 0)
+			in.recycle()
+			continue
+		}
 		if s.shed != nil {
 			if retryAfter, shed := s.shed(req.Component, req.Method); shed {
 				s.stats.sheds.Add(1)
@@ -428,8 +439,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handle executes one request against the named component. A result is
-// encoded into results.buf, which the response aliases.
-func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder) response {
+// encoded into results.buf, which the response aliases. The invocation
+// reads its arguments in place through args, the worker's one reader.
+func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder, args *wireArgs) response {
 	h, ok := (*s.components.Load())[req.Component]
 	if !ok {
 		return response{
@@ -438,19 +450,15 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 			Code: CodeNoComponent,
 		}
 	}
-	var args []any
-	if h.raw == nil {
-		var err error
-		if args, err = DecodeArgs(req.Args); err != nil {
-			return refusal(req.ID, err)
-		}
-	}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	inv := aspect.NewInvocation(ctx, h.name, req.Method, args)
+	inv := aspect.NewInvocation(ctx, h.name, req.Method, nil)
+	if h.raw == nil {
+		args.bind(inv, req.Args)
+	}
 	inv.Priority = req.Priority
 	if req.Token != "" {
 		auth.WithToken(inv, req.Token)
@@ -463,7 +471,7 @@ func (s *Server) handle(ctx context.Context, req *request, results *valueEncoder
 		// The arguments alias the request line, which the worker recycles
 		// only after the reply: they stay valid for all of CallRaw, as
 		// RawComponent promises.
-		out, err := h.raw.CallRaw(inv, RawCall{Args: req.Args, Fence: req.Fence}, results.buf)
+		out, err := h.raw.CallRaw(inv, RawCall{Args: req.Args, Fence: req.Fence, wire: args}, results.buf)
 		inv.Release()
 		if err != nil {
 			return refusal(req.ID, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,6 +194,17 @@ func TestInvocationArgs(t *testing.T) {
 	}
 }
 
+// TestWireArgsAloneIsAnArgument pins that only a type embedding WireArgs
+// and reading arguments is taken for a transport's reader: an in-process
+// caller's one argument is an argument, whatever it is.
+func TestWireArgsAloneIsAnArgument(t *testing.T) {
+	w := new(WireArgs)
+	inv := NewInvocation(context.Background(), "c", "m", []any{w})
+	if inv.NumArgs() != 1 || inv.Arg(0) != any(w) || len(inv.Args()) != 1 {
+		t.Fatalf("one *WireArgs argument read as %d args, Arg(0) = %v", inv.NumArgs(), inv.Arg(0))
+	}
+}
+
 func TestArgString(t *testing.T) {
 	inv := NewInvocation(context.Background(), "c", "m", []any{"hello", 5})
 	s, err := inv.ArgString(0)
@@ -209,7 +221,7 @@ func TestArgString(t *testing.T) {
 
 func TestArgInt(t *testing.T) {
 	inv := NewInvocation(context.Background(), "c", "m",
-		[]any{7, int64(8), float64(9), float64(9.5), "10", "x", nil, uint(11), int32(12)})
+		[]any{7, int64(8), float64(9), float64(9.5), "10", "x", nil, uint(11), int32(12), uint(math.MaxInt) + 1})
 	cases := []struct {
 		i      int
 		want   int
@@ -224,6 +236,7 @@ func TestArgInt(t *testing.T) {
 		{6, 0, false}, // nil
 		{7, 11, true},
 		{8, 12, true},
+		{9, 0, false},  // a uint int cannot hold
 		{99, 0, false}, // out of range
 	}
 	for _, c := range cases {
@@ -240,7 +253,7 @@ func TestArgInt(t *testing.T) {
 
 func TestArgFloat(t *testing.T) {
 	inv := NewInvocation(context.Background(), "c", "m",
-		[]any{1.5, float32(2.5), 3, int64(4), "5.5", "z", nil, struct{}{}})
+		[]any{1.5, float32(2.5), 3, int64(4), "5.5", "z", nil, struct{}{}, int32(-6), uint(7)})
 	cases := []struct {
 		i      int
 		want   float64
@@ -254,6 +267,8 @@ func TestArgFloat(t *testing.T) {
 		{5, 0, false},
 		{6, 0, false},
 		{7, 0, false},
+		{8, -6, true},
+		{9, 7, true},
 	}
 	for _, c := range cases {
 		got, err := inv.ArgFloat(c.i)

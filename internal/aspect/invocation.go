@@ -3,6 +3,7 @@ package aspect
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -94,19 +95,72 @@ func (inv *Invocation) Component() string { return inv.component }
 // Method returns the participating method name.
 func (inv *Invocation) Method() string { return inv.method }
 
-// Args returns the raw argument list. The slice is shared, not copied.
-func (inv *Invocation) Args() []any { return inv.args }
+// Args returns the argument list. The slice is shared, not copied. The
+// arguments of a call a transport set with SetArgReader are decoded into a
+// list here once, at the first call, and the list replaces the reader.
+func (inv *Invocation) Args() []any {
+	if r := inv.reader(); r != nil {
+		args := make([]any, r.Arity())
+		for i := range args {
+			args[i] = r.Decode(i)
+		}
+		inv.args = args
+	}
+	return inv.args
+}
 
-// SetArgs replaces the argument list. A component that receives a call's
-// arguments in wire form decodes them into its invocation with it, before
-// the invocation reaches any aspect.
-func (inv *Invocation) SetArgs(args []any) { inv.args = args }
+// An ArgReader holds the arguments of a call a transport received in wire
+// form, where the frame carried them, and decodes one only when the
+// invocation it is set on reads it. A transport makes one per call in
+// flight by embedding WireArgs, sets it with SetArgReader, and keeps it
+// valid until the call returns.
+type ArgReader interface {
+	// Arity returns the number of arguments.
+	Arity() int
+	// Decode returns argument i decoded, nil when i is out of range.
+	Decode(i int) any
+	// DecodeString returns argument i when it is a string.
+	DecodeString(i int) (string, bool)
+	wireArgs() *WireArgs
+}
+
+// WireArgs, embedded, makes a transport's type an ArgReader: it holds the
+// one-element list an invocation's arguments point at while the reader is
+// set, so setting one allocates nothing. Only a type that embeds it is an
+// ArgReader, so an in-process caller's argument is never taken for one.
+type WireArgs struct{ list [1]any }
+
+func (w *WireArgs) wireArgs() *WireArgs { return w }
+
+// SetArgReader makes r the invocation's arguments: every accessor reads
+// them through r until Args decodes them into a list.
+func (inv *Invocation) SetArgReader(r ArgReader) {
+	r.wireArgs().list[0] = r
+	inv.args = r.wireArgs().list[:]
+}
+
+// reader returns the ArgReader set as the arguments, nil for a list.
+func (inv *Invocation) reader() ArgReader {
+	if len(inv.args) != 1 {
+		return nil
+	}
+	r, _ := inv.args[0].(ArgReader)
+	return r
+}
 
 // NumArgs returns the number of arguments.
-func (inv *Invocation) NumArgs() int { return len(inv.args) }
+func (inv *Invocation) NumArgs() int {
+	if r := inv.reader(); r != nil {
+		return r.Arity()
+	}
+	return len(inv.args)
+}
 
 // Arg returns argument i, or nil if out of range.
 func (inv *Invocation) Arg(i int) any {
+	if r := inv.reader(); r != nil {
+		return r.Decode(i)
+	}
 	if i < 0 || i >= len(inv.args) {
 		return nil
 	}
@@ -116,7 +170,15 @@ func (inv *Invocation) Arg(i int) any {
 // ArgString coerces argument i to a string. It returns an error if the
 // argument is missing or not a string.
 func (inv *Invocation) ArgString(i int) (string, error) {
-	v := inv.Arg(i)
+	var v any
+	if r := inv.reader(); r != nil {
+		if s, ok := r.DecodeString(i); ok {
+			return s, nil
+		}
+		v = r.Decode(i)
+	} else if i >= 0 && i < len(inv.args) {
+		v = inv.args[i]
+	}
 	if v == nil {
 		return "", fmt.Errorf("aspect: %s.%s arg %d: missing", inv.component, inv.method, i)
 	}
@@ -140,6 +202,9 @@ func (inv *Invocation) ArgInt(i int) (int, error) {
 	case int64:
 		return int(n), nil
 	case uint:
+		if n > math.MaxInt {
+			return 0, fmt.Errorf("aspect: %s.%s arg %d: %d overflows int", inv.component, inv.method, i, n)
+		}
 		return int(n), nil
 	case float64:
 		if n != float64(int(n)) {
@@ -159,7 +224,7 @@ func (inv *Invocation) ArgInt(i int) (int, error) {
 	}
 }
 
-// ArgFloat coerces argument i to a float64.
+// ArgFloat coerces argument i to a float64, from float32 or what ArgInt takes.
 func (inv *Invocation) ArgFloat(i int) (float64, error) {
 	v := inv.Arg(i)
 	switch n := v.(type) {
@@ -169,7 +234,11 @@ func (inv *Invocation) ArgFloat(i int) (float64, error) {
 		return float64(n), nil
 	case int:
 		return float64(n), nil
+	case int32:
+		return float64(n), nil
 	case int64:
+		return float64(n), nil
+	case uint:
 		return float64(n), nil
 	case string:
 		p, err := strconv.ParseFloat(n, 64)

@@ -9,12 +9,14 @@ import (
 
 // forwardAllocs is what one call entering the plane at a node that does not
 // own its domain may cost the heap, both nodes together.
-const forwardAllocs = 4
+const forwardAllocs = 2
 
 // TestForwardAllocations pins the forward path: the entry node routes the
 // call to the owner over its pooled connection, the owner admits and runs
-// it. What is left outlives the call — the owner's decoded argument, the
-// caller's boxed argument. Both nodes release their invocation record once
+// it. What is left outlives the call — the copy of the argument's bytes
+// the owner's body reads its string from, the caller's boxed argument;
+// decoding the argument into a list at the owner comes back as two more.
+// Both nodes release their invocation record once
 // the call returns; a record built per call comes back as two. A Stub and
 // its option closures built per forwarded call come back as four
 // allocations, an in-flight counter allocated per local call as two, the
@@ -50,12 +52,14 @@ func TestForwardAllocations(t *testing.T) {
 // relayedForwardAllocs is what one call an external client makes through a
 // node that does not own its domain may cost the heap: client, entry node
 // and owner together.
-const relayedForwardAllocs = 4
+const relayedForwardAllocs = 2
 
 // TestRelayedForwardAllocations pins the relay: an external amrpc client
 // calls the entry node, which passes the call's argument bytes to the owner
 // and the owner's result bytes back without decoding either. What is left
-// is the owner's decoded argument (its list, its string, the boxing); both
+// is the copy of the argument's bytes the owner's body reads its string
+// from, and the plane's background traffic spread over the calls; decoding
+// the argument into a list at the owner comes back as two more. Both
 // servers release their invocation record once the call returns, and a
 // record built per call comes back as two. Decoding the argument at the
 // entry as well comes back as three more; a string result decoded there

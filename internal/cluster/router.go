@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -22,7 +21,7 @@ import (
 // arbitrary node) is routed — executed here or transparently forwarded to
 // the owner. The server hands it every call in wire form (it is an
 // amrpc.RawComponent): a call it forwards is relayed as the bytes it
-// arrived in, and only a call it executes is decoded.
+// arrived in, and only a call it executes hands them to its invocation.
 type front struct{ n *Node }
 
 // Name implements amrpc.Component.
@@ -34,14 +33,12 @@ func (f *front) Call(inv *aspect.Invocation) (any, error) { return f.n.route(inv
 
 // CallRaw implements amrpc.RawComponent.
 func (f *front) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) ([]byte, error) {
-	w := wireCall{args: call.Args, out: dst}
+	w := wireCall{call: call, out: dst}
 	if call.Fence == 0 {
 		_, err := f.n.route(inv, &w)
 		return w.out, err
 	}
-	if err := w.decode(inv); err != nil {
-		return dst, err
-	}
+	call.Bind(inv)
 	res, err := f.n.serveFenced(inv, call.Fence)
 	if err == nil {
 		err = w.encode(res)
@@ -49,28 +46,13 @@ func (f *front) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) 
 	return w.out, err
 }
 
-// wireCall is a remote caller's call on its way through route: the
-// arguments as its frame carried them, decoded into the invocation only if
-// this node executes the call, and the buffer its result is appended to in
-// wire form — the owner's bytes verbatim when the call is forwarded.
+// wireCall is a remote caller's call on its way through route: the call as
+// its frame carried it, bound to the invocation only if this node executes
+// it, and the buffer its result is appended to in wire form — the owner's
+// bytes verbatim when the call is forwarded.
 type wireCall struct {
-	args    []json.RawMessage
-	decoded bool
-	out     []byte
-}
-
-// decode puts the call's arguments into inv, once.
-func (w *wireCall) decode(inv *aspect.Invocation) error {
-	if w.decoded {
-		return nil
-	}
-	args, err := amrpc.DecodeArgs(w.args)
-	if err != nil {
-		return err
-	}
-	inv.SetArgs(args)
-	w.decoded = true
-	return nil
+	call amrpc.RawCall
+	out  []byte
 }
 
 // encode appends the result of a call this node executed to out.
@@ -167,9 +149,7 @@ func (n *Node) route(inv *aspect.Invocation, w *wireCall) (any, error) {
 
 		if _, ok := n.owns(domain); ok {
 			if w != nil {
-				if err := w.decode(inv); err != nil {
-					return nil, err
-				}
+				w.call.Bind(inv)
 			}
 			res, err := n.localCall(inv)
 			if err != nil && errors.Is(err, naming.ErrStaleTerm) {
@@ -294,7 +274,7 @@ func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation, w *
 	if w == nil {
 		return stub.Invoke(ctx, inv.Method(), inv.Args()...)
 	}
-	out, err := stub.InvokeRaw(ctx, inv.Method(), w.args, w.out)
+	out, err := stub.InvokeRaw(ctx, inv.Method(), w.call.Args, w.out)
 	w.out = out
 	return nil, err
 }
