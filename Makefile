@@ -36,8 +36,10 @@
 #                      code), of the naming client re-dialing across
 #                      a server restart, and of the
 #                      replication tests: offer atomicity, snapshot
-#                      order, request-line ownership and every handoff
-#                      path, of the relay's buffer-lifetime and retry
+#                      order, request-line ownership, every handoff
+#                      path and an effect no offer can carry (refused
+#                      at capture, the stream getting past its hole),
+#                      of the relay's buffer-lifetime and retry
 #                      tests, and of the domain-map tests (an unlisted
 #                      method is served, a split group is refused) and
 #                      the heartbeat wake sweep and the replication
@@ -88,8 +90,10 @@
 #                      graceful release via the snapshot barrier, hard
 #                      kill via effect-log catch-up, stale-term
 #                      replication fencing, a late older snapshot
-#                      never replacing a newer one, and a stream getting
-#                      past an effect no offer can carry
+#                      never replacing a newer one, and an effect no
+#                      offer can carry refused at capture, the stream
+#                      getting past its hole (with a snapshot, or as a
+#                      gap) in the cluster and in statesync alone
 #   make examples-smoke — build every examples/* program and run each
 #                      under a timeout; any non-zero exit fails (go test
 #                      only compiles them)
@@ -206,7 +210,7 @@ cluster-smoke:
 handoff-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
 		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument'
-	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot'
+	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry'
 	@echo "handoff-smoke: OK"
 
 # Every example run as the program it is. go test ./... only compiles

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -45,7 +46,7 @@ func (c *control) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte
 		}
 		return amrpc.AppendValue(dst, true)
 	case "route":
-		return c.route(call, dst)
+		return c.route(inv, call, dst)
 	case "status":
 		return amrpc.AppendValue(dst, c.n.Status())
 	default:
@@ -79,23 +80,18 @@ func (c *control) syncOffer(call amrpc.RawCall, dst []byte) ([]byte, error) {
 
 // route is the announcement endpoint: an acquirer names itself the
 // holder of a domain at a term before it serves the domain. The route is
-// cached unless the cache already holds a higher term.
-func (c *control) route(call amrpc.RawCall, dst []byte) ([]byte, error) {
-	args, err := amrpc.DecodeArgs(call.Args)
-	if err != nil {
-		return dst, err
-	}
-	var domain, holder, addr string
-	var term float64
-	if len(args) == 4 {
-		domain, _ = args[0].(string)
-		holder, _ = args[1].(string)
-		addr, _ = args[2].(string)
-		term, _ = args[3].(float64)
-	}
-	if domain == "" || holder == "" || addr == "" || term < 1 {
-		return dst, fmt.Errorf("cluster control %s: route: %w: want domain, holder, address and term, got %v",
-			c.n.cfg.ID, amrpc.ErrBadRequest, args)
+// cached unless the cache already holds a higher term. The term must be a
+// positive integer: a JSON number the cache can hold exactly.
+func (c *control) route(inv *aspect.Invocation, call amrpc.RawCall, dst []byte) ([]byte, error) {
+	call.Bind(inv)
+	domain, _ := inv.ArgString(0)
+	holder, _ := inv.ArgString(1)
+	addr, _ := inv.ArgString(2)
+	term, _ := inv.Arg(3).(float64)
+	if inv.NumArgs() != 4 || domain == "" || holder == "" || addr == "" ||
+		term < 1 || term >= 1<<64 || term != math.Trunc(term) {
+		return dst, fmt.Errorf("cluster control %s: route: %w: want domain, holder, address and a positive integer term, got %v",
+			c.n.cfg.ID, amrpc.ErrBadRequest, inv.Args())
 	}
 	c.n.mu.Lock()
 	c.n.learnRoute(domain, route{holder: holder, term: uint64(term), addr: addr, fetchedAt: time.Now()})

@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -335,7 +336,7 @@ func TestClusterStaleSyncOfferRefused(t *testing.T) {
 	defer c.Close()
 	offer := statesync.Offer{
 		From: "zombie", Domain: "beta", Term: term,
-		Entries: []statesync.Entry{{Domain: "beta", Seq: 1, Term: term, Method: "beta-put", Args: []any{"b-zombie"}}},
+		Entries: []statesync.Entry{{Domain: "beta", Seq: 1, Term: term, Method: "beta-put", Args: json.RawMessage(`["b-zombie"]`)}},
 	}
 	before := owner.Status().StaleRefusals
 	_, err = c.Component(controlName(owner.ID())).Invoke(context.Background(), "sync-offer", offer)
@@ -383,7 +384,7 @@ func TestReplicaDoesNotAliasRequestLine(t *testing.T) {
 		o := statesync.Offer{From: "peer", Domain: domain, Term: 1}
 		for s := from; s < from+16; s++ {
 			o.Entries = append(o.Entries, statesync.Entry{Domain: domain, Seq: uint64(s), Term: 1, Method: "gamma-put",
-				Args: []any{fmt.Sprintf("%s-%04d", tag, s), float64(s), map[string]any{"tag": tag}}})
+				Args: json.RawMessage(fmt.Sprintf(`["%s-%04d",%d,{"tag":%q}]`, tag, s, s, tag))})
 		}
 		return o
 	}

@@ -58,8 +58,9 @@ func TestRefreshRoutesKeepsHigherTerm(t *testing.T) {
 }
 
 // TestRouteAnnouncement pins the receiving side of an announcement: a
-// higher term is cached, a lower one is ignored, and a malformed one is
-// refused as a bad request and caches nothing.
+// higher term is cached, a lower one is ignored, and a malformed one — a
+// term that is not a positive integer among them — is refused as a bad
+// request and caches nothing.
 func TestRouteAnnouncement(t *testing.T) {
 	_, n := startLedgerNode(t, "r1", startNaming(t), slowTicks)
 	c, err := amrpc.Dial(n.Addr())
@@ -82,7 +83,10 @@ func TestRouteAnnouncement(t *testing.T) {
 	if r := cached(); r.holder != "r2" || r.term != 7 || r.addr != "127.0.0.1:1" {
 		t.Fatalf("cached route after terms 7 and 5 = %+v, want r2 at term 7", r)
 	}
-	for _, args := range [][]any{{"gamma", "r3", "127.0.0.1:2"}, {"gamma", "r3", "127.0.0.1:2", 0}, {"gamma", "", "127.0.0.1:2", 9}} {
+	for _, args := range [][]any{
+		{"gamma", "r3", "127.0.0.1:2"}, {"gamma", "r3", "127.0.0.1:2", 0}, {"gamma", "", "127.0.0.1:2", 9},
+		{"gamma", "r3", "127.0.0.1:2", 2.5}, {"gamma", "r3", "127.0.0.1:2", "3"}, {"gamma", "r3", "127.0.0.1:2", 9, "extra"},
+	} {
 		if _, err := ctl.Invoke(ctx, "route", args...); !errors.Is(err, amrpc.ErrBadRequest) {
 			t.Fatalf("announce %v: err = %v, want ErrBadRequest", args, err)
 		}

@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -250,12 +251,20 @@ func (n *Node) catchUp(domain string, lease naming.DomainLease) {
 // applyEffect re-applies one replicated effect during catch-up by
 // replaying it through the local guarded component — full admission, so
 // guards and grouped invariants hold, and the completion is re-captured
-// into the new term's log. A replay its guards park longer than the
-// bound is counted as a gap by the caller.
+// into the new term's log. Its arguments are decoded here, in the generic
+// form the wire delivers (float64, map[string]any). An effect whose
+// arguments do not decode, or whose replay its guards park longer than
+// the bound, is counted as a gap by the caller.
 func (n *Node) applyEffect(e statesync.Entry) error {
+	var args []any
+	if len(e.Args) > 0 {
+		if err := json.Unmarshal(e.Args, &args); err != nil {
+			return err
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, err := n.cfg.Local.Call(aspect.NewInvocation(ctx, n.component, e.Method, e.Args))
+	_, err := n.cfg.Local.Call(aspect.NewInvocation(ctx, n.component, e.Method, args))
 	return err
 }
 

@@ -7,17 +7,20 @@
 //   - Every owned domain has an append-only effect log. Entries are
 //     appended at post-action time (by the replication aspect the cluster
 //     composes) and stamped with the owner's lease term, a per-domain
-//     sequence number, and the completed method + arguments. Appends are
-//     lock-free — one atomic fetch-add assigns the sequence, one atomic
-//     store publishes the slot — so capture adds no lock to the admission
-//     path.
+//     sequence number, and the completed method + arguments, the arguments
+//     encoded once, there, into the JSON array every later stage carries
+//     as is. Appends are lock-free — one atomic fetch-add assigns the
+//     sequence, one atomic store publishes the slot — so capture adds no
+//     lock to the admission path.
 //   - A per-node streamer asynchronously ships pending entries to the
 //     domain's ring successor over the plane's control endpoints, and the
 //     successor acknowledges a high-water mark; acknowledged entries are
 //     reclaimed. Replication lag is bounded by the log capacity: when the
-//     unacknowledged window would wrap, appends are refused and counted
-//     (the streamer then escalates to a snapshot resync when the
-//     application provides one).
+//     unacknowledged window would wrap, appends are refused and counted.
+//     An effect whose arguments no offer can carry is refused the same way,
+//     at capture; the streamer gets past either hole with a snapshot resync
+//     when the application provides one, else by skipping it, which the
+//     successor counts as a gap.
 //   - On graceful release the owner drains the log, serializes the
 //     component state (when the application provides a Snapshot), installs
 //     both at the successor, and only then lets the lease move — the
@@ -31,7 +34,12 @@
 package statesync
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"sync/atomic"
+
+	"repro/internal/amrpc"
 )
 
 // Entry is one replicated effect: a method execution that completed on the
@@ -39,14 +47,16 @@ import (
 // per-leadership sequence number (1-based); a new leader starts a fresh
 // sequence, so (Term, Seq) totally orders a domain's replicated history.
 //
+// Args is the arguments as one JSON array, encoded when the effect was
+// captured and carried as those bytes to the replica; empty for none.
 // On the wire an entry leaves Domain out: the offer carrying it names the
 // domain once.
 type Entry struct {
-	Domain string `json:"-"`
-	Seq    uint64 `json:"seq"`
-	Term   uint64 `json:"term"`
-	Method string `json:"method"`
-	Args   []any  `json:"args,omitempty"`
+	Domain string          `json:"-"`
+	Seq    uint64          `json:"seq"`
+	Term   uint64          `json:"term"`
+	Method string          `json:"method"`
+	Args   json.RawMessage `json:"args,omitempty"`
 }
 
 // Log is one domain's effect log: a fixed-capacity MPSC ring. Any number
@@ -55,7 +65,9 @@ type Entry struct {
 // is reused only after its entry has been acknowledged, so the reader
 // never observes a torn entry. The entries sit in one array, apart from
 // their ready marks, so that a run of them is a slice the streamer encodes
-// in place.
+// in place. Each slot keeps its argument buffer from one entry to the
+// next, the first cut from one chunk for the whole ring, so an append
+// allocates nothing once a slot's buffer has held its largest arguments.
 type Log struct {
 	domain  string
 	mask    uint64
@@ -67,9 +79,15 @@ type Log struct {
 	head     atomic.Uint64 // last assigned sequence (0 = empty)
 	acked    atomic.Uint64 // acknowledged high-water mark; entries <= acked are reclaimable
 	overflow atomic.Uint64 // appends refused because the unacked window was full
-	skipped  atomic.Uint64 // sequences abandoned by SkipGap or Abandon (no snapshot available)
+	skipped  atomic.Uint64 // sequences abandoned by SkipGap (no snapshot available)
 	gapped   atomic.Bool   // the log has lost an entry since the last resync
 }
+
+// slotArgBytes is the argument buffer each slot starts with.
+const slotArgBytes = 64
+
+// errFull refuses an append that would overwrite an unacknowledged entry.
+var errFull = errors.New("effect log full (lag bound hit)")
 
 // NewLog creates a log for domain with the given capacity (rounded up to a
 // power of two, minimum 16).
@@ -78,28 +96,71 @@ func NewLog(domain string, capacity int) *Log {
 	for size < capacity {
 		size <<= 1
 	}
-	return &Log{domain: domain, mask: uint64(size - 1), entries: make([]Entry, size), ready: make([]atomic.Uint64, size)}
+	l := &Log{domain: domain, mask: uint64(size - 1), entries: make([]Entry, size), ready: make([]atomic.Uint64, size)}
+	chunk := make([]byte, size*slotArgBytes)
+	for i := range l.entries {
+		l.entries[i].Args = chunk[i*slotArgBytes : i*slotArgBytes : (i+1)*slotArgBytes]
+	}
+	return l
 }
 
 // Capacity returns the slot count.
 func (l *Log) Capacity() int { return len(l.entries) }
 
-// Append records one completed effect, returning its sequence number and
-// whether it was stored. An append that would overwrite an unacknowledged
-// entry is refused (the sequence is still consumed): the overflow is
-// counted, the log is marked gapped, and the streamer escalates to a
-// snapshot resync. Lock-free; safe from any number of goroutines.
-func (l *Log) Append(term uint64, method string, args []any) (uint64, bool) {
+// Append records one completed effect, its arguments encoded into the
+// slot it claims, returning its sequence number and, when it was not
+// stored, why. An append is refused when it would overwrite an
+// unacknowledged entry (the overflow is counted) or when an argument does
+// not encode or nests too deep for an offer to carry. Either way the
+// sequence is consumed, its slot is never published and the log is marked
+// gapped: the streamer gets past the hole with a snapshot resync, or by
+// SkipGap. Lock-free; safe from any number of goroutines.
+func (l *Log) Append(term uint64, method string, args []any) (uint64, error) {
 	seq := l.head.Add(1)
 	if seq > uint64(len(l.entries)) && seq-uint64(len(l.entries)) > l.acked.Load() {
 		l.overflow.Add(1)
 		l.gapped.Store(true)
-		return seq, false
+		return seq, errFull
 	}
-	i := seq & l.mask
-	l.entries[i] = Entry{Domain: l.domain, Seq: seq, Term: term, Method: method, Args: args}
-	l.ready[i].Store(seq)
-	return seq, true
+	e := &l.entries[seq&l.mask]
+	buf, err := appendArgs(e.Args[:0], args)
+	if err != nil {
+		e.Args = buf[:0]
+		l.gapped.Store(true)
+		return seq, fmt.Errorf("%s %w", method, err)
+	}
+	*e = Entry{Domain: l.domain, Seq: seq, Term: term, Method: method, Args: buf}
+	l.ready[seq&l.mask].Store(seq)
+	return seq, nil
+}
+
+// argDepth is how many arrays and objects an entry's argument sits inside
+// in the offer: the offer, its entries, the entry and the entry's args.
+const argDepth = 4
+
+// appendArgs appends args to dst as one JSON array, each argument as
+// amrpc encodes it, and nothing for no arguments. It fails for an argument
+// that does not encode, or that nests too deep for the offer it will sit
+// argDepth levels inside.
+func appendArgs(dst []byte, args []any) ([]byte, error) {
+	if len(args) == 0 {
+		return dst, nil
+	}
+	dst = append(dst, '[')
+	for j, a := range args {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		start := len(dst)
+		var err error
+		if dst, err = amrpc.AppendValue(dst, a); err != nil {
+			return dst, fmt.Errorf("argument %d: %w", j, err)
+		}
+		if c := dst[start]; (c == '[' || c == '{') && !amrpc.Fits(dst[start:], argDepth) {
+			return dst, fmt.Errorf("argument %d nests too deep for an offer", j)
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // ReadFrom returns up to max contiguous published entries with sequence
@@ -162,16 +223,6 @@ func (l *Log) SkipGap() uint64 {
 	return skipTo - from
 }
 
-// Abandon gives up on the entry at seq, which must be the first
-// unacknowledged one: the acknowledged mark passes it, and it is counted
-// as skipped, as SkipGap counts a lost range. Single-reader, like ReadFrom.
-func (l *Log) Abandon(seq uint64) {
-	if seq == l.acked.Load()+1 {
-		l.Ack(seq)
-		l.skipped.Add(1)
-	}
-}
-
 // LastSeq returns the last assigned sequence number.
 func (l *Log) LastSeq() uint64 { return l.head.Load() }
 
@@ -184,7 +235,7 @@ func (l *Log) Pending() uint64 { return l.head.Load() - l.acked.Load() }
 // Overflows returns how many appends were refused for a full window.
 func (l *Log) Overflows() uint64 { return l.overflow.Load() }
 
-// Skipped returns how many sequences SkipGap and Abandon have abandoned.
+// Skipped returns how many sequences SkipGap has abandoned.
 func (l *Log) Skipped() uint64 { return l.skipped.Load() }
 
 // Gapped reports whether the log has lost an entry since the last resync.

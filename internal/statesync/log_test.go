@@ -9,9 +9,9 @@ import (
 func TestLogAppendReadAck(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 1; i <= 5; i++ {
-		seq, ok := l.Append(3, "put", []any{fmt.Sprintf("id-%d", i)})
-		if !ok || seq != uint64(i) {
-			t.Fatalf("append %d: seq=%d ok=%v", i, seq, ok)
+		seq, err := l.Append(3, "put", []any{fmt.Sprintf("id-%d", i)})
+		if err != nil || seq != uint64(i) {
+			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
 	}
 	got := l.ReadFrom(0, 100)
@@ -19,7 +19,7 @@ func TestLogAppendReadAck(t *testing.T) {
 		t.Fatalf("read %d entries, want 5", len(got))
 	}
 	for i, e := range got {
-		if e.Seq != uint64(i+1) || e.Term != 3 || e.Method != "put" || e.Domain != "alpha" {
+		if e.Seq != uint64(i+1) || e.Term != 3 || e.Method != "put" || e.Domain != "alpha" || string(e.Args) != fmt.Sprintf(`["id-%d"]`, i+1) {
 			t.Fatalf("entry %d malformed: %+v", i, e)
 		}
 	}
@@ -40,13 +40,13 @@ func TestLogAppendReadAck(t *testing.T) {
 func TestLogOverflowBoundsLag(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 0; i < l.Capacity(); i++ {
-		if _, ok := l.Append(1, "put", nil); !ok {
+		if _, err := l.Append(1, "put", nil); err != nil {
 			t.Fatalf("append %d refused below capacity", i)
 		}
 	}
 	// The unacknowledged window is full: further appends are refused and
 	// counted — replication lag is bounded by construction.
-	if _, ok := l.Append(1, "put", nil); ok {
+	if _, err := l.Append(1, "put", nil); err == nil {
 		t.Fatal("append accepted past an unacked full window")
 	}
 	if l.Overflows() != 1 || !l.Gapped() {
@@ -57,7 +57,7 @@ func TestLogOverflowBoundsLag(t *testing.T) {
 	if l.Gapped() {
 		t.Fatal("still gapped after resync")
 	}
-	if _, ok := l.Append(1, "put", nil); !ok {
+	if _, err := l.Append(1, "put", nil); err != nil {
 		t.Fatal("append refused after resync reclaimed the window")
 	}
 }
@@ -70,15 +70,15 @@ func TestLogOverflowBoundsLag(t *testing.T) {
 func TestLogSkipGapResumesAfterOverflow(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 0; i < l.Capacity(); i++ {
-		if _, ok := l.Append(1, "put", nil); !ok {
+		if _, err := l.Append(1, "put", nil); err != nil {
 			t.Fatalf("append %d refused below capacity", i)
 		}
 	}
-	if _, ok := l.Append(1, "put", nil); ok { // seq 17: the hole
+	if _, err := l.Append(1, "put", nil); err == nil { // seq 17: the hole
 		t.Fatal("append accepted past a full window")
 	}
-	l.Ack(uint64(l.Capacity()))                // successor caught up on the published prefix
-	if _, ok := l.Append(1, "put", nil); !ok { // seq 18: window reopened
+	l.Ack(uint64(l.Capacity()))                        // successor caught up on the published prefix
+	if _, err := l.Append(1, "put", nil); err != nil { // seq 18: window reopened
 		t.Fatal("append refused after the window drained")
 	}
 	// The reader stalls at the never-published seq 17...
@@ -106,8 +106,8 @@ func TestLogWrapWithAcks(t *testing.T) {
 	l := NewLog("alpha", 16)
 	// Acknowledge as we go: many times the capacity flows through.
 	for i := 1; i <= 10*l.Capacity(); i++ {
-		seq, ok := l.Append(2, "put", []any{i})
-		if !ok {
+		seq, err := l.Append(2, "put", []any{i})
+		if err != nil {
 			t.Fatalf("append %d refused with a drained window", i)
 		}
 		got := l.ReadFrom(l.Acked(), 100)
@@ -130,7 +130,7 @@ func TestLogWrapWithAcks(t *testing.T) {
 	}
 	l.Ack(12)
 	for i := 13; i <= 28; i++ {
-		if _, ok := l.Append(2, "put", []any{i}); !ok {
+		if _, err := l.Append(2, "put", []any{i}); err != nil {
 			t.Fatalf("append %d refused inside the window", i)
 		}
 	}
@@ -139,18 +139,18 @@ func TestLogWrapWithAcks(t *testing.T) {
 		t.Fatalf("read across the ring end: %+v, want seqs 13-15", run)
 	}
 	for i := 29; i <= 31; i++ {
-		if _, ok := l.Append(2, "put", []any{i}); ok {
+		if _, err := l.Append(2, "put", []any{i}); err == nil {
 			t.Fatalf("append %d accepted over unacknowledged seq 13", i)
 		}
 	}
 	for k, e := range run {
-		if want := 13 + k; e.Seq != uint64(want) || e.Args[0] != want {
+		if want := 13 + k; e.Seq != uint64(want) || string(e.Args) != fmt.Sprintf("[%d]", want) {
 			t.Fatalf("run entry %d after refused appends: %+v, want seq and arg %d", k, e, want)
 		}
 	}
 	l.Ack(15)
 	rest := l.ReadFrom(l.Acked(), 100)
-	if len(rest) != 13 || rest[0].Seq != 16 || rest[12].Seq != 28 || rest[12].Args[0] != 28 {
+	if len(rest) != 13 || rest[0].Seq != 16 || rest[12].Seq != 28 || string(rest[12].Args) != "[28]" {
 		t.Fatalf("read after the ack: %d entries from %+v, want seqs 16-28", len(rest), rest)
 	}
 }
@@ -177,5 +177,27 @@ func TestLogConcurrentAppend(t *testing.T) {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("entry %d has seq %d: sequence not dense", i, e.Seq)
 		}
+	}
+}
+
+// TestLogReusesSlotBuffers pins capture's cost: once every slot has held
+// its arguments, appending one more effect — encoding it into the slot —
+// allocates nothing.
+func TestLogReusesSlotBuffers(t *testing.T) {
+	l := NewLog("alpha", 16)
+	args := []any{"ticket-000001", 7, true}
+	seq := uint64(0)
+	appendAck := func() {
+		var err error
+		if seq, err = l.Append(1, "put", args); err != nil {
+			t.Fatal(err)
+		}
+		l.Ack(seq)
+	}
+	for i := 0; i < l.Capacity(); i++ {
+		appendAck()
+	}
+	if n := testing.AllocsPerRun(1000, appendAck); n != 0 {
+		t.Fatalf("append allocates %.1f times, want 0", n)
 	}
 }

@@ -40,9 +40,7 @@ type Ack struct {
 // Transport ships offers to a successor node. The plane implements it
 // over its pooled amrpc control connections; tests use in-process fakes.
 // An offer's Entries are a run of the leader's log itself: they are valid
-// only until Offer returns. A transport that fails because the offer's
-// AppendJSON failed returns that error wrapped, so the streamer can tell an
-// entry no offer can carry from a failed delivery.
+// only until Offer returns.
 type Transport interface {
 	Offer(ctx context.Context, successor string, o Offer) (Ack, error)
 }
@@ -62,16 +60,17 @@ type Config struct {
 	// It bounds replication lag: appends past an unacknowledged window of
 	// this size are refused and counted.
 	Capacity int
-	// Batch caps entries per offer (default 256).
-	Batch int
 	// Interval paces the background streamer when idle (default 25ms);
-	// fresh appends kick it immediately.
+	// a full batch of fresh appends kicks it immediately.
 	Interval time.Duration
-	// OfferTimeout bounds one offer round trip (default 2s).
-	OfferTimeout time.Duration
 	// Logf, when set, receives one line per notable replication event.
 	Logf func(format string, args ...any)
 }
+
+const (
+	batch        = 256             // entries per offer at most
+	offerTimeout = 2 * time.Second // bound on one offer round trip
+)
 
 func (cfg *Config) withDefaults() error {
 	if cfg.Node == "" {
@@ -83,14 +82,8 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 8192
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 256
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 25 * time.Millisecond
-	}
-	if cfg.OfferTimeout <= 0 {
-		cfg.OfferTimeout = 2 * time.Second
 	}
 	return nil
 }
@@ -289,21 +282,23 @@ func (m *Manager) RequireSnapshot(domain string) {
 }
 
 // Capture appends one completed effect to domain's log, if this node
-// leads it. Lock-free: one atomic load, one map lookup, one ring append.
-// The args slice is retained; callers must not mutate it afterwards.
+// leads it. Lock-free: one atomic load, one map lookup, one ring append
+// that encodes args into the slot, so args is not kept. An effect the log
+// refuses — its window full, or an argument no offer can carry — is
+// logged with its sequence number, and the streamer gets past the hole.
 func (m *Manager) Capture(domain, method string, args []any) {
 	s := (*m.streams.Load())[domain]
 	if s == nil {
 		return
 	}
-	if _, ok := s.log.Append(s.term, method, args); !ok {
-		m.logf("statesync %s: domain %s: effect log overflow (lag bound hit)", m.cfg.Node, domain)
+	if seq, err := s.log.Append(s.term, method, args); err != nil {
+		m.logf("statesync %s: domain %s: effect %d not captured: %v", m.cfg.Node, domain, seq, err)
 	}
 	// Kick the streamer only once a batch's worth is pending. A per-append
 	// wake would cost a goroutine switch per completion — on the trickle
 	// case the ticker bounds staleness at Interval instead, and Handoff
 	// flushes synchronously, so eager wakes buy nothing but overhead.
-	if s.log.Pending() >= uint64(m.cfg.Batch) {
+	if s.log.Pending() >= batch {
 		select {
 		case m.notify <- struct{}{}:
 		default:
@@ -386,7 +381,7 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 	if offer.SnapSeq > from {
 		from = offer.SnapSeq
 	}
-	offer.Entries = s.log.ReadFrom(from, m.cfg.Batch)
+	offer.Entries = s.log.ReadFrom(from, batch)
 	if offer.Snapshot == nil && len(offer.Entries) == 0 && s.log.Gapped() &&
 		s.log.Pending() > 0 && m.cfg.Snapshot == nil {
 		// Stalled at a hole left by a refused append, with no snapshot to
@@ -398,9 +393,9 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 		if s.stalls++; s.stalls > 1 {
 			s.stalls = 0
 			if n := s.log.SkipGap(); n > 0 {
-				m.logf("statesync %s: domain %s: abandoned %d unreplicated effects (overflow, no snapshot hook)",
+				m.logf("statesync %s: domain %s: abandoned %d unreplicated effects (refused appends, no snapshot hook)",
 					m.cfg.Node, domain, n)
-				offer.Entries = s.log.ReadFrom(s.log.Acked(), m.cfg.Batch)
+				offer.Entries = s.log.ReadFrom(s.log.Acked(), batch)
 			}
 		}
 	} else {
@@ -411,18 +406,6 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 	}
 
 	ack, err := m.send(succ, offer)
-	var bad *unsendableEntry
-	if errors.As(err, &bad) && len(offer.Entries) > 0 {
-		switch k := bad.seq - offer.Entries[0].Seq; {
-		case k == 0:
-			m.passUnsendable(domain, s, bad)
-			return nil
-		case k < uint64(len(offer.Entries)):
-			// Ship what precedes it; the next round finds it first.
-			offer.Entries = offer.Entries[:k]
-			ack, err = m.send(succ, offer)
-		}
-	}
 	if err != nil {
 		s.mu.Lock()
 		if errors.Is(err, ErrStaleTerm) {
@@ -453,26 +436,9 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 }
 
 func (m *Manager) send(succ string, o Offer) (Ack, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.OfferTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), offerTimeout)
 	defer cancel()
 	return m.cfg.Transport.Offer(ctx, succ, o)
-}
-
-// passUnsendable gets the stream past the first unacknowledged entry when
-// no offer can carry it. With a Snapshot hook the next offer's snapshot
-// carries its effect; without one the entry is abandoned, and the successor
-// counts the hole as a gap at the next entry it receives. Either way the
-// entries behind it replicate as before, where retrying it would stall the
-// stream for the rest of the term. Called under flushMu.
-func (m *Manager) passUnsendable(domain string, s *stream, bad *unsendableEntry) {
-	m.logf("statesync %s: domain %s: %v", m.cfg.Node, domain, bad)
-	if m.cfg.Snapshot != nil {
-		s.mu.Lock()
-		s.needSnap = true
-		s.mu.Unlock()
-		return
-	}
-	s.log.Abandon(bad.seq)
 }
 
 // Handoff synchronously drains domain's log to succ for a graceful
@@ -606,7 +572,8 @@ func (m *Manager) replicaFor(domain []byte) *replica {
 
 // TakeoverState is everything a replica held for a domain at takeover:
 // the latest snapshot (if any), the entry suffix past it, and the
-// leadership term it was fenced at.
+// leadership term it was fenced at. Each entry's Args are the bytes the
+// offer carried, decoded only by whoever replays the entry.
 type TakeoverState struct {
 	From     string
 	Term     uint64
@@ -630,10 +597,9 @@ func (m *Manager) Takeover(domain string) (TakeoverState, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	entries, lost := r.entries.entries(domain)
 	st := TakeoverState{
 		From: r.from, Term: r.term, Snapshot: r.snap, SnapSeq: r.snapSeq,
-		Entries: entries, Gaps: r.gaps + lost,
+		Entries: r.entries.entries(domain), Gaps: r.gaps,
 	}
 	return st, r.snap != nil || len(st.Entries) > 0
 }

@@ -2,6 +2,7 @@ package statesync
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -37,6 +38,15 @@ func (p *pipeTransport) Offer(ctx context.Context, succ string, o Offer) (Ack, e
 		return Ack{}, err
 	}
 	return m.HandleOffer(raw)
+}
+
+// jsonArgs is args as an entry carries them: one JSON array.
+func jsonArgs(args ...any) json.RawMessage {
+	b, err := json.Marshal(args)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // wire is o in its wire form.
@@ -119,6 +129,31 @@ func TestManagerStreamsEntries(t *testing.T) {
 	// Consumed: a second takeover has nothing.
 	if _, held := b.Takeover("alpha"); held {
 		t.Fatal("replica not consumed by takeover")
+	}
+}
+
+// TestCaptureKeepsNoReferenceToArgs pins when an effect's arguments are
+// taken: at Capture. A caller that reuses its argument slice, or mutates a
+// value in it, once Capture has returned changes nothing the successor
+// receives, however late the flush.
+func TestCaptureKeepsNoReferenceToArgs(t *testing.T) {
+	a, b, _ := newPair(t, nil)
+	a.Lead("alpha", 1) // no successor yet: nothing flushes before Handoff
+	args := []any{"id-1", map[string]any{"n": 1.0}}
+	a.Capture("alpha", "put", args)
+	args[0] = "overwritten"
+	args[1].(map[string]any)["n"] = 2.0
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if seq, err := a.Handoff(ctx, "alpha", "B"); err != nil || seq != 1 {
+		t.Fatalf("handoff: seq=%d err=%v", seq, err)
+	}
+	st, held := b.Takeover("alpha")
+	if !held || len(st.Entries) != 1 {
+		t.Fatalf("takeover: held=%v entries=%+v", held, st.Entries)
+	}
+	if got, _ := json.Marshal(st.Entries[0].Args); string(got) != `["id-1",{"n":1}]` {
+		t.Fatalf("successor holds %s, want the arguments as captured", got)
 	}
 }
 
@@ -422,7 +457,7 @@ func TestReplicaRetainsPackedSuffix(t *testing.T) {
 	methods := []string{"open", "assign"}
 	entry := func(seq int) Entry {
 		return Entry{Domain: "alpha", Seq: uint64(seq), Term: 3, Method: methods[seq%2],
-			Args: []any{fmt.Sprintf("ticket-%06d <a&b>", seq)}}
+			Args: jsonArgs(fmt.Sprintf("ticket-%06d <a&b>", seq))}
 	}
 	liveBytes := func() uint64 {
 		var ms runtime.MemStats
@@ -477,7 +512,7 @@ func TestReplicaSnapshotTrimsPackedSuffix(t *testing.T) {
 	for seq := uint64(1); seq <= 6; seq++ {
 		e := Entry{Domain: "alpha", Seq: seq, Term: 1, Method: "put"}
 		if seq%2 == 0 {
-			e.Args = []any{"id", float64(seq), map[string]any{"k": true}}
+			e.Args = jsonArgs("id", float64(seq), map[string]any{"k": true})
 		}
 		o.Entries = append(o.Entries, e)
 	}

@@ -9,11 +9,11 @@ package statesync
 // snapshot, snap_seq, entries and an entry's args are left out when empty;
 // an entry carries no domain, the offer names it once. The leader appends
 // this straight from its log into the frame that carries it (Offer is an
-// amrpc.Appender), and the successor takes the frame's bytes of it (its
-// control component is an amrpc.RawComponent) and parses them once, with
-// amrpc's scanner, into the replica: an entry's method is interned and its
-// args array is copied into the packed suffix as received. Neither side
-// allocates per entry.
+// amrpc.Appender), each entry's args the bytes encoded at capture, and the
+// successor takes the frame's bytes of it (its control component is an
+// amrpc.RawComponent) and parses them once, with amrpc's scanner, into the
+// replica: an entry's method is interned and its args array is copied into
+// the packed suffix as received. Neither side allocates per entry.
 
 import (
 	"bytes"
@@ -26,28 +26,9 @@ import (
 	"repro/internal/amrpc"
 )
 
-// argDepth is how many arrays and objects an entry's argument sits inside
-// in the offer: the offer, its entries, the entry and the entry's args.
-const argDepth = 4
-
-// An unsendableEntry is a logged entry no offer can carry: an argument does
-// not encode, or nests too deep once it sits argDepth levels inside the
-// offer, although the call that brought it in carried it. AppendJSON fails
-// with one, and the streamer gets past the entry instead of retrying it
-// forever.
-type unsendableEntry struct {
-	seq uint64
-	err error
-}
-
-func (e *unsendableEntry) Error() string {
-	return fmt.Sprintf("statesync: entry %d cannot be replicated: %v", e.seq, e.err)
-}
-
-func (e *unsendableEntry) Unwrap() error { return e.err }
-
-// AppendJSON appends o's wire form to dst. It fails, with an
-// *unsendableEntry, only for an entry whose arguments no offer can carry.
+// AppendJSON appends o's wire form to dst. Each entry's arguments are
+// copied as the log encoded them at capture, so it cannot fail; the error
+// result makes an Offer an amrpc.Appender.
 func (o Offer) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"from":`...)
 	dst = amrpc.AppendString(dst, o.From)
@@ -78,21 +59,8 @@ func (o Offer) AppendJSON(dst []byte) ([]byte, error) {
 			dst = append(dst, `,"method":`...)
 			dst = amrpc.AppendString(dst, e.Method)
 			if len(e.Args) > 0 {
-				dst = append(dst, `,"args":[`...)
-				for j, a := range e.Args {
-					if j > 0 {
-						dst = append(dst, ',')
-					}
-					start := len(dst)
-					var err error
-					if dst, err = amrpc.AppendValue(dst, a); err != nil {
-						return dst, &unsendableEntry{e.Seq, fmt.Errorf("%s argument %d: %w", e.Method, j, err)}
-					}
-					if c := dst[start]; (c == '[' || c == '{') && !amrpc.Fits(dst[start:], argDepth) {
-						return dst, &unsendableEntry{e.Seq, fmt.Errorf("%s argument %d nests too deep for an offer", e.Method, j)}
-					}
-				}
-				dst = append(dst, ']')
+				dst = append(dst, `,"args":`...)
+				dst = append(dst, e.Args...)
 			}
 			dst = append(dst, '}')
 		}

@@ -1,16 +1,14 @@
 package statesync
 
-import "encoding/json"
-
 // A replica holds every effect since the last snapshot — all of them, for
 // the whole term, when the application configures no Snapshot hook — and
 // reads them exactly once, at takeover. suffix therefore stores them packed
 // rather than as decoded Entry values: the domain is dropped (it is the
 // replica's key), the method name is interned, the arguments stay in the
-// JSON encoding the offer carried them in, in large shared chunks, and what is left of an entry is a
-// fixed 32-byte record in a page that is never copied to grow. An entry
-// costs its record plus its encoded arguments, about a third of the decoded
-// form; entries decodes them back.
+// JSON encoding the offer carried them in, in large shared chunks, and what
+// is left of an entry is a fixed 32-byte record in a page that is never
+// copied to grow. An entry costs its record plus its encoded arguments,
+// about a third of the decoded form; they are decoded only at replay.
 type suffix struct {
 	methods  []string
 	methodID map[string]uint32
@@ -77,7 +75,8 @@ func (s *suffix) args(rec suffixRecord) []byte {
 	if rec.n == 0 {
 		return nil
 	}
-	return s.chunks[rec.chunk][rec.off : rec.off+rec.n]
+	end := rec.off + rec.n
+	return s.chunks[rec.chunk][rec.off:end:end]
 }
 
 // dropThrough discards every entry with a sequence number at or below seq
@@ -94,22 +93,17 @@ func (s *suffix) dropThrough(seq uint64) {
 	*s = kept
 }
 
-// entries decodes the suffix back into entries of domain, oldest first. An
-// entry whose arguments no longer decode is left out and counted in lost.
-func (s *suffix) entries(domain string) (out []Entry, lost uint64) {
+// entries returns the suffix as entries of domain, oldest first, each
+// entry's arguments the bytes stored for it.
+func (s *suffix) entries(domain string) []Entry {
 	if s.len() == 0 {
-		return nil, 0
+		return nil
 	}
-	out = make([]Entry, 0, s.len())
+	out := make([]Entry, 0, s.len())
 	for _, page := range s.pages {
 		for _, rec := range page {
-			e := Entry{Domain: domain, Seq: rec.seq, Term: rec.term, Method: s.methods[rec.method]}
-			if rec.n > 0 && json.Unmarshal(s.args(rec), &e.Args) != nil {
-				lost++
-				continue
-			}
-			out = append(out, e)
+			out = append(out, Entry{Domain: domain, Seq: rec.seq, Term: rec.term, Method: s.methods[rec.method], Args: s.args(rec)})
 		}
 	}
-	return out, lost
+	return out
 }

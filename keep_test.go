@@ -62,7 +62,6 @@ var keepAllowlist = map[string]keepEntry{
 	"apps/auction.Guarded.Moderator":           {testObserver, "TestGuardedWithSecurity: authentication evaluates before authorization on every auction method"},
 	"apps/ticket.Guarded.Buffer":               {testObserver, "TestGuardedConcurrentProducersConsumers: the buffer guard's invariants under concurrent callers"},
 	"aspect.Invocation.ArgInt":                 {experiment, "E5: TestStickyTicketPreservesFIFOAcrossReparks identifies each parked caller through it"},
-	"aspect.Invocation.NumArgs":                {testObserver, "TestRawArgumentsAndEncodedValues: a raw call reaches its component with no decoded arguments"},
 	"aspect.Invocation.Result":                 {paperFigure, "Fig. 10: TestGuardedInvokeRunsPhasesAroundBody, where postactivation reads the body's result"},
 	"aspect.KindFaultTolerance":                {experiment, "E8: the kind the circuit breaker registers under"},
 	"aspects/audit.Trail.Drops":                {testObserver, "TestSinkFailureCountsDrops: a failing sink never fails the audited call"},
