@@ -47,7 +47,9 @@
 #                      layer composed innermost and removed by Close,
 #                      log order equal to execution order), and ten of the
 #                      membership-event tests (join, leave, route
-#                      announcements sent and received, nudge bounds)
+#                      announcements sent and received, nudge bounds,
+#                      a free domain waking its ring owner, a join's
+#                      handoff and a Close's)
 #   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
 #                      wire encoders and decoders, the value decoder, the
 #                      wire-form arguments (every accessor differential
@@ -79,7 +81,8 @@
 #                      15 s heartbeat, a member an acquirer's route
 #                      announcement missed is sent it, and nudges are
 #                      bounded (none in a converged cluster, a burst
-#                      coalesced into at most two beats), a node riding
+#                      coalesced into at most two beats), a free domain
+#                      waking its ring owner, a node riding
 #                      out a naming-service restart (its next beat re-dials,
 #                      nothing is re-acquired), and the replication layer:
 #                      every completion route captured exactly once, the
@@ -93,7 +96,11 @@
 #                      never replacing a newer one, and an effect no
 #                      offer can carry refused at capture, the stream
 #                      getting past its hole (with a snapshot, or as a
-#                      gap) in the cluster and in statesync alone
+#                      gap) in the cluster and in statesync alone, a
+#                      join's handoff on its first offer, a Close
+#                      that hands off along a fresh listing, a hole
+#                      left after a snapshot's mark, and a stream
+#                      retargeted while an offer is in flight
 #   make examples-smoke — build every examples/* program and run each
 #                      under a timeout; any non-zero exit fails (go test
 #                      only compiles them)
@@ -138,7 +145,7 @@ race:
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
 	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
-	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterFreeDomainWakesRingOwner|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing' ./internal/cluster/
 
 bench:
 	bash benchmark/run.sh $(ARGS)
@@ -187,7 +194,8 @@ obs-smoke:
 # does not list is still leased and served, and a map that splits a
 # moderator group is refused at Start; and the heartbeat wake sweep,
 # which re-admits a caller parked through a change no completion signals;
-# a naming-service restart every node rides out within two beats,
+# a domain left free waking the member the ring gives it to, without a
+# tick; a naming-service restart every node rides out within two beats,
 # keeping each owned domain at its term; and the replication layer the
 # node composes: each completion route captured once, the layer innermost
 # in Describe and gone after Close, and a successor replaying a serialized
@@ -195,7 +203,7 @@ obs-smoke:
 # demands zero lost and zero forged effects.
 cluster-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterRidesOutNamingRestart|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder'
+		-run 'TestClusterChaosSoak|TestClusterFailover|TestClusterFailoverReadmitsParkedCallers|TestClusterDifferentialOracle|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterRidesOutNamingRestart|TestClusterFreeDomainWakesRingOwner|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder'
 	@echo "cluster-smoke: OK"
 
 # The state-handoff certification run: one deterministic test per handoff
@@ -205,12 +213,18 @@ cluster-smoke:
 # leader's replication offer at a stale term must be refused; a lease
 # re-acquired at an unchanged term must keep its effect log; a
 # snapshot the taker cannot install must be counted as a catch-up gap;
-# a replica must not let a late, older snapshot replace a newer one; and
-# an effect whose argument no offer can carry must not stall the stream.
+# a replica must not let a late, older snapshot replace a newer one; an
+# effect whose argument no offer can carry must not stall the stream; a
+# join's handoff must reach the newcomer on its first offer, no failed
+# attempt logged, and leave it a barrier; a Close right after the
+# closer's ring successor left must hand off, with a barrier, to a member
+# still listed; a hole left after a snapshot's mark must bring another
+# snapshot; and an ack from a successor the stream was moved away from
+# must not count for the new one.
 handoff-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument'
-	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry'
+		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing'
+	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry|TestManagerSnapshotKeepsLaterHole|TestManagerRetargetDuringFlush'
 	@echo "handoff-smoke: OK"
 
 # Every example run as the program it is. go test ./... only compiles

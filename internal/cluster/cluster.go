@@ -233,7 +233,8 @@ type Node struct {
 	closeOnce sync.Once
 	closeDone chan struct{}
 	stop      chan struct{}
-	wg        sync.WaitGroup
+	hb        sync.WaitGroup // the heartbeat loop
+	wg        sync.WaitGroup // the server and the nudges in flight
 
 	hbPaused atomic.Bool // test hook: freeze the heartbeat to simulate a wedged node
 
@@ -354,7 +355,7 @@ func Start(cfg Config, addr string) (*Node, error) {
 	for id, addr := range others {
 		n.nudge(id, addr)
 	}
-	n.wg.Add(1)
+	n.hb.Add(1)
 	go n.heartbeatLoop()
 	return n, nil
 }
@@ -380,11 +381,28 @@ func (n *Node) Close() {
 func (n *Node) doClose() {
 	defer close(n.closeDone)
 
-	// Stop the heartbeat first: a beat racing the handover could
-	// re-acquire a lease and consume the barrier we are about to plant.
+	// Stop the heartbeat first, and wait out a beat in flight: a beat
+	// racing the handover could re-acquire a lease and consume the barrier
+	// we are about to plant, or register this node again after the
+	// unregister below, leaving a member that is gone listed for a
+	// MemberTTL.
 	n.mu.Lock()
 	n.closing = true
 	close(n.stop)
+	n.mu.Unlock()
+	n.hb.Wait()
+
+	// Hand off along a fresh listing: a member that left since the last
+	// beat must not be chosen as a successor. The last beat's view is the
+	// fallback when the naming service cannot be reached.
+	listed, err := n.listMembers()
+	if err != nil {
+		n.logf("cluster %s: close: listing members: %v; handing off along the last beat's view", n.cfg.ID, err)
+	}
+	n.mu.Lock()
+	if err == nil {
+		n.members = listed
+	}
 	owned := make(map[string]uint64, len(n.owned))
 	for d, o := range n.owned {
 		owned[d] = o.term
@@ -461,7 +479,7 @@ func (n *Node) logf(format string, args ...any) {
 // heartbeatLoop beats on every tick and on every nudge. A paused node
 // ignores both, so a nudge cannot revive a node Fail has frozen.
 func (n *Node) heartbeatLoop() {
-	defer n.wg.Done()
+	defer n.hb.Done()
 	t := time.NewTicker(n.cfg.Heartbeat)
 	defer t.Stop()
 	for {
@@ -540,14 +558,33 @@ func (n *Node) announce(to map[string]string, domain string, term uint64) {
 	wg.Wait()
 }
 
-// beat is one heartbeat round: renew membership, read the fleet, derive
-// the ring, reconcile lease ownership, refresh the routing cache.
+// listMembers reads the membership from the naming service: member id ->
+// address.
+func (n *Node) listMembers() (map[string]string, error) {
+	members, err := n.nc.List()
+	if err != nil {
+		return nil, err
+	}
+	memberAddrs := make(map[string]string, len(members))
+	for _, e := range members {
+		if id, ok := strings.CutPrefix(e.Name, memberPrefix); ok && id != "" {
+			memberAddrs[id] = e.Addr
+		}
+	}
+	return memberAddrs, nil
+}
+
+// beat is one heartbeat round: renew membership, list the fleet, publish
+// the listed membership, reconcile lease ownership against the ring it
+// derives, point the replication streams at their successors, refresh the
+// routing cache. The membership is published before anything acts on it,
+// so a handoff to a member that just joined finds its address.
 func (n *Node) beat() error {
 	n.beats.Add(1)
 	if err := n.nc.Register(n.memberKey(), n.addr, n.cfg.MemberTTL); err != nil {
 		return err
 	}
-	members, err := n.nc.List()
+	memberAddrs, err := n.listMembers()
 	if err != nil {
 		return err
 	}
@@ -557,12 +594,6 @@ func (n *Node) beat() error {
 	}
 	listedAt := time.Now()
 
-	memberAddrs := make(map[string]string, len(members))
-	for _, e := range members {
-		if id, ok := strings.CutPrefix(e.Name, memberPrefix); ok && id != "" {
-			memberAddrs[id] = e.Addr
-		}
-	}
 	ids := make([]string, 0, len(memberAddrs))
 	for id := range memberAddrs {
 		ids = append(ids, id)
@@ -577,6 +608,7 @@ func (n *Node) beat() error {
 			joined[id] = addr
 		}
 	}
+	n.members = memberAddrs
 	n.mu.Unlock()
 
 	n.reconcileOwnership(ring, leases, memberAddrs)
@@ -622,7 +654,8 @@ func distinctSorted(m map[string]string) []string {
 // reconcileOwnership aligns this node's leases with the ring's verdicts,
 // given the beat's lease listing and member addresses. Each step it takes
 // that another node must follow up wakes that node: a release nudges the
-// new owner, an acquire the lease's holder blocks nudges the holder.
+// new owner, an acquire the lease's holder blocks nudges the holder, and a
+// domain the listing shows free nudges the member the ring gives it to.
 func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease, memberAddrs map[string]string) {
 	for _, domain := range n.domainSet {
 		want, ok := ring.Owner(domain)
@@ -731,13 +764,26 @@ func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease
 			if lease.Term > 1 {
 				n.takeovers.Add(1)
 			}
-			n.logf("cluster %s: acquired %s at term %d", n.cfg.ID, domain, lease.Term)
+			if b := lease.Barrier; b != nil {
+				n.logf("cluster %s: acquired %s at term %d, barrier from %s through seq %d", n.cfg.ID, domain, lease.Term, b.From, b.Seq)
+			} else {
+				n.logf("cluster %s: acquired %s at term %d", n.cfg.ID, domain, lease.Term)
+			}
+		case ok && !slices.ContainsFunc(leases, func(l naming.DomainLease) bool { return l.Domain == domain }):
+			// Free, and the ring gives it to another member: wake that
+			// member. A release nudges the owner by the releaser's
+			// listing, which a join during the release makes stale; the
+			// listed owner then finds the domain is not its own, and the
+			// ring's owner would wait for its tick.
+			if addr, ok := memberAddrs[want]; ok {
+				n.nudge(want, addr)
+			}
 		}
 	}
 }
 
-// refreshRoutes publishes the beat's membership and rebuilds the routing
-// cache from its lease listing, read at listedAt. A cached route can be
+// refreshRoutes rebuilds the routing cache from the beat's lease listing,
+// read at listedAt, and its membership. A cached route can be
 // newer than the listing: announced by an acquirer, or looked up, while
 // the beat ran. Terms only grow, so a cached route at a higher term than
 // the listing's is kept, and so is one learned after the listing was
@@ -746,7 +792,6 @@ func (n *Node) refreshRoutes(leases []naming.DomainLease, memberAddrs map[string
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.members = memberAddrs
 	routes := make(map[string]route, len(leases))
 	for _, l := range leases {
 		addr, ok := memberAddrs[l.Holder]

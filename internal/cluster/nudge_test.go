@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,6 +259,240 @@ func TestClusterLeaveConvergesWithoutTick(t *testing.T) {
 			t.Fatalf("effect %s count %d on successor %s, want 1", id, ids[id], succID)
 		}
 	}
+}
+
+// logLines collects the lines a node writes through Config.Logf.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// with returns the lines that contain every one of subs.
+func (l *logLines) with(subs ...string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		all := true
+		for _, sub := range subs {
+			all = all && strings.Contains(line, sub)
+		}
+		if all {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// waitLine waits, at most tickFree from start, for l to hold a line with
+// every one of subs. A node logs an acquisition just after it starts
+// serving the domain, so the line can trail ownership.
+func waitLine(t *testing.T, l *logLines, start time.Time, subs ...string) {
+	t.Helper()
+	for len(l.with(subs...)) == 0 {
+		if time.Since(start) > tickFree {
+			t.Fatalf("no log line with %q; the acquisitions logged: %q", subs, l.with("acquired"))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// logTo returns a Config mutation that slows the node's ticks and
+// collects its log lines in l.
+func logTo(l *logLines) func(*Config) {
+	return func(cfg *Config) {
+		slowTicks(cfg)
+		cfg.Logf = l.logf
+	}
+}
+
+// waitOwns waits, at most tickFree from start, for n to own domain.
+func waitOwns(t *testing.T, n *Node, domain string, start time.Time) {
+	t.Helper()
+	for {
+		if _, ok := n.owns(domain); ok {
+			return
+		}
+		if time.Since(start) > tickFree {
+			t.Fatalf("%s does not own %s %v after the membership change", n.ID(), domain, tickFree)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestClusterJoinHandsOffOnFirstOffer certifies a join's handoff: the
+// releasing owner's beat publishes the membership it listed before it
+// hands off, so its first offer reaches the newcomer. No failed attempt is
+// logged, the newcomer's lease carries the releaser's barrier, and the
+// newcomer serves the domain with every effect the releaser applied.
+func TestClusterJoinHandsOffOnFirstOffer(t *testing.T) {
+	if a, _ := naming.NewRing(0, "c1", "c2").Owner("alpha"); a != "c1" {
+		t.Fatalf("ring layout: alpha goes to %s of [c1 c2], want c1", a)
+	}
+	if b, _ := naming.NewRing(0, "c1", "c2").Owner("beta"); b != "c2" {
+		t.Fatalf("ring layout: beta goes to %s of [c1 c2], want c2", b)
+	}
+	namingAddr := startNaming(t)
+	var log1, log2 logLines
+	_, n1 := startLedgerNode(t, "c1", namingAddr, logTo(&log1))
+	for _, d := range []string{"alpha", "beta"} {
+		if _, ok := n1.owns(d); !ok {
+			t.Fatalf("a lone c1 does not own %s", d)
+		}
+	}
+	const per = 10
+	ctx := context.Background()
+	for i := 0; i < per; i++ {
+		if _, err := n1.Invoke(ctx, "beta-put", fmt.Sprintf("b-j-%d", i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+
+	start := time.Now()
+	b2, n2 := startLedgerNode(t, "c2", namingAddr, logTo(&log2))
+	waitOwns(t, n2, "beta", start)
+	if lines := log1.with("handoff", "failed"); len(lines) != 0 {
+		t.Fatalf("c1 logged failed handoff attempts: %q", lines)
+	}
+	waitLine(t, &log2, start, "acquired beta", fmt.Sprintf("barrier from c1 through seq %d", per))
+	if st := syncRow(n2, "beta"); !st.Restored || st.CatchupGaps != 0 {
+		t.Fatalf("c2 beta: restored=%v, catch-up gaps %d; want a restored snapshot and no gap", st.Restored, st.CatchupGaps)
+	}
+	if _, ok := n1.owns("alpha"); !ok {
+		t.Fatal("the join moved alpha off c1")
+	}
+	if _, err := n1.Invoke(ctx, "beta-put", "b-j-after"); err != nil {
+		t.Fatalf("put through c1 after the join: %v", err)
+	}
+	ids, unknown := b2.snapshot()
+	if len(unknown) != 0 {
+		t.Fatalf("forged effects on c2: %v", unknown)
+	}
+	for i := 0; i <= per; i++ {
+		id := fmt.Sprintf("b-j-%d", i)
+		if i == per {
+			id = "b-j-after"
+		}
+		if ids[id] != 1 {
+			t.Fatalf("effect %s count %d on c2, want 1", id, ids[id])
+		}
+	}
+}
+
+// TestClusterCloseHandsOffAlongFreshListing certifies that Close picks
+// each successor from a fresh listing. The owner of alpha is closed right
+// after its ring successor, within a heartbeat, so its last beat still
+// lists the departed node; the third node must still acquire alpha, with
+// the owner's barrier and snapshot and no catch-up gap, without a tick.
+func TestClusterCloseHandsOffAlongFreshListing(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	ring := naming.NewRing(0, ids...)
+	ownerID, _ := ring.Owner("alpha")
+	succID, _ := ring.Without(ownerID).Owner("alpha")
+	// Closing the successor must not nudge the owner, or the owner's beat
+	// would refresh its view and hide the stale one.
+	if b, _ := ring.Owner("beta"); b == succID {
+		if next, _ := ring.Without(succID).Owner("beta"); next == ownerID {
+			t.Fatalf("ring layout: closing %s hands beta to alpha's owner %s", succID, ownerID)
+		}
+	}
+	namingAddr := startNaming(t)
+	backends := map[string]*ledgerBackend{}
+	logs := map[string]*logLines{}
+	var nodes []*Node
+	for _, id := range ids {
+		logs[id] = &logLines{}
+		b, n := startLedgerNode(t, id, namingAddr, logTo(logs[id]))
+		backends[id] = b
+		nodes = append(nodes, n)
+	}
+	// A failure is a story across three nodes: print every node's log.
+	t.Cleanup(func() {
+		if t.Failed() {
+			for _, id := range ids {
+				for _, l := range logs[id].with("") {
+					t.Log(l)
+				}
+			}
+		}
+	})
+	owners := waitOwnership(t, nodes...)
+	owner := owners["alpha"]
+	var succ, third *Node
+	for _, n := range nodes {
+		switch n.ID() {
+		case ownerID:
+		case succID:
+			succ = n
+		default:
+			third = n
+		}
+	}
+	const per = 20
+	ctx := context.Background()
+	for i := 0; i < per; i++ {
+		if _, err := owner.Invoke(ctx, "alpha-put", fmt.Sprintf("a-c-%d", i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+
+	start := time.Now()
+	succ.Close()
+	owner.Close()
+	waitOwns(t, third, "alpha", start)
+	waitLine(t, logs[third.ID()], start, "acquired alpha", fmt.Sprintf("barrier from %s through seq %d", ownerID, per))
+	if st := syncRow(third, "alpha"); !st.Restored || st.CatchupGaps != 0 {
+		t.Fatalf("%s alpha: restored=%v, catch-up gaps %d; want a restored snapshot and no gap", third.ID(), st.Restored, st.CatchupGaps)
+	}
+	got, unknown := backends[third.ID()].snapshot()
+	if len(unknown) != 0 {
+		t.Fatalf("forged effects on %s: %v", third.ID(), unknown)
+	}
+	for i := 0; i < per; i++ {
+		if id := fmt.Sprintf("a-c-%d", i); got[id] != 1 {
+			t.Fatalf("effect %s count %d on %s, want 1", id, got[id], third.ID())
+		}
+	}
+}
+
+// TestClusterFreeDomainWakesRingOwner certifies that a domain no one
+// holds does not wait for its ring owner's tick. A release nudges the new
+// owner by the releaser's listing; a join during the release makes that
+// listing stale, so the nudged node is not the ring's owner and the
+// domain is left free. Here the owner drops alpha without nudging anyone,
+// as that race leaves it, and one beat of another member must wake it.
+func TestClusterFreeDomainWakesRingOwner(t *testing.T) {
+	namingAddr := startNaming(t)
+	var nodes []*Node
+	for _, id := range []string{"f1", "f2", "f3"} {
+		_, n := startLedgerNode(t, id, namingAddr, slowTicks)
+		nodes = append(nodes, n)
+	}
+	owner := waitOwnership(t, nodes...)["alpha"]
+	owner.mu.Lock()
+	term := owner.owned["alpha"].term
+	delete(owner.owned, "alpha")
+	owner.mu.Unlock()
+	if _, err := owner.nc.ReleaseLease("alpha", owner.ID(), term); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	for _, n := range nodes {
+		if n != owner {
+			if err := n.beat(); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	waitOwns(t, owner, "alpha", start)
 }
 
 // nudgesSent sums the nudges every node has sent.

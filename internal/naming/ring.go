@@ -1,9 +1,11 @@
 package naming
 
 import (
-	"fmt"
-	"hash/fnv"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Ring is an immutable consistent-hash ring mapping string keys (admission
@@ -39,44 +41,50 @@ func NewRing(replicas int, members ...string) *Ring {
 		replicas = DefaultRingReplicas
 	}
 	uniq := make([]string, 0, len(members))
-	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
-		if m == "" {
-			continue
+		if m != "" {
+			uniq = append(uniq, m)
 		}
-		if _, dup := seen[m]; dup {
-			continue
-		}
-		seen[m] = struct{}{}
-		uniq = append(uniq, m)
 	}
-	sort.Strings(uniq)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	r := &Ring{
 		replicas: replicas,
 		members:  uniq,
 		points:   make([]ringPoint, 0, len(uniq)*replicas),
 	}
+	// Virtual point i of member m hashes the bytes "m#i", built in one
+	// reused buffer.
+	var buf [64]byte
 	for _, m := range uniq {
 		for i := 0; i < replicas; i++ {
-			r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("%s#%d", m, i)), member: m})
+			b := strconv.AppendInt(append(append(buf[:0], m...), '#'), int64(i), 10)
+			r.points = append(r.points, ringPoint{hash: ringHash(b), member: m})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[i].member < r.points[j].member
+		return strings.Compare(a.member, b.member)
 	})
 	return r
 }
 
-func ringHash(s string) uint64 {
-	f := fnv.New64a()
-	_, _ = f.Write([]byte(s))
+// ringHash is 64-bit FNV-1a over s, then a finalizer.
+func ringHash[S string | []byte](s S) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
 	// Raw FNV-1a clusters badly on short strings differing in a suffix
 	// (all of a member's virtual points land adjacent, defeating the
 	// spread); a murmur3-style finalizer restores avalanche.
-	h := f.Sum64()
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -108,13 +116,24 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Without returns a new ring with member removed.
+// Without returns a new ring with member removed. Its points are the
+// receiver's, already sorted, less the removed member's: no point is
+// hashed again.
 func (r *Ring) Without(member string) *Ring {
-	kept := make([]string, 0, len(r.members))
+	out := &Ring{
+		replicas: r.replicas,
+		members:  make([]string, 0, len(r.members)),
+		points:   make([]ringPoint, 0, len(r.points)),
+	}
 	for _, m := range r.members {
 		if m != member {
-			kept = append(kept, m)
+			out.members = append(out.members, m)
 		}
 	}
-	return NewRing(r.replicas, kept...)
+	for _, p := range r.points {
+		if p.member != member {
+			out.points = append(out.points, p)
+		}
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package naming
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -167,5 +168,92 @@ func TestRingGrowthSequenceBoundedMovement(t *testing.T) {
 			t.Fatalf("join of %s moved nothing: joiner owns no keys", st.join)
 		}
 		r, owners = next, nextOwners
+	}
+}
+
+// ringGoldenKeys are the keys of TestRingPlacementGolden, in the order of
+// each row's owners.
+var ringGoldenKeys = []string{
+	"alpha", "beta", "gamma", "assign+open", "open", "assign", "echo", "put", "", "x",
+	"domain-000", "domain-001", "domain-017", "domain-255", "cluster/member/n1",
+	"a-very-long-domain-name-with-many-parts",
+}
+
+// TestRingPlacementGolden pins placement: nodes built from different
+// versions of this package must agree on every key's owner, so a change
+// to how the ring is built may not move one. The owners were recorded
+// with the ring of fmt.Sprintf("%s#%d") points hashed by hash/fnv.
+func TestRingPlacementGolden(t *testing.T) {
+	golden := []struct {
+		replicas int
+		members  string
+		owners   string // one per ringGoldenKeys entry
+	}{
+		{0, "n1", "n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1 n1"},
+		{0, "n1 n2", "n2 n2 n2 n2 n1 n2 n2 n2 n1 n2 n2 n2 n1 n2 n1 n2"},
+		{0, "n1 n2 n3", "n3 n2 n2 n2 n1 n2 n2 n2 n1 n3 n2 n2 n3 n3 n1 n2"},
+		{0, "node-a node-b node-c", "node-b node-c node-c node-b node-a node-a node-b node-b node-c node-c node-c node-b node-b node-a node-c node-a"},
+		{0, "a b c d e f g", "d f d b b a d c g c g d c c a e"},
+		{4, "a b c d", "c b d b a c a c c a c c d c a c"},
+		{1, "x y", "x y y y y y x x x x y y y y x y"},
+		{200, "r1 r2 r3 r4 r5", "r4 r5 r3 r1 r5 r2 r5 r4 r4 r1 r5 r1 r1 r5 r2 r3"},
+	}
+	for _, g := range golden {
+		r := NewRing(g.replicas, strings.Fields(g.members)...)
+		want := strings.Fields(g.owners)
+		for i, k := range ringGoldenKeys {
+			if got, _ := r.Owner(k); got != want[i] {
+				t.Errorf("ring %d×[%s]: Owner(%q) = %s, want %s", g.replicas, g.members, k, got, want[i])
+			}
+		}
+	}
+}
+
+// TestRingWithoutEqualsRebuild pins Without against a ring built from
+// scratch over the remaining members, for every member of sets of 1 to 7,
+// an absent member among them.
+func TestRingWithoutEqualsRebuild(t *testing.T) {
+	keys := ringKeys(10000)
+	all := []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7"}
+	for size := 1; size <= len(all); size++ {
+		members := all[:size]
+		r := NewRing(0, members...)
+		for _, gone := range append(slices.Clone(members), "absent") {
+			rest := slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == gone })
+			got, want := r.Without(gone), NewRing(0, rest...)
+			if !slices.Equal(got.Members(), want.Members()) {
+				t.Fatalf("%v without %s: members %v, want %v", members, gone, got.Members(), want.Members())
+			}
+			for _, k := range keys {
+				g, gok := got.Owner(k)
+				w, wok := want.Owner(k)
+				if g != w || gok != wok {
+					t.Fatalf("%v without %s: Owner(%q) = %q,%v, want %q,%v", members, gone, k, g, gok, w, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllocations bounds the heap allocations of building a ring, of
+// deriving one without a member, and of a lookup, for a 3-member ring at
+// the default replica count: what every heartbeat of a cluster node pays.
+func TestRingAllocations(t *testing.T) {
+	members := []string{"node-a", "node-b", "node-c"}
+	r := NewRing(0, members...)
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"NewRing", 10, func() { NewRing(0, members...) }},
+		{"Without", 3, func() { r.Without("node-b") }},
+		{"Owner", 0, func() { r.Owner("alpha") }},
+	} {
+		got := testing.AllocsPerRun(100, c.f)
+		t.Logf("%s: %.0f allocations", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, got, c.max)
+		}
 	}
 }

@@ -80,7 +80,10 @@ type Log struct {
 	acked    atomic.Uint64 // acknowledged high-water mark; entries <= acked are reclaimable
 	overflow atomic.Uint64 // appends refused because the unacked window was full
 	skipped  atomic.Uint64 // sequences abandoned by SkipGap (no snapshot available)
-	gapped   atomic.Bool   // the log has lost an entry since the last resync
+	// hole is the highest sequence an append was refused at. The log is
+	// gapped while it lies above acked: a resync or skip that reclaims
+	// less leaves a later hole in place.
+	hole atomic.Uint64
 }
 
 // slotArgBytes is the argument buffer each slot starts with.
@@ -119,14 +122,14 @@ func (l *Log) Append(term uint64, method string, args []any) (uint64, error) {
 	seq := l.head.Add(1)
 	if seq > uint64(len(l.entries)) && seq-uint64(len(l.entries)) > l.acked.Load() {
 		l.overflow.Add(1)
-		l.gapped.Store(true)
+		l.refuse(seq)
 		return seq, errFull
 	}
 	e := &l.entries[seq&l.mask]
 	buf, err := appendArgs(e.Args[:0], args)
 	if err != nil {
 		e.Args = buf[:0]
-		l.gapped.Store(true)
+		l.refuse(seq)
 		return seq, fmt.Errorf("%s %w", method, err)
 	}
 	*e = Entry{Domain: l.domain, Seq: seq, Term: term, Method: method, Args: buf}
@@ -196,10 +199,11 @@ func (l *Log) Ack(seq uint64) {
 // refused append consumes a sequence whose slot is never published, so
 // the reader would otherwise stall at it forever. The acknowledged mark
 // advances to just before the next published sequence (or to head when
-// nothing further is published), the abandoned range is counted, and the
-// gapped flag clears. The streamer calls it only when no snapshot resync
-// is available — the lost range is then surfaced to the receiver as a
-// sequence gap instead of wedging replication for the rest of the term.
+// nothing further is published) and the abandoned range is counted; a
+// later hole still leaves the log gapped. The streamer calls it only when
+// no snapshot resync is available — the lost range is then surfaced to the
+// receiver as a sequence gap instead of wedging replication for the rest
+// of the term.
 // Single-reader, like ReadFrom. Returns how many sequences were abandoned.
 func (l *Log) SkipGap() uint64 {
 	from := l.acked.Load()
@@ -219,8 +223,17 @@ func (l *Log) SkipGap() uint64 {
 	}
 	l.Ack(skipTo)
 	l.skipped.Add(skipTo - from)
-	l.gapped.Store(false)
 	return skipTo - from
+}
+
+// refuse records seq as a hole: the highest one is kept.
+func (l *Log) refuse(seq uint64) {
+	for {
+		h := l.hole.Load()
+		if h >= seq || l.hole.CompareAndSwap(h, seq) {
+			return
+		}
+	}
 }
 
 // LastSeq returns the last assigned sequence number.
@@ -238,12 +251,7 @@ func (l *Log) Overflows() uint64 { return l.overflow.Load() }
 // Skipped returns how many sequences SkipGap has abandoned.
 func (l *Log) Skipped() uint64 { return l.skipped.Load() }
 
-// Gapped reports whether the log has lost an entry since the last resync.
-func (l *Log) Gapped() bool { return l.gapped.Load() }
-
-// Resync marks the log whole again from seq onward: everything at or below
-// seq is considered covered (by a snapshot) and reclaimed.
-func (l *Log) Resync(seq uint64) {
-	l.Ack(seq)
-	l.gapped.Store(false)
-}
+// Gapped reports whether a refused append left a hole above the
+// acknowledged mark. A snapshot through seq covers the holes at or below
+// it: acknowledging seq is the resync.
+func (l *Log) Gapped() bool { return l.hole.Load() > l.acked.Load() }

@@ -2,6 +2,7 @@ package statesync
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -52,13 +53,43 @@ func TestLogOverflowBoundsLag(t *testing.T) {
 	if l.Overflows() != 1 || !l.Gapped() {
 		t.Fatalf("overflow=%d gapped=%v, want 1/true", l.Overflows(), l.Gapped())
 	}
-	// A snapshot resync covers the hole and reopens the window.
-	l.Resync(l.LastSeq())
+	// A snapshot resync, acknowledging through it, covers the hole and
+	// reopens the window.
+	l.Ack(l.LastSeq())
 	if l.Gapped() {
 		t.Fatal("still gapped after resync")
 	}
 	if _, err := l.Append(1, "put", nil); err != nil {
 		t.Fatal("append refused after resync reclaimed the window")
+	}
+}
+
+// TestLogGappedWhileAHoleLiesAboveAcked pins the gap flag to the holes
+// themselves: acknowledging through one hole (a snapshot's resync, or
+// SkipGap) leaves a later one gapped, and only covering the last clears it.
+func TestLogGappedWhileAHoleLiesAboveAcked(t *testing.T) {
+	l := NewLog("alpha", 16)
+	for i, arg := range []any{1, math.NaN(), 3, math.NaN(), 5} { // holes at 2 and 4
+		if _, err := l.Append(1, "put", []any{arg}); (err != nil) != (i%2 == 1) {
+			t.Fatalf("append %d: err = %v", i+1, err)
+		}
+	}
+	l.Ack(1)
+	if !l.Gapped() {
+		t.Fatal("not gapped with holes at 2 and 4 above acked 1")
+	}
+	if n := l.SkipGap(); n != 1 || !l.Gapped() {
+		t.Fatalf("first skip abandoned %d, gapped=%v; want 1 and still gapped by the hole at 4", n, l.Gapped())
+	}
+	if got := l.ReadFrom(l.Acked(), 100); len(got) != 1 || got[0].Seq != 3 {
+		t.Fatalf("read after the first skip: %+v", got)
+	}
+	l.Ack(3)
+	if n := l.SkipGap(); n != 1 || l.Gapped() {
+		t.Fatalf("second skip abandoned %d, gapped=%v; want 1 and whole", n, l.Gapped())
+	}
+	if got := l.ReadFrom(l.Acked(), 100); len(got) != 1 || got[0].Seq != 5 {
+		t.Fatalf("read after the second skip: %+v", got)
 	}
 }
 

@@ -421,16 +421,21 @@ func (m *Manager) flushOne(domain string, s *stream, force bool) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.succ != succ {
+		// Retargeted while the offer was in flight (a Handoff, a ring
+		// change): the ack speaks for the old successor only, so the log
+		// and the snapshot the new one needs are left as they are.
+		return nil
+	}
 	if offer.Snapshot != nil {
 		s.needSnap = false
 		s.snapsSent++
-		s.log.Resync(offer.SnapSeq)
+		s.log.Ack(offer.SnapSeq)
 	}
 	s.streamed += uint64(len(offer.Entries))
-	s.mu.Unlock()
-	l := s.log
 	if ack.Acked > 0 {
-		l.Ack(ack.Acked)
+		s.log.Ack(ack.Acked)
 	}
 	return nil
 }
@@ -445,7 +450,9 @@ func (m *Manager) send(succ string, o Offer) (Ack, error) {
 // release: it retargets the stream, forces a snapshot baseline when one
 // is available, and flushes until nothing is pending. It returns the
 // final handed-over sequence number — the lease release's snapshot
-// barrier. The caller must have stopped admitting new effects first.
+// barrier. The caller must have stopped admitting new effects first. A
+// failed flush is retried up to three times, 20 ms apart, and each one
+// retried is logged through Config.Logf.
 func (m *Manager) Handoff(ctx context.Context, domain, succ string) (uint64, error) {
 	s := (*m.streams.Load())[domain]
 	if s == nil {
@@ -469,6 +476,7 @@ func (m *Manager) Handoff(ctx context.Context, domain, succ string) (uint64, err
 			if attempt >= 3 {
 				return s.log.LastSeq(), err
 			}
+			m.logf("statesync %s: handoff %s to %s: attempt %d failed, retrying: %v", m.cfg.Node, domain, succ, attempt+1, err)
 			time.Sleep(20 * time.Millisecond)
 			continue
 		}

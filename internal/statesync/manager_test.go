@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -180,6 +182,53 @@ func TestManagerHandoffSnapshot(t *testing.T) {
 	}
 	if string(st.Snapshot) != `{"state":"alpha"}` {
 		t.Fatalf("snapshot payload %q", st.Snapshot)
+	}
+}
+
+// TestManagerHandoffLogsFailedAttempts pins that a handoff's retries are
+// visible: each failed flush it retries is logged with its attempt
+// number, successor and cause, and a flush that succeeds logs nothing.
+func TestManagerHandoffLogsFailedAttempts(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	var fails atomic.Int32
+	fails.Store(2)
+	tr := &pipeTransport{peers: map[string]*Manager{}, fail: func(Offer) error {
+		if fails.Add(-1) >= 0 {
+			return errors.New("successor unreachable")
+		}
+		return nil
+	}}
+	for _, node := range []string{"A", "B"} {
+		cfg := Config{Node: node, Transport: tr, Interval: time.Hour}
+		if node == "A" {
+			cfg.Logf = func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+			}
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		tr.peers[node] = m
+	}
+	a := tr.peers["A"]
+	a.Lead("alpha", 1)
+	a.Capture("alpha", "put", []any{1})
+	if seq, err := a.Handoff(context.Background(), "alpha", "B"); err != nil || seq != 1 {
+		t.Fatalf("handoff: seq=%d err=%v", seq, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{
+		"statesync A: handoff alpha to B: attempt 1 failed, retrying: successor unreachable",
+		"statesync A: handoff alpha to B: attempt 2 failed, retrying: successor unreachable",
+	}
+	if !reflect.DeepEqual(lines, want) {
+		t.Fatalf("logged %q, want %q", lines, want)
 	}
 }
 
@@ -377,6 +426,75 @@ func TestManagerReplicaDiscipline(t *testing.T) {
 	if !held || st2.Term != 2 || len(st2.Entries) != 1 || st2.Entries[0].Seq != 1 {
 		t.Fatalf("takeover after term bump: held=%v %+v", held, st2)
 	}
+}
+
+// TestManagerSnapshotKeepsLaterHole pins a snapshot against an append
+// refused after its mark was read: the snapshot covers the log only
+// through the mark, so the hole above it must bring another snapshot, not
+// stall the stream at the hole for the rest of the term. Here the refused
+// append runs inside the Snapshot hook, after the streamer read the mark.
+func TestManagerSnapshotKeepsLaterHole(t *testing.T) {
+	var a *Manager
+	var snaps atomic.Int32
+	snap := func(domain string) ([]byte, error) {
+		if snaps.Add(1) == 1 {
+			a.Capture(domain, "put", []any{math.NaN()}) // refused: seq 1 is a hole
+		}
+		return []byte("state"), nil
+	}
+	a, b, _ := newPair(t, snap)
+	a.Lead("alpha", 1)
+	a.SetSuccessor("alpha", "B")
+	a.RequireSnapshot("alpha")
+	waitFor(t, "the first snapshot", func() bool { return snaps.Load() >= 1 })
+	for i := 0; i < 5; i++ {
+		a.Capture("alpha", "put", []any{i})
+	}
+	waitFor(t, "the replica level with the leader", func() bool { return replicaSeq(b, "alpha") == a.Seq("alpha") })
+}
+
+// TestManagerRetargetDuringFlush pins a successor change that lands while
+// an offer is in flight: the old successor's ack must not reclaim the log
+// or cancel the snapshot the new successor needs. Here the offer carries
+// a snapshot to B, and the stream is pointed at C before B answers, as a
+// Handoff does when it retargets a stream the streamer is flushing.
+func TestManagerRetargetDuringFlush(t *testing.T) {
+	snap := func(domain string) ([]byte, error) { return []byte("state"), nil }
+	tr := &pipeTransport{peers: map[string]*Manager{}}
+	var a *Manager
+	var retargeted atomic.Bool
+	tr.fail = func(o Offer) error {
+		if o.Snapshot != nil && retargeted.CompareAndSwap(false, true) {
+			a.SetSuccessor("alpha", "C")
+		}
+		return nil
+	}
+	for _, node := range []string{"A", "B", "C"} {
+		cfg := Config{Node: node, Transport: tr, Interval: 2 * time.Millisecond}
+		if node == "A" {
+			cfg.Snapshot = snap
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		tr.mu.Lock()
+		tr.peers[node] = m
+		tr.mu.Unlock()
+	}
+	tr.mu.Lock()
+	a = tr.peers["A"]
+	tr.mu.Unlock()
+	a.Lead("alpha", 1)
+	for i := 0; i < 3; i++ {
+		a.Capture("alpha", "put", []any{i})
+	}
+	a.RequireSnapshot("alpha")
+	a.SetSuccessor("alpha", "B")
+	waitFor(t, "the offer to B", retargeted.Load)
+	c := tr.peers["C"]
+	waitFor(t, "C to hold the domain through seq 3", func() bool { return replicaSeq(c, "alpha") == 3 })
 }
 
 // TestManagerSnapshotResyncAfterOverflow pins the bounded-lag escalation:
