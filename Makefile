@@ -1,115 +1,22 @@
-# Verification stages for the aspect-moderator reproduction.
+# Verification stages for the aspect-moderator reproduction. Each recipe
+# lists the tests it runs; its comment, where it has one, says why.
 #
-#   make tier1       — build + full test suite (the gating check; it
-#                      includes keep_test.go, the keep rule: every export
-#                      under internal/ has a program caller or a written
-#                      reason), the schedtest explorer again at
-#                      GOMAXPROCS 1 and 8 so its verdict cannot depend
-#                      on the host's core count, then every
-#                      BenchmarkE1-E11 body once so the paper
-#                      experiments cannot rot
-#   make lint        — go vet, gofmt -l over every tracked .go file (any
-#                      name printed fails), plus staticcheck when it is
-#                      on PATH
-#   make race        — full suite under the race detector, plus a focused
-#                      double-count pass over the sharded-moderator stress,
-#                      differential-oracle, mutex-tier, optimistic and
-#                      route-equivalence tests, the composition write path
-#                      (plan-cache invalidation and churn, untorn Describe,
-#                      receipts across RemoveLayer, superseded snapshots
-#                      collected), the wake fan-out over a domain's queue
-#                      list, the waitq recycled-waiter race and the waitq
-#                      wake-order tests (each under a context that cannot
-#                      be cancelled and one that can), the obs event
-#                      ring and churn concurrency tests, five
-#                      rounds of the invocation-
-#                      recycling tests (a released record carries no
-#                      token, priority, barrier generation, ctx, args,
-#                      wire-form args or their shared copy, or trace id
-#                      into its next call — in process and over amrpc),
-#                      ten rounds of the amrpc line-buffer aliasing (a
-#                      kept argument string among them), late-reply,
-#                      frame-writer and flush-ledger tests, and three of the amrpc retry,
-#                      re-dial and backoff-schedule tests, of the wire-code
-#                      round trip (a self-coded error, the circuit
-#                      breaker's among them, goes out under its own
-#                      code), of the naming client re-dialing across
-#                      a server restart, and of the
-#                      replication tests: offer atomicity, snapshot
-#                      order, request-line ownership, every handoff
-#                      path and an effect no offer can carry (refused
-#                      at capture, the stream getting past its hole),
-#                      of the relay's buffer-lifetime and retry
-#                      tests, and of the domain-map tests (an unlisted
-#                      method is served, a split group is refused) and
-#                      the heartbeat wake sweep and the replication
-#                      layer (every completion route captured once, the
-#                      layer composed innermost and removed by Close,
-#                      log order equal to execution order), and ten of the
-#                      membership-event tests (join, leave, route
-#                      announcements sent and received, nudge bounds,
-#                      a free domain waking its ring owner, a join's
-#                      handoff and a Close's)
-#   make fuzz-smoke  — 10s of coverage-guided fuzzing per target: the
-#                      wire encoders and decoders, the value decoder, the
-#                      wire-form arguments (every accessor differential
-#                      against the decoded list) and
-#                      the replication-offer decoder (each differential
-#                      against encoding/json), the cluster relay
-#                      (differential against decoding at the entry), the
-#                      interference checker, and the seqlock guard-eval
-#                      differential target
-#   make bench       — the one benchmark harness: `bash benchmark/run.sh`,
-#                      all five workloads into benchmark/out/ (see
-#                      benchmark/README.md). ARGS is passed through:
-#                        make bench ARGS='--workload rpc_sequential --seed 2'
-#                        make bench ARGS='-compare parent.json change.json'
-#                      -compare prints better/same/worse/unresolved per
-#                      metric for two result files and measures nothing
-#   make obs-smoke   — boot ticketd with -obs, drive load, assert /metrics
-#                      and /trace serve live non-empty data
-#   make cluster-smoke — the 3-node in-process admission-plane soak:
-#                      ≥1000 guarded invocations under chaosnet faults
-#                      with a mid-run partition+heal and an owner kill,
-#                      plus the failover and park-readmission tests, the
-#                      relay's buffer-lifetime and retry tests, the
-#                      domain map read from the moderator (an unlisted
-#                      method is served, a split group is refused), the
-#                      heartbeat wake sweep, and the membership events
-#                      that move ownership without a tick: a join and a
-#                      graceful leave each converge within 2 s under a
-#                      15 s heartbeat, a member an acquirer's route
-#                      announcement missed is sent it, and nudges are
-#                      bounded (none in a converged cluster, a burst
-#                      coalesced into at most two beats), a free domain
-#                      waking its ring owner, a node riding
-#                      out a naming-service restart (its next beat re-dials,
-#                      nothing is re-acquired), and the replication layer:
-#                      every completion route captured exactly once, the
-#                      layer shown innermost by Describe and removed by
-#                      Close, and a serialized domain's replayed log equal
-#                      to its execution order as a sequence
-#   make handoff-smoke — the deterministic state-handoff certification:
-#                      graceful release via the snapshot barrier, hard
-#                      kill via effect-log catch-up, stale-term
-#                      replication fencing, a late older snapshot
-#                      never replacing a newer one, and an effect no
-#                      offer can carry refused at capture, the stream
-#                      getting past its hole (with a snapshot, or as a
-#                      gap) in the cluster and in statesync alone, a
-#                      join's handoff on its first offer, a Close
-#                      that hands off along a fresh listing, a hole
-#                      left after a snapshot's mark, and a stream
-#                      retargeted while an offer is in flight
-#   make examples-smoke — build every examples/* program and run each
-#                      under a timeout; any non-zero exit fails (go test
-#                      only compiles them)
-#   make cpu-matrix  — the packages whose tests take the same time at any
-#                      core count, run at GOMAXPROCS 1, 2 and 4, so their
-#                      verdicts cannot depend on the host's
-#   make check       — tier1 + lint + race + fuzz-smoke + obs-smoke +
-#                      cluster-smoke + handoff-smoke + examples-smoke +
-#                      cpu-matrix
+#   make tier1          build + full test suite (keep_test.go's keep rule
+#                       included), schedtest at GOMAXPROCS 1 and 8, each
+#                       BenchmarkE1-E11 body once
+#   make lint           go vet, gofmt -l over tracked .go files, staticcheck
+#                       when on PATH
+#   make race           full suite under -race, then focused repeat passes
+#                       over the concurrency-sensitive tests
+#   make fuzz-smoke     FUZZTIME (10s) of fuzzing per target
+#   make bench          bash benchmark/run.sh $(ARGS) (see benchmark/README.md);
+#                       ARGS='-compare a.json b.json' compares two result files
+#   make obs-smoke      ticketd with -obs under load: /metrics and /trace live
+#   make cluster-smoke  the 3-node admission-plane soak and membership events
+#   make handoff-smoke  one deterministic test per state-handoff path
+#   make examples-smoke build and run every examples/* program
+#   make cpu-matrix     core-count-independent packages at GOMAXPROCS 1, 2, 4
+#   make check          all of the above but bench
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -143,8 +50,8 @@ race:
 	$(GO) test -race -count=5 -run 'TestRecycledInvocationCarriesNoToken|TestRecycledInvocationCarriesNoWireArgs' ./internal/amrpc/
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestKeptArgStringDoesNotAliasRequestLine|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
-	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager' ./internal/statesync/
-	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager|TestResume' ./internal/statesync/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterFailedHandoffLeavesBarrier|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterFreeDomainWakesRingOwner|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing' ./internal/cluster/
 
 bench:
@@ -219,12 +126,14 @@ cluster-smoke:
 # attempt logged, and leave it a barrier; a Close right after the
 # closer's ring successor left must hand off, with a barrier, to a member
 # still listed; a hole left after a snapshot's mark must bring another
-# snapshot; and an ack from a successor the stream was moved away from
-# must not count for the new one.
+# snapshot; an ack from a successor the stream was moved away from
+# must not count for the new one; a handoff that cannot reach its
+# successor, or has none, must still plant its barrier, at once; and a
+# resume must count as a catch-up gap whatever it could not bring back.
 handoff-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing'
-	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry|TestManagerSnapshotKeepsLaterHole|TestManagerRetargetDuringFlush'
+		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing|TestClusterFailedHandoffLeavesBarrier'
+	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry|TestManagerSnapshotKeepsLaterHole|TestManagerRetargetDuringFlush|TestManagerHandoffWithoutSuccessorReturnsAtOnce|TestResumeCountsWhatItCannotBringBack|TestResumeSameTermKeepsLog'
 	@echo "handoff-smoke: OK"
 
 # Every example run as the program it is. go test ./... only compiles

@@ -78,7 +78,7 @@ func main() {
 	flag.IntVar(&o.obsSample, "obs-sample", obs.DefaultSampleEvery, "trace 1 in N admissions in detail (<=1 traces all)")
 	flag.IntVar(&o.obsTrace, "obs-trace", obs.DefaultRingCapacity, "per-domain trace ring capacity")
 	flag.StringVar(&o.clusterID, "cluster-id", "", "join the distributed admission plane as this node (empty disables; requires -naming)")
-	flag.DurationVar(&o.clusterTTL, "cluster-lease", 3*time.Second, "admission-domain lease TTL in cluster mode")
+	flag.DurationVar(&o.clusterTTL, "cluster-lease", 3*time.Second, "membership and admission-domain lease TTL in cluster mode")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -174,7 +174,6 @@ func run(o options) error {
 			Local:         g.Proxy(),
 			Naming:        o.namingAddr,
 			LeaseTTL:      o.clusterTTL,
-			MemberTTL:     o.clusterTTL,
 			ServerOptions: serverOpts,
 			Logf:          log.Printf,
 		}, o.addr)

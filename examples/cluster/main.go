@@ -126,7 +126,6 @@ func main() {
 			Naming:     nln.Addr().String(),
 			Idempotent: true,
 			LeaseTTL:   time.Second,
-			MemberTTL:  time.Second,
 			Heartbeat:  200 * time.Millisecond,
 			Snapshot:   b.snapshot,
 			Restore:    b.restore,

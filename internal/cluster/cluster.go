@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -75,13 +76,11 @@ type Config struct {
 	// execution.
 	Idempotent bool
 
-	// MemberTTL bounds how long a dead node stays in the membership
-	// (default 1200ms). LeaseTTL bounds how long its domains stay owned
-	// (default 1200ms); failover latency is roughly LeaseTTL, and a node
-	// stops considering itself owner a quarter of a LeaseTTL before its
-	// local lease expiry. Heartbeat is the renewal period (default
-	// LeaseTTL/4).
-	MemberTTL time.Duration
+	// LeaseTTL bounds how long a dead node stays in the membership and
+	// its domains stay owned (default 1200ms); failover latency is
+	// roughly LeaseTTL, and a node stops considering itself owner a
+	// quarter of a LeaseTTL before its local lease expiry. Heartbeat is
+	// the renewal period (default LeaseTTL/4).
 	LeaseTTL  time.Duration
 	Heartbeat time.Duration
 
@@ -128,9 +127,6 @@ func (cfg *Config) withDefaults() error {
 	}
 	if cfg.Naming == "" {
 		return fmt.Errorf("cluster: config: empty naming address")
-	}
-	if cfg.MemberTTL <= 0 {
-		cfg.MemberTTL = 1200 * time.Millisecond
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 1200 * time.Millisecond
@@ -366,9 +362,11 @@ func (n *Node) Addr() string { return n.addr }
 // ID returns the node's cluster identity.
 func (n *Node) ID() string { return n.cfg.ID }
 
-// Close stops the heartbeat, hands each owned domain's replicated state
-// to its successor, releases the leases (with snapshot barriers) and the
-// membership entry, removes the replication layer, and tears down the
+// Close leaves the fleet like any other membership change: it stops the
+// heartbeat, unregisters, and reconciles ownership against the fleet
+// without itself, which hands each owned domain's replicated state to its
+// successor, releases the lease with a snapshot barrier and nudges the
+// new owner. It then removes the replication layer and tears down the
 // server and every pooled connection. In-flight handlers (including
 // parked callers) are cancelled by the server's connection teardown —
 // their callers re-admit through the next owner, which resumes the
@@ -382,66 +380,37 @@ func (n *Node) doClose() {
 	defer close(n.closeDone)
 
 	// Stop the heartbeat first, and wait out a beat in flight: a beat
-	// racing the handover could re-acquire a lease and consume the barrier
+	// racing the leave could re-acquire a lease and consume the barrier
 	// we are about to plant, or register this node again after the
 	// unregister below, leaving a member that is gone listed for a
-	// MemberTTL.
+	// LeaseTTL.
 	n.mu.Lock()
 	n.closing = true
 	close(n.stop)
 	n.mu.Unlock()
 	n.hb.Wait()
 
-	// Hand off along a fresh listing: a member that left since the last
-	// beat must not be chosen as a successor. The last beat's view is the
-	// fallback when the naming service cannot be reached.
-	listed, err := n.listMembers()
-	if err != nil {
-		n.logf("cluster %s: close: listing members: %v; handing off along the last beat's view", n.cfg.ID, err)
-	}
-	n.mu.Lock()
-	if err == nil {
-		n.members = listed
-	}
-	owned := make(map[string]uint64, len(n.owned))
-	for d, o := range n.owned {
-		owned[d] = o.term
-	}
-	members := make(map[string]string, len(n.members))
-	memberIDs := make([]string, 0, len(n.members))
-	for id, addr := range n.members {
-		if id != n.cfg.ID {
-			members[id] = addr
-			memberIDs = append(memberIDs, id)
-		}
-	}
-	n.mu.Unlock()
-
-	// Graceful handover: for each owned domain, stop admitting, drain,
-	// flush the effect log (plus snapshot) to the domain's next owner, and
-	// release with a barrier — so survivors converge with state instead of
-	// waiting out TTLs. The pooled clients and the server stay up through
-	// this phase; the flush rides them.
-	succRing := naming.NewRing(0, memberIDs...)
-	succs := make(map[string]bool, len(owned))
-	for d, term := range owned {
-		n.mu.Lock()
-		delete(n.owned, d)
-		n.mu.Unlock()
-		succ, _ := succRing.Owner(d)
-		n.handoffRelease(d, term, succ)
-		if succ != "" {
-			succs[succ] = true
-		}
-	}
+	// Unregister before anything moves, so the owners nudged below read a
+	// membership without this node. Then list the fleet — a member that
+	// left since the last beat must not be chosen as a successor — and
+	// reconcile against it: with this node off the ring, every owned
+	// domain is released to its next owner. The last beat's view stands
+	// in when the naming service cannot be reached. The pooled clients and
+	// the server stay up through this phase; the handoffs and nudges ride
+	// them.
 	_, _ = n.nc.Unregister(n.memberKey())
-	// Nudge each new owner only now: woken before the unregister, it
-	// could read a membership that still lists this node and leave the
-	// domain to it. The nudges ride the pooled clients, so they must be
-	// sent before those close.
-	for succ := range succs {
-		n.nudge(succ, members[succ])
+	members, leases, err := n.listFleet()
+	n.mu.Lock()
+	if err != nil {
+		members = maps.Clone(n.members)
 	}
+	delete(members, n.cfg.ID)
+	n.members = members
+	n.mu.Unlock()
+	if err != nil {
+		n.logf("cluster %s: close: listing the fleet: %v; leaving along the last beat's view", n.cfg.ID, err)
+	}
+	n.reconcileOwnership(ringOf(members), leases, members)
 
 	n.mu.Lock()
 	for len(n.nudging) > 0 {
@@ -558,12 +527,21 @@ func (n *Node) announce(to map[string]string, domain string, term uint64) {
 	wg.Wait()
 }
 
-// listMembers reads the membership from the naming service: member id ->
-// address.
-func (n *Node) listMembers() (map[string]string, error) {
+// ringOf is the consistent-hash ring over the members listed.
+func ringOf(members map[string]string) *naming.Ring {
+	ids := make([]string, 0, len(members))
+	for id := range members {
+		ids = append(ids, id)
+	}
+	return naming.NewRing(0, ids...)
+}
+
+// listFleet reads the membership (member id -> address) and the domain
+// leases from the naming service.
+func (n *Node) listFleet() (map[string]string, []naming.DomainLease, error) {
 	members, err := n.nc.List()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	memberAddrs := make(map[string]string, len(members))
 	for _, e := range members {
@@ -571,7 +549,11 @@ func (n *Node) listMembers() (map[string]string, error) {
 			memberAddrs[id] = e.Addr
 		}
 	}
-	return memberAddrs, nil
+	leases, err := n.nc.ListLeases()
+	if err != nil {
+		return nil, nil, err
+	}
+	return memberAddrs, leases, nil
 }
 
 // beat is one heartbeat round: renew membership, list the fleet, publish
@@ -581,24 +563,16 @@ func (n *Node) listMembers() (map[string]string, error) {
 // so a handoff to a member that just joined finds its address.
 func (n *Node) beat() error {
 	n.beats.Add(1)
-	if err := n.nc.Register(n.memberKey(), n.addr, n.cfg.MemberTTL); err != nil {
+	if err := n.nc.Register(n.memberKey(), n.addr, n.cfg.LeaseTTL); err != nil {
 		return err
 	}
-	memberAddrs, err := n.listMembers()
-	if err != nil {
-		return err
-	}
-	leases, err := n.nc.ListLeases()
+	memberAddrs, leases, err := n.listFleet()
 	if err != nil {
 		return err
 	}
 	listedAt := time.Now()
 
-	ids := make([]string, 0, len(memberAddrs))
-	for id := range memberAddrs {
-		ids = append(ids, id)
-	}
-	ring := naming.NewRing(0, ids...)
+	ring := ringOf(memberAddrs)
 	// A member this node has not listed before may have missed the
 	// announcements of the domains it owns.
 	joined := make(map[string]string)
@@ -731,28 +705,13 @@ func (n *Node) reconcileOwnership(ring *naming.Ring, leases []naming.DomainLease
 				continue
 			}
 			if n.sync != nil {
-				if t, leading := n.sync.Leading(domain); leading && t == lease.Term {
-					// Same-term re-acquire: the lease never expired (we
-					// dropped it locally, e.g. across a transient renew
-					// failure) and AcquireLease extended our own live
-					// lease. The effect log, stream, and successor replica
-					// are all still coherent at this term — a fresh Lead
-					// would restart the sequence at 1 and every new entry
-					// would be refused downstream as a duplicate, and a
-					// catch-up would replay our own replicated effects onto
-					// our own live state. Keep everything as is.
-				} else {
-					// Catch up BEFORE asserting ownership: fenced traffic is
-					// refused (and retried by routers) until the domain's
-					// replicated state is resumed here. Replay goes through the
-					// local component, so each effect is re-captured into the
-					// new term's log and re-replicated to our own successor.
-					n.sync.Lead(domain, lease.Term)
-					if succ, ok := ring.Without(n.cfg.ID).Owner(domain); ok {
-						n.sync.SetSuccessor(domain, succ)
-					}
-					n.catchUp(domain, lease)
-				}
+				// Resume BEFORE asserting ownership: fenced traffic is
+				// refused (and retried by routers) until the domain's
+				// replicated state is back here. A same-term re-acquire
+				// (the lease never expired; we dropped it locally, e.g.
+				// across a transient renew failure) keeps the live log.
+				succ, _ := ring.Without(n.cfg.ID).Owner(domain)
+				n.sync.Resume(domain, lease, succ, n.cfg.Restore, n.applyEffect)
 			}
 			// Route before serve: every member learns the new route before
 			// this node admits under it, so no caller keeps forwarding under

@@ -192,7 +192,6 @@ func startLedgerNode(t testing.TB, id, namingAddr string, mutate func(*Config)) 
 		Domains:    ledgerDomains,
 		Naming:     namingAddr,
 		Idempotent: true,
-		MemberTTL:  900 * time.Millisecond,
 		LeaseTTL:   900 * time.Millisecond,
 		Heartbeat:  150 * time.Millisecond,
 		Snapshot: func(domain string) ([]byte, error) {

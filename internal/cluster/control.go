@@ -13,9 +13,9 @@ import (
 )
 
 // controlName is the per-node control component: cluster-internal
-// endpoints (replication offers, nudges, route announcements, status
-// introspection) kept off the public component name so application
-// traffic and plane traffic cannot collide.
+// endpoints (replication offers, nudges, route announcements) kept off
+// the public component name so application traffic and plane traffic
+// cannot collide.
 func controlName(nodeID string) string { return "_cluster/" + nodeID }
 
 // control hosts this node's cluster-internal endpoints. The server hands it
@@ -47,8 +47,6 @@ func (c *control) CallRaw(inv *aspect.Invocation, call amrpc.RawCall, dst []byte
 		return amrpc.AppendValue(dst, true)
 	case "route":
 		return c.route(inv, call, dst)
-	case "status":
-		return amrpc.AppendValue(dst, c.n.Status())
 	default:
 		return dst, fmt.Errorf("cluster control %s: unknown method %q", c.n.cfg.ID, inv.Method())
 	}

@@ -10,6 +10,9 @@ package cluster
 //   - Hard kill: the replication log (no snapshot hooks) is the only
 //     carrier; after lease expiry the new owner replays the suffix through
 //     its own guarded component. Same audit.
+//   - Failed handoff: a release whose handoff cannot reach the successor
+//     still leaves a barrier at the releaser's last sequence, and the
+//     taker counts what its replica lacks as a catch-up gap.
 //   - Fencing: a replication offer at a stale term is refused with the
 //     plane's one stale-term sentinel.
 
@@ -24,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/amrpc"
+	"repro/internal/chaosnet"
 	"repro/internal/cluster/view"
 	"repro/internal/naming"
 	"repro/internal/statesync"
@@ -314,6 +318,58 @@ func TestClusterSnapshotWithoutRestoreCountsGap(t *testing.T) {
 	}
 }
 
+// TestClusterFailedHandoffLeavesBarrier certifies that every release
+// plants its barrier: the owner of alpha is cut off from the only other
+// node, so nothing it captures is replicated and its Close's handoff
+// fails. The lease must still carry a barrier at the owner's last
+// sequence, and the taker, whose replica lacks every effect, must count
+// the loss as a catch-up gap instead of serving as if nothing were missed.
+func TestClusterFailedHandoffLeavesBarrier(t *testing.T) {
+	ids := []string{"x1", "x2"}
+	ownerID, _ := naming.NewRing(0, ids...).Owner("alpha")
+	g := newGatedNet(chaosnet.New(chaosnet.Config{}))
+	namingAddr := startNaming(t)
+	logs := map[string]*logLines{}
+	nodes := map[string]*Node{}
+	for _, id := range ids {
+		logs[id] = &logLines{}
+		_, nodes[id] = startLedgerNode(t, id, namingAddr, func(cfg *Config) {
+			cfg.Logf = logs[id].logf
+			if id == ownerID {
+				cfg.DialConn = g.dial
+			}
+		})
+	}
+	owner := nodes[ownerID]
+	var taker *Node
+	for _, id := range ids {
+		if id != ownerID {
+			taker = nodes[id]
+		}
+	}
+	waitOwnership(t, owner, taker)
+	g.partition(taker.Addr())
+
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		if _, err := owner.Invoke(ctx, "alpha-put", fmt.Sprintf("a-x-%d", i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	seq := owner.sync.Seq("alpha")
+	start := time.Now()
+	owner.Close()
+	if len(logs[ownerID].with("handoff alpha", "failed")) == 0 {
+		t.Fatalf("the handoff to a partitioned successor did not fail; %s logged %q", ownerID, logs[ownerID].with(""))
+	}
+	waitOwns(t, taker, "alpha", start)
+	if st := syncRow(taker, "alpha"); st.CatchupGaps < 1 {
+		t.Fatalf("%s took alpha over without %s's %d effects and counted %d catch-up gaps, want at least 1",
+			taker.ID(), ownerID, seq, st.CatchupGaps)
+	}
+	waitLine(t, logs[taker.ID()], start, "acquired alpha", fmt.Sprintf("barrier from %s through seq %d", ownerID, seq))
+}
+
 // TestClusterStaleSyncOfferRefused certifies replication fencing: an offer
 // at a term not above what the receiver already leads the domain at is
 // refused with the plane's one stale-term sentinel — a zombie leader's
@@ -369,8 +425,8 @@ func TestAckFromReply(t *testing.T) {
 // bytes of the server's pooled request line, which the next frames on the
 // connection overwrite, so the replica must copy whatever it keeps. The
 // test ships one offer, pushes 64 more of the same shape through the same
-// connection — the same pooled lines — and then takes the first one's
-// domain over: every entry must come back as it was offered.
+// connection — the same pooled lines — and then resumes the first one's
+// domain: every entry must be replayed as it was offered.
 func TestReplicaDoesNotAliasRequestLine(t *testing.T) {
 	namingAddr := startNaming(t)
 	_, n := startLedgerNode(t, "o1", namingAddr, nil)
@@ -399,9 +455,13 @@ func TestReplicaDoesNotAliasRequestLine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, held := n.sync.Takeover("gamma")
-	if !held || !reflect.DeepEqual(st.Entries, first.Entries) {
-		t.Fatalf("takeover after 64 more frames: held=%v entries=%+v, want %+v", held, st.Entries, first.Entries)
+	var replayed []statesync.Entry
+	n.sync.Resume("gamma", naming.DomainLease{Domain: "gamma", Holder: n.ID(), Term: 2}, "", nil, func(e statesync.Entry) error {
+		replayed = append(replayed, e)
+		return nil
+	})
+	if !reflect.DeepEqual(replayed, first.Entries) {
+		t.Fatalf("resume after 64 more frames replayed %+v, want %+v", replayed, first.Entries)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 // slowTicks gives a node a one-minute lease and membership TTL, so its
 // default heartbeat is 15 s: longer than any deadline below.
 func slowTicks(cfg *Config) {
-	cfg.MemberTTL = time.Minute
 	cfg.LeaseTTL = time.Minute
 	cfg.Heartbeat = 0
 }

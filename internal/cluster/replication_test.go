@@ -76,7 +76,6 @@ func startRouteNode(t *testing.T, p *proxy.Proxy, namingAddr string, disableSync
 		ID:               "solo",
 		Local:            p,
 		Naming:           namingAddr,
-		MemberTTL:        900 * time.Millisecond,
 		LeaseTTL:         900 * time.Millisecond,
 		Heartbeat:        150 * time.Millisecond,
 		DisableStateSync: disableSync,
@@ -259,7 +258,6 @@ func TestCaptureOrderIsExecutionOrder(t *testing.T) {
 			Domains:    map[string]string{"alpha-put": "alpha", "beta-put": "beta"},
 			Naming:     namingAddr,
 			Idempotent: true,
-			MemberTTL:  900 * time.Millisecond,
 			LeaseTTL:   900 * time.Millisecond,
 			Heartbeat:  150 * time.Millisecond,
 		}, "127.0.0.1:0")

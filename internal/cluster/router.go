@@ -281,8 +281,13 @@ func (n *Node) forward(ctx context.Context, r route, inv *aspect.Invocation, w *
 
 // controlCall calls method on the control component of member id, at
 // addr, over the pooled data-plane connection to it — so plane traffic
-// meets the same faults as forwarded admissions. Every control endpoint
-// is idempotent, so the stub retries transport failures within ctx.
+// meets the same faults as forwarded admissions. The stub makes one
+// attempt: every control endpoint is idempotent, but the pooled clients
+// retry only under a RetryPolicy from Config.ClientOptions, which no
+// program passes. The plane retries a level up instead: an offer through
+// Handoff's own attempts and the streamer's next round, a nudge or an
+// announcement through the next beat, and a forwarded admission, which
+// does not come through here, through the router's rounds.
 func (n *Node) controlCall(ctx context.Context, id, addr, method string, args ...any) (any, error) {
 	p, err := n.peerFor(addr)
 	if err != nil {

@@ -238,7 +238,6 @@ func TestClusterFailoverReadmitsParkedCallers(t *testing.T) {
 			Domains:    map[string]string{"signal": "sig", "wait": waitDomain},
 			Naming:     namingAddr,
 			Idempotent: true,
-			MemberTTL:  900 * time.Millisecond,
 			LeaseTTL:   900 * time.Millisecond,
 			Heartbeat:  150 * time.Millisecond,
 		}

@@ -3,22 +3,26 @@ package cluster
 // Replicated state handoff: the plane's integration with
 // internal/statesync. Every completed admission on an owned domain is
 // captured into a per-domain, fence-term-stamped effect log and streamed
-// asynchronously to the domain's ring successor. When ownership moves —
-// gracefully (ring reassignment, Close) or by failover (lease expiry) —
-// the new owner resumes the domain's *state*, not just its moderation:
+// asynchronously to the domain's ring successor. Ownership moves on one
+// path, reconcileOwnership, whether a beat saw the membership change or
+// the node is leaving (Close), and the new owner resumes the domain's
+// *state*, not just its moderation:
 //
-//   - Graceful release drains in-flight admissions, flushes the log (plus
-//     a snapshot when the application provides one) to the successor, and
-//     releases the lease with a snapshot barrier recording the handed-over
-//     sequence. The next grant carries the barrier, so the new owner knows
-//     what it must have resumed before serving.
-//   - Failover replays the replica held for the dead owner: restore the
-//     latest snapshot (if any), then re-apply the log suffix through the
+//   - A release drains in-flight admissions, flushes the log (plus a
+//     snapshot when the application provides one) to the successor, and
+//     releases the lease with a snapshot barrier at the last sequence
+//     captured, whether or not the flush got through. The next grant
+//     carries the barrier.
+//   - The acquirer hands the rest to statesync.Manager.Resume: restore the
+//     replica's snapshot (if any), re-apply its log suffix through the
 //     local guarded component — which re-captures each effect at the new
-//     term and re-replicates it onward to the *next* successor.
+//     term and re-replicates it onward to the *next* successor — and count
+//     as catch-up gaps what it could not bring back, a replica short of
+//     the barrier among it. After a failover (lease expiry) there is no
+//     barrier; the replica is what the dead owner streamed.
 //
-// Catch-up completes before the domain is inserted into the owned set, so
-// fenced traffic is refused (and retried by routers) until state is
+// The resume completes before the domain is inserted into the owned set,
+// so fenced traffic is refused (and retried by routers) until state is
 // resumed: callers never observe a new owner serving from a blank slate.
 
 import (
@@ -161,100 +165,37 @@ func (n *Node) syncSuccessors(ring *naming.Ring) {
 
 // handoffRelease is the graceful-release path: drain in-flight work, flush
 // log + snapshot to the domain's next owner, release the lease with a
-// snapshot barrier. Any failure falls back to a plain release — the
-// successor still holds the asynchronously streamed suffix.
+// snapshot barrier at the last sequence captured. A handoff that fails, or
+// has no successor to go to, still plants the barrier: the next owner's
+// resume then counts what its replica lacks as a catch-up gap. Only with
+// state sync off is the release a plain one.
 func (n *Node) handoffRelease(domain string, term uint64, succ string) {
-	seq := uint64(0)
-	barrier := false
-	if n.sync != nil {
-		n.drainInflight(domain, 500*time.Millisecond)
-		if succ != "" {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			s, err := n.sync.Handoff(ctx, domain, succ)
-			cancel()
-			if err == nil {
-				seq, barrier = s, true
-				n.logf("cluster %s: handed %s through seq %d to %s", n.cfg.ID, domain, seq, succ)
-			} else {
-				n.logf("cluster %s: handoff %s to %s failed: %v", n.cfg.ID, domain, succ, err)
-			}
-		}
-		n.sync.Release(domain)
-	}
-	if barrier && n.nc.ReleaseLeaseWithBarrier(domain, n.cfg.ID, term, seq) == nil {
+	if n.sync == nil {
+		_, _ = n.nc.ReleaseLease(domain, n.cfg.ID, term)
 		return
 	}
-	_, _ = n.nc.ReleaseLease(domain, n.cfg.ID, term)
-}
-
-// catchUp resumes domain's replicated state on this node after an acquire
-// at term > 1: restore the latest snapshot, replay the log suffix past it
-// through the local guarded component (re-capturing each effect at the new
-// term), and audit the result against the lease's snapshot barrier. It
-// runs before the domain enters the owned set.
-func (n *Node) catchUp(domain string, lease naming.DomainLease) {
-	st, held := n.sync.Takeover(domain)
-	gaps := st.Gaps
-	restored, applied := false, 0
-	if held {
-		if len(st.Snapshot) > 0 {
-			if n.cfg.Restore == nil {
-				// The previous owner handed over a baseline we cannot
-				// install: the entry suffix past SnapSeq replays onto a
-				// blank state. Count the gap so the discarded prefix is
-				// auditable, exactly like a failed restore.
-				gaps++
-				n.logf("cluster %s: takeover %s: snapshot through seq %d held but no Restore hook configured; replaying suffix onto a blank baseline",
-					n.cfg.ID, domain, st.SnapSeq)
-			} else if err := n.cfg.Restore(domain, st.Snapshot); err != nil {
-				n.logf("cluster %s: restore %s snapshot (seq %d): %v", n.cfg.ID, domain, st.SnapSeq, err)
-				gaps++
-			} else {
-				restored = true
-			}
-		}
-		for _, e := range st.Entries {
-			if restored && e.Seq <= st.SnapSeq {
-				continue
-			}
-			if err := n.applyEffect(e); err != nil {
-				n.logf("cluster %s: catch-up %s: replay seq %d (%s): %v", n.cfg.ID, domain, e.Seq, e.Method, err)
-				gaps++
-				continue
-			}
-			applied++
-		}
-		if restored {
-			// The restored baseline is not in our fresh log; our own
-			// successor needs a snapshot before the suffix means anything.
-			n.sync.RequireSnapshot(domain)
-		}
+	n.drainInflight(domain, 500*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	seq, err := n.sync.Handoff(ctx, domain, succ)
+	cancel()
+	if err != nil {
+		n.logf("cluster %s: handoff %s to %s failed, releasing with a barrier at seq %d: %v", n.cfg.ID, domain, succ, seq, err)
+	} else {
+		n.logf("cluster %s: handed %s through seq %d to %s", n.cfg.ID, domain, seq, succ)
 	}
-	if b := lease.Barrier; b != nil && b.From != n.cfg.ID {
-		have := st.SnapSeq
-		if l := len(st.Entries); l > 0 && st.Entries[l-1].Seq > have {
-			have = st.Entries[l-1].Seq
-		}
-		if have < b.Seq {
-			gaps++
-			n.logf("cluster %s: takeover %s: barrier says %s handed seq %d, replica only reached %d",
-				n.cfg.ID, domain, b.From, b.Seq, have)
-		}
-	}
-	n.sync.NoteCatchup(domain, restored, applied, gaps)
-	if restored || applied > 0 {
-		n.logf("cluster %s: resumed %s at term %d (snapshot=%v, replayed %d effects)",
-			n.cfg.ID, domain, lease.Term, restored, applied)
+	n.sync.Release(domain)
+	if err := n.nc.ReleaseLeaseWithBarrier(domain, n.cfg.ID, term, seq); err != nil {
+		n.logf("cluster %s: release %s at term %d: %v", n.cfg.ID, domain, term, err)
 	}
 }
 
-// applyEffect re-applies one replicated effect during catch-up by
-// replaying it through the local guarded component — full admission, so
-// guards and grouped invariants hold, and the completion is re-captured
-// into the new term's log. Its arguments are decoded here, in the generic
-// form the wire delivers (float64, map[string]any). An effect whose
-// arguments do not decode, or whose replay its guards park longer than
-// the bound, is counted as a gap by the caller.
+// applyEffect is the resume's replay hook: it re-applies one replicated
+// effect through the local guarded component — full admission, so guards
+// and grouped invariants hold, and the completion is re-captured into the
+// new term's log. Its arguments are decoded here, in the generic form the
+// wire delivers (float64, map[string]any). An effect whose arguments do
+// not decode, or whose replay its guards park longer than the bound, is
+// counted as a gap by the resume.
 func (n *Node) applyEffect(e statesync.Entry) error {
 	var args []any
 	if len(e.Args) > 0 {

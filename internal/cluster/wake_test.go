@@ -108,7 +108,6 @@ func TestClusterWakeSweep(t *testing.T) {
 		ID:        "ws",
 		Local:     newWakeApp(t, store),
 		Naming:    namingAddr,
-		MemberTTL: 2 * time.Second,
 		LeaseTTL:  2 * time.Second,
 		Heartbeat: 100 * time.Millisecond,
 	}, "127.0.0.1:0")

@@ -34,8 +34,8 @@ var ErrStaleTerm error = &codedError{"naming: stale lease term", "stale-term"}
 
 // DomainLease is one domain-ownership grant. Barrier, when present on a
 // grant, is the snapshot barrier the previous holder left at release: the
-// new owner's signal that replicated state through Barrier.Seq was handed
-// over and must be resumed before serving.
+// new owner's signal that the holder captured replicated state through
+// Barrier.Seq, which a replica falling short of has lost.
 type DomainLease struct {
 	Domain  string    `json:"domain"`
 	Holder  string    `json:"holder"`
@@ -45,9 +45,9 @@ type DomainLease struct {
 }
 
 // Barrier records a graceful state handover: the releasing holder (From,
-// at Term) flushed its effect log and snapshot through sequence Seq to the
-// domain's successor before giving up the lease. It is consumed by the
-// next grant.
+// at Term) had captured its effect log through sequence Seq when it gave
+// up the lease, and tried to flush it to the domain's successor first. It
+// is consumed by the next grant.
 type Barrier struct {
 	From string `json:"from"`
 	Term uint64 `json:"term"`
@@ -133,12 +133,14 @@ func (s *Store) ReleaseLease(domain, holder string, term uint64) bool {
 }
 
 // ReleaseLeaseWithBarrier gives up a live lease like ReleaseLease, but
-// records a snapshot barrier: the holder asserts it flushed its replicated
-// state through seq to the domain's successor before releasing. The next
-// AcquireLease grant carries the barrier so the new owner resumes state
-// before serving. A release by anyone but the exact live (holder, term)
-// pair is refused with ErrStaleTerm — a zombie owner cannot plant a
-// barrier over a handover it no longer governs.
+// records a snapshot barrier: the last sequence the holder captured into
+// its replicated effect log, whether or not its flush to the domain's
+// successor got through. The next AcquireLease grant carries the
+// barrier, and the new owner counts a replica that falls short of it as
+// a catch-up gap (statesync.Manager.Resume). A release by anyone but the
+// exact live (holder, term) pair is refused with ErrStaleTerm, as
+// ReleaseLease refuses it — a zombie owner cannot plant a barrier over a
+// handover it no longer governs.
 func (s *Store) ReleaseLeaseWithBarrier(domain, holder string, term, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -176,8 +176,8 @@ func (c *Client) ReleaseLease(domain, holder string, term uint64) (released bool
 }
 
 // ReleaseLeaseWithBarrier gives up a live lease leaving a snapshot
-// barrier at seq for the next grant; a stale (holder, term) pair is
-// refused with ErrStaleTerm.
+// barrier at seq, the last sequence the holder captured, for the next
+// grant; a stale (holder, term) pair is refused with ErrStaleTerm.
 func (c *Client) ReleaseLeaseWithBarrier(domain, holder string, term, seq uint64) error {
 	return c.call("release-lease-barrier", operands{Name: domain, Holder: holder, Term: term, Seq: seq}, nil)
 }

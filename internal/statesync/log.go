@@ -24,13 +24,15 @@
 //   - On graceful release the owner drains the log, serializes the
 //     component state (when the application provides a Snapshot), installs
 //     both at the successor, and only then lets the lease move — the
-//     release carries a snapshot barrier recording the handed-over
-//     sequence.
-//   - On failover the successor replays its replica — snapshot first,
-//     then the log suffix — through the local component, fenced at the
-//     new term, before asserting ownership. Stale appends (old terms) and
-//     duplicates (seq at or below the applied mark) are refused by the
-//     receiver exactly like stale wakes are today.
+//     release carries a snapshot barrier recording the last sequence the
+//     owner captured, whether or not the handoff got through.
+//   - The next owner resumes the domain in one call, Manager.Resume,
+//     before asserting ownership: it replays its replica — snapshot
+//     first, then the log suffix — through the local component, fenced
+//     at the new term, and counts as a catch-up gap whatever it could not
+//     bring back, a replica short of the barrier among it. Stale appends
+//     (old terms) and duplicates (seq at or below the applied mark) are
+//     refused by the receiver exactly like stale wakes are today.
 package statesync
 
 import (

@@ -126,8 +126,8 @@ type replica struct {
 	refusals uint64
 }
 
-// catchup records what a takeover consumed from a replica (for the
-// introspection view).
+// catchup records what the resumes of a domain consumed from its replicas
+// (for the introspection view).
 type catchup struct {
 	restored bool
 	applied  int
@@ -219,24 +219,19 @@ func (m *Manager) publishStreams(mutate func(map[string]*stream)) {
 // live log — and the successor replica tracking its sequence — stay
 // valid; restarting the sequence at 1 would make every new entry look
 // like a duplicate downstream.
-func (m *Manager) Lead(domain string, term uint64) {
+func (m *Manager) Lead(domain string, term uint64) { m.lead(domain, term) }
+
+// lead is Lead, reporting the fresh stream it started, or nil when domain
+// was already led at term.
+func (m *Manager) lead(domain string, term uint64) *stream {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s := (*m.streams.Load())[domain]; s != nil && s.term == term {
-		return
+		return nil
 	}
-	m.publishStreams(func(tab map[string]*stream) {
-		tab[domain] = &stream{log: NewLog(domain, m.cfg.Capacity), term: term}
-	})
-}
-
-// Leading reports whether this node is capturing effects for domain, and
-// at which term.
-func (m *Manager) Leading(domain string) (uint64, bool) {
-	if s := (*m.streams.Load())[domain]; s != nil {
-		return s.term, true
-	}
-	return 0, false
+	s := &stream{log: NewLog(domain, m.cfg.Capacity), term: term}
+	m.publishStreams(func(tab map[string]*stream) { tab[domain] = s })
+	return s
 }
 
 // Release stops leading domain (lease lost or handed over).
@@ -263,21 +258,6 @@ func (m *Manager) SetSuccessor(domain, succ string) {
 		s.succ = succ
 		s.staleStop = false
 	}
-	s.mu.Unlock()
-}
-
-// RequireSnapshot schedules a fresh snapshot baseline for domain's next
-// offer, when the application provides one. The plane calls it after a
-// takeover that restored a snapshot: the restored state is not in the new
-// leader's (fresh) log, so its own successor needs a snapshot to be able
-// to resume it in turn.
-func (m *Manager) RequireSnapshot(domain string) {
-	s := (*m.streams.Load())[domain]
-	if s == nil || m.cfg.Snapshot == nil {
-		return
-	}
-	s.mu.Lock()
-	s.needSnap = true
 	s.mu.Unlock()
 }
 
@@ -448,15 +428,20 @@ func (m *Manager) send(succ string, o Offer) (Ack, error) {
 
 // Handoff synchronously drains domain's log to succ for a graceful
 // release: it retargets the stream, forces a snapshot baseline when one
-// is available, and flushes until nothing is pending. It returns the
-// final handed-over sequence number — the lease release's snapshot
-// barrier. The caller must have stopped admitting new effects first. A
-// failed flush is retried up to three times, 20 ms apart, and each one
-// retried is logged through Config.Logf.
+// is available, and flushes until nothing is pending. It returns the log's
+// last sequence number — the lease release's snapshot barrier — whether
+// the flush got through or not: the barrier records what this node
+// captured, so a taker whose replica falls short of it counts the gap. The
+// caller must have stopped admitting new effects first. With no successor
+// it returns at once, with an error; a failed flush is retried up to three
+// times, 20 ms apart, and each one retried is logged through Config.Logf.
 func (m *Manager) Handoff(ctx context.Context, domain, succ string) (uint64, error) {
 	s := (*m.streams.Load())[domain]
 	if s == nil {
 		return 0, nil
+	}
+	if succ == "" {
+		return s.log.LastSeq(), fmt.Errorf("statesync %s: handoff %s: no successor to hand it to", m.cfg.Node, domain)
 	}
 	s.mu.Lock()
 	s.succ = succ
@@ -578,51 +563,90 @@ func (m *Manager) replicaFor(domain []byte) *replica {
 	return r
 }
 
-// TakeoverState is everything a replica held for a domain at takeover:
-// the latest snapshot (if any), the entry suffix past it, and the
-// leadership term it was fenced at. Each entry's Args are the bytes the
-// offer carried, decoded only by whoever replays the entry.
-type TakeoverState struct {
-	From     string
-	Term     uint64
-	Snapshot []byte
-	SnapSeq  uint64
-	Entries  []Entry
-	Gaps     uint64
-}
-
-// Takeover consumes and returns domain's replica for catch-up. The second
-// result reports whether any replicated state was held.
-func (m *Manager) Takeover(domain string) (TakeoverState, bool) {
+// Resume makes this node domain's leader at lease's term and resumes the
+// state its replica of the domain holds, before the caller serves it: it
+// installs the replica's snapshot through restore, replays the entries
+// past it, oldest first, through replay, and audits the result against
+// the lease's snapshot barrier. The replica is consumed. The new term's
+// log streams to succ from the start, so the effects the replay
+// re-captures drain while it runs; a restored snapshot is not in that
+// log, so succ is sent a fresh one when Config.Snapshot is set. Whatever
+// the resume could not bring back is counted as a catch-up gap: a
+// snapshot with no restore hook to install it, a failed restore or
+// replay, each gap the replica recorded, and a replica short of the
+// barrier. Resuming a domain already led at lease's term does nothing:
+// the lease never expired, and the live log and the successor's replica
+// of it stay valid.
+func (m *Manager) Resume(domain string, lease naming.DomainLease, succ string,
+	restore func(domain string, snapshot []byte) error, replay func(Entry) error) {
+	s := m.lead(domain, lease.Term)
+	if s == nil {
+		return
+	}
+	m.SetSuccessor(domain, succ)
 	m.mu.Lock()
-	r, ok := m.replicas[domain]
-	if ok {
-		delete(m.replicas, domain)
-	}
+	r := m.replicas[domain]
+	delete(m.replicas, domain)
 	m.mu.Unlock()
-	if !ok {
-		return TakeoverState{}, false
+	var (
+		snap                []byte
+		entries             []Entry
+		term, reached, gaps uint64
+	)
+	if r != nil {
+		r.mu.Lock()
+		snap, entries, term, reached, gaps = r.snap, r.entries.entries(domain), r.term, r.lastSeq, r.gaps
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := TakeoverState{
-		From: r.from, Term: r.term, Snapshot: r.snap, SnapSeq: r.snapSeq,
-		Entries: r.entries.entries(domain), Gaps: r.gaps,
-	}
-	return st, r.snap != nil || len(st.Entries) > 0
-}
 
-// NoteCatchup records what a takeover applied, for the introspection view.
-func (m *Manager) NoteCatchup(domain string, restored bool, applied int, gaps uint64) {
+	restored := false
+	if len(snap) > 0 {
+		err := errors.New("no restore hook")
+		if restore != nil {
+			err = restore(domain, snap)
+		}
+		if err != nil {
+			gaps++
+			m.logf("statesync %s: resume %s: snapshot not restored, replaying the suffix onto a blank state: %v",
+				m.cfg.Node, domain, err)
+		} else {
+			restored = true
+			s.mu.Lock()
+			s.needSnap = true // flushOne sends one only when there is a Snapshot hook
+			s.mu.Unlock()
+		}
+	}
+	applied := 0
+	for _, e := range entries {
+		if err := replay(e); err != nil {
+			gaps++
+			m.logf("statesync %s: resume %s: replay seq %d (%s): %v", m.cfg.Node, domain, e.Seq, e.Method, err)
+			continue
+		}
+		applied++
+	}
+	if b := lease.Barrier; b != nil && b.From != m.cfg.Node {
+		if term != b.Term {
+			reached = 0 // a replica of another term holds none of the barrier's effects
+		}
+		if reached < b.Seq {
+			gaps++
+			m.logf("statesync %s: resume %s: barrier says %s captured seq %d at term %d, the replica reached %d",
+				m.cfg.Node, domain, b.From, b.Seq, b.Term, reached)
+		}
+	}
+
 	m.mu.Lock()
 	c := m.catchups[domain]
-	if restored {
-		c.restored = true
-	}
+	c.restored = c.restored || restored
 	c.applied += applied
 	c.gaps += gaps
 	m.catchups[domain] = c
 	m.mu.Unlock()
+	if restored || applied > 0 {
+		m.logf("statesync %s: resumed %s at term %d (snapshot=%v, replayed %d effects)",
+			m.cfg.Node, domain, lease.Term, restored, applied)
+	}
 }
 
 // Status reports per-domain replication state — the leader side's lag and

@@ -8,10 +8,14 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cluster/view"
+	"repro/internal/naming"
 )
 
 // pipeTransport delivers offers to in-process peer managers — the plane's
@@ -85,6 +89,77 @@ func replicaSeq(m *Manager, domain string) uint64 {
 	return 0
 }
 
+// syncRow returns m's replication status row for domain.
+func syncRow(m *Manager, domain string) view.SyncStatus {
+	for _, st := range m.Status() {
+		if st.Domain == domain {
+			return st
+		}
+	}
+	return view.SyncStatus{}
+}
+
+// resumed is what one Resume consumed: the replica's header as it stood
+// just before, and what the resume handed its hooks and counted.
+type resumed struct {
+	from     string
+	term     uint64
+	snapshot []byte  // handed to restore
+	snapSeq  uint64  // the sequence the snapshot covers
+	entries  []Entry // handed to replay, in order
+	gaps     uint64  // the catch-up gaps the resume counted
+}
+
+func (r resumed) held() bool { return r.snapshot != nil || len(r.entries) > 0 }
+
+// resume resumes domain on m at the term after its replica's, through
+// hooks that record what they are handed, and then releases the domain
+// so m receives offers for it again.
+func resume(m *Manager, domain string) (got resumed) {
+	m.mu.Lock()
+	r := m.replicas[domain]
+	m.mu.Unlock()
+	if r != nil {
+		r.mu.Lock()
+		got.from, got.term, got.snapSeq = r.from, r.term, r.snapSeq
+		r.mu.Unlock()
+	}
+	gaps := syncRow(m, domain).CatchupGaps
+	m.Resume(domain, naming.DomainLease{Domain: domain, Term: got.term + 1}, "",
+		func(_ string, snapshot []byte) error {
+			got.snapshot = snapshot
+			return nil
+		},
+		func(e Entry) error {
+			got.entries = append(got.entries, e)
+			return nil
+		})
+	m.Release(domain)
+	got.gaps = syncRow(m, domain).CatchupGaps - gaps
+	return got
+}
+
+// leadRestored makes m lead domain at term the way a node does that
+// resumed it from a replica holding a snapshot, streaming to succ. The
+// restored state is not in the new term's log, so the stream owes its
+// successor a snapshot first.
+func leadRestored(t *testing.T, m *Manager, domain string, term uint64, succ string) {
+	t.Helper()
+	if _, err := m.HandleOffer(wire(t, Offer{From: "Z", Domain: domain, Term: term - 1, Snapshot: []byte("old"), SnapSeq: 1})); err != nil {
+		t.Fatal(err)
+	}
+	restored := false
+	m.Resume(domain, naming.DomainLease{Domain: domain, Term: term}, succ,
+		func(string, []byte) error {
+			restored = true
+			return nil
+		},
+		func(Entry) error { return nil })
+	if !restored {
+		t.Fatalf("%s: the replica's snapshot was not restored", domain)
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -98,7 +173,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestManagerStreamsEntries pins the steady-state pipeline: leader-side
 // captures flow to the successor's replica in order, the ack reclaims
-// them, and a takeover surrenders the exact suffix.
+// them, and a resume replays the exact suffix.
 func TestManagerStreamsEntries(t *testing.T) {
 	a, b, _ := newPair(t, nil)
 	a.Lead("alpha", 2)
@@ -119,18 +194,18 @@ func TestManagerStreamsEntries(t *testing.T) {
 		return false
 	})
 
-	st, held := b.Takeover("alpha")
-	if !held || st.Term != 2 || len(st.Entries) != n {
-		t.Fatalf("takeover: held=%v term=%d entries=%d", held, st.Term, len(st.Entries))
+	st := resume(b, "alpha")
+	if !st.held() || st.term != 2 || len(st.entries) != n {
+		t.Fatalf("resume: held=%v term=%d entries=%d", st.held(), st.term, len(st.entries))
 	}
-	for i, e := range st.Entries {
+	for i, e := range st.entries {
 		if e.Seq != uint64(i+1) || e.Method != "put" {
 			t.Fatalf("entry %d out of order: %+v", i, e)
 		}
 	}
-	// Consumed: a second takeover has nothing.
-	if _, held := b.Takeover("alpha"); held {
-		t.Fatal("replica not consumed by takeover")
+	// Consumed: a second resume has nothing.
+	if resume(b, "alpha").held() {
+		t.Fatal("replica not consumed by resume")
 	}
 }
 
@@ -150,11 +225,11 @@ func TestCaptureKeepsNoReferenceToArgs(t *testing.T) {
 	if seq, err := a.Handoff(ctx, "alpha", "B"); err != nil || seq != 1 {
 		t.Fatalf("handoff: seq=%d err=%v", seq, err)
 	}
-	st, held := b.Takeover("alpha")
-	if !held || len(st.Entries) != 1 {
-		t.Fatalf("takeover: held=%v entries=%+v", held, st.Entries)
+	st := resume(b, "alpha")
+	if !st.held() || len(st.entries) != 1 {
+		t.Fatalf("resume: held=%v entries=%+v", st.held(), st.entries)
 	}
-	if got, _ := json.Marshal(st.Entries[0].Args); string(got) != `["id-1",{"n":1}]` {
+	if got, _ := json.Marshal(st.entries[0].Args); string(got) != `["id-1",{"n":1}]` {
 		t.Fatalf("successor holds %s, want the arguments as captured", got)
 	}
 }
@@ -176,12 +251,12 @@ func TestManagerHandoffSnapshot(t *testing.T) {
 	if err != nil || seq != 3 {
 		t.Fatalf("handoff: seq=%d err=%v", seq, err)
 	}
-	st, held := b.Takeover("alpha")
-	if !held || st.Snapshot == nil || st.SnapSeq != 3 || st.Term != 4 {
-		t.Fatalf("takeover after handoff: held=%v snap=%q snapSeq=%d term=%d", held, st.Snapshot, st.SnapSeq, st.Term)
+	st := resume(b, "alpha")
+	if !st.held() || st.snapshot == nil || st.snapSeq != 3 || st.term != 4 {
+		t.Fatalf("resume after handoff: held=%v snap=%q snapSeq=%d term=%d", st.held(), st.snapshot, st.snapSeq, st.term)
 	}
-	if string(st.Snapshot) != `{"state":"alpha"}` {
-		t.Fatalf("snapshot payload %q", st.Snapshot)
+	if string(st.snapshot) != `{"state":"alpha"}` {
+		t.Fatalf("snapshot payload %q", st.snapshot)
 	}
 }
 
@@ -232,6 +307,116 @@ func TestManagerHandoffLogsFailedAttempts(t *testing.T) {
 	}
 }
 
+// TestManagerHandoffWithoutSuccessorReturnsAtOnce pins a handoff with no
+// successor to hand to: it returns at once, with the log's last sequence
+// for the release's barrier and an error naming the missing successor,
+// instead of spinning on the pending entries until its context expires.
+func TestManagerHandoffWithoutSuccessorReturnsAtOnce(t *testing.T) {
+	a, _, _ := newPair(t, nil)
+	a.Lead("alpha", 1)
+	for i := 0; i < 3; i++ {
+		a.Capture("alpha", "put", []any{i})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	seq, err := a.Handoff(ctx, "alpha", "")
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Fatalf("handoff without a successor took %v", took)
+	}
+	if seq != 3 || err == nil || !strings.Contains(err.Error(), "no successor") {
+		t.Fatalf("handoff without a successor: seq=%d err=%v, want seq 3 and an error naming the missing successor", seq, err)
+	}
+}
+
+// TestResumeCountsWhatItCannotBringBack pins the taker's audit: a resume
+// counts a catch-up gap for each thing it could not bring back — a
+// snapshot with no restore hook or a failed restore, a failed replay, a
+// gap the replica recorded, a replica short of the barrier's sequence or
+// of another term than the barrier's — and none for a replica that holds
+// everything the barrier names, or for a barrier this node left itself.
+// Whatever it can, it still replays: every entry, in order.
+func TestResumeCountsWhatItCannotBringBack(t *testing.T) {
+	snapThrough2 := Offer{From: "A", Domain: "alpha", Term: 3, Snapshot: []byte("s"), SnapSeq: 2, Entries: entries("alpha", 3, 3, 5)}
+	restoreOK := func(string, []byte) error { return nil }
+	restoreFails := func(string, []byte) error { return errors.New("corrupt") }
+	barrier := func(from string, term, seq uint64) *naming.Barrier {
+		return &naming.Barrier{From: from, Term: term, Seq: seq}
+	}
+	for _, c := range []struct {
+		name     string
+		offers   []Offer
+		restore  func(string, []byte) error
+		failSeq  uint64 // replay fails on this entry
+		barrier  *naming.Barrier
+		restored bool
+		gaps     uint64
+	}{
+		{"everything held", []Offer{snapThrough2}, restoreOK, 0, barrier("A", 3, 5), true, 0},
+		{"nothing held, no barrier", nil, restoreOK, 0, nil, false, 0},
+		{"no restore hook", []Offer{snapThrough2}, nil, 0, barrier("A", 3, 5), false, 1},
+		{"restore fails", []Offer{snapThrough2}, restoreFails, 0, nil, false, 1},
+		{"replay fails", []Offer{snapThrough2}, restoreOK, 4, nil, true, 1},
+		{"replica gap", []Offer{{From: "A", Domain: "alpha", Term: 3, Entries: append(entries("alpha", 3, 1, 1), entries("alpha", 3, 3, 5)...)}}, restoreOK, 0, nil, false, 1},
+		{"short of the barrier", []Offer{snapThrough2}, restoreOK, 0, barrier("A", 3, 7), true, 1},
+		{"another term than the barrier's", []Offer{snapThrough2}, restoreOK, 0, barrier("A", 4, 2), true, 1},
+		{"nothing held, barrier", nil, restoreOK, 0, barrier("A", 3, 5), false, 1},
+		{"own barrier", nil, restoreOK, 0, barrier("B", 3, 5), false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newReceiver(t)
+			var want []uint64
+			for _, o := range c.offers {
+				if _, err := m.HandleOffer(wire(t, o)); err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range o.Entries {
+					want = append(want, e.Seq)
+				}
+			}
+			var replayed []uint64
+			m.Resume("alpha", naming.DomainLease{Domain: "alpha", Term: 5, Barrier: c.barrier}, "", c.restore, func(e Entry) error {
+				replayed = append(replayed, e.Seq)
+				if e.Seq == c.failSeq {
+					return errors.New("guard refused")
+				}
+				return nil
+			})
+			if !reflect.DeepEqual(replayed, want) {
+				t.Fatalf("replayed seqs %v, want %v", replayed, want)
+			}
+			st := syncRow(m, "alpha")
+			if !st.Leading || st.Term != 5 || st.Restored != c.restored || st.CatchupGaps != c.gaps ||
+				st.CatchupApplied != uint64(len(want))-boolTo(c.failSeq != 0) {
+				t.Fatalf("after the resume: %+v; want leading at term 5, restored %v, %d gaps, every entry but a failed one applied",
+					st, c.restored, c.gaps)
+			}
+		})
+	}
+}
+
+// TestResumeSameTermKeepsLog pins the resume of a domain this node still
+// leads at the lease's term: the lease never expired, so nothing is
+// restored or replayed and the live log keeps its sequence.
+func TestResumeSameTermKeepsLog(t *testing.T) {
+	a, _, _ := newPair(t, nil)
+	a.Lead("alpha", 3)
+	a.Capture("alpha", "put", []any{"id-1"})
+	called := false
+	a.Resume("alpha", naming.DomainLease{Domain: "alpha", Term: 3}, "B",
+		func(string, []byte) error {
+			called = true
+			return nil
+		},
+		func(Entry) error {
+			called = true
+			return nil
+		})
+	if st := syncRow(a, "alpha"); called || st.LastSeq != 1 || st.Successor != "" {
+		t.Fatalf("same-term resume: hooks called %v, %+v; want the live log untouched", called, st)
+	}
+}
+
 // TestManagerLeadSameTermKeepsLog pins the idempotent re-lead: a lease
 // re-acquired at an unchanged term (the holder never lost it — e.g. a
 // transient renew failure dropped it locally) must keep the live log.
@@ -249,8 +434,8 @@ func TestManagerLeadSameTermKeepsLog(t *testing.T) {
 	waitFor(t, "replica to reach the head", func() bool { return replicaSeq(b, "alpha") == per })
 
 	a.Lead("alpha", 3) // same term: must be a no-op
-	if term, ok := a.Leading("alpha"); !ok || term != 3 {
-		t.Fatalf("leading=%v term=%d after same-term re-lead", ok, term)
+	if st := syncRow(a, "alpha"); !st.Leading || st.Term != 3 {
+		t.Fatalf("leading=%v term=%d after same-term re-lead", st.Leading, st.Term)
 	}
 	if seq := a.Seq("alpha"); seq != per {
 		t.Fatalf("sequence restarted on same-term re-lead: seq=%d, want %d", seq, per)
@@ -422,9 +607,9 @@ func TestManagerReplicaDiscipline(t *testing.T) {
 	if err != nil || ack.Acked != 1 {
 		t.Fatalf("new-term offer: ack=%d err=%v", ack.Acked, err)
 	}
-	st2, held := m.Takeover("alpha")
-	if !held || st2.Term != 2 || len(st2.Entries) != 1 || st2.Entries[0].Seq != 1 {
-		t.Fatalf("takeover after term bump: held=%v %+v", held, st2)
+	st2 := resume(m, "alpha")
+	if !st2.held() || st2.term != 2 || len(st2.entries) != 1 || st2.entries[0].Seq != 1 {
+		t.Fatalf("resume after term bump: held=%v %+v", st2.held(), st2)
 	}
 }
 
@@ -443,9 +628,7 @@ func TestManagerSnapshotKeepsLaterHole(t *testing.T) {
 		return []byte("state"), nil
 	}
 	a, b, _ := newPair(t, snap)
-	a.Lead("alpha", 1)
-	a.SetSuccessor("alpha", "B")
-	a.RequireSnapshot("alpha")
+	leadRestored(t, a, "alpha", 2, "B")
 	waitFor(t, "the first snapshot", func() bool { return snaps.Load() >= 1 })
 	for i := 0; i < 5; i++ {
 		a.Capture("alpha", "put", []any{i})
@@ -486,11 +669,10 @@ func TestManagerRetargetDuringFlush(t *testing.T) {
 	tr.mu.Lock()
 	a = tr.peers["A"]
 	tr.mu.Unlock()
-	a.Lead("alpha", 1)
+	leadRestored(t, a, "alpha", 2, "")
 	for i := 0; i < 3; i++ {
 		a.Capture("alpha", "put", []any{i})
 	}
-	a.RequireSnapshot("alpha")
 	a.SetSuccessor("alpha", "B")
 	waitFor(t, "the offer to B", retargeted.Load)
 	c := tr.peers["C"]
@@ -553,9 +735,9 @@ func TestManagerSnapshotResyncAfterOverflow(t *testing.T) {
 		}
 		return false
 	})
-	st, held := b.Takeover("alpha")
-	if !held || string(st.Snapshot) != "full-state" {
-		t.Fatalf("post-overflow takeover: held=%v snap=%q", held, st.Snapshot)
+	st := resume(b, "alpha")
+	if !st.held() || string(st.snapshot) != "full-state" {
+		t.Fatalf("post-overflow resume: held=%v snap=%q", st.held(), st.snapshot)
 	}
 }
 
@@ -563,7 +745,7 @@ func TestManagerSnapshotResyncAfterOverflow(t *testing.T) {
 // replica keeps every effect of the term (there is no Snapshot hook here to
 // trim it), so what one effect retains bounds a long-lived node's memory.
 // 100k one-argument effects must stay under 96 live bytes each, and come
-// back from Takeover exactly as offered.
+// back from Resume exactly as offered.
 func TestReplicaRetainsPackedSuffix(t *testing.T) {
 	m, err := NewManager(Config{Node: "B", Transport: &pipeTransport{}, Interval: time.Hour})
 	if err != nil {
@@ -606,11 +788,11 @@ func TestReplicaRetainsPackedSuffix(t *testing.T) {
 		}
 	}
 
-	st, held := m.Takeover("alpha")
-	if !held || len(st.Entries) != n || st.Gaps != 0 {
-		t.Fatalf("takeover: held=%v entries=%d gaps=%d", held, len(st.Entries), st.Gaps)
+	st := resume(m, "alpha")
+	if !st.held() || len(st.entries) != n || st.gaps != 0 {
+		t.Fatalf("resume: held=%v entries=%d gaps=%d", st.held(), len(st.entries), st.gaps)
 	}
-	for i, got := range st.Entries {
+	for i, got := range st.entries {
 		if want := entry(i + 1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("entry %d came back as %+v, offered %+v", i, got, want)
 		}
@@ -640,8 +822,8 @@ func TestReplicaSnapshotTrimsPackedSuffix(t *testing.T) {
 	if _, err := m.HandleOffer(wire(t, Offer{From: "A", Domain: "alpha", Term: 1, Snapshot: []byte("s"), SnapSeq: 4})); err != nil {
 		t.Fatal(err)
 	}
-	st, held := m.Takeover("alpha")
-	if !held || !reflect.DeepEqual(st.Entries, o.Entries[4:]) {
-		t.Fatalf("after a snapshot through 4: held=%v entries=%+v, want %+v", held, st.Entries, o.Entries[4:])
+	st := resume(m, "alpha")
+	if !st.held() || st.snapSeq != 4 || !reflect.DeepEqual(st.entries, o.Entries[4:]) {
+		t.Fatalf("after a snapshot through 4: held=%v snapshot through %d, entries=%+v, want %+v", st.held(), st.snapSeq, st.entries, o.Entries[4:])
 	}
 }

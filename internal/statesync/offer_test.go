@@ -66,10 +66,10 @@ func TestReplicaIgnoresOlderSnapshot(t *testing.T) {
 	if st := statusOf(m, "alpha"); st.snaps != 1 || st.dups != 6 || st.gaps != 0 {
 		t.Fatalf("snapshots=%d dups=%d gaps=%d, want 1/6/0 (the old snapshot and its five entries are duplicates)", st.snaps, st.dups, st.gaps)
 	}
-	st, held := m.Takeover("alpha")
-	if !held || string(st.Snapshot) != "s20" || st.SnapSeq != 20 || st.Gaps != 0 || !reflect.DeepEqual(st.Entries, newer.Entries) {
-		t.Fatalf("takeover: held=%v snapshot=%q through %d gaps=%d entries=%+v, want s20 through 20 and entries 21-25",
-			held, st.Snapshot, st.SnapSeq, st.Gaps, st.Entries)
+	st := resume(m, "alpha")
+	if !st.held() || string(st.snapshot) != "s20" || st.snapSeq != 20 || st.gaps != 0 || !reflect.DeepEqual(st.entries, newer.Entries) {
+		t.Fatalf("resume: held=%v snapshot=%q through %d gaps=%d entries=%+v, want s20 through 20 and entries 21-25",
+			st.held(), st.snapshot, st.snapSeq, st.gaps, st.entries)
 	}
 
 	// A newer term's baseline always wins, whatever its sequence.
@@ -80,8 +80,8 @@ func TestReplicaIgnoresOlderSnapshot(t *testing.T) {
 	if ack, err := m.HandleOffer(wire(t, fresh)); err != nil || ack.Acked != 3 {
 		t.Fatalf("new-term snapshot: ack=%d err=%v", ack.Acked, err)
 	}
-	if st, _ := m.Takeover("alpha"); string(st.Snapshot) != "t2" || len(st.Entries) != 0 {
-		t.Fatalf("new-term takeover: snapshot=%q entries=%d", st.Snapshot, len(st.Entries))
+	if st := resume(m, "alpha"); string(st.snapshot) != "t2" || len(st.entries) != 0 {
+		t.Fatalf("new-term resume: snapshot=%q entries=%d", st.snapshot, len(st.entries))
 	}
 }
 
@@ -126,9 +126,9 @@ func TestMalformedOfferAppliesNothing(t *testing.T) {
 			t.Fatalf("offer %s (%v) changed the replica: %+v, was %+v", bad, err, after, before)
 		}
 	}
-	st, held := m.Takeover("alpha")
-	if !held || st.Snapshot != nil || !reflect.DeepEqual(st.Entries, good.Entries) {
-		t.Fatalf("takeover after refused offers: held=%v snapshot=%q entries=%+v", held, st.Snapshot, st.Entries)
+	st := resume(m, "alpha")
+	if !st.held() || st.snapshot != nil || !reflect.DeepEqual(st.entries, good.Entries) {
+		t.Fatalf("resume after refused offers: held=%v snapshot=%q entries=%+v", st.held(), st.snapshot, st.entries)
 	}
 }
 
@@ -445,7 +445,7 @@ func captureAll(t *testing.T, o Offer, effects []effect) []Entry {
 // captured: each is either refused at capture, exactly when encoding/json
 // cannot encode it or it nests too deep, or its entry encodes to
 // json.Marshal's bytes of the effect, the decoder accepts it, and through
-// HandleOffer, Takeover and a replay's decode its arguments come back as
+// HandleOffer, Resume and a replay's decode its arguments come back as
 // json.Unmarshal(json.Marshal(args)) brings them back.
 func FuzzDecodeOffer(f *testing.F) {
 	for _, s := range offerSeeds {
@@ -482,12 +482,12 @@ func FuzzDecodeOffer(f *testing.F) {
 		}
 		var dec jsonOffer // the header as the successor reads it: invalid UTF-8 replaced
 		_ = json.Unmarshal(raw, &dec)
-		got, _ := m.Takeover(dec.Domain)
+		got := resume(m, dec.Domain)
 
-		want := TakeoverState{From: dec.From, Term: dec.Term}
+		want := resumed{from: dec.From, term: dec.Term}
 		last := uint64(0)
 		if dec.Snapshot != nil {
-			want.Snapshot, want.SnapSeq, last = dec.Snapshot, dec.SnapSeq, dec.SnapSeq
+			want.snapshot, want.snapSeq, last = dec.Snapshot, dec.SnapSeq, dec.SnapSeq
 		}
 		var wantSeqs, gotSeqs []uint64
 		for _, e := range o.Entries {
@@ -495,7 +495,7 @@ func FuzzDecodeOffer(f *testing.F) {
 				continue
 			}
 			if e.Seq != last+1 {
-				want.Gaps++
+				want.gaps++
 			}
 			wantSeqs, last = append(wantSeqs, e.Seq), e.Seq
 		}
@@ -503,7 +503,7 @@ func FuzzDecodeOffer(f *testing.F) {
 		for _, e := range dec.Entries {
 			methods[e.Seq] = e.Method
 		}
-		for _, e := range got.Entries {
+		for _, e := range got.entries {
 			gotSeqs = append(gotSeqs, e.Seq)
 			if e.Term != o.Term || e.Domain != dec.Domain || e.Method != methods[e.Seq] {
 				t.Fatalf("entry %+v, offered %q at term %d in %q", e, methods[e.Seq], o.Term, dec.Domain)
@@ -512,9 +512,9 @@ func FuzzDecodeOffer(f *testing.F) {
 				t.Fatalf("entry %d replays %#v, json round trip %#v", e.Seq, args, want)
 			}
 		}
-		got.Entries = nil
+		got.entries = nil
 		if !reflect.DeepEqual(gotSeqs, wantSeqs) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("takeover %+v with seqs %v, want %+v with seqs %v; offer %s", got, gotSeqs, want, wantSeqs, raw)
+			t.Fatalf("resume %+v with seqs %v, want %+v with seqs %v; offer %s", got, gotSeqs, want, wantSeqs, raw)
 		}
 	})
 }
@@ -563,20 +563,20 @@ func TestManagerPassesUnsendableEntry(t *testing.T) {
 					t.Fatalf("leader: offer errors %d, overflows %d, skipped %d", st.OfferErrors, st.Overflows, st.Skipped)
 				}
 			}
-			st, _ := b.Takeover("alpha")
+			st := resume(b, "alpha")
 			var seqs []uint64
-			for _, e := range st.Entries {
+			for _, e := range st.entries {
 				seqs = append(seqs, e.Seq)
 			}
 			if c.snapshot != nil {
-				if string(st.Snapshot) != "s" || st.SnapSeq < 2 || st.Gaps != 0 {
-					t.Fatalf("takeover: snapshot %q through %d, gaps %d, entries %v; want the snapshot past seq 2 and no gap",
-						st.Snapshot, st.SnapSeq, st.Gaps, seqs)
+				if string(st.snapshot) != "s" || st.snapSeq < 2 || st.gaps != 0 {
+					t.Fatalf("resume: snapshot %q through %d, gaps %d, entries %v; want the snapshot past seq 2 and no gap",
+						st.snapshot, st.snapSeq, st.gaps, seqs)
 				}
-			} else if st.Gaps != 1 || !reflect.DeepEqual(seqs, []uint64{1, 3, 4, 5, 6}) {
-				t.Fatalf("takeover: gaps %d, entries %v; want one gap and seqs 1, 3-6", st.Gaps, seqs)
+			} else if st.gaps != 1 || !reflect.DeepEqual(seqs, []uint64{1, 3, 4, 5, 6}) {
+				t.Fatalf("resume: gaps %d, entries %v; want one gap and seqs 1, 3-6", st.gaps, seqs)
 			}
-			last := st.Entries[len(st.Entries)-1]
+			last := st.entries[len(st.entries)-1]
 			if last.Seq != 6 || !reflect.DeepEqual(replayed(t, last), []any{"id-6", fits}) {
 				t.Fatalf("last entry %+v, want seq 6 with its nested argument", last)
 			}
