@@ -7,13 +7,18 @@
 #   make lint           go vet, gofmt -l over tracked .go files, staticcheck
 #                       when on PATH
 #   make race           full suite under -race, then focused repeat passes
-#                       over the concurrency-sensitive tests
-#   make fuzz-smoke     FUZZTIME (10s) of fuzzing per target
+#                       over the concurrency-sensitive tests (the
+#                       replication pass includes both request-line
+#                       lifetime tests, replica and owner side)
+#   make fuzz-smoke     FUZZTIME (10s) of fuzzing per target, among them
+#                       FuzzCaptureWireForm: a served call captured in wire
+#                       form replays as its decoded list does
 #   make bench          bash benchmark/run.sh $(ARGS) (see benchmark/README.md);
 #                       ARGS='-compare a.json b.json' compares two result files
 #   make obs-smoke      ticketd with -obs under load: /metrics and /trace live
 #   make cluster-smoke  the 3-node admission-plane soak and membership events
-#   make handoff-smoke  one deterministic test per state-handoff path
+#   make handoff-smoke  one deterministic test per state-handoff path, with
+#                       TestCaptureDoesNotAliasRequestLine
 #   make examples-smoke build and run every examples/* program
 #   make cpu-matrix     core-count-independent packages at GOMAXPROCS 1, 2, 4
 #   make check          all of the above but bench
@@ -51,7 +56,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestConcurrentPipelinedCalls|TestKeptArgStringDoesNotAliasRequestLine|TestLateReplyToAbandonedCall|TestFrameWriter|TestWriterCoalescingAccounting' ./internal/amrpc/
 	$(GO) test -race -count=3 -run 'TestIdempotentCallRetriesThroughReconnect|TestCallerDeadlineStopsRetries|TestChaosCorruptionRecoveredByChecksumAndRetry|TestBackoff|TestWireCodesRoundTrip|TestClientSurvivesServerRestart' ./internal/amrpc/ ./internal/naming/
 	$(GO) test -race -count=3 -run 'TestMalformedOfferAppliesNothing|TestReplicaIgnoresOlderSnapshot|TestManager|TestResume' ./internal/statesync/
-	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterFailedHandoffLeavesBarrier|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestReplicaDoesNotAliasRequestLine|TestCaptureDoesNotAliasRequestLine|TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterFailedHandoffLeavesBarrier|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestRelayPipelinedCallsKeepTheirArguments|TestRelayRetryResendsIdenticalArguments|TestUnlistedMethodIsServed|TestStartRefusesSplitGroup|TestClusterWakeSweep|TestReplicationLayerCapturesEveryRoute|TestReplicationLayerComposition|TestCaptureOrderIsExecutionOrder' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestRefreshRoutesKeepsHigherTerm|TestRouteAnnouncement|TestClusterJoinConvergesWithoutTick|TestClusterLeaveConvergesWithoutTick|TestClusterAnnouncesToNewMember|TestClusterNudgesBounded|TestClusterFreeDomainWakesRingOwner|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing' ./internal/cluster/
 
 bench:
@@ -65,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/amrpc -run '^$$' -fuzz '^FuzzWireArgs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statesync -run '^$$' -fuzz '^FuzzDecodeOffer$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/statesync -run '^$$' -fuzz '^FuzzCaptureWireForm$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRelayArgs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzInterferenceChecker$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/moderator -run '^$$' -fuzz '^FuzzSeqlockGuardEval$$' -fuzztime $(FUZZTIME)
@@ -128,11 +134,13 @@ cluster-smoke:
 # still listed; a hole left after a snapshot's mark must bring another
 # snapshot; an ack from a successor the stream was moved away from
 # must not count for the new one; a handoff that cannot reach its
-# successor, or has none, must still plant its barrier, at once; and a
-# resume must count as a catch-up gap whatever it could not bring back.
+# successor, or has none, must still plant its barrier, at once; a
+# resume must count as a catch-up gap whatever it could not bring back;
+# and an owner must copy a served call's arguments out of the request
+# line it captures them from, which the next frames overwrite.
 handoff-smoke:
 	$(GO) test ./internal/cluster/ -count=1 -timeout 120s \
-		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing|TestClusterFailedHandoffLeavesBarrier'
+		-run 'TestClusterGracefulHandoffSnapshot|TestClusterHardKillLogCatchup|TestClusterStaleSyncOfferRefused|TestClusterSameTermReacquireKeepsReplication|TestClusterSnapshotWithoutRestoreCountsGap|TestClusterReplicatesPastDeepArgument|TestCaptureDoesNotAliasRequestLine|TestClusterJoinHandsOffOnFirstOffer|TestClusterCloseHandsOffAlongFreshListing|TestClusterFailedHandoffLeavesBarrier'
 	$(GO) test ./internal/statesync/ -count=1 -timeout 60s -run 'TestReplicaIgnoresOlderSnapshot|TestManagerPassesUnsendableEntry|TestManagerSnapshotKeepsLaterHole|TestManagerRetargetDuringFlush|TestManagerHandoffWithoutSuccessorReturnsAtOnce|TestResumeCountsWhatItCannotBringBack|TestResumeSameTermKeepsLog'
 	@echo "handoff-smoke: OK"
 

@@ -339,7 +339,6 @@ func (c *Client) finishDial(done chan struct{}, conn net.Conn, err error) (*live
 		if err != nil {
 			c.lastErr = err
 			c.dialFails++
-			c.stats.dialFailures.Add(1)
 			// The retry schedule's equal jitter keeps a herd of reconnecting
 			// clients from hammering a recovering server in lockstep.
 			p := c.opts.retry

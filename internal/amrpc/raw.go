@@ -92,6 +92,9 @@ func (w *wireArgs) reset() {
 // Arity implements aspect.ArgReader.
 func (w *wireArgs) Arity() int { return len(w.raw) }
 
+// Raw implements aspect.ArgReader: the bytes alias the request line.
+func (w *wireArgs) Raw(i int) []byte { return w.raw[i] }
+
 // Decode implements aspect.ArgReader.
 func (w *wireArgs) Decode(i int) any {
 	if i < 0 || i >= len(w.raw) {

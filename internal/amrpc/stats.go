@@ -14,7 +14,6 @@ type clientStats struct {
 	retries         atomic.Uint64
 	transportErrors atomic.Uint64
 	reconnects      atomic.Uint64
-	dialFailures    atomic.Uint64
 }
 
 // ClientStats is a snapshot of a Client's transport counters.
@@ -30,8 +29,6 @@ type ClientStats struct {
 	TransportErrors uint64
 	// Reconnects counts connections established after the first.
 	Reconnects uint64
-	// DialFailures counts failed dial attempts.
-	DialFailures uint64
 }
 
 // Stats returns a snapshot of the client's transport counters.
@@ -42,7 +39,6 @@ func (c *Client) Stats() ClientStats {
 		Retries:         c.stats.retries.Load(),
 		TransportErrors: c.stats.transportErrors.Load(),
 		Reconnects:      c.stats.reconnects.Load(),
-		DialFailures:    c.stats.dialFailures.Load(),
 	}
 }
 

@@ -99,7 +99,7 @@ func (inv *Invocation) Method() string { return inv.method }
 // arguments of a call a transport set with SetArgReader are decoded into a
 // list here once, at the first call, and the list replaces the reader.
 func (inv *Invocation) Args() []any {
-	if r := inv.reader(); r != nil {
+	if r := inv.Wire(); r != nil {
 		args := make([]any, r.Arity())
 		for i := range args {
 			args[i] = r.Decode(i)
@@ -121,6 +121,11 @@ type ArgReader interface {
 	Decode(i int) any
 	// DecodeString returns argument i when it is a string.
 	DecodeString(i int) (string, bool)
+	// Raw returns argument i, 0 <= i < Arity, exactly as the frame carried
+	// it: one JSON value the transport accepted. The bytes are the
+	// transport's and valid only until the call returns; whoever keeps
+	// them copies them.
+	Raw(i int) []byte
 	wireArgs() *WireArgs
 }
 
@@ -139,8 +144,10 @@ func (inv *Invocation) SetArgReader(r ArgReader) {
 	inv.args = r.wireArgs().list[:]
 }
 
-// reader returns the ArgReader set as the arguments, nil for a list.
-func (inv *Invocation) reader() ArgReader {
+// Wire returns the ArgReader set as the arguments while they are still in
+// wire form: nil for an in-process call's list, and nil once Args has
+// decoded them into one.
+func (inv *Invocation) Wire() ArgReader {
 	if len(inv.args) != 1 {
 		return nil
 	}
@@ -150,7 +157,7 @@ func (inv *Invocation) reader() ArgReader {
 
 // NumArgs returns the number of arguments.
 func (inv *Invocation) NumArgs() int {
-	if r := inv.reader(); r != nil {
+	if r := inv.Wire(); r != nil {
 		return r.Arity()
 	}
 	return len(inv.args)
@@ -158,7 +165,7 @@ func (inv *Invocation) NumArgs() int {
 
 // Arg returns argument i, or nil if out of range.
 func (inv *Invocation) Arg(i int) any {
-	if r := inv.reader(); r != nil {
+	if r := inv.Wire(); r != nil {
 		return r.Decode(i)
 	}
 	if i < 0 || i >= len(inv.args) {
@@ -171,7 +178,7 @@ func (inv *Invocation) Arg(i int) any {
 // argument is missing or not a string.
 func (inv *Invocation) ArgString(i int) (string, error) {
 	var v any
-	if r := inv.reader(); r != nil {
+	if r := inv.Wire(); r != nil {
 		if s, ok := r.DecodeString(i); ok {
 			return s, nil
 		}

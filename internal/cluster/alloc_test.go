@@ -95,15 +95,17 @@ func TestRelayedForwardAllocations(t *testing.T) {
 // replicatedForwardAllocs is forwardAllocs with state sync on: the owner
 // streams each effect to its successor, which may add at most one heap
 // allocation per call to the forward path's.
-const replicatedForwardAllocs = 5
+const replicatedForwardAllocs = 3
 
 // TestReplicatedForwardAllocations is TestForwardAllocations with state
-// sync on. The owner captures each call's effect and streams it to its
-// ring successor — here the entry node — in batched offers: encoded from
-// the log straight into the frame, parsed by the successor straight into
-// its packed replica, neither side allocating per entry. The count covers
-// the streamer's work: it is read only once the successor holds every
-// effect the owner captured.
+// sync on. The owner captures each call's effect in the bytes its frame
+// carried the arguments in, and streams it to its ring successor — here
+// the entry node — in batched offers: copied from the log straight into
+// the frame, parsed by the successor straight into its packed replica,
+// neither side allocating per entry. Capturing a decoded list instead,
+// re-encoded into the log, comes back as two more. The count covers the
+// streamer's work: it is read only once the successor holds every effect
+// the owner captured.
 func TestReplicatedForwardAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")

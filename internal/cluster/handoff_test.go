@@ -465,6 +465,72 @@ func TestReplicaDoesNotAliasRequestLine(t *testing.T) {
 	}
 }
 
+// TestCaptureDoesNotAliasRequestLine is TestReplicaDoesNotAliasRequestLine
+// on the owner's side: a served call's effect is captured in the bytes its
+// frame carried the arguments in, which are the server's pooled request
+// line, overwritten by the next frames on the connection, so the log must
+// copy them. With the owner's stream paused, 16 calls with distinct
+// arguments and then 64 more of the same shape to the other domain go
+// through one client; once the stream has caught up, the successor must
+// replay the 16 exactly as they were sent.
+func TestCaptureDoesNotAliasRequestLine(t *testing.T) {
+	namingAddr := startNaming(t)
+	noSnapshot := func(cfg *Config) { cfg.Snapshot, cfg.Restore = nil, nil }
+	_, n1 := startLedgerNode(t, "n1", namingAddr, noSnapshot)
+	_, n2 := startLedgerNode(t, "n2", namingAddr, noSnapshot)
+	owner, succ := n1, n2
+	if waitOwnership(t, n1, n2)["alpha"] == n2 {
+		owner, succ = n2, n1
+	}
+	c, err := amrpc.Dial(owner.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stub := c.Component(owner.component)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	caughtUp := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for syncRow(succ, "alpha").ReplicaSeq != owner.sync.Seq("alpha") {
+			if time.Now().After(deadline) {
+				t.Fatalf("successor stuck at seq %d, owner at %d", syncRow(succ, "alpha").ReplicaSeq, owner.sync.Seq("alpha"))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if _, err := stub.Invoke(ctx, "alpha-put", "a-warm"); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp()
+	owner.sync.Pause(true)
+	time.Sleep(50 * time.Millisecond) // let a flush already under way finish
+	var want []string
+	for i := 0; i < 16; i++ {
+		if _, err := stub.Invoke(ctx, "alpha-put", fmt.Sprintf("a-cap-%04d", i), i, map[string]any{"tag": "cap"}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fmt.Sprintf(`["a-cap-%04d",%d,{"tag":"cap"}]`, i, i))
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := stub.Invoke(ctx, "beta-put", fmt.Sprintf("b-later-%04d", i), i, map[string]any{"tag": "later"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owner.sync.Pause(false)
+	caughtUp()
+	term, _ := owner.owns("alpha")
+	var got []string
+	succ.sync.Resume("alpha", naming.DomainLease{Domain: "alpha", Holder: succ.ID(), Term: term + 1}, "", nil, func(e statesync.Entry) error {
+		got = append(got, string(e.Args))
+		return nil
+	})
+	if len(got) < len(want) || !reflect.DeepEqual(got[len(got)-len(want):], want) {
+		t.Fatalf("resume after 64 more frames replayed %q, want %q last", got, want)
+	}
+}
+
 // TestClusterReplicatesPastDeepArgument pins the replication stream against
 // an argument an amrpc call may carry but an offer may not: nested 62
 // levels deep, it is legal in the forwarded call, and four levels too deep

@@ -64,8 +64,11 @@ func (n *Node) composeReplication() error {
 			AspectKind:      kind,
 			NonBlockingFlag: true,
 			Post: func(inv *aspect.Invocation) {
-				// A failed body left no effect to replicate.
-				if inv.Err() == nil {
+				switch w := inv.Wire(); {
+				case inv.Err() != nil: // a failed body left no effect to replicate
+				case w != nil: // a served call's, in the bytes its frame carried
+					n.sync.CaptureWire(domain, method, w)
+				default:
 					n.sync.Capture(domain, method, inv.Args())
 				}
 			},

@@ -7,11 +7,12 @@
 //   - Every owned domain has an append-only effect log. Entries are
 //     appended at post-action time (by the replication aspect the cluster
 //     composes) and stamped with the owner's lease term, a per-domain
-//     sequence number, and the completed method + arguments, the arguments
-//     encoded once, there, into the JSON array every later stage carries
-//     as is. Appends are lock-free — one atomic fetch-add assigns the
-//     sequence, one atomic store publishes the slot — so capture adds no
-//     lock to the admission path.
+//     sequence number, and the completed method + arguments as one JSON
+//     array every later stage carries as is: a served call's arguments
+//     copied in the bytes its frame carried them in, an in-process call's
+//     encoded once, there. Appends are lock-free — one atomic fetch-add
+//     assigns the sequence, one atomic store publishes the slot — so
+//     capture adds no lock to the admission path.
 //   - A per-node streamer asynchronously ships pending entries to the
 //     domain's ring successor over the plane's control endpoints, and the
 //     successor acknowledges a high-water mark; acknowledged entries are
@@ -42,6 +43,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/amrpc"
+	"repro/internal/aspect"
 )
 
 // Entry is one replicated effect: a method execution that completed on the
@@ -49,8 +51,9 @@ import (
 // per-leadership sequence number (1-based); a new leader starts a fresh
 // sequence, so (Term, Seq) totally orders a domain's replicated history.
 //
-// Args is the arguments as one JSON array, encoded when the effect was
-// captured and carried as those bytes to the replica; empty for none.
+// Args is the arguments as one JSON array, made when the effect was
+// captured — from a served call's wire form or an in-process call's list —
+// and carried as those bytes to the replica; empty for none.
 // On the wire an entry leaves Domain out: the offer carrying it names the
 // domain once.
 type Entry struct {
@@ -62,7 +65,7 @@ type Entry struct {
 }
 
 // Log is one domain's effect log: a fixed-capacity MPSC ring. Any number
-// of capturing postactions may Append concurrently; a single streamer reads
+// of capturing postactions may append concurrently; a single streamer reads
 // contiguous published entries and advances the acknowledged mark. A slot
 // is reused only after its entry has been acknowledged, so the reader
 // never observes a torn entry. The entries sit in one array, apart from
@@ -112,15 +115,22 @@ func NewLog(domain string, capacity int) *Log {
 // Capacity returns the slot count.
 func (l *Log) Capacity() int { return len(l.entries) }
 
-// Append records one completed effect, its arguments encoded into the
-// slot it claims, returning its sequence number and, when it was not
-// stored, why. An append is refused when it would overwrite an
-// unacknowledged entry (the overflow is counted) or when an argument does
-// not encode or nests too deep for an offer to carry. Either way the
-// sequence is consumed, its slot is never published and the log is marked
-// gapped: the streamer gets past the hole with a snapshot resync, or by
-// SkipGap. Lock-free; safe from any number of goroutines.
-func (l *Log) Append(term uint64, method string, args []any) (uint64, error) {
+// effectArgs is one captured effect's arguments: a served call's in the
+// wire form its frame carried them in, or an in-process call's list.
+type effectArgs struct {
+	wire aspect.ArgReader
+	list []any
+}
+
+// add records one completed effect, its arguments written into the slot
+// it claims, returning its sequence number and, when it was not stored,
+// why. An append is refused when it would overwrite an unacknowledged
+// entry (the overflow is counted) or when an argument does not encode or
+// nests too deep for an offer to carry. Either way the sequence is
+// consumed, its slot is never published and the log is marked gapped: the
+// streamer gets past the hole with a snapshot resync, or by SkipGap.
+// Lock-free; safe from any number of goroutines.
+func (l *Log) add(term uint64, method string, args effectArgs) (uint64, error) {
 	seq := l.head.Add(1)
 	if seq > uint64(len(l.entries)) && seq-uint64(len(l.entries)) > l.acked.Load() {
 		l.overflow.Add(1)
@@ -143,23 +153,31 @@ func (l *Log) Append(term uint64, method string, args []any) (uint64, error) {
 // in the offer: the offer, its entries, the entry and the entry's args.
 const argDepth = 4
 
-// appendArgs appends args to dst as one JSON array, each argument as
-// amrpc encodes it, and nothing for no arguments. It fails for an argument
-// that does not encode, or that nests too deep for the offer it will sit
-// argDepth levels inside.
-func appendArgs(dst []byte, args []any) ([]byte, error) {
-	if len(args) == 0 {
+// appendArgs appends args to dst as one JSON array, and nothing for no
+// arguments: each argument copied as its frame carried it, or encoded as
+// amrpc encodes it. It fails for an argument that does not encode, or that
+// nests too deep for the offer it will sit argDepth levels inside.
+func appendArgs(dst []byte, args effectArgs) ([]byte, error) {
+	n := len(args.list)
+	if args.wire != nil {
+		n = args.wire.Arity()
+	}
+	if n == 0 {
 		return dst, nil
 	}
 	dst = append(dst, '[')
-	for j, a := range args {
+	for j := range n {
 		if j > 0 {
 			dst = append(dst, ',')
 		}
 		start := len(dst)
-		var err error
-		if dst, err = amrpc.AppendValue(dst, a); err != nil {
-			return dst, fmt.Errorf("argument %d: %w", j, err)
+		if args.wire != nil {
+			dst = append(dst, args.wire.Raw(j)...)
+		} else {
+			var err error
+			if dst, err = amrpc.AppendValue(dst, args.list[j]); err != nil {
+				return dst, fmt.Errorf("argument %d: %w", j, err)
+			}
 		}
 		if c := dst[start]; (c == '[' || c == '{') && !amrpc.Fits(dst[start:], argDepth) {
 			return dst, fmt.Errorf("argument %d nests too deep for an offer", j)

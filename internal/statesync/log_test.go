@@ -1,16 +1,26 @@
 package statesync
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/aspect"
 )
+
+// appendList appends one effect whose arguments are an in-process call's
+// list, as Manager.Capture does.
+func (l *Log) appendList(term uint64, method string, args []any) (uint64, error) {
+	return l.add(term, method, effectArgs{list: args})
+}
 
 func TestLogAppendReadAck(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 1; i <= 5; i++ {
-		seq, err := l.Append(3, "put", []any{fmt.Sprintf("id-%d", i)})
+		seq, err := l.appendList(3, "put", []any{fmt.Sprintf("id-%d", i)})
 		if err != nil || seq != uint64(i) {
 			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
@@ -41,13 +51,13 @@ func TestLogAppendReadAck(t *testing.T) {
 func TestLogOverflowBoundsLag(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 0; i < l.Capacity(); i++ {
-		if _, err := l.Append(1, "put", nil); err != nil {
+		if _, err := l.appendList(1, "put", nil); err != nil {
 			t.Fatalf("append %d refused below capacity", i)
 		}
 	}
 	// The unacknowledged window is full: further appends are refused and
 	// counted — replication lag is bounded by construction.
-	if _, err := l.Append(1, "put", nil); err == nil {
+	if _, err := l.appendList(1, "put", nil); err == nil {
 		t.Fatal("append accepted past an unacked full window")
 	}
 	if l.Overflows() != 1 || !l.Gapped() {
@@ -59,7 +69,7 @@ func TestLogOverflowBoundsLag(t *testing.T) {
 	if l.Gapped() {
 		t.Fatal("still gapped after resync")
 	}
-	if _, err := l.Append(1, "put", nil); err != nil {
+	if _, err := l.appendList(1, "put", nil); err != nil {
 		t.Fatal("append refused after resync reclaimed the window")
 	}
 }
@@ -70,7 +80,7 @@ func TestLogOverflowBoundsLag(t *testing.T) {
 func TestLogGappedWhileAHoleLiesAboveAcked(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i, arg := range []any{1, math.NaN(), 3, math.NaN(), 5} { // holes at 2 and 4
-		if _, err := l.Append(1, "put", []any{arg}); (err != nil) != (i%2 == 1) {
+		if _, err := l.appendList(1, "put", []any{arg}); (err != nil) != (i%2 == 1) {
 			t.Fatalf("append %d: err = %v", i+1, err)
 		}
 	}
@@ -101,15 +111,15 @@ func TestLogGappedWhileAHoleLiesAboveAcked(t *testing.T) {
 func TestLogSkipGapResumesAfterOverflow(t *testing.T) {
 	l := NewLog("alpha", 16)
 	for i := 0; i < l.Capacity(); i++ {
-		if _, err := l.Append(1, "put", nil); err != nil {
+		if _, err := l.appendList(1, "put", nil); err != nil {
 			t.Fatalf("append %d refused below capacity", i)
 		}
 	}
-	if _, err := l.Append(1, "put", nil); err == nil { // seq 17: the hole
+	if _, err := l.appendList(1, "put", nil); err == nil { // seq 17: the hole
 		t.Fatal("append accepted past a full window")
 	}
-	l.Ack(uint64(l.Capacity()))                        // successor caught up on the published prefix
-	if _, err := l.Append(1, "put", nil); err != nil { // seq 18: window reopened
+	l.Ack(uint64(l.Capacity()))                            // successor caught up on the published prefix
+	if _, err := l.appendList(1, "put", nil); err != nil { // seq 18: window reopened
 		t.Fatal("append refused after the window drained")
 	}
 	// The reader stalls at the never-published seq 17...
@@ -137,7 +147,7 @@ func TestLogWrapWithAcks(t *testing.T) {
 	l := NewLog("alpha", 16)
 	// Acknowledge as we go: many times the capacity flows through.
 	for i := 1; i <= 10*l.Capacity(); i++ {
-		seq, err := l.Append(2, "put", []any{i})
+		seq, err := l.appendList(2, "put", []any{i})
 		if err != nil {
 			t.Fatalf("append %d refused with a drained window", i)
 		}
@@ -157,11 +167,11 @@ func TestLogWrapWithAcks(t *testing.T) {
 	// it was.
 	l = NewLog("alpha", 16)
 	for i := 1; i <= 12; i++ {
-		l.Append(2, "put", []any{i})
+		l.appendList(2, "put", []any{i})
 	}
 	l.Ack(12)
 	for i := 13; i <= 28; i++ {
-		if _, err := l.Append(2, "put", []any{i}); err != nil {
+		if _, err := l.appendList(2, "put", []any{i}); err != nil {
 			t.Fatalf("append %d refused inside the window", i)
 		}
 	}
@@ -170,7 +180,7 @@ func TestLogWrapWithAcks(t *testing.T) {
 		t.Fatalf("read across the ring end: %+v, want seqs 13-15", run)
 	}
 	for i := 29; i <= 31; i++ {
-		if _, err := l.Append(2, "put", []any{i}); err == nil {
+		if _, err := l.appendList(2, "put", []any{i}); err == nil {
 			t.Fatalf("append %d accepted over unacknowledged seq 13", i)
 		}
 	}
@@ -195,7 +205,7 @@ func TestLogConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Append(1, "put", []any{w, i})
+				l.appendList(1, "put", []any{w, i})
 			}
 		}(w)
 	}
@@ -212,23 +222,48 @@ func TestLogConcurrentAppend(t *testing.T) {
 }
 
 // TestLogReusesSlotBuffers pins capture's cost: once every slot has held
-// its arguments, appending one more effect — encoding it into the slot —
-// allocates nothing.
+// its arguments, appending one more effect — encoding an in-process call's
+// list into the slot, or copying a served call's wire form — allocates
+// nothing.
 func TestLogReusesSlotBuffers(t *testing.T) {
-	l := NewLog("alpha", 16)
-	args := []any{"ticket-000001", 7, true}
-	seq := uint64(0)
-	appendAck := func() {
+	list := []any{"ticket-000001", 7, true}
+	// allocs warms a log's slots with args and reports what one more
+	// append costs.
+	allocs := func(args effectArgs) error {
+		l := NewLog("alpha", 16)
 		var err error
-		if seq, err = l.Append(1, "put", args); err != nil {
+		appendAck := func() {
+			var seq uint64
+			if seq, err = l.add(1, "put", args); err == nil {
+				l.Ack(seq)
+			}
+		}
+		for i := 0; i < l.Capacity() && err == nil; i++ {
+			appendAck()
+		}
+		if n := testing.AllocsPerRun(1000, appendAck); err != nil || n != 0 {
+			return fmt.Errorf("append allocates %.1f times (err %v), want 0", n, err)
+		}
+		return nil
+	}
+	t.Run("list", func(t *testing.T) {
+		if err := allocs(effectArgs{list: list}); err != nil {
 			t.Fatal(err)
 		}
-		l.Ack(seq)
-	}
-	for i := 0; i < l.Capacity(); i++ {
-		appendAck()
-	}
-	if n := testing.AllocsPerRun(1000, appendAck); n != 0 {
-		t.Fatalf("append allocates %.1f times, want 0", n)
-	}
+	})
+	t.Run("wire form", func(t *testing.T) {
+		measured := make(chan error, 1)
+		stub := serve(t, func(inv *aspect.Invocation) (any, error) {
+			measured <- allocs(effectArgs{wire: inv.Wire()})
+			return nil, nil
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := stub.Invoke(ctx, "put", list...); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-measured; err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/aspect"
 	"repro/internal/cluster/view"
 	"repro/internal/naming"
 )
@@ -261,17 +262,30 @@ func (m *Manager) SetSuccessor(domain, succ string) {
 	s.mu.Unlock()
 }
 
-// Capture appends one completed effect to domain's log, if this node
-// leads it. Lock-free: one atomic load, one map lookup, one ring append
-// that encodes args into the slot, so args is not kept. An effect the log
-// refuses — its window full, or an argument no offer can carry — is
-// logged with its sequence number, and the streamer gets past the hole.
+// Capture appends one completed effect of an in-process call to domain's
+// log, if this node leads it. Lock-free: one atomic load, one map lookup,
+// one ring append that encodes args into the slot, so args is not kept. An
+// effect the log refuses — its window full, or an argument no offer can
+// carry — is logged with its sequence number, and the streamer gets past
+// the hole. A served call's arguments, still in wire form, go through
+// CaptureWire instead; both replay through the same decode.
 func (m *Manager) Capture(domain, method string, args []any) {
+	m.capture(domain, method, effectArgs{list: args})
+}
+
+// CaptureWire is Capture for a served call whose arguments are still in
+// the wire form its frame carried: each is copied into the slot as it is,
+// not decoded and encoded again. args is not kept.
+func (m *Manager) CaptureWire(domain, method string, args aspect.ArgReader) {
+	m.capture(domain, method, effectArgs{wire: args})
+}
+
+func (m *Manager) capture(domain, method string, args effectArgs) {
 	s := (*m.streams.Load())[domain]
 	if s == nil {
 		return
 	}
-	if seq, err := s.log.Append(s.term, method, args); err != nil {
+	if seq, err := s.log.add(s.term, method, args); err != nil {
 		m.logf("statesync %s: domain %s: effect %d not captured: %v", m.cfg.Node, domain, seq, err)
 	}
 	// Kick the streamer only once a batch's worth is pending. A per-append

@@ -162,10 +162,10 @@ func TestOfferWireFormIsJSONMarshal(t *testing.T) {
 	args := []any{"s\x00\xff", 1.5, 1e21, -0.0, int64(-7), uint64(math.MaxUint64), true, nil,
 		map[string]any{"k": []any{"v", 2.0}}, []any{}, json.RawMessage(`{"raw":1}`)}
 	l := NewLog("ignored", 16)
-	if _, err := l.Append(3, "put", args); err != nil {
+	if _, err := l.appendList(3, "put", args); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(0, "close", nil); err != nil {
+	if _, err := l.appendList(0, "close", nil); err != nil {
 		t.Fatal(err)
 	}
 	o := Offer{From: "A <&>", Domain: "café  ", Term: math.MaxUint64, Snapshot: snap, SnapSeq: 1, Entries: l.ReadFrom(0, 2)}
@@ -184,7 +184,7 @@ func TestOfferWireFormIsJSONMarshal(t *testing.T) {
 	if direct, err := json.Marshal(o); err != nil || !bytes.Equal(direct, want) {
 		t.Fatalf("json.Marshal of the Offer itself: %s, %v\nwant %s", direct, err, want)
 	}
-	if _, err := NewLog("alpha", 16).Append(1, "put", []any{math.NaN()}); err == nil {
+	if _, err := NewLog("alpha", 16).appendList(1, "put", []any{math.NaN()}); err == nil {
 		t.Fatal("captured a NaN argument")
 	}
 }

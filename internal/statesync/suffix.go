@@ -5,7 +5,8 @@ package statesync
 // reads them exactly once, at takeover. suffix therefore stores them packed
 // rather than as decoded Entry values: the domain is dropped (it is the
 // replica's key), the method name is interned, the arguments stay in the
-// JSON encoding the offer carried them in, in large shared chunks, and what
+// JSON array the offer carried them in — for a served call, the bytes the
+// owner's request frame carried — in large shared chunks, and what
 // is left of an entry is a fixed 32-byte record in a page that is never
 // copied to grow. An entry costs its record plus its encoded arguments,
 // about a third of the decoded form; they are decoded only at replay.
